@@ -10,7 +10,7 @@ multi-scale descriptor at the storage cost of one filter.
 import numpy as np
 
 from maskconv.convref import conv_reference
-from maskconv.layers import naive_sum_forward, spatial_forward
+from maskconv.layers import FilterBank, LayerSpec, bank_forward, naive_sum_forward
 from maskconv.masks import spatial_masks
 
 rng = np.random.default_rng(0)
@@ -26,7 +26,8 @@ for j in range(masks.s):
 print("\n=== multi-scale forward pass ===")
 x = rng.normal(size=(8, 8, 1))
 f = rng.normal(size=(5, 5, 1))
-y = spatial_forward(x, f, biases=np.zeros(3), stride=1, padding=2)
+spec = LayerSpec("spatial", d=5, c=1, k=1, padding=2)
+y = bank_forward(x, FilterBank(f[None], np.zeros(spec.s)), masks, spec)
 print(f"input 8x8x1, one 5x5 primary filter -> output {y.shape}")
 print("the three channels are convolutions with the three masked filters:")
 for j in range(3):

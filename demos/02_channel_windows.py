@@ -10,7 +10,7 @@ feature-map volume.
 import numpy as np
 
 from maskconv.convref import conv_reference
-from maskconv.layers import LayerSpec, channel_forward
+from maskconv.layers import FilterBank, LayerSpec, bank_forward
 from maskconv.masks import channel_windows
 
 rng = np.random.default_rng(1)
@@ -25,7 +25,7 @@ print("\n=== halving the filter count (c - c_hat = g = 8) ===")
 spec = LayerSpec("channel", d=3, c=16, k=1, c_hat=8, g=8)
 x = rng.normal(size=(6, 6, 16))
 f = rng.normal(size=(3, 3, 16))
-y = channel_forward(x, f, spec)
+y = bank_forward(x, FilterBank(f[None]), spec.structural_masks(), spec)
 print(f"one primary filter -> {y.shape[2]} output maps of {y.shape[:2]}")
 lo = conv_reference(x[:, :, :8], f[:, :, :8])
 hi = conv_reference(x[:, :, 8:], f[:, :, 8:])
@@ -34,6 +34,6 @@ print(f"window 1 equals conv over channels 8..15: max diff {np.max(np.abs(y[:, :
 
 print("\n=== degenerate case: full-width window is standard convolution ===")
 full = LayerSpec("channel", d=3, c=16, k=1, c_hat=16, g=1)
-y_full = channel_forward(x, f, full)
+y_full = bank_forward(x, FilterBank(f[None]), full.structural_masks(), full)
 print(f"c_hat = c gives {y_full.shape[2]} map; equals plain conv:"
       f" {np.array_equal(y_full[:, :, 0], conv_reference(x, f))}")

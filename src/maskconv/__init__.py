@@ -25,10 +25,7 @@ from maskconv.layers import (
     LayerSpec,
     bank_backward,
     bank_forward,
-    channel_forward,
-    learnable_forward,
     naive_sum_forward,
-    spatial_forward,
 )
 from maskconv.masks import (
     MaskSet,
@@ -54,14 +51,12 @@ __all__ = [
     "bank_backward",
     "bank_forward",
     "cached_forward",
-    "channel_forward",
     "channel_windows",
     "col2im",
     "conv_output_size",
     "conv_reference",
     "im2col",
     "init_learnable",
-    "learnable_forward",
     "matmul_conv",
     "measure_vs_predict",
     "naive_sum_forward",
@@ -70,7 +65,6 @@ __all__ = [
     "predict_counts",
     "random_masks",
     "sign_binarize",
-    "spatial_forward",
     "spatial_masks",
     "vec",
 ]

@@ -57,7 +57,6 @@ def _train_config(config: RunConfig) -> TrainConfig:
         batch=config.get("train.batch"),
         seed=config.get("train.seed"),
         loss=config.get("train.loss"),
-        determinism=config.get("determinism"),
     )
 
 

@@ -14,15 +14,6 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or missing required keys."""
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> (parser, default)
 KNOWN_KEYS = {
     "model.variant": (str, "learnable"),
@@ -42,7 +33,6 @@ KNOWN_KEYS = {
     "data.path": (str, ""),
     "out.checkpoint": (str, "model.ckpt"),
     "out.log": (str, ""),
-    "determinism": (_bool, True),
 }
 
 

@@ -22,9 +22,10 @@ Fixed reduction order.
     zero, so a masked summation over cached products reproduces the
     reference convolution bit for bit.
 
-Inputs are ``H x W x c`` arrays, filters ``d x d x c``, outputs
-``H' x W'`` with ``H' = (H + 2*padding - d) // stride + 1``.  Padding reads
-as zero.  Only square kernels are supported.
+Inputs are ``H x W x c`` arrays (``im2col`` also takes a ``B x H x W x c``
+batch), filters ``d x d x c``, outputs ``H' x W'`` with
+``H' = (H + 2*padding - d) // stride + 1``.  Padding reads as zero.  Only
+square kernels are supported.
 """
 
 from __future__ import annotations
@@ -69,77 +70,81 @@ def vec(block: np.ndarray) -> np.ndarray:
 class PatchMatrix:
     """im2col result: one column per output position, canonical vec order.
 
-    ``cols`` has shape ``(d*d*c, h_out*w_out)``; column ``p*w_out + q`` is
-    the vectorized receptive field of output pixel ``(p, q)``.
+    ``cols`` has shape ``(d*d*c, B*h_out*w_out)``; columns are image-major,
+    so column ``(b*h_out + p)*w_out + q`` is the vectorized receptive field
+    of output pixel ``(p, q)`` of image ``b``.  A single ``(H, W, c)`` image
+    is a batch of one without the leading axis.  ``in_shape`` is the shape
+    of the (unpadded) input.
     """
 
     cols: np.ndarray
     d: int
     stride: int
     padding: int
-    h: int
-    w: int
-    c: int
+    in_shape: tuple[int, ...]
     h_out: int
     w_out: int
 
     @property
-    def n_patches(self) -> int:
-        return self.h_out * self.w_out
+    def out_shape(self) -> tuple[int, ...]:
+        """Output grid ``(h_out, w_out)``, behind the batch axis if any."""
+        return self.in_shape[:-3] + (self.h_out, self.w_out)
 
 
-def _check_input(x: np.ndarray) -> np.ndarray:
+def _check_input(x: np.ndarray, batch_ok: bool = False) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 2:
         x = x[:, :, None]
-    if x.ndim != 3:
-        raise ShapeError(f"expected H x W x c input, got shape {x.shape}")
+    if x.ndim != 3 and not (batch_ok and x.ndim == 4):
+        allowed = "H x W x c input or B x H x W x c batch" if batch_ok else "H x W x c input"
+        raise ShapeError(f"expected {allowed}, got shape {x.shape}")
     return x
 
 
 def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMatrix:
     """Extract overlapping patches of ``x`` as columns.
 
-    Padded cells read as zero.  Raises :class:`ShapeError` when the kernel
+    ``x`` is one ``H x W x c`` image or a ``B x H x W x c`` batch.  Padded
+    cells read as zero.  Raises :class:`ShapeError` when the kernel
     exceeds the padded input.
     """
-    x = _check_input(x)
-    h, w, c = x.shape
+    x = _check_input(x, batch_ok=True)
+    in_shape = x.shape
+    h, w, c = in_shape[-3:]
     h_out = conv_output_size(h, d, stride, padding)
     w_out = conv_output_size(w, d, stride, padding)
     if padding:
-        x = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    # windows: (h_p - d + 1, w_p - d + 1, c, d, d) -> stride slice -> reorder
-    windows = np.lib.stride_tricks.sliding_window_view(x, (d, d), axis=(0, 1))
-    windows = windows[::stride, ::stride]
-    # (h_out, w_out, c, d, d) -> (h_out, w_out, d, d, c) -> (l, d*d*c)
-    patches = windows.transpose(0, 1, 3, 4, 2).reshape(h_out * w_out, d * d * c)
+        batch_pad = ((0, 0),) * (x.ndim - 3)
+        x = np.pad(x, batch_pad + ((padding, padding), (padding, padding), (0, 0)))
+    # windows: (..., h_p - d + 1, w_p - d + 1, c, d, d) -> stride slice -> reorder
+    windows = np.lib.stride_tricks.sliding_window_view(x, (d, d), axis=(-3, -2))
+    windows = windows[..., ::stride, ::stride, :, :, :]
+    # (..., h_out, w_out, c, d, d) -> (..., h_out, w_out, d, d, c) -> (B*l, d*d*c)
+    patches = np.moveaxis(windows, -3, -1).reshape(-1, d * d * c)
     cols = np.ascontiguousarray(patches.T)
-    return PatchMatrix(cols, d, stride, padding, h, w, c, h_out, w_out)
+    return PatchMatrix(cols, d, stride, padding, in_shape, h_out, w_out)
 
 
 def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:
     """Scatter-add patch-column gradients back onto the input grid.
 
-    Adjoint of :func:`im2col`: overlapping positions accumulate.
+    Adjoint of :func:`im2col`: overlapping positions accumulate.  The
+    result has the input's shape ``pm.in_shape``.
     """
-    d, c = pm.d, pm.c
-    if grad_cols.shape != (d * d * c, pm.n_patches):
+    if grad_cols.shape != pm.cols.shape:
         raise ShapeError(
             f"grad_cols shape {grad_cols.shape} does not match patch matrix"
         )
-    h_p, w_p = pm.h + 2 * pm.padding, pm.w + 2 * pm.padding
-    grad_pad = np.zeros((h_p, w_p, c), dtype=grad_cols.dtype)
-    blocks = grad_cols.T.reshape(pm.h_out, pm.w_out, d, d, c)
-    rows = pm.stride * np.arange(pm.h_out)
-    colposns = pm.stride * np.arange(pm.w_out)
+    *batch, h, w, c = pm.in_shape
+    d, st, p = pm.d, pm.stride, pm.padding
+    grad_pad = np.zeros((*batch, h + 2 * p, w + 2 * p, c), dtype=grad_cols.dtype)
+    blocks = grad_cols.T.reshape(*batch, pm.h_out, pm.w_out, d, d, c)
     for a in range(d):
         for b in range(d):
-            grad_pad[np.ix_(rows + a, colposns + b)] += blocks[:, :, a, b, :]
-    if pm.padding:
-        p = pm.padding
-        return grad_pad[p : p + pm.h, p : p + pm.w, :]
-    return grad_pad
+            grad_pad[
+                ..., a : a + st * pm.h_out : st, b : b + st * pm.w_out : st, :
+            ] += blocks[..., a, b, :]
+    return grad_pad[..., p : p + h, p : p + w, :]
 
 
 def conv_reference(

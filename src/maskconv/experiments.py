@@ -42,7 +42,7 @@ def diversity_trial(
     """Train the toy at one regularizer weight; returns mask statistics."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 6, 6, 1))
-    cols = np.concatenate([im2col(x[i], 3).cols for i in range(x.shape[0])], axis=1)
+    cols = im2col(x, 3).cols
     top_eig = float(np.linalg.eigvalsh(cols @ cols.T / x.shape[0]).max())
     x = x / np.sqrt(top_eig)
 

@@ -110,7 +110,7 @@ def cached_forward(
 
     fmat = bank.filter_matrix()
     dense = None if masks is None else masks.dense(np.bool_)
-    y = np.empty((pm.h_out, pm.w_out, spec.n_secondary), dtype=np.result_type(pm.cols, fmat))
+    y = np.empty(pm.out_shape + (spec.n_secondary,), dtype=np.result_type(pm.cols, fmat))
     for i in range(spec.k):
         cache = pm.cols * fmat[:, i][:, None]  # one product pass per primary
         counts.mul_fp32 += v * l
@@ -129,7 +129,7 @@ def cached_forward(
             counts.add_fp32 += ones * l
             if biases is not None:
                 col = col + biases[out_idx]
-            y[:, :, out_idx] = col.reshape(pm.h_out, pm.w_out)
+            y[..., out_idx] = col.reshape(pm.out_shape)
     return y, counts
 
 

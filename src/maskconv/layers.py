@@ -153,51 +153,37 @@ def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -
     return out
 
 
-def _forward_columns(
-    x: np.ndarray, fhat: np.ndarray, biases: np.ndarray | None, spec: LayerSpec
-) -> tuple[np.ndarray, PatchMatrix]:
-    pm = im2col(x, spec.d, spec.stride, spec.padding)
-    n = fhat.shape[1]
-    y = np.empty((pm.h_out, pm.w_out, n), dtype=np.result_type(pm.cols, fhat))
+def forward_patches(
+    pm: PatchMatrix, bank: FilterBank, masks: MaskSet | None, spec: LayerSpec
+) -> np.ndarray:
+    """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
+
+    Output ``pm.out_shape + (n,)``, primary-major.  Every output column
+    runs the fixed-order reduction of :func:`convref.conv_reference`, so a
+    batch gives each image's single-image output bit for bit.
+    """
+    fhat = secondary_matrix(bank, masks, spec)
+    biases = bank.biases if spec.has_biases else None
+    if biases is not None and len(biases) != spec.n_secondary:
+        raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
+    n = spec.n_secondary
+    y = np.empty((pm.cols.shape[1], n), dtype=np.result_type(pm.cols, fhat))
     for j in range(n):
         col = column_sums(pm.cols * fhat[:, j][:, None])
         if biases is not None:
             col = col + biases[j]
-        y[:, :, j] = col.reshape(pm.h_out, pm.w_out)
-    return y, pm
+        y[:, j] = col
+    return y.reshape(pm.out_shape + (n,))
 
 
 def bank_forward(
     x: np.ndarray, bank: FilterBank, masks: MaskSet | None, spec: LayerSpec
 ) -> np.ndarray:
-    """Forward pass for any variant; output (H', W', n), primary-major."""
-    fhat = secondary_matrix(bank, masks, spec)
-    biases = bank.biases if spec.has_biases else None
-    if biases is not None and len(biases) != spec.n_secondary:
-        raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
-    y, _ = _forward_columns(x, fhat, biases, spec)
-    return y
+    """Forward pass for any variant; output (..., H', W', n), primary-major.
 
-
-def spatial_forward(
-    x: np.ndarray,
-    f: np.ndarray,
-    biases: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Multi-scale output of a single primary filter under pyramid masks.
-
-    Channel ``i`` is ``conv(x, M_i * f) + biases[i]``; all scales share the
-    same stride and padding so the s maps stay aligned.
+    ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.
     """
-    f = np.atleast_3d(np.asarray(f))
-    d, c = f.shape[0], f.shape[2]
-    spec = LayerSpec("spatial", d=d, c=c, k=1, stride=stride, padding=padding)
-    biases = np.asarray(biases, dtype=f.dtype)
-    if biases.shape != (spec.s,):
-        raise ShapeError(f"spatial forward needs {spec.s} biases, got {biases.shape}")
-    return bank_forward(x, FilterBank(f[None], biases), spatial_masks(d, c), spec)
+    return forward_patches(im2col(x, spec.d, spec.stride, spec.padding), bank, masks, spec)
 
 
 def naive_sum_forward(
@@ -215,33 +201,6 @@ def naive_sum_forward(
         x, FilterBank(f[None], np.zeros(spec.s, dtype=f.dtype)), spatial_masks(d, c), spec
     )
     return np.add.reduce(channels, axis=2) + bias
-
-
-def channel_forward(x: np.ndarray, f: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    """Channel-window output of a single primary filter (no biases)."""
-    f = np.atleast_3d(np.asarray(f))
-    if spec.variant != "channel":
-        raise ShapeError("channel_forward needs a channel-variant spec")
-    one = LayerSpec(
-        "channel",
-        d=spec.d,
-        c=spec.c,
-        k=1,
-        c_hat=spec.c_hat,
-        g=spec.g,
-        stride=spec.stride,
-        padding=spec.padding,
-    )
-    return bank_forward(x, FilterBank(f[None]), one.structural_masks(), one)
-
-
-def learnable_forward(
-    x: np.ndarray, bank: FilterBank, masks: MaskSet, spec: LayerSpec
-) -> np.ndarray:
-    """Masked filter-bank output: channel (i, j) = conv(x, f_i * M) + b_ij."""
-    if spec.variant != "learnable":
-        raise ShapeError("learnable_forward needs a learnable-variant spec")
-    return bank_forward(x, bank, masks, spec)
 
 
 @dataclass
@@ -298,21 +257,24 @@ def grads_from_secondary(
 
 def bank_backward(
     grad_y: np.ndarray,
-    x: np.ndarray,
+    x: np.ndarray | None,
     bank: FilterBank,
     masks: MaskSet | None,
     spec: LayerSpec,
     patches: PatchMatrix | None = None,
 ) -> BankGrads:
-    """Analytic gradients for filters, masks, biases, and the input."""
+    """Analytic gradients for filters, masks, biases, and the input.
+
+    ``x`` is an image or a batch, as in :func:`bank_forward`; it is not
+    read when the forward's ``patches`` are passed.  Filter, mask and bias
+    gradients sum over the batch; the input gradient has ``x``'s shape.
+    """
     if patches is None:
         patches = im2col(x, spec.d, spec.stride, spec.padding)
     n = spec.n_secondary
-    if grad_y.shape != (patches.h_out, patches.w_out, n):
-        raise ShapeError(
-            f"grad_y shape {grad_y.shape} != output shape "
-            f"{(patches.h_out, patches.w_out, n)}"
-        )
+    out_shape = patches.out_shape + (n,)
+    if grad_y.shape != out_shape:
+        raise ShapeError(f"grad_y shape {grad_y.shape} != output shape {out_shape}")
     grad_flat = grad_y.reshape(-1, n)
     ghat = _secondary_grads(patches.cols, grad_flat)
     grad_f, grad_m = grads_from_secondary(ghat, bank, masks, spec)

@@ -1,25 +1,19 @@
 """Small sequential CNN with manual backprop, batched over images.
 
-Layers operate on ``(B, H, W, c)`` arrays.  The convolution layer wraps
-the filter-bank machinery of :mod:`maskconv.layers`; its batched columns
-run through the same fixed-order reductions, so per-sample outputs equal
-the single-image path bit for bit.  The dense layers use ``einsum`` with
-its default sequential contraction for the same reason: identical runs
-must produce identical bytes.
+Layers operate on ``(B, H, W, c)`` arrays.  The convolution layer runs
+the filter-bank core of :mod:`maskconv.layers` on the whole batch, whose
+fixed-order reductions make per-sample outputs equal the single-image
+path bit for bit.  The dense layers use ``einsum`` with its default
+sequential contraction for the same reason: identical runs must produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from maskconv.convref import ShapeError, column_sums, conv_output_size
-from maskconv.layers import (
-    FilterBank,
-    LayerSpec,
-    grads_from_secondary,
-    secondary_matrix,
-    _secondary_grads,
-)
+from maskconv.convref import ShapeError, conv_output_size, im2col
+from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches
 from maskconv.masks import (
     MaskSet,
     agent_update,
@@ -29,17 +23,6 @@ from maskconv.masks import (
     random_masks,
     sign_binarize,
 )
-
-
-def _batched_cols(xb: np.ndarray, d: int, stride: int, padding: int) -> np.ndarray:
-    """im2col over a batch: (V, B * l) columns, batch-major."""
-    b, h, w, c = xb.shape
-    if padding:
-        xb = np.pad(xb, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xb, (d, d), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, d * d * c)
-    return np.ascontiguousarray(patches.T)
 
 
 class MaskedConv:
@@ -68,8 +51,7 @@ class MaskedConv:
                 )
         else:
             self.masks = spec.structural_masks()
-        self._cols = None
-        self._in_shape = None
+        self._patches = None
         self.grad_filters = None
         self.grad_biases = None
         self.grad_masks = None
@@ -93,54 +75,22 @@ class MaskedConv:
 
     def forward(self, xb: np.ndarray) -> np.ndarray:
         spec = self.spec
-        if xb.shape[3] != spec.c:
-            raise ShapeError(f"layer {spec.name}: expected {spec.c} channels, got {xb.shape}")
-        cols = _batched_cols(xb.astype(self.dtype, copy=False), spec.d, spec.stride, spec.padding)
-        b = xb.shape[0]
-        h_out = conv_output_size(xb.shape[1], spec.d, spec.stride, spec.padding)
-        w_out = conv_output_size(xb.shape[2], spec.d, spec.stride, spec.padding)
-        fhat = secondary_matrix(self.bank(), self.masks, spec).astype(self.dtype, copy=False)
-        out = np.empty((b, h_out, w_out, spec.n_secondary), dtype=self.dtype)
-        flat = out.reshape(b * h_out * w_out, spec.n_secondary)
-        for j in range(spec.n_secondary):
-            col = column_sums(cols * fhat[:, j][:, None])
-            if self.biases is not None:
-                col = col + self.biases[j]
-            flat[:, j] = col
-        self._cols = cols
-        self._in_shape = xb.shape
-        self._out_hw = (h_out, w_out)
-        return out
+        if xb.ndim != 4 or xb.shape[3] != spec.c:
+            raise ShapeError(
+                f"layer {spec.name}: expected a B x H x W x {spec.c} batch, got {xb.shape}"
+            )
+        xb = xb.astype(self.dtype, copy=False)
+        self._patches = im2col(xb, spec.d, spec.stride, spec.padding)
+        return forward_patches(self._patches, self.bank(), self.masks, spec)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        b, h, w, c = self._in_shape
-        h_out, w_out = self._out_hw
-        grad_flat = grad_out.reshape(b * h_out * w_out, spec.n_secondary)
-        ghat = _secondary_grads(self._cols, grad_flat)
-        grad_f, grad_m = grads_from_secondary(ghat, self.bank(), self.masks, spec)
-        self.grad_filters = grad_f
-        self.grad_masks = grad_m
-        if self.biases is not None:
-            self.grad_biases = np.add.reduce(grad_flat, axis=0)
-
-        fhat = secondary_matrix(self.bank(), self.masks, spec).astype(self.dtype, copy=False)
-        grad_cols = np.zeros_like(self._cols)
-        for j in range(spec.n_secondary):
-            grad_cols += fhat[:, j][:, None] * grad_flat[:, j][None, :]
-        blocks = grad_cols.T.reshape(b, h_out, w_out, spec.d, spec.d, spec.c)
-        pad = spec.padding
-        grad_pad = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=grad_cols.dtype)
-        st = spec.stride
-        for a_ in range(spec.d):
-            for b_ in range(spec.d):
-                grad_pad[
-                    :, a_ : a_ + st * h_out : st, b_ : b_ + st * w_out : st, :
-                ] += blocks[:, :, :, a_, b_, :]
-        grad_x = grad_pad[:, pad : pad + h, pad : pad + w, :] if pad else grad_pad
-        if spec.variant == "spatial":
-            grad_x = grad_x / spec.s
-        return grad_x
+        grads = bank_backward(
+            grad_out, None, self.bank(), self.masks, self.spec, patches=self._patches
+        )
+        self.grad_filters = grads.filters
+        self.grad_biases = grads.biases
+        self.grad_masks = grads.masks
+        return grads.x
 
     def ortho_loss(self) -> float:
         return ortho_loss(self.masks) if self.trainable_masks else 0.0

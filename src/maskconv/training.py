@@ -31,7 +31,6 @@ class TrainConfig:
     batch: int = 64
     seed: int = 0
     loss: str = "cross-entropy"
-    determinism: bool = True
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -87,14 +86,6 @@ def total_loss(
         raise ValueError("lam must be >= 0")
     task, _ = task_loss_and_grad(logits, targets, loss)
     return task + lam * sum(ortho_loss(m) for m in mask_sets)
-
-
-def sgd_step(bank, grad_filters, grad_biases, lr: float):
-    """One bare SGD update on a filter bank (biases updated identically)."""
-    bank.filters = bank.filters - lr * grad_filters
-    if bank.biases is not None and grad_biases is not None:
-        bank.biases = bank.biases - lr * grad_biases
-    return bank
 
 
 def train_step(batch, model: Network, config: TrainConfig):
@@ -154,8 +145,8 @@ def fit(
     """Mini-batch training over a fixed dataset.
 
     Shuffling comes from the config seed, so two runs with the same seed
-    and determinism flag visit identical batches.  ``log`` receives one
-    line-delimited record per step.  ``steps`` caps the total step count.
+    visit identical batches.  ``log`` receives one line-delimited record
+    per step.  ``steps`` caps the total step count.
     """
     rng = np.random.default_rng(config.seed)
     history = History()

@@ -328,7 +328,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path, announce):
             input_hw=12,
             seed=17,
         )
-        config = TrainConfig(lr=0.1, lam=0.1, epochs=2, batch=32, seed=5, determinism=True)
+        config = TrainConfig(lr=0.1, lam=0.1, epochs=2, batch=32, seed=5)
         fit(model, images, labels, config)
         path = tmp_path / f"run{run}.ckpt"
         save_checkpoint(model, path)

@@ -175,12 +175,19 @@ def test_col2im_adjoint_of_im2col():
     # <im2col(x), G> == <x, col2im(G)> for random G: the defining adjoint
     # property of the scatter-add.
     rng = np.random.default_rng(17)
-    for stride, padding in [(1, 0), (2, 1), (1, 2)]:
-        x = rng.normal(size=(6, 5, 3))
+    for shape, stride, padding in [
+        ((6, 5, 3), 1, 0),
+        ((6, 5, 3), 2, 1),
+        ((6, 5, 3), 1, 2),
+        ((2, 6, 5, 3), 2, 1),
+    ]:
+        x = rng.normal(size=shape)
         pm = im2col(x, 3, stride, padding)
         g = rng.normal(size=pm.cols.shape)
+        back = col2im(g, pm)
+        assert back.shape == x.shape
         lhs = float(np.sum(pm.cols * g))
-        rhs = float(np.sum(x * col2im(g, pm)))
+        rhs = float(np.sum(x * back))
         assert abs(lhs - rhs) < 1e-10
 
 

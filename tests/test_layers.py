@@ -7,12 +7,9 @@ from maskconv.layers import (
     LayerSpec,
     bank_backward,
     bank_forward,
-    channel_forward,
-    learnable_forward,
     naive_sum_forward,
     random_bank,
     secondary_matrix,
-    spatial_forward,
 )
 from maskconv.masks import from_dense, random_masks, spatial_masks
 
@@ -37,7 +34,9 @@ def relaxed_loss(x, filters, mask_cols, spec, biases, targets):
 
 
 def test_spatial_forward_ones_pyramid():
-    y = spatial_forward(np.ones((3, 3, 1)), np.ones((3, 3, 1)), biases=np.zeros(2))
+    spec = LayerSpec("spatial", d=3, c=1, k=1)
+    bank = FilterBank(np.ones((1, 3, 3, 1)), np.zeros(2))
+    y = bank_forward(np.ones((3, 3, 1)), bank, spec.structural_masks(), spec)
     assert y.shape == (1, 1, 2)
     assert np.array_equal(y[0, 0], [9.0, 1.0])
 
@@ -45,21 +44,26 @@ def test_spatial_forward_ones_pyramid():
 def test_spatial_forward_degenerates_at_d1():
     x = np.random.default_rng(0).normal(size=(4, 4, 3))
     f = np.random.default_rng(1).normal(size=(1, 1, 3))
-    y = spatial_forward(x, f, biases=np.zeros(1))
+    spec = LayerSpec("spatial", d=1, c=3, k=1)
+    y = bank_forward(x, FilterBank(f[None], np.zeros(1)), spec.structural_masks(), spec)
     assert y.shape == (4, 4, 1)
     assert np.array_equal(y[:, :, 0], conv_reference(x, f))
 
 
 def test_spatial_forward_zero_filter_gives_bias_planes():
     biases = np.array([0.5, -1.0, 2.0])
-    y = spatial_forward(np.ones((5, 5, 1)), np.zeros((5, 5, 1)), biases=biases)
+    spec = LayerSpec("spatial", d=5, c=1, k=1)
+    bank = FilterBank(np.zeros((1, 5, 5, 1)), biases)
+    y = bank_forward(np.ones((5, 5, 1)), bank, spec.structural_masks(), spec)
     for i, b in enumerate(biases):
         assert np.all(y[:, :, i] == b)
 
 
 def test_spatial_forward_bias_count_mismatch():
+    spec = LayerSpec("spatial", d=3, c=1, k=1)
+    bank = FilterBank(np.ones((1, 3, 3, 1)), np.zeros(3))
     with pytest.raises(ShapeError):
-        spatial_forward(np.ones((3, 3, 1)), np.ones((3, 3, 1)), biases=np.zeros(3))
+        bank_forward(np.ones((3, 3, 1)), bank, spec.structural_masks(), spec)
 
 
 def test_spatial_forward_matches_masked_reference():
@@ -68,7 +72,8 @@ def test_spatial_forward_matches_masked_reference():
         x = rng.normal(size=(7, 7, 2))
         f = rng.normal(size=(5, 5, 2))
         biases = rng.normal(size=3)
-        y = spatial_forward(x, f, biases, stride=2, padding=1)
+        spec = LayerSpec("spatial", d=5, c=2, k=1, stride=2, padding=1)
+        y = bank_forward(x, FilterBank(f[None], biases), spec.structural_masks(), spec)
         dense = spatial_masks(5, 2).dense()
         for j in range(3):
             fhat = (f.reshape(-1) * dense[:, j]).reshape(5, 5, 2)
@@ -114,8 +119,8 @@ def channel_spec(c, c_hat, g, d=1, k=1, **kw):
 
 def test_channel_forward_window_sums_by_hand():
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 4)
-    f = np.ones((1, 1, 4))
-    y = channel_forward(x, f, channel_spec(4, 2, 2))
+    spec = channel_spec(4, 2, 2)
+    y = bank_forward(x, FilterBank(np.ones((1, 1, 1, 4))), spec.structural_masks(), spec)
     assert y.shape == (1, 1, 2)
     assert np.array_equal(y[0, 0], [3.0, 7.0])
 
@@ -124,7 +129,8 @@ def test_channel_forward_full_window_is_standard():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 5, 6))
     f = rng.normal(size=(3, 3, 6))
-    y = channel_forward(x, f, channel_spec(6, 6, 1, d=3))
+    spec = channel_spec(6, 6, 1, d=3)
+    y = bank_forward(x, FilterBank(f[None]), spec.structural_masks(), spec)
     assert y.shape == (3, 3, 1)
     assert np.array_equal(y[:, :, 0], conv_reference(x, f))
 
@@ -133,7 +139,8 @@ def test_channel_forward_halving_windows():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 6, 16))
     f = rng.normal(size=(3, 3, 16))
-    y = channel_forward(x, f, channel_spec(16, 8, 8, d=3))
+    spec = channel_spec(16, 8, 8, d=3)
+    y = bank_forward(x, FilterBank(f[None]), spec.structural_masks(), spec)
     assert y.shape == (4, 4, 2)
     # window outputs equal convolutions over the channel slices
     lo = conv_reference(x[:, :, :8], f[:, :, :8])
@@ -161,7 +168,7 @@ def test_learnable_all_ones_shared_duplicates_standard_maps():
     bank = random_bank(spec, seed=0)
     masks = from_dense(np.ones((18, 2)), "learned-shared", 3, 2, 2)
     x = np.random.default_rng(3).normal(size=(5, 5, 2))
-    y = learnable_forward(x, bank, masks, spec)
+    y = bank_forward(x, bank, masks, spec)
     assert y.shape == (3, 3, 6)
     for i in range(3):
         ref = conv_reference(x, bank.filters[i])
@@ -179,9 +186,11 @@ def test_learnable_separate_with_pyramid_masks_equals_spatial():
     pyramid = spatial_masks(d, c).dense()
     masks = from_dense(np.tile(pyramid, (1, k)), "learned-separate", d, c, s, k=k)
     x = rng.normal(size=(7, 7, c))
-    y = learnable_forward(x, bank, masks, spec)
+    y = bank_forward(x, bank, masks, spec)
+    pyramid_spec = LayerSpec("spatial", d=d, c=c, k=1)
     for i in range(k):
-        yi = spatial_forward(x, bank.filters[i], bank.biases[i * s : (i + 1) * s])
+        primary = FilterBank(bank.filters[i : i + 1], bank.biases[i * s : (i + 1) * s])
+        yi = bank_forward(x, primary, pyramid_spec.structural_masks(), pyramid_spec)
         assert np.array_equal(y[:, :, i * s : (i + 1) * s], yi)
 
 
@@ -190,7 +199,7 @@ def test_learnable_k1_s1_all_ones_is_standard():
     bank = random_bank(spec, seed=1)
     masks = from_dense(np.ones((36, 1)), "learned-shared", 3, 4, 1)
     x = np.random.default_rng(11).normal(size=(6, 6, 4))
-    y = learnable_forward(x, bank, masks, spec)
+    y = bank_forward(x, bank, masks, spec)
     assert np.array_equal(y[:, :, 0], conv_reference(x, bank.filters[0]))
 
 
@@ -198,7 +207,7 @@ def test_learnable_output_is_primary_major():
     spec = learnable_spec(2, 2, 1, 1, strategy="separate")
     bank = FilterBank(np.array([1.0, 10.0]).reshape(2, 1, 1, 1), np.zeros(4))
     masks = from_dense(np.array([[1, 0, 1, 1]], dtype=float), "learned-separate", 1, 1, 2, k=2)
-    y = learnable_forward(np.ones((1, 1, 1)), bank, masks, spec)
+    y = bank_forward(np.ones((1, 1, 1)), bank, masks, spec)
     assert np.array_equal(y[0, 0], [1.0, 0.0, 10.0, 10.0])
 
 
@@ -207,9 +216,9 @@ def test_learnable_mask_column_count_mismatch():
     bank = random_bank(spec, seed=0)
     wrong = from_dense(np.ones((9, 2)), "learned-shared", 3, 1, 2)
     lone = from_dense(np.ones((9, 3)), "learned-shared", 3, 1, 3)
-    assert learnable_forward(np.ones((4, 4, 1)), bank, wrong, spec) is not None
+    assert bank_forward(np.ones((4, 4, 1)), bank, wrong, spec) is not None
     with pytest.raises(ShapeError):
-        learnable_forward(np.ones((4, 4, 1)), bank, lone, spec)
+        bank_forward(np.ones((4, 4, 1)), bank, lone, spec)
 
 
 def test_masked_filter_consistency_exhaustive():
@@ -224,7 +233,7 @@ def test_masked_filter_consistency_exhaustive():
         dense = rng.integers(0, 2, size=(18, n_cols)).astype(float)
         masks = from_dense(dense, kind, 3, 2, spec.s, k=1 if strategy == "shared" else spec.k)
         x = rng.normal(size=(6, 5, 2))
-        y = learnable_forward(x, bank, masks, spec)
+        y = bank_forward(x, bank, masks, spec)
         for i in range(spec.k):
             for j in range(spec.s):
                 col = j if strategy == "shared" else i * spec.s + j

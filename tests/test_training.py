@@ -9,7 +9,7 @@ from maskconv.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from maskconv.layers import FilterBank, LayerSpec
+from maskconv.layers import LayerSpec
 from maskconv.masks import from_dense, sign_binarize
 from maskconv.network import (
     Dense,
@@ -26,7 +26,6 @@ from maskconv.training import (
     fit,
     format_log_record,
     mean_squared_error,
-    sgd_step,
     softmax_cross_entropy,
     total_loss,
     train_step,
@@ -123,24 +122,29 @@ def test_total_loss_adds_ortho_term_per_layer():
 # ------------------------------------------------------------------- sgd
 
 
-def test_sgd_zero_grad_no_change():
-    bank = FilterBank(np.ones((2, 3, 3, 1)), np.zeros(2))
-    out = sgd_step(bank, np.zeros((2, 3, 3, 1)), np.zeros(2), lr=0.5)
-    assert np.array_equal(out.filters, np.ones((2, 3, 3, 1)))
+def sgd_conv(filters, grad_filters):
+    """A standard float64 MaskedConv holding the given filters and filter gradient."""
+    k, d, _, c = filters.shape
+    conv = MaskedConv(LayerSpec("standard", d=d, c=c, k=k), seed=0, dtype=np.float64)
+    conv.filters = filters
+    conv.grad_filters = grad_filters
+    conv.grad_biases = np.zeros(k)
+    return conv
 
 
 def test_sgd_arithmetic():
-    bank = FilterBank(np.full((1, 1, 1, 1), 1.0), np.zeros(1))
-    out = sgd_step(bank, np.full((1, 1, 1, 1), 0.5), np.zeros(1), lr=0.1)
-    assert out.filters[0, 0, 0, 0] == pytest.approx(0.95)
+    conv = sgd_conv(np.full((1, 1, 1, 1), 1.0), np.full((1, 1, 1, 1), 0.5))
+    conv.sgd(lr=0.1)
+    assert conv.filters[0, 0, 0, 0] == pytest.approx(0.95)
 
 
 def test_sgd_two_steps_equal_one_double_step():
     g = np.random.default_rng(3).normal(size=(2, 3, 3, 1))
-    a = FilterBank(np.ones((2, 3, 3, 1)), np.zeros(2))
-    a = sgd_step(sgd_step(a, g, np.zeros(2), 0.1), g, np.zeros(2), 0.1)
-    b = FilterBank(np.ones((2, 3, 3, 1)), np.zeros(2))
-    b = sgd_step(b, 2 * g, np.zeros(2), 0.1)
+    a = sgd_conv(np.ones((2, 3, 3, 1)), g)
+    a.sgd(0.1)
+    a.sgd(0.1)
+    b = sgd_conv(np.ones((2, 3, 3, 1)), 2 * g)
+    b.sgd(0.1)
     np.testing.assert_allclose(a.filters, b.filters, atol=1e-15)
 
 
@@ -353,7 +357,7 @@ def test_identical_seeds_produce_identical_checkpoints(tmp_path):
     paths = []
     for run in range(2):
         model = small_model(seed=8)
-        config = TrainConfig(lr=0.1, lam=0.1, epochs=1, batch=8, seed=3, determinism=True)
+        config = TrainConfig(lr=0.1, lam=0.1, epochs=1, batch=8, seed=3)
         # 12x12 inputs for the small model
         fit(model, np.pad(images, ((0, 0), (2, 2), (2, 2), (0, 0))), labels, config)
         path = tmp_path / f"run{run}.ckpt"

@@ -1,7 +1,7 @@
-"""The cached-product kernel: multiply once per primary, reduce per mask.
+"""The cached-product scheme: multiply once per primary, reduce per mask.
 
 Per patch, every secondary filter of primary f_i needs the same
-elementwise products vec(patch) * vec(f_i).  The kernel computes them
+elementwise products vec(patch) * vec(f_i).  The scheme computes them
 once (d*d*c fp32 MULs per primary) and reduces the cached vector under
 each binary mask, which costs additions and 1-bit mask operations only.
 Pricing a mask op at 1/32 of an fp32 MUL gives the combined total
@@ -9,15 +9,17 @@ Pricing a mask op at 1/32 of an fp32 MUL gives the combined total
     combined_mul = mul_fp32 + mask_ops / 32
                  = d*d*c * H' * W' * n * (1/s + 1/32).
 
-The output is not an approximation: it matches the reference convolution
-exactly, because skipped entries contribute exact zeros under the same
-fixed reduction order.
+cached_forward tallies these operations for a call and returns the
+output of the library's one forward kernel, which matches the reference
+convolution exactly: masked entries stay in place as exact zeros under
+the same fixed reduction order.
 """
 
 import numpy as np
 
+from maskconv.convref import conv_reference
 from maskconv.fastinfer import cached_forward, masks_for_spec, predict_counts
-from maskconv.layers import LayerSpec, bank_forward, random_bank
+from maskconv.layers import LayerSpec, random_bank, secondary_matrix
 
 rng = np.random.default_rng(2)
 
@@ -28,9 +30,14 @@ bank.biases = rng.normal(size=spec.n_secondary)
 masks = masks_for_spec(spec, seed=0)
 x = rng.normal(size=(10, 10, 16))
 y_fast, counts = cached_forward(x, bank, masks, spec)
-y_ref = bank_forward(x, bank, masks, spec)
+fhat = secondary_matrix(bank, masks, spec)
+y_ref = np.stack(
+    [conv_reference(x, fhat[:, j].reshape(3, 3, 16), bias=bank.biases[j])
+     for j in range(spec.n_secondary)],
+    axis=2,
+)
 print(f"{spec.k} primaries x {spec.s} masks on 10x10x16 input:"
-      f" max |cached - reference| = {np.max(np.abs(y_fast - y_ref))}")
+      f" max |cached_forward - conv_reference| = {np.max(np.abs(y_fast - y_ref))}")
 
 print("\n=== measured operation counts ===")
 v, l, n = 3 * 3 * 16, 8 * 8, spec.n_secondary

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from maskconv.convref import ShapeError, conv_output_size
 from maskconv.fastinfer import OpCounts, predict_counts
-from maskconv.layers import LayerSpec
+from maskconv.layers import LayerSpec, spec_for_maps
 
 _VARIANT_TOKENS = {
     "standard": ("standard", None),
@@ -75,50 +75,16 @@ def _layer_from_fields(name: str, fields: dict[str, str], lineno: int) -> Networ
     except (KeyError, ValueError) as exc:
         raise NetSpecError(f"line {lineno}: bad field value ({exc})") from None
 
-    if variant == "standard":
-        k, s_arg = n, None
-    elif variant == "spatial":
-        s_forced = (d + 1) // 2
-        if s and s != s_forced:
-            raise NetSpecError(f"line {lineno}: spatial s must be {s_forced}, got {s}")
-        if n % s_forced:
-            raise NetSpecError(f"line {lineno}: n={n} not divisible by s={s_forced}")
-        k, s_arg = n // s_forced, None
+    kwargs = dict(d=d, c=c, strategy=strategy, stride=stride, padding=pad, name=name)
+    if variant in ("spatial", "learnable"):
+        kwargs["s"] = s or None
     elif variant == "channel":
-        if chat < 1 or g < 1 or (c - chat) % g:
-            raise NetSpecError(f"line {lineno}: bad channel window chat={chat} g={g}")
-        windows = (c - chat) // g + 1
-        if n % windows:
-            raise NetSpecError(f"line {lineno}: n={n} not divisible by {windows} windows")
-        k, s_arg = n // windows, None
-    else:
-        if s < 1:
-            raise NetSpecError(f"line {lineno}: learnable layer needs s >= 1")
-        if n % s:
-            raise NetSpecError(f"line {lineno}: n={n} not divisible by s={s}")
-        k, s_arg = n // s, s
-
+        kwargs.update(c_hat=chat, g=g)
     try:
-        spec = LayerSpec(
-            variant,
-            d=d,
-            c=c,
-            k=k,
-            strategy=strategy,
-            s=s_arg,
-            c_hat=chat if variant == "channel" else None,
-            g=g if variant == "channel" else None,
-            stride=stride,
-            padding=pad,
-            name=name,
-        )
+        spec = spec_for_maps(variant, n, **kwargs)
         conv_output_size(hw, d, stride, pad)
     except ShapeError as exc:
         raise NetSpecError(f"line {lineno}: {exc}") from None
-    if spec.n_secondary != n:
-        raise NetSpecError(
-            f"line {lineno}: n={n} inconsistent with k={k} * s={spec.s}"
-        )
     return NetworkLayer(spec, hw, n)
 
 

@@ -14,13 +14,15 @@ second save of the loaded model is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from maskconv.convref import ShapeError
 from maskconv.layers import LayerSpec
-from maskconv.masks import MaskSet
+from maskconv.masks import MaskError, MaskSet
 from maskconv.network import AvgPool2, Dense, Flatten, MaskedConv, Network, ReLU
 
 MAGIC = b"MKCV"
@@ -116,12 +118,20 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def f32(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         raw = np.frombuffer(self.take(4 * count), dtype="<f4")
         return raw.reshape(shape).astype(np.float32)
 
 
+_MASK_KIND = {
+    "shared": "learned-shared",
+    "separate": "learned-separate",
+    "random-fixed": "random-fixed",
+}
+
+
 def _read_conv(r: _Reader) -> MaskedConv:
+    """Read one conv record; every array is read before a layer is built."""
     variant_code, strategy_code, d, c, k, s, c_hat, g, stride, padding, lam = r.unpack("<BB8If")
     variant = _VARIANT_NAME.get(variant_code)
     strategy = _STRATEGY_NAME.get(strategy_code)
@@ -140,28 +150,27 @@ def _read_conv(r: _Reader) -> MaskedConv:
         padding=padding,
         lam=float(lam),
     )
-    has_biases, has_masks, has_latent = r.unpack("<BBB")
-    layer = MaskedConv(spec, seed=0, dtype=np.float32)
-    layer.filters = r.f32((k, d, d, c))
-    layer.biases = r.f32((spec.n_secondary,)) if has_biases else None
+    flags = r.unpack("<BBB")
+    has_biases, has_masks, has_latent = flags
+    if (has_biases, has_masks) != (spec.has_biases, variant == "learnable") or has_latent > has_masks:
+        raise CheckpointError(f"flags {flags} do not fit a {variant} layer at offset {r.offset}")
+    filters = r.f32((k, d, d, c))
+    biases = r.f32((spec.n_secondary,)) if has_biases else None
+    masks = latent = None
     if has_masks:
         n_masks, n_words = r.unpack("<II")
+        if n_words != (d * d * c + 31) // 32:
+            raise CheckpointError(f"{n_words} mask words do not fit d={d} c={c} at offset {r.offset}")
         words = np.frombuffer(r.take(4 * n_masks * n_words), dtype="<u4")
         words = words.reshape(n_masks, n_words).astype(np.uint32)
         groups = k if spec.strategy in ("separate", "random-fixed") else 1
-        kind = {
-            "shared": "learned-shared",
-            "separate": "learned-separate",
-            "random-fixed": "random-fixed",
-        }[spec.strategy]
-        layer.masks = MaskSet(kind, words, d, c, s, groups)
-    elif spec.variant != "learnable":
-        layer.masks = spec.structural_masks()
-    else:
-        layer.masks = None
-    layer.latent = (
-        r.f32((d * d * c, layer.masks.n_masks)).astype(np.float64) if has_latent else None
-    )
+        masks = MaskSet(_MASK_KIND[spec.strategy], words, d, c, s, groups)
+        if has_latent:
+            latent = r.f32((d * d * c, n_masks)).astype(np.float64)
+    layer = MaskedConv(spec, seed=0, dtype=np.float32)
+    layer.filters, layer.biases, layer.latent = filters, biases, latent
+    if masks is not None:
+        layer.masks = masks
     return layer
 
 
@@ -177,7 +186,11 @@ def load_checkpoint(path: str | Path) -> Network:
     for _ in range(n_layers):
         (tag,) = r.unpack("<B")
         if tag == 1:
-            layers.append(_read_conv(r))
+            start = r.offset
+            try:
+                layers.append(_read_conv(r))
+            except (ShapeError, MaskError) as exc:
+                raise CheckpointError(f"bad conv record at offset {start}: {exc}") from None
         elif tag == 2:
             layers.append(ReLU())
         elif tag == 3:
@@ -186,9 +199,11 @@ def load_checkpoint(path: str | Path) -> Network:
             layers.append(Flatten())
         elif tag == 5:
             n_in, n_out = r.unpack("<II")
+            if not n_in:
+                raise CheckpointError(f"dense layer with no inputs at offset {r.offset}")
+            w, b = r.f32((n_in, n_out)), r.f32((n_out,))
             dense = Dense(n_in, n_out, seed=0)
-            dense.w = r.f32((n_in, n_out))
-            dense.b = r.f32((n_out,))
+            dense.w, dense.b = w, b
             layers.append(dense)
         else:
             raise CheckpointError(f"unknown layer tag {tag} at offset {r.offset - 1}")

@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", default="test")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="verify cached-kernel op counts")
+    p_bench = sub.add_parser("bench", help="verify cached-product op tallies")
     p_bench.add_argument("--trials", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--hw", type=int, default=10)

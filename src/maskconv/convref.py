@@ -17,10 +17,13 @@ Canonical vectorization order.
 
 Fixed reduction order.
     All dot products are computed as an elementwise product followed by
-    ``column_sums`` (a sequential reduction over the leading axis).  The
-    order never depends on thread count or on which entries happen to be
-    zero, so a masked summation over cached products reproduces the
-    reference convolution bit for bit.
+    ``column_sums``.  With two or more columns numpy reduces row by row;
+    a single column (one output position) is summed pairwise.  Either
+    order is fixed by the array's shape, never by thread count or by
+    which entries happen to be zero, so a masked filter whose masked
+    entries stay in place as zeros reproduces the reference convolution
+    bit for bit.  Skipping those entries instead would change the
+    pairwise order, and so would the bits.
 
 Inputs are ``H x W x c`` arrays (``im2col`` also takes a ``B x H x W x c``
 batch), filters ``d x d x c``, outputs ``H' x W'`` with
@@ -51,12 +54,15 @@ def conv_output_size(size: int, d: int, stride: int = 1, padding: int = 0) -> in
 
 
 def column_sums(products: np.ndarray) -> np.ndarray:
-    """Sum a 2-d array over axis 0 in a fixed sequential order.
+    """Sum a 2-d array over axis 0 in an order fixed by its shape.
 
-    ``np.add.reduce`` over the leading axis of a C-contiguous array
-    accumulates row by row, which makes the result independent of any
-    interleaved exact zeros.  Every convolution path in the package funnels
-    its reduction through here.
+    ``np.add.reduce`` over the leading axis of a C-contiguous array with
+    two or more columns accumulates row by row.  A ``(v, 1)`` array is
+    summed pairwise, as a 1-d array is.  So a column's sum depends on the
+    number of columns beside it: a batch whose images each have one
+    output position is not reduced like the single images.  Exact zeros
+    left in place never change either order.  Every convolution path in
+    the package funnels its reduction through here.
     """
     return np.add.reduce(products, axis=0)
 

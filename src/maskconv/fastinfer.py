@@ -1,6 +1,6 @@
-"""Cached-product inference kernel and exact operation accounting.
+"""Operation accounting for the cached-product scheme.
 
-The kernel exploits that every secondary filter of primary ``f_i`` reads
+The scheme exploits that every secondary filter of primary ``f_i`` reads
 the same elementwise products: per patch it computes
 ``cache_i = vec(patch) * vec(f_i)`` once (``d*d*c`` fp32 multiplications
 per primary), then reduces the cache under each binary mask with no
@@ -15,6 +15,11 @@ further multiplication.  Cost model per patch:
 
 A MASK op is priced at 1/32 of an fp32 MUL in the combined total:
 ``combined_mul = mul_fp32 + mask_ops / 32``.
+
+:func:`cached_forward` tallies these counts for a call's shapes and mask
+popcounts; its output comes from the package's one forward kernel,
+:func:`maskconv.layers.forward_patches`, so the saving is a cost model
+here, not a second numpy kernel.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maskconv.convref import ShapeError, column_sums, conv_output_size, im2col
-from maskconv.layers import FilterBank, LayerSpec, random_bank
+from maskconv.convref import conv_output_size, im2col
+from maskconv.layers import FilterBank, LayerSpec, forward_patches, random_bank
 from maskconv.masks import MaskSet, from_dense, random_masks
 
 # kinds whose bits are arbitrary and therefore cost mask ops / storage
@@ -77,59 +82,35 @@ class OpCounts:
         )
 
 
-def _counts_masks(masks: MaskSet | None, spec: LayerSpec) -> bool:
-    if spec.variant == "standard":
-        return False
-    return masks is not None and masks.kind in BITMASK_KINDS
-
-
 def cached_forward(
     x: np.ndarray,
     bank: FilterBank,
     masks: MaskSet | None,
     spec: LayerSpec,
 ) -> tuple[np.ndarray, OpCounts]:
-    """Masked-reduction forward over per-primary cached products.
+    """Forward pass plus the tallies of the cached-product scheme.
 
-    Output matches :func:`maskconv.layers.bank_forward` with zero
-    difference at 64-bit: the cached entries are the very products the
-    reference kernel sums, and skipped entries contribute exact zeros
-    under the same fixed reduction order.  Returns the measured
-    :class:`OpCounts` alongside the output.
+    ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.  The
+    output is :func:`maskconv.layers.bank_forward`'s, bit for bit.  The
+    :class:`OpCounts` are what the scheme executes on this call: ``k``
+    product passes over every patch, one ADD per mask-selected entry (the
+    masks' popcounts), and for bit masks one MASK op per entry and mask.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
+    y = forward_patches(pm, bank, masks, spec)
     v, l = pm.cols.shape
-    biases = bank.biases if spec.has_biases else None
-    if biases is not None and len(biases) != spec.n_secondary:
-        raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
-
-    counts = OpCounts(param_values_fp32=v * spec.k)
-    charge_masks = _counts_masks(masks, spec)
-    if charge_masks:
-        counts.mask_bits = v * masks.n_masks
-
-    fmat = bank.filter_matrix()
-    dense = None if masks is None else masks.dense(np.bool_)
-    y = np.empty(pm.out_shape + (spec.n_secondary,), dtype=np.result_type(pm.cols, fmat))
+    counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
+    if spec.variant == "standard":
+        counts.add_fp32 = v * l * spec.k
+        return y, counts
+    # forward_patches has checked the masks against the spec
+    ones = masks.ones_counts()
     for i in range(spec.k):
-        cache = pm.cols * fmat[:, i][:, None]  # one product pass per primary
-        counts.mul_fp32 += v * l
         for j in range(spec.s):
-            out_idx = i * spec.s + j
-            if dense is None:
-                selected = cache
-                ones = v
-            else:
-                bits = dense[:, masks.column_index(i, j)]
-                selected = np.where(bits[:, None], cache, 0.0)
-                ones = int(np.count_nonzero(bits))
-                if charge_masks:
-                    counts.mask_ops += v * l
-            col = column_sums(selected)
-            counts.add_fp32 += ones * l
-            if biases is not None:
-                col = col + biases[out_idx]
-            y[..., out_idx] = col.reshape(pm.out_shape)
+            counts.add_fp32 += int(ones[masks.column_index(i, j)]) * l
+    if masks.kind in BITMASK_KINDS:
+        counts.mask_ops = v * l * spec.n_secondary
+        counts.mask_bits = v * masks.n_masks
     return y, counts
 
 
@@ -187,7 +168,7 @@ def masks_for_spec(spec: LayerSpec, seed: int = 0) -> MaskSet | None:
 
 
 def measure_vs_predict(spec: LayerSpec, trials: int = 3, seed: int = 0, hw: int = 8) -> dict:
-    """Run the cached kernel and check its tallies against the closed forms.
+    """Tally :func:`cached_forward` and check the tallies against the closed forms.
 
     MUL and MASK tallies must match exactly.  ADD tallies must match
     exactly for deterministic masks and land within +-10% of the

@@ -12,19 +12,20 @@ then filter 2, and so on.  Variants:
 ``channel``    sliding channel windows, no biases;
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
-Forwards build the explicit masked-filter matrix and run it through the
-fixed-order reference kernel, so each output channel equals
-``conv_reference(x, mask * filter) + bias`` exactly.
+The one forward, :func:`forward_patches`, builds the explicit
+masked-filter matrix and runs it through :func:`convref.matmul_conv`, so
+each output channel equals ``conv_reference(x, mask * filter) + bias``
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from maskconv import convref
-from maskconv.convref import PatchMatrix, ShapeError, column_sums, im2col
+from maskconv.convref import PatchMatrix, ShapeError, im2col
 from maskconv.masks import MaskSet, channel_windows, spatial_masks
 
 VARIANTS = ("standard", "spatial", "channel", "learnable")
@@ -62,12 +63,12 @@ class LayerSpec:
         elif self.variant == "spatial":
             forced = (self.d + 1) // 2
             if self.s not in (None, forced):
-                raise ShapeError(f"spatial variant forces s = ceil(d/2) = {forced}")
+                raise ShapeError(f"spatial s must be ceil(d/2) = {forced}, got {self.s}")
             self.s = forced
         elif self.variant == "channel":
             if self.c_hat is None or self.g is None:
                 raise ShapeError("channel variant needs c_hat and g")
-            if not 1 <= self.c_hat <= self.c or (self.c - self.c_hat) % self.g != 0:
+            if not 1 <= self.c_hat <= self.c or self.g < 1 or (self.c - self.c_hat) % self.g:
                 raise ShapeError(
                     f"invalid channel window: c={self.c} c_hat={self.c_hat} g={self.g}"
                 )
@@ -100,6 +101,18 @@ class LayerSpec:
             convref.conv_output_size(w, self.d, self.stride, self.padding),
             self.n_secondary,
         )
+
+
+def spec_for_maps(variant: str, n: int, **fields) -> LayerSpec:
+    """The spec whose ``k`` primaries of ``s`` masks each emit ``n`` maps.
+
+    ``s`` follows from the variant and ``fields`` as in :class:`LayerSpec`;
+    raises :class:`ShapeError` when ``n`` is not a multiple of it.
+    """
+    unit = LayerSpec(variant, k=1, **fields)
+    if n % unit.s:
+        raise ShapeError(f"{n} maps not divisible by s={unit.s}")
+    return replace(unit, k=n // unit.s)
 
 
 @dataclass
@@ -158,22 +171,18 @@ def forward_patches(
 ) -> np.ndarray:
     """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
 
-    Output ``pm.out_shape + (n,)``, primary-major.  Every output column
-    runs the fixed-order reduction of :func:`convref.conv_reference`, so a
-    batch gives each image's single-image output bit for bit.
+    Output ``pm.out_shape + (n,)``, primary-major: the masked-filter
+    matrix through :func:`convref.matmul_conv`, plus the biases.  Each
+    map is reduced in the order :func:`convref.conv_reference` uses on
+    the same patch columns.
     """
-    fhat = secondary_matrix(bank, masks, spec)
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
-    n = spec.n_secondary
-    y = np.empty((pm.cols.shape[1], n), dtype=np.result_type(pm.cols, fhat))
-    for j in range(n):
-        col = column_sums(pm.cols * fhat[:, j][:, None])
-        if biases is not None:
-            col = col + biases[j]
-        y[:, j] = col
-    return y.reshape(pm.out_shape + (n,))
+    y = convref.matmul_conv(pm, secondary_matrix(bank, masks, spec))
+    if biases is not None:
+        y += biases
+    return y.reshape(pm.out_shape + (spec.n_secondary,))
 
 
 def bank_forward(

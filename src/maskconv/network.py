@@ -3,9 +3,10 @@
 Layers operate on ``(B, H, W, c)`` arrays.  The convolution layer runs
 the filter-bank core of :mod:`maskconv.layers` on the whole batch, whose
 fixed-order reductions make per-sample outputs equal the single-image
-path bit for bit.  The dense layers use ``einsum`` with its default
-sequential contraction for the same reason: identical runs must produce
-identical bytes.
+path bit for bit, except where an image's output is a single position
+(see the reduction order in :mod:`maskconv.convref`).  The dense layers
+use ``einsum`` with its default sequential contraction for the same
+reason: identical runs must produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from maskconv.convref import ShapeError, conv_output_size, im2col
-from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches
+from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches, spec_for_maps
 from maskconv.masks import (
     MaskSet,
     agent_update,
@@ -205,15 +206,6 @@ class Network:
     def mask_sets(self) -> list[MaskSet]:
         return [l.masks for l in self.conv_layers() if l.masks is not None]
 
-    def conv_param_counts(self):
-        """(fp32 values, mask bits) across conv layers, as stored."""
-        values = bits = 0
-        for layer in self.conv_layers():
-            values += layer.filters.size
-            if layer.spec.variant == "learnable" and layer.masks is not None:
-                bits += layer.masks.n_masks * layer.masks.bits_per_mask
-        return values, bits
-
 
 def build_small_cnn(
     variant: str = "standard",
@@ -241,23 +233,12 @@ def build_small_cnn(
     seeds = [int(x) for x in rng.integers(0, 2**31 - 1, size=4)]
 
     def conv_spec(d, c, maps, name):
-        if variant == "standard":
-            return LayerSpec("standard", d=d, c=c, k=maps, name=name)
-        if variant == "spatial":
-            mult = (d + 1) // 2
-            if maps % mult:
-                raise ShapeError(f"{maps} maps not divisible by {mult} scales")
-            return LayerSpec("spatial", d=d, c=c, k=maps // mult, name=name)
-        if variant == "channel":
-            windows = (c - c_hat) // g + 1
-            if maps % windows:
-                raise ShapeError(f"{maps} maps not divisible by {windows} windows")
-            return LayerSpec("channel", d=d, c=c, k=maps // windows, c_hat=c_hat, g=g, name=name)
-        if maps % s:
-            raise ShapeError(f"{maps} maps not divisible by s={s}")
-        return LayerSpec(
-            "learnable", d=d, c=c, k=maps // s, s=s, strategy=strategy, lam=lam, name=name
-        )
+        fields = {}
+        if variant == "learnable":
+            fields = dict(strategy=strategy, s=s, lam=lam)
+        elif variant == "channel":
+            fields = dict(c_hat=c_hat, g=g)
+        return spec_for_maps(variant, maps, d=d, c=c, name=name, **fields)
 
     if variant == "channel":
         # channel windows need enough input channels; the first layer keeps

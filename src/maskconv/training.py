@@ -31,7 +31,6 @@ class TrainConfig:
     batch: int = 64
     seed: int = 0
     loss: str = "cross-entropy"
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -129,9 +128,6 @@ class History:
 
     def append(self, metrics: dict):
         self.records.append(metrics)
-
-    def last(self, key: str):
-        return self.records[-1][key]
 
 
 def fit(

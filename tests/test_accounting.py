@@ -60,6 +60,7 @@ def test_parse_comments_and_blanks():
         (make_line(v="spatial", s=3), "spatial s must be"),
         (make_line(v="learnable-shared", s=3), "not divisible"),
         (make_line(v="channel", chat=3, g=2), "channel window"),
+        (make_line(v="channel", chat=6, g=2), "channel window"),  # c_hat > c
         ("\n".join([make_line(), "layer oops d=3"]), "line 2"),
     ],
 )

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from maskconv.accounting import shipped_netspec_path
-from maskconv.checkpoint import load_checkpoint
+from maskconv.checkpoint import MAGIC, load_checkpoint
 from maskconv.cli import main
 from maskconv.config import ConfigError, RunConfig, load_config, parse_config_text
 from maskconv.datagen import write_dataset
@@ -259,6 +261,21 @@ def test_export_masks_roundtrip(tmp_path, dataset):
     d, c, bits = records[0]
     assert (d, c) == (convs[0].masks.d, convs[0].masks.c)
     assert np.array_equal(bits, convs[0].masks.dense()[:, 0])
+
+
+def test_export_masks_hostile_checkpoint_exits_1(tmp_path):
+    # a 54-byte conv record declaring d = c = k = 60000
+    header = struct.pack("<BB8If", 0, 0, 60000, 60000, 60000, 1, 0, 0, 1, 0, 0.0)
+    path = tmp_path / "hostile.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IIB", 1, 1, 1) + header + bytes([1, 0, 0]))
+    assert len(path.read_bytes()) == 54
+    out = Capture()
+    code = main(
+        ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")],
+        out=out,
+    )
+    assert code == 1
+    assert out.text.startswith("error:")
 
 
 def test_usage_error_exit_code():

@@ -232,14 +232,16 @@ def test_masked_filter_consistency_exhaustive():
         kind = "learned-shared" if strategy == "shared" else "learned-separate"
         dense = rng.integers(0, 2, size=(18, n_cols)).astype(float)
         masks = from_dense(dense, kind, 3, 2, spec.s, k=1 if strategy == "shared" else spec.k)
-        x = rng.normal(size=(6, 5, 2))
-        y = bank_forward(x, bank, masks, spec)
-        for i in range(spec.k):
-            for j in range(spec.s):
-                col = j if strategy == "shared" else i * spec.s + j
-                fhat = (bank.filters[i].reshape(-1) * dense[:, col]).reshape(3, 3, 2)
-                ref = conv_reference(x, fhat, bias=bank.biases[i * spec.s + j])
-                assert np.array_equal(y[:, :, i * spec.s + j], ref)
+        # (3, 3, 2) has one output position, whose lone column numpy sums
+        # pairwise rather than row by row
+        for x in (rng.normal(size=(6, 5, 2)), rng.normal(size=(3, 3, 2))):
+            y = bank_forward(x, bank, masks, spec)
+            for i in range(spec.k):
+                for j in range(spec.s):
+                    col = j if strategy == "shared" else i * spec.s + j
+                    fhat = (bank.filters[i].reshape(-1) * dense[:, col]).reshape(3, 3, 2)
+                    ref = conv_reference(x, fhat, bias=bank.biases[i * spec.s + j])
+                    assert np.array_equal(y[:, :, i * spec.s + j], ref)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from maskconv.convref import ShapeError, conv_reference
+from maskconv.fastinfer import cached_forward
 from maskconv.layers import (
     STRATEGIES,
     VARIANTS,
@@ -79,6 +80,28 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
             np.testing.assert_allclose(
                 conv.grad_masks, sum(g.masks for g in singles), rtol=tol, atol=tol
             )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_cached_forward_equals_core_and_scales_tallies(variant, dtype):
+    rng = np.random.default_rng(10 + VARIANTS.index(variant))
+    for trial in range(6):
+        conv = random_conv(rng, variant, trial, dtype)
+        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        h, w = rng.integers(spec.d, spec.d + 5, size=2)
+        xb = rng.normal(size=(3, h, w, spec.c)).astype(dtype)
+        y, counts = cached_forward(xb, bank, masks, spec)
+        assert np.array_equal(y, bank_forward(xb, bank, masks, spec))
+        _, single = cached_forward(xb[0], bank, masks, spec)
+        # operations scale with the batch; stored values and bits do not
+        assert counts.mul_fp32 == 3 * single.mul_fp32
+        assert counts.add_fp32 == 3 * single.add_fp32
+        assert counts.mask_ops == 3 * single.mask_ops
+        assert (counts.param_values_fp32, counts.mask_bits) == (
+            single.param_values_fp32,
+            single.mask_bits,
+        )
 
 
 @pytest.mark.parametrize("shape", [(2, 6, 6), (6, 6, 1), (1, 2, 6, 6, 1)])

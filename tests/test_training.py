@@ -206,7 +206,7 @@ def test_equivalence_frozen_all_ones_masks_match_standard_model():
         layer.latent = None  # freeze
     for layer_s, layer_v in zip(std.conv_layers(), ver.conv_layers()):
         assert np.array_equal(layer_s.filters, layer_v.filters)
-    config = TrainConfig(lr=0.05, lam=0.0, epochs=4, batch=16, seed=0, dtype="float64")
+    config = TrainConfig(lr=0.05, lam=0.0, epochs=4, batch=16, seed=0)
     hist_s = fit(std, images32, labels, config)
     hist_v = fit(ver, images32, labels, config)
     losses_s = [r["loss"] for r in hist_s.records]
@@ -348,6 +348,48 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
     path = tmp_path / "v2.ckpt"
     path.write_bytes(MAGIC + struct.pack("<II", 99, 0))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def conv_checkpoint(variant=0, strategy=0, d=3, c=1, k=1, s=1, flags=(1, 0, 0), body=b""):
+    """A one-layer checkpoint: a conv record header, its flags, then ``body``."""
+    header = struct.pack("<BB8If", variant, strategy, d, c, k, s, 0, 0, 1, 0, 0.0)
+    return MAGIC + struct.pack("<IIB", 1, 1, 1) + header + struct.pack("<BBB", *flags) + body
+
+
+def f32_bytes(count):
+    return np.zeros(count, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # dims whose product overflows int64; 54 bytes in all
+        conv_checkpoint(d=60000, c=60000, k=60000),
+        # 8 GiB of filters declared, none present
+        conv_checkpoint(d=64, c=64, k=4096),
+        # learnable shared, s=2: three mask rows instead of two
+        conv_checkpoint(
+            variant=3, strategy=1, k=2, s=2, flags=(1, 1, 1),
+            body=f32_bytes(18 + 4) + struct.pack("<II", 3, 1) + bytes(12) + f32_bytes(27),
+        ),
+        # two mask words for nine bits
+        conv_checkpoint(
+            variant=3, strategy=1, k=1, s=1, flags=(1, 1, 0),
+            body=f32_bytes(9 + 1) + struct.pack("<II", 1, 2) + bytes(8),
+        ),
+        # a learnable layer without masks
+        conv_checkpoint(variant=3, strategy=1, flags=(1, 0, 0), body=f32_bytes(9 + 1)),
+        # a zero kernel size
+        conv_checkpoint(d=0),
+        # a dense layer with no inputs
+        MAGIC + struct.pack("<IIBII", 1, 1, 5, 0, 4) + f32_bytes(4),
+    ],
+)
+def test_checkpoint_hostile_records_rejected(tmp_path, data):
+    path = tmp_path / "hostile.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match="offset"):
         load_checkpoint(path)
 
 

@@ -17,13 +17,12 @@ Canonical vectorization order.
 
 Fixed reduction order.
     All dot products are computed as an elementwise product followed by
-    ``column_sums``.  With two or more columns numpy reduces row by row;
-    a single column (one output position) is summed pairwise.  Either
-    order is fixed by the array's shape, never by thread count or by
-    which entries happen to be zero, so a masked filter whose masked
-    entries stay in place as zeros reproduces the reference convolution
-    bit for bit.  Skipping those entries instead would change the
-    pairwise order, and so would the bits.
+    ``column_sums``, which adds each column's rows one after another,
+    also when there is a single column (one output position).  The order
+    is fixed by the number of rows, never by thread count, by the number
+    of columns or by which entries happen to be zero, so a masked filter
+    whose masked entries stay in place as zeros reproduces the reference
+    convolution bit for bit.
 
 Inputs are ``H x W x c`` arrays (``im2col`` also takes a ``B x H x W x c``
 batch), filters ``d x d x c``, outputs ``H' x W'`` with
@@ -57,13 +56,17 @@ def column_sums(products: np.ndarray) -> np.ndarray:
     """Sum a 2-d array over axis 0 in an order fixed by its shape.
 
     ``np.add.reduce`` over the leading axis of a C-contiguous array with
-    two or more columns accumulates row by row.  A ``(v, 1)`` array is
-    summed pairwise, as a 1-d array is.  So a column's sum depends on the
-    number of columns beside it: a batch whose images each have one
-    output position is not reduced like the single images.  Exact zeros
-    left in place never change either order.  Every convolution path in
-    the package funnels its reduction through here.
+    two or more columns accumulates row by row.  numpy would sum a lone
+    ``(v, 1)`` column pairwise, as it does a 1-d array, so that column
+    is reduced beside a zero column instead.  Every column is therefore
+    summed row by row, in an order that depends only on ``v``: a batch
+    whose images each have one output position is reduced like the
+    single images, and exact zeros left in place never change the bits.
+    Every convolution path in the package funnels its reduction through
+    here.
     """
+    if products.shape[1] == 1:
+        return np.add.reduce(np.hstack([products, np.zeros_like(products)]), axis=0)[:1]
     return np.add.reduce(products, axis=0)
 
 

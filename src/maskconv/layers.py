@@ -15,7 +15,10 @@ then filter 2, and so on.  Variants:
 The one forward, :func:`forward_patches`, builds the explicit
 masked-filter matrix and runs it through :func:`convref.matmul_conv`, so
 each output channel equals ``conv_reference(x, mask * filter) + bias``
-exactly.
+exactly.  The one backward, :func:`bank_backward`, runs its two
+contractions through numpy's single-threaded C ``einsum`` rather than
+BLAS, so its bits do not depend on the thread count, and can skip the
+input gradient of a first layer.
 """
 
 from __future__ import annotations
@@ -219,17 +222,8 @@ class BankGrads:
     filters: np.ndarray
     biases: np.ndarray | None
     masks: np.ndarray | None  # real-relaxed, (d*d*c, n_mask_columns)
-    x: np.ndarray
+    x: np.ndarray | None  # None when the input gradient was not asked for
     secondary: np.ndarray = field(repr=False, default=None)  # (d*d*c, n)
-
-
-def _secondary_grads(cols: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
-    """grad wrt each secondary filter: (d*d*c, n) from patches and dL/dy."""
-    v, n = cols.shape[0], grad_flat.shape[1]
-    out = np.empty((v, n), dtype=np.result_type(cols, grad_flat))
-    for j in range(n):
-        out[:, j] = np.add.reduce(cols * grad_flat[:, j][None, :], axis=1)
-    return out
 
 
 def grads_from_secondary(
@@ -271,12 +265,17 @@ def bank_backward(
     masks: MaskSet | None,
     spec: LayerSpec,
     patches: PatchMatrix | None = None,
+    input_grad: bool = True,
 ) -> BankGrads:
     """Analytic gradients for filters, masks, biases, and the input.
 
     ``x`` is an image or a batch, as in :func:`bank_forward`; it is not
     read when the forward's ``patches`` are passed.  Filter, mask and bias
-    gradients sum over the batch; the input gradient has ``x``'s shape.
+    gradients sum over the batch; the input gradient has ``x``'s shape,
+    or is ``None`` with ``input_grad=False``, which skips its products
+    and scatter.  Both contractions are numpy's C ``einsum`` without
+    ``optimize``: single-threaded, in an order fixed by the shapes, so the
+    bits never depend on a BLAS thread count.
     """
     if patches is None:
         patches = im2col(x, spec.d, spec.stride, spec.padding)
@@ -285,18 +284,20 @@ def bank_backward(
     if grad_y.shape != out_shape:
         raise ShapeError(f"grad_y shape {grad_y.shape} != output shape {out_shape}")
     grad_flat = grad_y.reshape(-1, n)
-    ghat = _secondary_grads(patches.cols, grad_flat)
+    # (n, l) rows keep both contractions' inner loops on contiguous memory
+    grad_T = np.ascontiguousarray(grad_flat.T)
+    ghat = np.einsum("vl,nl->vn", patches.cols, grad_T)
     grad_f, grad_m = grads_from_secondary(ghat, bank, masks, spec)
 
     grad_b = None
     if spec.has_biases and bank.biases is not None:
         grad_b = np.add.reduce(grad_flat, axis=0)
 
-    fhat = secondary_matrix(bank, masks, spec)
-    grad_cols = np.zeros_like(patches.cols)
-    for j in range(n):
-        grad_cols += fhat[:, j][:, None] * grad_flat[:, j][None, :]
-    grad_x = convref.col2im(grad_cols, patches)
-    if spec.variant == "spatial":
-        grad_x = grad_x / spec.s
+    grad_x = None
+    if input_grad:
+        fhat = secondary_matrix(bank, masks, spec)
+        grad_cols = np.einsum("vn,nl->vl", fhat, grad_T)
+        grad_x = convref.col2im(grad_cols.astype(patches.cols.dtype, copy=False), patches)
+        if spec.variant == "spatial":
+            grad_x = grad_x / spec.s
     return BankGrads(grad_f, grad_b, grad_m, grad_x, secondary=ghat)

@@ -3,10 +3,9 @@
 Layers operate on ``(B, H, W, c)`` arrays.  The convolution layer runs
 the filter-bank core of :mod:`maskconv.layers` on the whole batch, whose
 fixed-order reductions make per-sample outputs equal the single-image
-path bit for bit, except where an image's output is a single position
-(see the reduction order in :mod:`maskconv.convref`).  The dense layers
-use ``einsum`` with its default sequential contraction for the same
-reason: identical runs must produce identical bytes.
+path bit for bit (see the reduction order in :mod:`maskconv.convref`).
+The dense layers use ``einsum`` with its default sequential contraction
+for the same reason: identical runs must produce identical bytes.
 """
 
 from __future__ import annotations
@@ -84,9 +83,15 @@ class MaskedConv:
         self._patches = im2col(xb, spec.d, spec.stride, spec.padding)
         return forward_patches(self._patches, self.bank(), self.masks, spec)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         grads = bank_backward(
-            grad_out, None, self.bank(), self.masks, self.spec, patches=self._patches
+            grad_out,
+            None,
+            self.bank(),
+            self.masks,
+            self.spec,
+            patches=self._patches,
+            input_grad=input_grad,
         )
         self.grad_filters = grads.filters
         self.grad_biases = grads.biases
@@ -186,10 +191,19 @@ class Network:
             out = layer.forward(out)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Store every layer's parameter gradients for the loss gradient ``grad``.
+
+        Nothing reads the gradient with respect to the network's input, so
+        a first conv layer skips computing it.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        if isinstance(first, MaskedConv):
+            first.backward(grad, input_grad=False)
+        else:
+            first.backward(grad)
 
     def sgd(self, lr: float) -> None:
         for layer in self.layers:

@@ -232,8 +232,7 @@ def test_masked_filter_consistency_exhaustive():
         kind = "learned-shared" if strategy == "shared" else "learned-separate"
         dense = rng.integers(0, 2, size=(18, n_cols)).astype(float)
         masks = from_dense(dense, kind, 3, 2, spec.s, k=1 if strategy == "shared" else spec.k)
-        # (3, 3, 2) has one output position, whose lone column numpy sums
-        # pairwise rather than row by row
+        # (3, 3, 2) has one output position, so its products are one column
         for x in (rng.normal(size=(6, 5, 2)), rng.normal(size=(3, 3, 2))):
             y = bank_forward(x, bank, masks, spec)
             for i in range(spec.k):

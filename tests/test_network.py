@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from maskconv.convref import ShapeError, conv_reference
+from maskconv import convref
+from maskconv.convref import ShapeError, conv_output_size, conv_reference
 from maskconv.fastinfer import cached_forward
 from maskconv.layers import (
     STRATEGIES,
@@ -12,7 +19,9 @@ from maskconv.layers import (
     secondary_matrix,
 )
 from maskconv.masks import from_dense
-from maskconv.network import MaskedConv
+from maskconv.network import MaskedConv, build_small_cnn
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_conv(rng, variant, trial, dtype):
@@ -65,6 +74,9 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
         grad_x = conv.backward(grad_y)
         singles = [bank_backward(grad_y[i], xb[i], bank, masks, spec) for i in range(3)]
         assert grad_x.shape == xb.shape
+        layer_grads = [grad_x, conv.grad_filters, conv.grad_biases, conv.grad_masks]
+        for g in [*layer_grads, *(a for s in singles for a in astuple(s))]:
+            assert g is None or g.dtype == dtype
         for i in range(3):
             assert np.array_equal(grad_x[i], singles[i].x)
         # filter, bias and mask grads reduce over B*l at once, so only the
@@ -80,6 +92,123 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
             np.testing.assert_allclose(
                 conv.grad_masks, sum(g.masks for g in singles), rtol=tol, atol=tol
             )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_of_one_position_images_equals_singles_and_reference(variant, dtype):
+    # each image's products are one column, the batch's are three: both
+    # must be reduced in the same order
+    rng = np.random.default_rng(20 + VARIANTS.index(variant))
+    checked = 0
+    for trial in range(12):
+        conv = random_conv(rng, variant, trial, dtype)
+        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        h = max(1, spec.d - 2 * spec.padding)
+        if conv_output_size(h, spec.d, spec.stride, spec.padding) != 1:
+            continue  # padding too wide for any one-position input
+        xb = rng.normal(size=(3, h, h, spec.c)).astype(dtype)
+        yb = conv.forward(xb)
+        assert yb.shape == (3, 1, 1, spec.n_secondary)
+        singles = np.stack([bank_forward(x, bank, masks, spec) for x in xb])
+        assert np.array_equal(yb, singles)
+        fhat = secondary_matrix(bank, masks, spec)
+        for i in range(3):
+            for j in range(spec.n_secondary):
+                f = fhat[:, j].reshape(spec.d, spec.d, spec.c)
+                bias = 0.0 if conv.biases is None else conv.biases[j]
+                ref = conv_reference(xb[i], f, spec.stride, spec.padding, bias)
+                assert np.array_equal(yb[i, :, :, j], ref)
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_without_input_grad_keeps_parameter_grads(variant, dtype):
+    rng = np.random.default_rng(30 + VARIANTS.index(variant))
+    for trial in range(6):
+        conv = random_conv(rng, variant, trial, dtype)
+        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        h, w = rng.integers(spec.d, spec.d + 5, size=2)
+        xb = rng.normal(size=(2, h, w, spec.c)).astype(dtype)
+        grad_y = rng.normal(size=conv.forward(xb).shape).astype(dtype)
+        full = bank_backward(grad_y, xb, bank, masks, spec)
+        params = bank_backward(grad_y, xb, bank, masks, spec, input_grad=False)
+        assert full.x is not None and params.x is None
+        for a, b in [
+            (full.filters, params.filters),
+            (full.biases, params.biases),
+            (full.masks, params.masks),
+            (full.secondary, params.secondary),
+        ]:
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(variant="standard"),
+        dict(variant="spatial", conv1_maps=9),
+        dict(variant="learnable", strategy="separate", s=2),
+    ],
+)
+def test_network_backward_skips_first_conv_input_grad(kwargs, monkeypatch):
+    net = build_small_cnn(conv2_maps=8, hidden=16, input_hw=12, seed=3, **kwargs)
+    rng = np.random.default_rng(4)
+    xb = rng.normal(size=(2, 12, 12, 1)).astype(np.float32)
+    grad = rng.normal(size=net.forward(xb).shape).astype(np.float32)
+    scatters = []
+    col2im = convref.col2im
+    monkeypatch.setattr(convref, "col2im", lambda *a: scatters.append(1) or col2im(*a))
+    assert net.backward(grad) is None
+    assert len(scatters) == 1  # conv2's input gradient only
+    conv1 = net.layers[0]
+    for layer in reversed(net.layers[1:]):
+        grad = layer.backward(grad)
+    direct = bank_backward(grad, xb, conv1.bank(), conv1.masks, conv1.spec)
+    assert np.array_equal(conv1.grad_filters, direct.filters)
+    assert np.array_equal(conv1.grad_biases, direct.biases)
+    if direct.masks is not None:
+        assert np.array_equal(conv1.grad_masks, direct.masks)
+
+
+_THREADED_BACKWARD = """
+import hashlib
+from dataclasses import astuple
+import numpy as np
+from maskconv.layers import LayerSpec, bank_backward
+from maskconv.network import MaskedConv
+for dtype in (np.float32, np.float64):
+    spec = LayerSpec("learnable", d=3, c=8, k=4, s=2, strategy="separate", padding=1)
+    conv = MaskedConv(spec, seed=5, dtype=dtype)
+    rng = np.random.default_rng(6)
+    xb = rng.normal(size=(4, 16, 16, 8)).astype(dtype)
+    grad_y = rng.normal(size=conv.forward(xb).shape).astype(dtype)
+    grads = bank_backward(grad_y, xb, conv.bank(), conv.masks, spec)
+    for a in astuple(grads):
+        print(a.dtype, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_backward_bits_do_not_depend_on_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _THREADED_BACKWARD],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 10
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -138,10 +138,8 @@ def layer_counts(layer: NetworkLayer) -> OpCounts:
     return predict_counts(layer.spec, layer.h_out, layer.h_out)
 
 
-def network_counts(net: NetworkSpec, check_chain: bool = False) -> OpCounts:
+def network_counts(net: NetworkSpec) -> OpCounts:
     """Sum the closed-form counts over all layers."""
-    if check_chain:
-        validate_chain(net)
     total = OpCounts()
     for layer in net.layers:
         total = total + layer_counts(layer)

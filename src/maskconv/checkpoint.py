@@ -123,13 +123,6 @@ class _Reader:
         return raw.reshape(shape).astype(np.float32)
 
 
-_MASK_KIND = {
-    "shared": "learned-shared",
-    "separate": "learned-separate",
-    "random-fixed": "random-fixed",
-}
-
-
 def _read_conv(r: _Reader) -> MaskedConv:
     """Read one conv record; every array is read before a layer is built."""
     variant_code, strategy_code, d, c, k, s, c_hat, g, stride, padding, lam = r.unpack("<BB8If")
@@ -163,8 +156,7 @@ def _read_conv(r: _Reader) -> MaskedConv:
             raise CheckpointError(f"{n_words} mask words do not fit d={d} c={c} at offset {r.offset}")
         words = np.frombuffer(r.take(4 * n_masks * n_words), dtype="<u4")
         words = words.reshape(n_masks, n_words).astype(np.uint32)
-        groups = k if spec.strategy in ("separate", "random-fixed") else 1
-        masks = MaskSet(_MASK_KIND[spec.strategy], words, d, c, s, groups)
+        masks = MaskSet(spec.mask_kind, words, d, c, s, spec.mask_groups)
         if has_latent:
             latent = r.f32((d * d * c, n_masks)).astype(np.float64)
     layer = MaskedConv(spec, seed=0, dtype=np.float32)

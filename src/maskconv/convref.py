@@ -184,20 +184,15 @@ def conv_reference(
     return y.reshape(pm.h_out, pm.w_out)
 
 
-def matmul_conv(patches: PatchMatrix | np.ndarray, filters: np.ndarray) -> np.ndarray:
+def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     """Convolution in matrix form: ``Y = X^T F``.
 
-    ``filters`` is ``(d*d*c, n)`` (or a single ``(d*d*c,)`` column); the
-    returned ``(l, n)`` matrix holds the full feature map of filter ``i``
-    in column ``i``.  Computed one filter at a time through
-    :func:`column_sums` so the result matches :func:`conv_reference`
-    exactly.
+    ``filters`` is ``(d*d*c, n)``; the returned ``(l, n)`` matrix holds the
+    full feature map of filter ``i`` in column ``i``.  Computed one filter
+    at a time through :func:`column_sums` so the result matches
+    :func:`conv_reference` exactly.
     """
-    cols = patches.cols if isinstance(patches, PatchMatrix) else np.asarray(patches)
-    filters = np.asarray(filters)
-    single = filters.ndim == 1
-    if single:
-        filters = filters[:, None]
+    cols = patches.cols
     if filters.shape[0] != cols.shape[0]:
         raise ShapeError(
             f"filter rows {filters.shape[0]} != patch rows {cols.shape[0]}"
@@ -205,4 +200,4 @@ def matmul_conv(patches: PatchMatrix | np.ndarray, filters: np.ndarray) -> np.nd
     out = np.empty((cols.shape[1], filters.shape[1]), dtype=np.result_type(cols, filters))
     for i in range(filters.shape[1]):
         out[:, i] = column_sums(cols * filters[:, i][:, None])
-    return out[:, 0] if single else out
+    return out

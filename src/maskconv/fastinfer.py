@@ -24,16 +24,13 @@ here, not a second numpy kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from maskconv.convref import conv_output_size, im2col
-from maskconv.layers import FilterBank, LayerSpec, forward_patches, random_bank
-from maskconv.masks import MaskSet, from_dense, random_masks
-
-# kinds whose bits are arbitrary and therefore cost mask ops / storage
-BITMASK_KINDS = ("learned-shared", "learned-separate", "random-fixed")
+from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, random_bank
+from maskconv.masks import STRATEGY_KINDS, MaskSet, random_masks
 
 
 class CountMismatchError(AssertionError):
@@ -103,12 +100,9 @@ def cached_forward(
     if spec.variant == "standard":
         counts.add_fp32 = v * l * spec.k
         return y, counts
-    # forward_patches has checked the masks against the spec
-    ones = masks.ones_counts()
-    for i in range(spec.k):
-        for j in range(spec.s):
-            counts.add_fp32 += int(ones[masks.column_index(i, j)]) * l
-    if masks.kind in BITMASK_KINDS:
+    counts.add_fp32 = int(masks.ones_counts()[mask_columns(masks, spec)].sum()) * l
+    # bit masks of a learnable strategy cost mask ops and storage; structural ones do not
+    if masks.kind in STRATEGY_KINDS.values():
         counts.mask_ops = v * l * spec.n_secondary
         counts.mask_bits = v * masks.n_masks
     return y, counts
@@ -144,27 +138,12 @@ def predict_counts(spec: LayerSpec, h_out: int, w_out: int) -> OpCounts:
     return counts
 
 
-def _random_bitmask_set(spec: LayerSpec, seed: int) -> MaskSet:
-    if spec.strategy == "shared":
-        bits = np.random.default_rng(seed).integers(
-            0, 2, size=(spec.d**2 * spec.c, spec.s)
-        )
-        return from_dense(bits, "learned-shared", spec.d, spec.c, spec.s)
-    kind_seed_masks = random_masks(spec.k, spec.s, spec.d, spec.c, seed)
-    if spec.strategy == "separate":
-        return MaskSet(
-            "learned-separate", kind_seed_masks.words, spec.d, spec.c, spec.s, spec.k
-        )
-    return kind_seed_masks
-
-
 def masks_for_spec(spec: LayerSpec, seed: int = 0) -> MaskSet | None:
-    """Construct masks matching a spec: structural, or random bits."""
-    if spec.variant in ("spatial", "channel"):
+    """Construct masks matching a spec: structural, or fair-coin bits of its kind."""
+    if spec.variant != "learnable":
         return spec.structural_masks()
-    if spec.variant == "learnable":
-        return _random_bitmask_set(spec, seed)
-    return None
+    bits = random_masks(spec.mask_groups, spec.s, spec.d, spec.c, seed)
+    return replace(bits, kind=spec.mask_kind)
 
 
 def measure_vs_predict(spec: LayerSpec, trials: int = 3, seed: int = 0, hw: int = 8) -> dict:

@@ -29,7 +29,7 @@ import numpy as np
 
 from maskconv import convref
 from maskconv.convref import PatchMatrix, ShapeError, im2col
-from maskconv.masks import MaskSet, channel_windows, spatial_masks
+from maskconv.masks import SEPARATE_KINDS, STRATEGY_KINDS, MaskSet, channel_windows, spatial_masks
 
 VARIANTS = ("standard", "spatial", "channel", "learnable")
 STRATEGIES = ("shared", "separate", "random-fixed")
@@ -90,6 +90,16 @@ class LayerSpec:
     def has_biases(self) -> bool:
         return self.variant != "channel"
 
+    @property
+    def mask_kind(self) -> str | None:
+        """Kind of the bit masks a learnable layer reads; None for other variants."""
+        return STRATEGY_KINDS[self.strategy] if self.variant == "learnable" else None
+
+    @property
+    def mask_groups(self) -> int:
+        """Mask groups of ``s``: one per primary for separate-style kinds, else 1."""
+        return self.k if self.mask_kind in SEPARATE_KINDS else 1
+
     def structural_masks(self) -> MaskSet | None:
         """Hand-crafted masks implied by the variant, if any."""
         if self.variant == "spatial":
@@ -148,11 +158,13 @@ def random_bank(spec: LayerSpec, seed: int, scale: float = 1.0, dtype=np.float64
     return FilterBank(filters, biases)
 
 
-def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
-    """Explicit (d*d*c, n) matrix of masked secondary filters, primary-major."""
-    fmat = bank.filter_matrix()
-    if spec.variant == "standard":
-        return np.ascontiguousarray(fmat)
+def mask_columns(masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
+    """Index of the mask column serving each of the ``n`` secondaries.
+
+    Secondary ``i*s + j`` (primary ``i``, mask ``j``) reads column
+    ``i*s + j`` of per-primary masks and column ``j`` of shared ones.
+    Raises :class:`ShapeError` when the masks do not fit the spec.
+    """
     if masks is None:
         raise ShapeError(f"{spec.variant} layer needs masks")
     expected = spec.s * (spec.k if masks.per_primary else 1)
@@ -161,12 +173,16 @@ def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -
             f"mask set ({masks.kind}, {masks.n_masks} masks of {masks.bits_per_mask} bits)"
             f" does not fit spec (k={spec.k}, s={spec.s}, d={spec.d}, c={spec.c})"
         )
-    dense = masks.dense(fmat.dtype)
-    out = np.empty((fmat.shape[0], spec.n_secondary), dtype=fmat.dtype)
-    for i in range(spec.k):
-        for j in range(spec.s):
-            out[:, i * spec.s + j] = fmat[:, i] * dense[:, masks.column_index(i, j)]
-    return out
+    return np.arange(spec.n_secondary) % masks.n_masks
+
+
+def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
+    """Explicit (d*d*c, n) matrix of masked secondary filters, primary-major."""
+    fmat = bank.filter_matrix()
+    if spec.variant == "standard":
+        return np.ascontiguousarray(fmat)
+    cols = mask_columns(masks, spec)
+    return np.repeat(fmat, spec.s, axis=1) * masks.dense(fmat.dtype)[:, cols]
 
 
 def forward_patches(
@@ -231,30 +247,33 @@ def grads_from_secondary(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Map per-secondary gradients onto primaries and real-relaxed masks.
 
-    Primary i accumulates its secondaries' gradients through the masks;
-    mask columns accumulate through the filters (summed over primaries
-    when shared, single-term when separate).  The spatial variant's
-    filter gradient is divided by s, matching its forward reuse of the
-    primary at every scale.
+    Primary i accumulates its secondaries' gradients through the masks,
+    mask by mask; mask columns accumulate through the filters, primary by
+    primary when shared, single-term when separate.  Each sum starts from
+    zero and runs in that order.  The spatial variant's filter gradient
+    is divided by s, matching its forward reuse of the primary at every
+    scale.
     """
     fmat = bank.filter_matrix()
-    grad_f = np.zeros_like(fmat)
-    grad_m = None
     if spec.variant == "standard":
-        grad_f = ghat.copy()
-    else:
-        dense = masks.dense(fmat.dtype)
-        if spec.variant == "learnable":
-            grad_m = np.zeros_like(dense)
-        for i in range(spec.k):
-            for j in range(spec.s):
-                col = masks.column_index(i, j)
-                g = ghat[:, i * spec.s + j]
-                grad_f[:, i] += g * dense[:, col]
-                if grad_m is not None:
-                    grad_m[:, col] += g * fmat[:, i]
-        if spec.variant == "spatial":
-            grad_f /= spec.s
+        return ghat.copy().T.reshape(bank.filters.shape), None
+    v, k, s = fmat.shape[0], spec.k, spec.s
+    dense = masks.dense(fmat.dtype)
+    cols = mask_columns(masks, spec)
+    through_masks = (ghat * dense[:, cols]).reshape(v, k, s)
+    grad_f = np.zeros((v, k), dtype=fmat.dtype)
+    for j in range(s):
+        grad_f += through_masks[:, :, j]
+    if spec.variant == "spatial":
+        grad_f /= s
+    grad_m = None
+    if spec.variant == "learnable":
+        groups = masks.n_masks // s
+        through_filters = (ghat * np.repeat(fmat, s, axis=1)).reshape(v, k, s)
+        grad_m = np.zeros((v, groups, s), dtype=dense.dtype)
+        for start in range(0, k, groups):
+            grad_m += through_filters[:, start : start + groups]
+        grad_m = grad_m.reshape(v, -1)
     return grad_f.T.reshape(bank.filters.shape), grad_m
 
 

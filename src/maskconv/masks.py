@@ -23,6 +23,12 @@ import numpy as np
 SHARED_KINDS = ("spatial", "channel-window", "learned-shared")
 SEPARATE_KINDS = ("learned-separate", "random-fixed")
 KINDS = SHARED_KINDS + SEPARATE_KINDS
+# learnable strategy -> the kind of the bit masks it trains or freezes
+STRATEGY_KINDS = {
+    "shared": "learned-shared",
+    "separate": "learned-separate",
+    "random-fixed": "random-fixed",
+}
 
 
 class MaskError(ValueError):
@@ -97,11 +103,11 @@ class MaskSet:
     def ones_counts(self) -> np.ndarray:
         return unpack_bits(self.words, self.bits_per_mask).sum(axis=1)
 
-    def flip_fraction(self, other: "MaskSet") -> float:
-        """Fraction of bits that differ from ``other`` (same dims)."""
+    def flip_count(self, other: "MaskSet") -> int:
+        """Number of mask bits that differ from ``other`` (same dims)."""
         a = unpack_bits(self.words, self.bits_per_mask)
         b = unpack_bits(other.words, other.bits_per_mask)
-        return float(np.mean(a != b))
+        return int(np.count_nonzero(a != b))
 
 
 def from_dense(bits: np.ndarray, kind: str, d: int, c: int, s: int, k: int = 1) -> MaskSet:
@@ -180,21 +186,28 @@ def init_learnable(
         raise MaskError(f"k and s must be >= 1, got k={k} s={s}")
     if strategy not in ("shared", "separate"):
         raise MaskError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
-    n_cols = s if strategy == "shared" else k * s
-    latent = rng.random((d * d * c, n_cols))
-    kind = "learned-shared" if strategy == "shared" else "learned-separate"
-    return latent, sign_binarize(latent, kind, d, c, s, k if strategy == "separate" else 1)
+    kind = STRATEGY_KINDS[strategy]
+    groups = k if kind in SEPARATE_KINDS else 1
+    latent = np.random.default_rng(seed).random((d * d * c, groups * s))
+    return latent, sign_binarize(latent, kind, d, c, s, groups)
 
 
-def _as_blocks(masks: MaskSet | np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense matrix plus per-primary block width for the regularizer."""
+def _gram_blocks(masks: MaskSet | np.ndarray):
+    """Yield each per-primary block of the dense masks and its raw Gram ``M^T M``.
+
+    A :class:`MaskSet` splits into blocks of ``s`` columns; a plain matrix
+    (or vector) is a single block.
+    """
     if isinstance(masks, MaskSet):
-        return masks.dense(np.float64), masks.s
-    m = np.asarray(masks, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    return m, m.shape[1]
+        m, block = masks.dense(np.float64), masks.s
+    else:
+        m = np.asarray(masks, dtype=np.float64)
+        if m.ndim == 1:
+            m = m[:, None]
+        block = m.shape[1]
+    for start in range(0, m.shape[1], block):
+        mb = m[:, start : start + block]
+        yield mb, mb.T @ mb
 
 
 def ortho_loss(masks: MaskSet | np.ndarray) -> float:
@@ -203,13 +216,9 @@ def ortho_loss(masks: MaskSet | np.ndarray) -> float:
     Treats mask bits as reals.  Under the separate strategy the penalty is
     evaluated per primary filter's block of ``s`` columns and summed.
     """
-    m, block = _as_blocks(masks)
-    v = m.shape[0]
     total = 0.0
-    for start in range(0, m.shape[1], block):
-        mb = m[:, start : start + block]
-        gram = mb.T @ mb / v
-        diff = gram - np.eye(mb.shape[1])
+    for mb, raw in _gram_blocks(masks):
+        diff = raw / mb.shape[0] - np.eye(mb.shape[1])
         total += 0.5 * float(np.sum(diff * diff))
     return total
 
@@ -219,13 +228,11 @@ def ortho_grad(masks: MaskSet | np.ndarray) -> np.ndarray:
 
     Per block: ``(2 / (d*d*c)^2) * M M^T M - (2 / (d*d*c)) * M``.
     """
-    m, block = _as_blocks(masks)
-    v = m.shape[0]
-    out = np.zeros_like(m)
-    for start in range(0, m.shape[1], block):
-        mb = m[:, start : start + block]
-        out[:, start : start + block] = (2.0 / v**2) * (mb @ (mb.T @ mb)) - (2.0 / v) * mb
-    return out
+    blocks = []
+    for mb, raw in _gram_blocks(masks):
+        v = mb.shape[0]
+        blocks.append((2.0 / v**2) * (mb @ raw) - (2.0 / v) * mb)
+    return np.hstack(blocks)
 
 
 def gram_offdiagonal(masks: MaskSet | np.ndarray) -> float:
@@ -235,13 +242,10 @@ def gram_offdiagonal(masks: MaskSet | np.ndarray) -> float:
     off-diagonal magnitudes measure how correlated the masks are (0 for
     orthogonal columns, 1 for identical all-ones masks).
     """
-    m, block = _as_blocks(masks)
-    v = m.shape[0]
     total = 0.0
     count = 0
-    for start in range(0, m.shape[1], block):
-        mb = m[:, start : start + block]
-        gram = mb.T @ mb / v
+    for mb, raw in _gram_blocks(masks):
+        gram = raw / mb.shape[0]
         off = ~np.eye(gram.shape[0], dtype=bool)
         total += float(np.sum(np.abs(gram[off])))
         count += int(off.sum())

@@ -13,7 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from maskconv.convref import ShapeError, conv_output_size, im2col
-from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches, spec_for_maps
+from maskconv.layers import (
+    FilterBank,
+    LayerSpec,
+    bank_backward,
+    forward_patches,
+    random_bank,
+    spec_for_maps,
+)
 from maskconv.masks import (
     MaskSet,
     agent_update,
@@ -31,14 +38,9 @@ class MaskedConv:
     def __init__(self, spec: LayerSpec, seed: int, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        fan_in = spec.d * spec.d * spec.c
-        self.filters = (
-            rng.normal(size=(spec.k, spec.d, spec.d, spec.c)) * np.sqrt(2.0 / fan_in)
-        ).astype(self.dtype)
-        self.biases = (
-            np.zeros(spec.n_secondary, dtype=self.dtype) if spec.has_biases else None
-        )
+        # He initialization: scale sqrt(2 / fan_in), zero biases
+        bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), self.dtype)
+        self.filters, self.biases = bank.filters, bank.biases
         self.latent: np.ndarray | None = None
         if spec.variant == "learnable":
             if spec.strategy == "random-fixed":
@@ -69,9 +71,8 @@ class MaskedConv:
             return 0, 0
         ms = self.masks
         new = sign_binarize(self.latent, ms.kind, ms.d, ms.c, ms.s, ms.k)
-        flipped = int(round(new.flip_fraction(ms) * ms.n_masks * ms.bits_per_mask))
         self.masks = new
-        return flipped, ms.n_masks * ms.bits_per_mask
+        return new.flip_count(ms), ms.n_masks * ms.bits_per_mask
 
     def forward(self, xb: np.ndarray) -> np.ndarray:
         spec = self.spec

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from maskconv.masks import MaskSet, ortho_loss
 from maskconv.network import Network
 
 LOSSES = ("cross-entropy", "mean-squared-error")
@@ -71,20 +70,6 @@ def task_loss_and_grad(logits, targets, loss: str):
     if loss == "cross-entropy":
         return softmax_cross_entropy(logits, targets)
     return mean_squared_error(logits, targets)
-
-
-def total_loss(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    mask_sets: list[MaskSet],
-    lam: float,
-    loss: str = "cross-entropy",
-) -> float:
-    """Task loss plus ``lam`` times the summed orthogonality penalties."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    task, _ = task_loss_and_grad(logits, targets, loss)
-    return task + lam * sum(ortho_loss(m) for m in mask_sets)
 
 
 def train_step(batch, model: Network, config: TrainConfig):

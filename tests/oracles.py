@@ -103,3 +103,54 @@ def relative_error(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def secondary_matrix_loop(bank, masks, spec):
+    """(d*d*c, n) masked secondary filters, built one secondary at a time."""
+    fmat = bank.filter_matrix()
+    if spec.variant == "standard":
+        return np.ascontiguousarray(fmat)
+    dense = masks.dense(fmat.dtype)
+    out = np.empty((fmat.shape[0], spec.n_secondary), dtype=fmat.dtype)
+    for i in range(spec.k):
+        for j in range(spec.s):
+            out[:, i * spec.s + j] = fmat[:, i] * dense[:, masks.column_index(i, j)]
+    return out
+
+
+def grads_from_secondary_loop(ghat, bank, masks, spec):
+    """Filter and mask gradients from per-secondary ones, one secondary at a time.
+
+    Each primary's and each mask's accumulator starts at zero and takes
+    its secondaries in primary-major order.
+    """
+    fmat = bank.filter_matrix()
+    grad_f = np.zeros_like(fmat)
+    grad_m = None
+    if spec.variant == "standard":
+        grad_f = ghat.copy()
+    else:
+        dense = masks.dense(fmat.dtype)
+        if spec.variant == "learnable":
+            grad_m = np.zeros_like(dense)
+        for i in range(spec.k):
+            for j in range(spec.s):
+                col = masks.column_index(i, j)
+                g = ghat[:, i * spec.s + j]
+                grad_f[:, i] += g * dense[:, col]
+                if grad_m is not None:
+                    grad_m[:, col] += g * fmat[:, i]
+        if spec.variant == "spatial":
+            grad_f /= spec.s
+    return grad_f.T.reshape(bank.filters.shape), grad_m
+
+
+def cached_adds_loop(masks, spec, n_positions):
+    """Cached-product ADD tally: each secondary adds its mask's popcount per position."""
+    v = spec.d * spec.d * spec.c
+    total = 0
+    for i in range(spec.k):
+        for j in range(spec.s):
+            ones = v if masks is None else int(masks.dense()[:, masks.column_index(i, j)].sum())
+            total += ones * n_positions
+    return total

@@ -120,8 +120,6 @@ def test_validate_chain_accepts_composing_and_rejects_mismatch():
     bad = "\n".join([make_line(n=8), make_line(name="l1", c=6, n=4)])
     with pytest.raises(NetSpecError):
         validate_chain(parse_netspec(bad))
-    with pytest.raises(NetSpecError):
-        network_counts(parse_netspec(bad), check_chain=True)
 
 
 def test_shipped_resnet56_reproduces_table_row():

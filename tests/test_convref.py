@@ -87,7 +87,7 @@ def test_conv_equals_matmul_exactly():
         x = rng.normal(size=(6, 7, 3))
         f = rng.normal(size=(3, 3, 3))
         pm = im2col(x, 3, stride=2, padding=1)
-        via_matmul = matmul_conv(pm, vec(f)).reshape(pm.h_out, pm.w_out)
+        via_matmul = matmul_conv(pm, vec(f)[:, None]).reshape(pm.h_out, pm.w_out)
         direct = conv_reference(x, f, stride=2, padding=1)
         assert np.array_equal(via_matmul, direct)
 
@@ -117,20 +117,21 @@ def test_matmul_selector_filter_picks_row():
     x = rng.normal(size=(5, 5, 2))
     pm = im2col(x, 3)
     for j in (0, 7, 17):
-        e = np.zeros(18)
+        e = np.zeros((18, 1))
         e[j] = 1.0
-        assert np.array_equal(matmul_conv(pm, e), pm.cols[j])
+        assert np.array_equal(matmul_conv(pm, e)[:, 0], pm.cols[j])
 
 
 def test_matmul_hand_example():
-    cols = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
-    y = matmul_conv(cols, np.array([1.0, 1.0, 1.0]))
-    assert np.array_equal(y, [3.0, 6.0])
+    # a 1 x 2 image of 3 channels, 1 x 1 kernel: columns [1, 1, 1] and [2, 2, 2]
+    pm = im2col(np.array([[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]]), 1)
+    y = matmul_conv(pm, np.ones((3, 1)))
+    assert np.array_equal(y, [[3.0], [6.0]])
 
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ShapeError):
-        matmul_conv(np.ones((4, 2)), np.ones((5, 1)))
+        matmul_conv(im2col(np.ones((1, 2, 4)), 1), np.ones((5, 1)))
 
 
 def test_conv_linearity():
@@ -151,7 +152,7 @@ def test_integer_inputs_exact():
     f = rng.integers(-3, 4, size=(3, 3, 2)).astype(np.float64)
     pm = im2col(x, 3)
     assert np.array_equal(
-        matmul_conv(pm, vec(f)).reshape(pm.h_out, pm.w_out),
+        matmul_conv(pm, vec(f)[:, None]).reshape(pm.h_out, pm.w_out),
         conv_reference(x, f),
     )
 

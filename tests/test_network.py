@@ -238,3 +238,16 @@ def test_masked_conv_rejects_input_that_is_not_a_4d_batch(shape):
     conv = MaskedConv(LayerSpec("standard", d=3, c=1, k=2), seed=0)
     with pytest.raises(ShapeError):
         conv.forward(np.zeros(shape))
+
+
+def test_binarize_returns_the_exact_count_of_flipped_bits():
+    spec = LayerSpec("learnable", d=3, c=2, k=2, strategy="separate", s=2)
+    conv = MaskedConv(spec, seed=0)
+    total = 4 * 18  # k*s masks of d*d*c bits
+    assert conv.binarize() == (0, total)  # fresh latent: every bit already on
+    conv.latent[[0, 5, 17], [0, 1, 3]] = -0.25  # three on-bits turn off
+    conv.latent[7, 2] = 0.0  # an exact zero binarizes to an off bit
+    assert conv.binarize() == (4, total)
+    conv.latent[5, 1] = 0.5  # one bit turns back on
+    assert conv.binarize() == (1, total)
+    assert conv.binarize() == (0, total)

@@ -10,7 +10,7 @@ from maskconv.checkpoint import (
     save_checkpoint,
 )
 from maskconv.layers import LayerSpec
-from maskconv.masks import from_dense, sign_binarize
+from maskconv.masks import from_dense, ortho_loss, sign_binarize
 from maskconv.network import (
     Dense,
     Flatten,
@@ -27,7 +27,6 @@ from maskconv.training import (
     format_log_record,
     mean_squared_error,
     softmax_cross_entropy,
-    total_loss,
     train_step,
 )
 
@@ -98,25 +97,34 @@ def test_mse_loss_and_grad():
     assert np.array_equal(grad, preds / 2)
 
 
-def test_total_loss_lambda_zero_is_task_loss():
-    logits = np.random.default_rng(1).normal(size=(4, 3))
-    labels = np.array([0, 1, 2, 0])
-    task, _ = softmax_cross_entropy(logits, labels)
-    masks = [from_dense(np.ones((18, 2)), "learned-shared", 3, 2, 2)]
-    assert total_loss(logits, labels, masks, lam=0.0) == pytest.approx(task)
+def two_learnable_layer_net():
+    """build_small_cnn with both convs learnable-shared, s=2, on 12x12 inputs."""
+    return build_small_cnn(
+        "learnable", strategy="shared", s=2, conv1_maps=4, conv2_maps=8, hidden=16,
+        n_classes=2, input_hw=12, seed=3, dtype=np.float64,
+    )
 
 
-def test_total_loss_adds_ortho_term_per_layer():
-    logits = np.random.default_rng(2).normal(size=(4, 3))
-    labels = np.array([0, 1, 2, 0])
-    task, _ = softmax_cross_entropy(logits, labels)
+def test_train_step_loss_is_task_loss_at_lambda_zero():
+    images, labels = toy_two_class(16, seed=1)
+    images = np.pad(images, ((0, 0), (2, 2), (2, 2), (0, 0)))
+    model = two_learnable_layer_net()
+    _, metrics = train_step((images, labels), model, TrainConfig(lr=0.1, lam=0.0))
+    assert metrics["ortho_loss"] > 0
+    assert metrics["loss"] == metrics["task_loss"]
+
+
+def test_train_step_adds_ortho_term_per_layer():
+    images, labels = toy_two_class(16, seed=2)
+    images = np.pad(images, ((0, 0), (2, 2), (2, 2), (0, 0)))
+    model = two_learnable_layer_net()
+    loss, metrics = train_step((images, labels), model, TrainConfig(lr=0.1, lam=0.1))
+    convs = model.conv_layers()
+    assert len(convs) == 2 and all(layer.trainable_masks for layer in convs)
+    # the step binarizes first, so the layers' masks are the ones it scored:
     # two layers of all-ones s=2 masks contribute 1.0 each
-    masks = [
-        from_dense(np.ones((18, 2)), "learned-shared", 3, 2, 2),
-        from_dense(np.ones((36, 2)), "learned-shared", 3, 4, 2),
-    ]
-    got = total_loss(logits, labels, masks, lam=0.1)
-    assert got == pytest.approx(task + 0.1 * 2.0)
+    assert metrics["ortho_loss"] == sum(ortho_loss(layer.masks) for layer in convs) == 2.0
+    assert loss == metrics["loss"] == metrics["task_loss"] + 0.1 * metrics["ortho_loss"]
 
 
 # ------------------------------------------------------------------- sgd

@@ -120,20 +120,6 @@ def shipped_netspec_path(name: str) -> Path:
     return Path(resources.files("maskconv") / "netspecs" / f"{name}.netspec")
 
 
-def validate_chain(net: NetworkSpec) -> None:
-    """Require consecutive layers to compose: out channels feed the next c.
-
-    Only meaningful for straight chains; nets with parallel branches
-    (residual downsample paths) legitimately fail this and should skip it.
-    """
-    for prev, cur in zip(net.layers, net.layers[1:]):
-        if prev.n != cur.spec.c:
-            raise NetSpecError(
-                f"layer {cur.spec.name!r} expects {cur.spec.c} input channels"
-                f" but {prev.spec.name!r} emits {prev.n}"
-            )
-
-
 def layer_counts(layer: NetworkLayer) -> OpCounts:
     return predict_counts(layer.spec, layer.h_out, layer.h_out)
 

@@ -7,6 +7,7 @@ files: magic ``0x00000801``, then N, then N label bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -37,6 +38,15 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
 
 
 def _read_exact(f, size: int, what: str, path) -> bytes:
+    """Read ``size`` bytes, after checking that the file still holds them.
+
+    Sizes come from the file's own header, so ``size`` is compared with
+    the bytes left in the file before ``read`` is asked for it: a short
+    file that declares gigabytes fails here without allocating them.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise IdxFormatError(f"{path}: truncated {what} (wanted {size} bytes, {left} left)")
     data = f.read(size)
     if len(data) != size:
         raise IdxFormatError(f"{path}: truncated {what} (wanted {size} bytes, got {len(data)})")

@@ -190,18 +190,19 @@ def forward_patches(
 ) -> np.ndarray:
     """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
 
-    Output ``pm.out_shape + (n,)``, primary-major: the masked-filter
-    matrix through :func:`convref.matmul_conv`, plus the biases.  Each
-    map is reduced in the order :func:`convref.conv_reference` uses on
-    the same patch columns.
+    Output ``pm.out_shape + (n,)``, primary-major and C-contiguous: the
+    masked-filter matrix through :func:`convref.matmul_conv`, plus the
+    biases, added to each map's contiguous row in place.  Each map is
+    reduced in the order :func:`convref.conv_reference` uses on the same
+    patch columns.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
-    y = convref.matmul_conv(pm, secondary_matrix(bank, masks, spec))
+    maps = convref.matmul_conv(pm, secondary_matrix(bank, masks, spec)).T
     if biases is not None:
-        y += biases
-    return y.reshape(pm.out_shape + (spec.n_secondary,))
+        maps += biases[:, None]
+    return np.ascontiguousarray(maps.T).reshape(pm.out_shape + (spec.n_secondary,))
 
 
 def bank_forward(

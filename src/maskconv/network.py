@@ -124,19 +124,30 @@ class ReLU:
 
 
 class AvgPool2:
-    """2x2 average pooling, stride 2; spatial dims must be even."""
+    """2x2 average pooling, stride 2; spatial dims must be even.
+
+    Each output is ``((x00 + x01) + x10 + x11) * 0.25`` over its window,
+    summed from four strided views in that order.
+    """
 
     def forward(self, x):
         b, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"AvgPool2 needs even spatial dims, got {x.shape}")
         self._in_shape = x.shape
-        return x.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+        y = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+        y += x[:, 1::2, 0::2]
+        y += x[:, 1::2, 1::2]
+        y *= 0.25
+        return y
 
     def backward(self, grad):
-        b, h, w, c = self._in_shape
-        up = np.repeat(np.repeat(grad, 2, axis=1), 2, axis=2)
-        return (up / 4.0).astype(grad.dtype)
+        share = (grad / 4.0).astype(grad.dtype)
+        up = np.empty(self._in_shape, dtype=grad.dtype)
+        for a in (0, 1):
+            for b in (0, 1):
+                up[:, a::2, b::2] = share
+        return up
 
 
 class Flatten:
@@ -217,9 +228,6 @@ class Network:
 
     def ortho_loss(self) -> float:
         return sum(layer.ortho_loss() for layer in self.conv_layers())
-
-    def mask_sets(self) -> list[MaskSet]:
-        return [l.masks for l in self.conv_layers() if l.masks is not None]
 
 
 def build_small_cnn(

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here is written with plain Python loops, deliberately avoiding
+Most of this is written with plain Python loops, deliberately avoiding
 the library's im2col/reduction machinery so the two sides of each check
-stay independent.
+stay independent.  The rest keeps earlier formulations of library code
+(``sliding_window_view`` patches, ``mean`` pooling, per-secondary loops)
+that the current code must match byte for byte.
 """
 
 import numpy as np
+
+from maskconv.convref import PatchMatrix, conv_output_size
 
 
 def conv_brute(x, f, stride=1, padding=0, bias=0.0):
@@ -154,3 +158,34 @@ def cached_adds_loop(masks, spec, n_positions):
             ones = v if masks is None else int(masks.dense()[:, masks.column_index(i, j)].sum())
             total += ones * n_positions
     return total
+
+
+def im2col_windows(x, d, stride=1, padding=0):
+    """``convref.im2col`` as ``sliding_window_view`` windows, reordered and transposed."""
+    x = np.asarray(x)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    in_shape = x.shape
+    h, w, c = in_shape[-3:]
+    h_out = conv_output_size(h, d, stride, padding)
+    w_out = conv_output_size(w, d, stride, padding)
+    if padding:
+        batch_pad = ((0, 0),) * (x.ndim - 3)
+        x = np.pad(x, batch_pad + ((padding, padding), (padding, padding), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (d, d), axis=(-3, -2))
+    windows = windows[..., ::stride, ::stride, :, :, :]
+    patches = np.moveaxis(windows, -3, -1).reshape(-1, d * d * c)
+    cols = np.ascontiguousarray(patches.T)
+    return PatchMatrix(cols, d, stride, padding, in_shape, h_out, w_out)
+
+
+def avgpool_mean(x):
+    """2x2 stride-2 average pooling of a (B, H, W, c) batch as a ``mean``."""
+    b, h, w, c = x.shape
+    return x.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+
+
+def avgpool_repeat_backward(grad):
+    """Gradient of 2x2 average pooling: each output's grad / 4 repeated over its window."""
+    up = np.repeat(np.repeat(grad, 2, axis=1), 2, axis=2)
+    return (up / 4.0).astype(grad.dtype)

@@ -11,7 +11,6 @@ from maskconv.accounting import (
     network_table,
     parse_netspec,
     shipped_netspec_path,
-    validate_chain,
 )
 from maskconv.fastinfer import predict_counts
 from maskconv.layers import LayerSpec
@@ -112,14 +111,6 @@ def test_degenerate_variants_match_standard_mul(line):
     got = layer_counts(layer)
     assert got.mul_fp32 == std.mul_fp32
     assert got.param_values_fp32 == std.param_values_fp32
-
-
-def test_validate_chain_accepts_composing_and_rejects_mismatch():
-    good = "\n".join([make_line(n=8), make_line(name="l1", c=8, n=4)])
-    validate_chain(parse_netspec(good))
-    bad = "\n".join([make_line(n=8), make_line(name="l1", c=6, n=4)])
-    with pytest.raises(NetSpecError):
-        validate_chain(parse_netspec(bad))
 
 
 def test_shipped_resnet56_reproduces_table_row():

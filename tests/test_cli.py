@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from maskconv.accounting import shipped_netspec_path
-from maskconv.checkpoint import MAGIC, load_checkpoint
+from maskconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from maskconv.cli import main
 from maskconv.config import ConfigError, RunConfig, load_config, parse_config_text
 from maskconv.datagen import write_dataset
+from maskconv.idx import IMAGES_MAGIC
 from maskconv.masks import read_mask_records
-from maskconv.network import MaskedConv
+from maskconv.network import MaskedConv, build_small_cnn
 
 
 class Capture:
@@ -159,6 +160,19 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, dataset):
         out=Capture(),
     )
     assert code == 1
+
+
+def test_eval_hostile_idx_header_exits_1(tmp_path, dataset):
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(build_small_cnn(conv1_maps=4, conv2_maps=8, hidden=16), model)
+    hostile = tmp_path / "hostile"
+    hostile.mkdir()
+    (hostile / "test-images.idx").write_bytes(struct.pack(">IIII", IMAGES_MAGIC, 2**32 - 1, 28, 28))
+    (hostile / "test-labels.idx").write_bytes((dataset / "test-labels.idx").read_bytes())
+    out = Capture()
+    code = main(["eval", "--checkpoint", str(model), "--data", str(hostile)], out=out)
+    assert code == 1
+    assert out.text.startswith("error:") and "truncated pixel data" in out.text
 
 
 # ------------------------------------------------------------------- bench

@@ -4,12 +4,18 @@ Every forward path (``bank_forward``, ``MaskedConv.forward``,
 ``cached_forward``) must equal the stacked ``conv_reference`` maps bit for
 bit, and the vectorized mask layout must reproduce the per-secondary
 loops of ``tests/oracles.py`` bit for bit: the secondary filters, the
-filter and mask gradients, and the cached-product ADD tally.
+filter and mask gradients, and the cached-product ADD tally.  ``im2col``
+and ``AvgPool2`` must reproduce the oracles' ``sliding_window_view`` and
+``mean``/``repeat`` formulations byte for byte, alone and through
+training.
 """
 
 import numpy as np
+import pytest
 
-from maskconv.convref import conv_output_size, conv_reference
+from maskconv import convref, fastinfer, layers, network
+from maskconv.checkpoint import save_checkpoint
+from maskconv.convref import conv_output_size, conv_reference, im2col
 from maskconv.fastinfer import cached_forward, masks_for_spec
 from maskconv.layers import (
     STRATEGIES,
@@ -20,9 +26,17 @@ from maskconv.layers import (
     random_bank,
     secondary_matrix,
 )
-from maskconv.network import MaskedConv
+from maskconv.network import AvgPool2, MaskedConv, build_small_cnn
+from maskconv.training import TrainConfig, fit
 
-from oracles import cached_adds_loop, grads_from_secondary_loop, secondary_matrix_loop
+from oracles import (
+    avgpool_mean,
+    avgpool_repeat_backward,
+    cached_adds_loop,
+    grads_from_secondary_loop,
+    im2col_windows,
+    secondary_matrix_loop,
+)
 
 N_CASES = 240
 
@@ -30,6 +44,11 @@ N_CASES = 240
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def assert_same_contiguous_bits(got, want):
+    assert got.flags.c_contiguous
+    assert_same_bits(got, want)
 
 
 def random_case(rng, trial):
@@ -94,11 +113,16 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
             ("s = 1", spec.variant, spec.s == 1),
             ("c_hat = c", spec.c_hat == spec.c),
         }
+        pm = im2col(x, spec.d, spec.stride, spec.padding)
+        pm_want = im2col_windows(x, spec.d, spec.stride, spec.padding)
+        assert_same_contiguous_bits(pm.cols, pm_want.cols)
+        assert (pm.in_shape, pm.out_shape) == (pm_want.in_shape, pm_want.out_shape)
+
         fhat = secondary_matrix_loop(bank, masks, spec)
         assert_same_bits(secondary_matrix(bank, masks, spec), fhat)
         want = reference_maps(x, fhat, bank.biases, spec)
 
-        assert_same_bits(bank_forward(x, bank, masks, spec), want)
+        assert_same_contiguous_bits(bank_forward(x, bank, masks, spec), want)
         conv = MaskedConv(spec, seed=0, dtype=x.dtype)
         conv.filters, conv.biases, conv.masks = bank.filters, bank.biases, masks
         batch = x if x.ndim == 4 else x[None]
@@ -129,3 +153,50 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         for t in ("float32", "float64")
     }
     assert required <= covered
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avgpool_matches_mean_and_repeat_oracles(dtype):
+    rng = np.random.default_rng(21)
+    # the small CNN pools conv1's 24x24 maps (8 or 9 of them) and conv2's 10x10
+    for hw in (24, 10):
+        for c in (4, 8, 9, 16):
+            for batch in (1, 16, 64):
+                x = rng.normal(size=(batch, hw, hw, c)).astype(dtype)
+                pool = AvgPool2()
+                assert_same_contiguous_bits(pool.forward(x), avgpool_mean(x))
+                grad = rng.normal(size=(batch, hw // 2, hw // 2, c)).astype(dtype)
+                assert_same_contiguous_bits(pool.backward(grad), avgpool_repeat_backward(grad))
+
+
+def trained_checkpoints(tmp_path):
+    """Checkpoint bytes of three small CNNs after three training steps each."""
+    rng = np.random.default_rng(22)
+    images = rng.random((192, 28, 28, 1)).astype(np.float32)
+    labels = rng.integers(0, 10, size=192)
+    variants = {
+        "standard": dict(variant="standard"),
+        "spatial": dict(variant="spatial", conv1_maps=9),
+        "learn_sep_s2": dict(variant="learnable", strategy="separate", s=2),
+    }
+    blobs = {}
+    for name, kwargs in variants.items():
+        model = build_small_cnn(conv2_maps=16, seed=5, **kwargs)
+        fit(model, images, labels, TrainConfig(lr=0.15, lam=0.1, epochs=1, seed=5), steps=3)
+        save_checkpoint(model, tmp_path / f"{name}.ckpt")
+        blobs[name] = (tmp_path / f"{name}.ckpt").read_bytes()
+    return blobs
+
+
+def test_training_checkpoints_match_oracle_patches_and_pooling(tmp_path, monkeypatch):
+    live = trained_checkpoints(tmp_path)
+    for module in (convref, layers, network, fastinfer):
+        monkeypatch.setattr(module, "im2col", im2col_windows)
+
+    def pool_forward(self, x):
+        self._in_shape = x.shape
+        return avgpool_mean(x)
+
+    monkeypatch.setattr(AvgPool2, "forward", pool_forward)
+    monkeypatch.setattr(AvgPool2, "backward", lambda self, grad: avgpool_repeat_backward(grad))
+    assert trained_checkpoints(tmp_path) == live

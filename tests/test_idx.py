@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,14 +73,44 @@ def test_count_mismatch_rejected(tmp_path):
 
 
 def test_truncated_file_rejected(tmp_path):
-    write_idx_images(tmp_path / "im.idx", np.zeros((3, 4, 4), dtype=np.uint8))
-    data = (tmp_path / "im.idx").read_bytes()
-    (tmp_path / "cut.idx").write_bytes(data[:-5])
-    with pytest.raises(IdxFormatError, match="truncated"):
-        read_idx_images(tmp_path / "cut.idx")
-    (tmp_path / "hdr.idx").write_bytes(data[:10])
-    with pytest.raises(IdxFormatError, match="truncated"):
-        read_idx_images(tmp_path / "hdr.idx")
+    # every byte offset of a real image/label pair, headers included
+    rng = np.random.default_rng(4)
+    write_idx_images(tmp_path / "im.idx", rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8))
+    write_idx_labels(tmp_path / "lb.idx", rng.integers(0, 10, size=3, dtype=np.uint8))
+    images, labels = (tmp_path / "im.idx").read_bytes(), (tmp_path / "lb.idx").read_bytes()
+    for data, read in ((images, read_idx_images), (labels, read_idx_labels)):
+        for cut in range(len(data)):
+            path = tmp_path / f"cut{cut}.idx"
+            path.write_bytes(data[:cut])
+            with pytest.raises(IdxFormatError, match="truncated"):
+                read(path)
+
+
+HUGE = 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "fields, read",
+    [
+        ((IMAGES_MAGIC, HUGE, 4, 5), read_idx_images),
+        ((IMAGES_MAGIC, 3, HUGE, 5), read_idx_images),
+        ((IMAGES_MAGIC, 3, 4, HUGE), read_idx_images),
+        ((IMAGES_MAGIC, HUGE, HUGE, HUGE), read_idx_images),
+        ((LABELS_MAGIC, HUGE), read_idx_labels),
+    ],
+)
+def test_huge_declared_sizes_rejected_without_allocating(tmp_path, fields, read):
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(f">{len(fields)}I", *fields) + bytes(60))
+    declared = math.prod(fields[1:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdxFormatError, match=f"wanted {declared} bytes, 60 left"):
+            read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_generate_digits_deterministic_and_labeled():

@@ -16,15 +16,23 @@ Canonical vectorization order.
     entries.
 
 Fixed reduction order.
-    All dot products are computed as an elementwise product followed by
-    ``column_sums``, which adds each column's rows one after another,
-    also when there is a single column (one output position).  The order
-    is fixed by the number of rows, never by thread count, by the number
-    of columns or by which entries happen to be zero, so a masked filter
-    whose masked entries stay in place as zeros reproduces the reference
-    convolution bit for bit.  The reduction starts from ``+0.0``, so a
-    column of ``-0.0`` products sums to ``+0.0``; any other kernel that
-    must match these bits has to start its sums from zero too.
+    Every dot product adds its elementwise products one row after another,
+    starting from ``+0.0``: :func:`column_sums` reduces a products array
+    over axis 0 that way, and :func:`matmul_conv`, the forward of every
+    layer, is one C ``einsum`` contraction whose inner loop runs along an
+    output row, so each output takes the patch rows in order too.  A lone
+    column (one output position) is reduced beside a zero column in both,
+    since numpy would otherwise sum it pairwise or in SIMD lanes.  The
+    order is fixed by the number of rows, never by thread count (neither
+    uses BLAS), by the number of columns or by which entries happen to be
+    zero, so a masked filter whose masked entries stay in place as zeros
+    reproduces the reference convolution bit for bit.  Starting from
+    ``+0.0`` means a column of ``-0.0`` products sums to ``+0.0``; any
+    other kernel that must match these bits has to start its sums from
+    zero too.  On numpy's x86-64 baseline build einsum multiplies and adds
+    separately, with no fused multiply-add, so its sums round like the
+    reduction's; a numpy build whose einsum fuses them would break this
+    contract, and ``tests/test_differential.py`` is what catches that.
 
 Patch extraction is a pure copy.
     :func:`im2col` moves values and never computes with them, so a
@@ -62,17 +70,17 @@ def column_sums(products: np.ndarray) -> np.ndarray:
     """Sum a 2-d array over axis 0 in an order fixed by its shape.
 
     ``np.add.reduce`` over the leading axis of a C-contiguous array with
-    two or more columns accumulates row by row.  numpy would sum a lone
-    ``(v, 1)`` column pairwise, as it does a 1-d array, so that column
-    is reduced beside a zero column instead.  Every column is therefore
-    summed row by row, in an order that depends only on ``v``: a batch
-    whose images each have one output position is reduced like the
-    single images, and exact zeros left in place never change the bits.
-    numpy starts the sum from ``+0.0``, so a column of ``-0.0`` products
-    sums to ``+0.0``.  Every convolution path in the package reduces
-    through here, or through the same ``np.add.reduce`` over axis 0
-    into a preallocated row (:func:`matmul_conv`), which adds in the
-    same order.
+    two or more columns accumulates row by row, from ``+0.0``.  numpy
+    would sum a lone ``(v, 1)`` column pairwise, as it does a 1-d array,
+    so that column is reduced beside a zero column instead.  Every column
+    is therefore summed row by row, in an order that depends only on
+    ``v``: a batch whose images each have one output position is reduced
+    like the single images, and exact zeros left in place never change
+    the bits.  Because numpy starts the sum from ``+0.0``, a column of
+    ``-0.0`` products sums to ``+0.0``.  :func:`conv_reference` reduces
+    through here; :func:`matmul_conv` accumulates in the same order
+    without forming the products array, and pads a lone column the same
+    way.
     """
     if products.shape[1] == 1:
         return np.add.reduce(np.hstack([products, np.zeros_like(products)]), axis=0)[:1]
@@ -205,24 +213,21 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     """Convolution in matrix form: ``Y = X^T F``.
 
     ``filters`` is ``(d*d*c, n)``; the returned ``(l, n)`` matrix holds the
-    full feature map of filter ``i`` in column ``i``.  Computed one filter
-    at a time: each map's products are reduced over axis 0 straight into
-    a contiguous row of an ``(n, l)`` buffer (a lone column through
-    :func:`column_sums`), and the buffer's transpose is returned, so the
-    result matches :func:`conv_reference` exactly.
+    full feature map of filter ``i`` in column ``i``.  One C ``einsum``
+    contraction, unoptimized as by default and so never BLAS, writes the
+    maps as contiguous rows of an ``(n, l)`` array and the transpose is
+    returned.  Its inner loop runs along each row, so every output starts
+    from ``+0.0`` and takes its products one patch row after another, the
+    order of :func:`column_sums`; a lone column is padded with a zero
+    column as there, since einsum would otherwise sum it in SIMD lanes.
+    The result therefore matches :func:`conv_reference` exactly.
     """
     cols = patches.cols
     if filters.shape[0] != cols.shape[0]:
         raise ShapeError(
             f"filter rows {filters.shape[0]} != patch rows {cols.shape[0]}"
         )
-    maps = np.empty((filters.shape[1], cols.shape[1]), dtype=np.result_type(cols, filters))
-    for i, row in enumerate(maps):
-        products = cols * filters[:, i][:, None]
-        if len(row) == 1:
-            row[:] = column_sums(products)
-        else:
-            np.add.reduce(products, axis=0, out=row)
-        # free this filter's products before the next filter's are formed
-        del products
-    return maps.T
+    n_cols = cols.shape[1]
+    if n_cols == 1:
+        cols = np.hstack([cols, np.zeros_like(cols)])
+    return np.einsum("vl,nv->nl", cols, np.ascontiguousarray(filters.T))[:, :n_cols].T

@@ -13,12 +13,13 @@ then filter 2, and so on.  Variants:
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
 The one forward, :func:`forward_patches`, builds the explicit
-masked-filter matrix and runs it through :func:`convref.matmul_conv`, so
-each output channel equals ``conv_reference(x, mask * filter) + bias``
-exactly.  The one backward, :func:`bank_backward`, runs its two
-contractions through numpy's single-threaded C ``einsum`` rather than
-BLAS, so its bits do not depend on the thread count, and can skip the
-input gradient of a first layer.
+masked-filter matrix and runs it through :func:`convref.matmul_conv`, one
+C ``einsum`` contraction that sums each output's products row by row from
+``+0.0``, so each output channel equals ``conv_reference(x, mask *
+filter) + bias`` exactly.  The one backward, :func:`bank_backward`, runs
+its two contractions the same way.  Both use numpy's single-threaded C
+``einsum`` rather than BLAS, so their bits do not depend on the thread
+count; the backward can skip the input gradient of a first layer.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 Most of this is written with plain Python loops, deliberately avoiding
 the library's im2col/reduction machinery so the two sides of each check
 stay independent.  The rest keeps earlier formulations of library code
-(``sliding_window_view`` patches, ``mean`` pooling, per-secondary loops)
-that the current code must match byte for byte.
+(``sliding_window_view`` patches, ``mean`` pooling, per-filter and
+per-secondary loops) that the current code must match byte for byte.
 """
 
 import numpy as np
 
-from maskconv.convref import PatchMatrix, conv_output_size
+from maskconv.convref import PatchMatrix, column_sums, conv_output_size
 
 
 def conv_brute(x, f, stride=1, padding=0, bias=0.0):
@@ -189,3 +189,21 @@ def avgpool_repeat_backward(grad):
     """Gradient of 2x2 average pooling: each output's grad / 4 repeated over its window."""
     up = np.repeat(np.repeat(grad, 2, axis=1), 2, axis=2)
     return (up / 4.0).astype(grad.dtype)
+
+
+def matmul_conv_loop(patches, filters):
+    """``convref.matmul_conv`` one filter at a time.
+
+    Each map's ``(v, l)`` products are reduced over axis 0 into a
+    contiguous row (a lone column through ``column_sums``); the ``(l, n)``
+    transpose is returned.
+    """
+    cols = patches.cols
+    maps = np.empty((filters.shape[1], cols.shape[1]), dtype=np.result_type(cols, filters))
+    for i, row in enumerate(maps):
+        products = cols * filters[:, i][:, None]
+        if len(row) == 1:
+            row[:] = column_sums(products)
+        else:
+            np.add.reduce(products, axis=0, out=row)
+    return maps.T

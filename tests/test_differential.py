@@ -1,13 +1,16 @@
 """Seeded differential sweep of the conv core over random layer specs.
 
-Every forward path (``bank_forward``, ``MaskedConv.forward``,
-``cached_forward``) must equal the stacked ``conv_reference`` maps bit for
-bit, and the vectorized mask layout must reproduce the per-secondary
-loops of ``tests/oracles.py`` bit for bit: the secondary filters, the
-filter and mask gradients, and the cached-product ADD tally.  ``im2col``
-and ``AvgPool2`` must reproduce the oracles' ``sliding_window_view`` and
-``mean``/``repeat`` formulations byte for byte, alone and through
-training.
+``matmul_conv`` must reproduce the per-filter loop of ``tests/oracles.py``
+byte for byte over random shapes, dtypes and signed zeros.  Every forward
+path (``bank_forward``, ``MaskedConv.forward``, ``cached_forward``) must
+equal the stacked ``conv_reference`` maps bit for bit, and the vectorized
+mask layout must reproduce the per-secondary loops of ``tests/oracles.py``
+bit for bit: the secondary filters, the filter and mask gradients, and the
+cached-product ADD tally.  ``im2col`` and ``AvgPool2`` must reproduce the
+oracles' ``sliding_window_view`` and ``mean``/``repeat`` formulations byte
+for byte, alone and through training, and so must ``matmul_conv`` through
+training.  ``Dense``'s weight gradient must equal its batch-major
+``einsum`` by bytes.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 
 from maskconv import convref, fastinfer, layers, network
 from maskconv.checkpoint import save_checkpoint
-from maskconv.convref import conv_output_size, conv_reference, im2col
+from maskconv.convref import PatchMatrix, conv_output_size, conv_reference, im2col, matmul_conv
 from maskconv.fastinfer import cached_forward, masks_for_spec
 from maskconv.layers import (
     STRATEGIES,
@@ -26,7 +29,7 @@ from maskconv.layers import (
     random_bank,
     secondary_matrix,
 )
-from maskconv.network import AvgPool2, MaskedConv, build_small_cnn
+from maskconv.network import AvgPool2, Dense, MaskedConv, build_small_cnn
 from maskconv.training import TrainConfig, fit
 
 from oracles import (
@@ -35,6 +38,7 @@ from oracles import (
     cached_adds_loop,
     grads_from_secondary_loop,
     im2col_windows,
+    matmul_conv_loop,
     secondary_matrix_loop,
 )
 
@@ -49,6 +53,38 @@ def assert_same_bits(got, want):
 def assert_same_contiguous_bits(got, want):
     assert got.flags.c_contiguous
     assert_same_bits(got, want)
+
+
+MATMUL_WIDTHS = (1, 2, 3, 5, 7, 16, 33, 100, 1000, 9000)
+MATMUL_DTYPES = (
+    (np.float32, np.float32),
+    (np.float64, np.float64),
+    (np.float32, np.float64),
+    (np.float64, np.float32),
+)
+
+
+def test_matmul_conv_matches_per_filter_loop():
+    """Random ``(v, width)`` patch columns against ``(v, n)`` filters, by bytes.
+
+    About 20% of the patch entries are exact zeros and 10% are ``-0.0``,
+    and one filter is all ``-0.0``, so a sum that does not start from
+    ``+0.0`` or that reorders its terms shows in the bits.
+    """
+    rng = np.random.default_rng(23)
+    for trial in range(4 * len(MATMUL_WIDTHS) * len(MATMUL_DTYPES)):
+        width = MATMUL_WIDTHS[trial % len(MATMUL_WIDTHS)]
+        col_dtype, filter_dtype = MATMUL_DTYPES[trial // len(MATMUL_WIDTHS) % len(MATMUL_DTYPES)]
+        v, n = (int(x) for x in rng.integers(1, (121, 21)))
+        cols = rng.normal(size=(v, width))
+        u = rng.random(size=(v, width))
+        cols[u < 0.2] = 0.0
+        cols[u >= 0.9] = -0.0
+        filters = rng.normal(size=(v, n)).astype(filter_dtype)
+        filters[:, rng.integers(n)] = -0.0
+        # the columns of a 1 x width image with v channels under a 1 x 1 kernel
+        pm = PatchMatrix(cols.astype(col_dtype), 1, 1, 0, (1, width, v), 1, width)
+        assert_same_bits(matmul_conv(pm, filters), matmul_conv_loop(pm, filters))
 
 
 def random_case(rng, trial):
@@ -169,6 +205,21 @@ def test_avgpool_matches_mean_and_repeat_oracles(dtype):
                 assert_same_contiguous_bits(pool.backward(grad), avgpool_repeat_backward(grad))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_weight_grad_matches_batch_major_einsum(dtype):
+    rng = np.random.default_rng(24)
+    # the small CNN's dense layers at its default and its test sizes
+    for n_in, n_out in ((400, 64), (64, 10), (200, 16), (16, 10)):
+        dense = Dense(n_in, n_out, seed=0, dtype=dtype)
+        for batch in (1, 2, 3, 7, 16, 33, 64, 65, 256):
+            x = rng.normal(size=(batch, n_in)).astype(dtype)
+            x[rng.random(x.shape) < 0.4] = 0.0  # post-ReLU inputs
+            grad = rng.normal(size=(batch, n_out)).astype(dtype)
+            dense.forward(x)
+            dense.backward(grad)
+            assert_same_bits(dense.grad_w, np.einsum("bi,bo->io", x, grad))
+
+
 def trained_checkpoints(tmp_path):
     """Checkpoint bytes of three small CNNs after three training steps each."""
     rng = np.random.default_rng(22)
@@ -199,4 +250,5 @@ def test_training_checkpoints_match_oracle_patches_and_pooling(tmp_path, monkeyp
 
     monkeypatch.setattr(AvgPool2, "forward", pool_forward)
     monkeypatch.setattr(AvgPool2, "backward", lambda self, grad: avgpool_repeat_backward(grad))
+    monkeypatch.setattr(convref, "matmul_conv", matmul_conv_loop)
     assert trained_checkpoints(tmp_path) == live

@@ -1,4 +1,6 @@
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +319,32 @@ def test_mask_export_truncation_detected():
     data = buf.getvalue()[:-2]
     with pytest.raises(MaskError):
         read_mask_records(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("size", [65535, 2**32 - 1])
+@pytest.mark.parametrize("through", ["bytesio", "file"])
+def test_mask_record_huge_header_rejected_without_allocating(tmp_path, size, through):
+    data = struct.pack("<2I", size, size)  # an 8-byte record: header only
+    path = tmp_path / "huge.masks"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MaskError, match="truncated mask record payload"):
+            if through == "file":
+                with open(path, "rb") as f:
+                    read_mask_records(f)
+            else:
+                read_mask_records(io.BytesIO(data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("d, c", [(0, 3), (3, 0)])
+def test_mask_record_zero_size_rejected(d, c):
+    with pytest.raises(MaskError, match="both must be positive"):
+        read_mask_records(io.BytesIO(struct.pack("<2I", d, c) + bytes(4)))
 
 
 def test_maskset_wrong_mask_count_rejected():

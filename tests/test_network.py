@@ -191,7 +191,27 @@ for dtype in (np.float32, np.float64):
 """
 
 
-def test_backward_bits_do_not_depend_on_thread_count():
+_THREADED_FORWARD = """
+import hashlib
+import numpy as np
+from maskconv.layers import LayerSpec, bank_forward
+from maskconv.network import MaskedConv
+specs = (
+    LayerSpec("standard", d=5, c=8, k=8, padding=2),
+    LayerSpec("learnable", d=3, c=8, k=4, s=2, strategy="separate", padding=1),
+)
+for dtype in (np.float32, np.float64):
+    for spec in specs:
+        conv = MaskedConv(spec, seed=5, dtype=dtype)
+        rng = np.random.default_rng(6)
+        xb = rng.normal(size=(4, 16, 16, 8)).astype(dtype)
+        for y in (conv.forward(xb), bank_forward(xb[0], conv.bank(), conv.masks, spec)):
+            print(y.dtype, hashlib.sha256(y.tobytes()).hexdigest())
+"""
+
+
+def run_under_thread_counts(script):
+    """stdout of ``script`` with the BLAS/OpenMP pools at 1 and at 2 threads."""
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
@@ -199,7 +219,7 @@ def test_backward_bits_do_not_depend_on_thread_count():
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
         )
         result = subprocess.run(
-            [sys.executable, "-c", _THREADED_BACKWARD],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
@@ -207,7 +227,18 @@ def test_backward_bits_do_not_depend_on_thread_count():
         )
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
+    return outputs
+
+
+def test_backward_bits_do_not_depend_on_thread_count():
+    outputs = run_under_thread_counts(_THREADED_BACKWARD)
     assert len(outputs[0].splitlines()) == 10
+    assert outputs[0] == outputs[1]
+
+
+def test_forward_bits_do_not_depend_on_thread_count():
+    outputs = run_under_thread_counts(_THREADED_FORWARD)
+    assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
 
 

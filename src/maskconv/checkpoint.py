@@ -34,6 +34,13 @@ _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 _STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
 
 
+# A conv record's derived spatial or channel masks may take at most this many
+# bytes per byte of the record.  The record stores 4 bytes per filter entry
+# against s mask bytes, so only a layer with more than 256 * k masks can reach
+# the bound; the small CNN's default layers stay below 2.
+MASK_BYTES_PER_RECORD_BYTE = 64
+
+
 class CheckpointError(ValueError):
     """Raised on malformed checkpoint files."""
 
@@ -124,7 +131,14 @@ class _Reader:
 
 
 def _read_conv(r: _Reader) -> MaskedConv:
-    """Read one conv record; every array is read before a layer is built."""
+    """Read one conv record; every array is read before a layer is built.
+
+    Spatial and channel masks are not stored but derived from the spec;
+    a record whose derived mask bits would outweigh
+    :data:`MASK_BYTES_PER_RECORD_BYTE` times its own bytes is rejected
+    before they are built.
+    """
+    start = r.offset
     variant_code, strategy_code, d, c, k, s, c_hat, g, stride, padding, lam = r.unpack("<BB8If")
     variant = _VARIANT_NAME.get(variant_code)
     strategy = _STRATEGY_NAME.get(strategy_code)
@@ -159,11 +173,16 @@ def _read_conv(r: _Reader) -> MaskedConv:
         masks = MaskSet(spec.mask_kind, words, d, c, s, spec.mask_groups)
         if has_latent:
             latent = r.f32((d * d * c, n_masks)).astype(np.float64)
-    layer = MaskedConv(spec, seed=0, dtype=np.float32)
-    layer.filters, layer.biases, layer.latent = filters, biases, latent
-    if masks is not None:
-        layer.masks = masks
-    return layer
+    elif spec.variant != "standard":
+        # built as one uint8 per bit (s, d*d*c) before packing
+        mask_bytes = spec.s * d * d * c
+        if mask_bytes > MASK_BYTES_PER_RECORD_BYTE * (r.offset - start):
+            raise CheckpointError(
+                f"{variant} masks of {mask_bytes} bits from a {r.offset - start}-byte record"
+                f" at offset {start}"
+            )
+        masks = spec.structural_masks()
+    return MaskedConv.from_arrays(spec, filters, biases, masks, latent)
 
 
 def load_checkpoint(path: str | Path) -> Network:
@@ -193,10 +212,7 @@ def load_checkpoint(path: str | Path) -> Network:
             n_in, n_out = r.unpack("<II")
             if not n_in:
                 raise CheckpointError(f"dense layer with no inputs at offset {r.offset}")
-            w, b = r.f32((n_in, n_out)), r.f32((n_out,))
-            dense = Dense(n_in, n_out, seed=0)
-            dense.w, dense.b = w, b
-            layers.append(dense)
+            layers.append(Dense.from_arrays(r.f32((n_in, n_out)), r.f32((n_out,))))
         else:
             raise CheckpointError(f"unknown layer tag {tag} at offset {r.offset - 1}")
     if r.offset != len(data):

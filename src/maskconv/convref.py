@@ -50,6 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# columns per einsum call in matmul_conv: a float32 block of a 5x5 conv1's
+# patch columns (25 x 1024) stays in L2 while all of its filters read it
+COLUMN_BLOCK = 1024
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes cannot be convolved."""
@@ -136,8 +140,11 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
 
     A pure copy: the input, channel axis first and zero-padded, is copied
     once, then ``d*d`` strided slices of it fill a ``(d, d, c, *batch,
-    h_out, w_out)`` buffer whose reshape is ``cols``.  No arithmetic
-    touches the values, so the columns hold the input's exact bits.
+    h_out, w_out)`` buffer whose reshape is ``cols``.  With no padding, an
+    input whose channel-first view is already C-contiguous (one channel, or
+    a map-major batch as the layers pass it on) is sliced directly instead.
+    No arithmetic touches the values, so the columns hold the input's exact
+    bits.
     """
     x = _check_input(x, batch_ok=True)
     *batch, h, w, c = x.shape
@@ -149,9 +156,15 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     # scratch leaves no hole below it in the heap; that hole raised peak RSS by
     # one patch matrix (10 MB for a 32x32x64 d5 float64 image).
     blocks = np.empty((d, d, c, *batch, h_out, w_out), dtype=x.dtype)
-    # one channel-first copy of the zero-padded input: (c, *batch, h_p, w_p)
-    padded = np.zeros((c, *batch, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    padded[..., p : p + h, p : p + w] = x.transpose((x.ndim - 1, *range(x.ndim - 1)))
+    channels_first = x.transpose((x.ndim - 1, *range(x.ndim - 1)))
+    if p == 0 and channels_first.flags.c_contiguous:
+        padded = channels_first
+    else:
+        # one channel-first copy of the zero-padded input: (c, *batch, h_p, w_p).
+        # A channel-last image with c > 1 is copied too: slicing its windows
+        # straight from the strided view was slower than this copy.
+        padded = np.zeros((c, *batch, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        padded[..., p : p + h, p : p + w] = channels_first
     for a in range(d):
         for b in range(d):
             blocks[a, b] = padded[..., a : a + st * h_out : st, b : b + st * w_out : st]
@@ -163,7 +176,10 @@ def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:
     """Scatter-add patch-column gradients back onto the input grid.
 
     Adjoint of :func:`im2col`: overlapping positions accumulate.  The
-    result has the input's shape ``pm.in_shape``.
+    result has the input's shape ``pm.in_shape`` and is a view of a
+    channel-first ``(c, *batch, H, W)`` buffer (padding cropped): each
+    tap's rows of ``grad_cols`` are added into it as one contiguous
+    block, taps in row-major ``(a, b)`` order.
     """
     if grad_cols.shape != pm.cols.shape:
         raise ShapeError(
@@ -171,14 +187,12 @@ def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:
         )
     *batch, h, w, c = pm.in_shape
     d, st, p = pm.d, pm.stride, pm.padding
-    grad_pad = np.zeros((*batch, h + 2 * p, w + 2 * p, c), dtype=grad_cols.dtype)
-    blocks = grad_cols.T.reshape(*batch, pm.h_out, pm.w_out, d, d, c)
+    grad_pad = np.zeros((c, *batch, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
+    blocks = grad_cols.reshape(d, d, c, *batch, pm.h_out, pm.w_out)
     for a in range(d):
         for b in range(d):
-            grad_pad[
-                ..., a : a + st * pm.h_out : st, b : b + st * pm.w_out : st, :
-            ] += blocks[..., a, b, :]
-    return grad_pad[..., p : p + h, p : p + w, :]
+            grad_pad[..., a : a + st * pm.h_out : st, b : b + st * pm.w_out : st] += blocks[a, b]
+    return grad_pad[..., p : p + h, p : p + w].transpose((*range(1, len(pm.in_shape)), 0))
 
 
 def conv_reference(
@@ -213,14 +227,18 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     """Convolution in matrix form: ``Y = X^T F``.
 
     ``filters`` is ``(d*d*c, n)``; the returned ``(l, n)`` matrix holds the
-    full feature map of filter ``i`` in column ``i``.  One C ``einsum``
+    full feature map of filter ``i`` in column ``i``.  A C ``einsum``
     contraction, unoptimized as by default and so never BLAS, writes the
     maps as contiguous rows of an ``(n, l)`` array and the transpose is
     returned.  Its inner loop runs along each row, so every output starts
     from ``+0.0`` and takes its products one patch row after another, the
     order of :func:`column_sums`; a lone column is padded with a zero
     column as there, since einsum would otherwise sum it in SIMD lanes.
-    The result therefore matches :func:`conv_reference` exactly.
+    The contraction runs over blocks of :data:`COLUMN_BLOCK` columns (the
+    last takes the remainder, so no block is a lone column), which keeps
+    each block of patch columns in cache while every filter reads it and
+    leaves each output's sum as it was.  The result therefore matches
+    :func:`conv_reference` exactly.
     """
     cols = patches.cols
     if filters.shape[0] != cols.shape[0]:
@@ -230,4 +248,10 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     n_cols = cols.shape[1]
     if n_cols == 1:
         cols = np.hstack([cols, np.zeros_like(cols)])
-    return np.einsum("vl,nv->nl", cols, np.ascontiguousarray(filters.T))[:, :n_cols].T
+    f_rows = np.ascontiguousarray(filters.T)
+    width = cols.shape[1]
+    maps = np.empty((f_rows.shape[0], width), dtype=np.result_type(cols, f_rows))
+    edges = [0, *range(COLUMN_BLOCK, width - COLUMN_BLOCK + 1, COLUMN_BLOCK), width]
+    for start, stop in zip(edges, edges[1:]):
+        np.einsum("vl,nv->nl", cols[:, start:stop], f_rows, out=maps[:, start:stop])
+    return np.ascontiguousarray(maps[:, :n_cols]).T

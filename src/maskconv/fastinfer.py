@@ -88,13 +88,14 @@ def cached_forward(
     """Forward pass plus the tallies of the cached-product scheme.
 
     ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.  The
-    output is :func:`maskconv.layers.bank_forward`'s, bit for bit.  The
-    :class:`OpCounts` are what the scheme executes on this call: ``k``
-    product passes over every patch, one ADD per mask-selected entry (the
-    masks' popcounts), and for bit masks one MASK op per entry and mask.
+    output is :func:`maskconv.layers.bank_forward`'s, bit for bit and
+    C-contiguous.  The :class:`OpCounts` are what the scheme executes on
+    this call: ``k`` product passes over every patch, one ADD per
+    mask-selected entry (the masks' popcounts), and for bit masks one MASK
+    op per entry and mask.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
-    y = forward_patches(pm, bank, masks, spec)
+    y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
     v, l = pm.cols.shape
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
     if spec.variant == "standard":

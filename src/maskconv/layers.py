@@ -13,13 +13,20 @@ then filter 2, and so on.  Variants:
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
 The one forward, :func:`forward_patches`, builds the explicit
-masked-filter matrix and runs it through :func:`convref.matmul_conv`, one
+masked-filter matrix and runs it through :func:`convref.matmul_conv`, a
 C ``einsum`` contraction that sums each output's products row by row from
 ``+0.0``, so each output channel equals ``conv_reference(x, mask *
 filter) + bias`` exactly.  The one backward, :func:`bank_backward`, runs
 its two contractions the same way.  Both use numpy's single-threaded C
 ``einsum`` rather than BLAS, so their bits do not depend on the thread
 count; the backward can skip the input gradient of a first layer.
+
+Activations keep the core's map-major memory order: the forward returns
+its ``(..., H', W', n)`` maps as a view of the contraction's ``(n, l)``
+rows, the backward reads ``dL/dy`` as such rows and returns the input
+gradient as a view of a channel-first buffer.  Shapes stay channel-last;
+only the strides differ.  :func:`bank_forward` returns a C-contiguous
+copy for callers outside a network.
 """
 
 from __future__ import annotations
@@ -191,9 +198,10 @@ def forward_patches(
 ) -> np.ndarray:
     """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
 
-    Output ``pm.out_shape + (n,)``, primary-major and C-contiguous: the
-    masked-filter matrix through :func:`convref.matmul_conv`, plus the
-    biases, added to each map's contiguous row in place.  Each map is
+    Output ``pm.out_shape + (n,)``, primary-major, in map-major memory
+    order: a view of the ``(n, l)`` rows :func:`convref.matmul_conv`
+    writes for the masked-filter matrix, each row plus its bias in place,
+    so moving the map axis first gives a C-contiguous array.  Each map is
     reduced in the order :func:`convref.conv_reference` uses on the same
     patch columns.
     """
@@ -203,7 +211,7 @@ def forward_patches(
     maps = convref.matmul_conv(pm, secondary_matrix(bank, masks, spec)).T
     if biases is not None:
         maps += biases[:, None]
-    return np.ascontiguousarray(maps.T).reshape(pm.out_shape + (spec.n_secondary,))
+    return maps.T.reshape(pm.out_shape + (spec.n_secondary,))
 
 
 def bank_forward(
@@ -211,9 +219,11 @@ def bank_forward(
 ) -> np.ndarray:
     """Forward pass for any variant; output (..., H', W', n), primary-major.
 
-    ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.
+    ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.  The
+    output is C-contiguous.
     """
-    return forward_patches(im2col(x, spec.d, spec.stride, spec.padding), bank, masks, spec)
+    pm = im2col(x, spec.d, spec.stride, spec.padding)
+    return np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
 
 
 def naive_sum_forward(
@@ -292,11 +302,14 @@ def bank_backward(
 
     ``x`` is an image or a batch, as in :func:`bank_forward`; it is not
     read when the forward's ``patches`` are passed.  Filter, mask and bias
-    gradients sum over the batch; the input gradient has ``x``'s shape,
-    or is ``None`` with ``input_grad=False``, which skips its products
-    and scatter.  Both contractions are numpy's C ``einsum`` without
-    ``optimize``: single-threaded, in an order fixed by the shapes, so the
-    bits never depend on a BLAS thread count.
+    gradients sum over the batch; the input gradient has ``x``'s shape in
+    map-major memory order (see :func:`convref.col2im`), or is ``None``
+    with ``input_grad=False``, which skips its products and scatter.
+    ``grad_y`` is read as ``(n, l)`` map rows, so its memory order does
+    not change the bits.  Both contractions, and the bias gradient's sum
+    along each map's row, are numpy's C ``einsum`` without ``optimize``:
+    single-threaded, in an order fixed by the shapes, so the bits never
+    depend on a BLAS thread count.
     """
     if patches is None:
         patches = im2col(x, spec.d, spec.stride, spec.padding)
@@ -304,15 +317,15 @@ def bank_backward(
     out_shape = patches.out_shape + (n,)
     if grad_y.shape != out_shape:
         raise ShapeError(f"grad_y shape {grad_y.shape} != output shape {out_shape}")
-    grad_flat = grad_y.reshape(-1, n)
-    # (n, l) rows keep both contractions' inner loops on contiguous memory
-    grad_T = np.ascontiguousarray(grad_flat.T)
+    # (n, l) rows keep both contractions' inner loops on contiguous memory; a
+    # map-major grad_y, as the layers pass it on, gives them without a copy
+    grad_T = np.ascontiguousarray(np.moveaxis(grad_y, -1, 0)).reshape(n, -1)
     ghat = np.einsum("vl,nl->vn", patches.cols, grad_T)
     grad_f, grad_m = grads_from_secondary(ghat, bank, masks, spec)
 
     grad_b = None
     if spec.has_biases and bank.biases is not None:
-        grad_b = np.add.reduce(grad_flat, axis=0)
+        grad_b = np.einsum("nl->n", grad_T)
 
     grad_x = None
     if input_grad:

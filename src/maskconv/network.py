@@ -6,6 +6,13 @@ fixed-order reductions make per-sample outputs equal the single-image
 path bit for bit (see the reduction order in :mod:`maskconv.convref`).
 The dense layers use ``einsum`` with its default sequential contraction
 for the same reason: identical runs must produce identical bytes.
+
+Conv activations and their gradients keep the core's map-major memory
+order between layers: the shapes are channel-last, but each map is one
+contiguous block.  ``MaskedConv`` passes its output on as the core
+returns it, ReLU and ``AvgPool2`` keep their input's order, and
+``Flatten`` hands its gradient back in its input's order, so no layer
+transposes.  Elementwise results do not depend on the memory order.
 """
 
 from __future__ import annotations
@@ -36,23 +43,38 @@ class MaskedConv:
     """Convolution layer deriving its outputs from masked primary filters."""
 
     def __init__(self, spec: LayerSpec, seed: int, dtype=np.float32):
-        self.spec = spec
-        self.dtype = np.dtype(dtype)
         # He initialization: scale sqrt(2 / fan_in), zero biases
-        bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), self.dtype)
-        self.filters, self.biases = bank.filters, bank.biases
-        self.latent: np.ndarray | None = None
+        bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), dtype)
+        latent = None
         if spec.variant == "learnable":
             if spec.strategy == "random-fixed":
-                self.masks: MaskSet | None = random_masks(
-                    spec.k, spec.s, spec.d, spec.c, seed
-                )
+                masks = random_masks(spec.k, spec.s, spec.d, spec.c, seed)
             else:
-                self.latent, self.masks = init_learnable(
-                    spec.k, spec.s, spec.d, spec.c, spec.strategy, seed
-                )
+                latent, masks = init_learnable(spec.k, spec.s, spec.d, spec.c, spec.strategy, seed)
         else:
-            self.masks = spec.structural_masks()
+            masks = spec.structural_masks()
+        self._hold(spec, bank.filters, bank.biases, masks, latent)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        spec: LayerSpec,
+        filters: np.ndarray,
+        biases: np.ndarray | None,
+        masks: MaskSet | None,
+        latent: np.ndarray | None = None,
+    ) -> "MaskedConv":
+        """The layer holding these parameters, with no random initialization."""
+        layer = cls.__new__(cls)
+        layer._hold(spec, filters, biases, masks, latent)
+        return layer
+
+    def _hold(self, spec, filters, biases, masks, latent) -> None:
+        self.spec = spec
+        self.dtype = filters.dtype
+        self.filters, self.biases = filters, biases
+        self.masks: MaskSet | None = masks
+        self.latent: np.ndarray | None = latent
         self._patches = None
         self.grad_filters = None
         self.grad_biases = None
@@ -81,6 +103,9 @@ class MaskedConv:
                 f"layer {spec.name}: expected a B x H x W x {spec.c} batch, got {xb.shape}"
             )
         xb = xb.astype(self.dtype, copy=False)
+        # free the previous batch's patches first, so that the new ones can
+        # reuse their memory rather than grow the heap by a patch matrix
+        self._patches = None
         self._patches = im2col(xb, spec.d, spec.stride, spec.padding)
         return forward_patches(self._patches, self.bank(), self.masks, spec)
 
@@ -127,7 +152,8 @@ class AvgPool2:
     """2x2 average pooling, stride 2; spatial dims must be even.
 
     Each output is ``((x00 + x01) + x10 + x11) * 0.25`` over its window,
-    summed from four strided views in that order.
+    summed from four strided views in that order.  Output and input
+    gradient keep the memory order of the array they are computed from.
     """
 
     def forward(self, x):
@@ -142,8 +168,8 @@ class AvgPool2:
         return y
 
     def backward(self, grad):
-        share = (grad / 4.0).astype(grad.dtype)
-        up = np.empty(self._in_shape, dtype=grad.dtype)
+        share = grad / 4.0
+        up = np.empty_like(grad, shape=self._in_shape)  # in grad's memory order
         for a in (0, 1):
             for b in (0, 1):
                 up[:, a::2, b::2] = share
@@ -151,12 +177,20 @@ class AvgPool2:
 
 
 class Flatten:
+    """``(B, ...)`` to ``(B, features)`` in C order, whatever the input's strides.
+
+    The backward returns the gradient in the forward input's memory order,
+    so a map-major conv stack below gets map-major gradients back.
+    """
+
     def forward(self, x):
-        self._in_shape = x.shape
+        self._x = x
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._in_shape)
+        up = np.empty_like(self._x)
+        up[...] = grad.reshape(up.shape)
+        return up
 
 
 class Dense:
@@ -164,6 +198,13 @@ class Dense:
         rng = np.random.default_rng(seed)
         self.w = (rng.normal(size=(n_in, n_out)) * np.sqrt(2.0 / n_in) * init_scale).astype(dtype)
         self.b = np.zeros(n_out, dtype=dtype)
+
+    @classmethod
+    def from_arrays(cls, w: np.ndarray, b: np.ndarray) -> "Dense":
+        """The layer holding these weights, with no random initialization."""
+        layer = cls.__new__(cls)
+        layer.w, layer.b = w, b
+        return layer
 
     def forward(self, x):
         self._x = x
@@ -173,7 +214,8 @@ class Dense:
         # grad as contiguous (o, b) rows: the same bits as "bi,bo->io" at about half the cost
         self.grad_w = np.einsum("bi,ob->io", self._x, np.ascontiguousarray(grad.T))
         self.grad_b = np.add.reduce(grad, axis=0)
-        return np.einsum("bo,io->bi", grad, self.w)
+        # w as contiguous (o, i) rows keeps the inner loop on contiguous memory
+        return np.einsum("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
 
     def sgd(self, lr: float) -> None:
         self.w = self.w - (lr * self.grad_w).astype(self.w.dtype)

@@ -3,8 +3,9 @@
 Most of this is written with plain Python loops, deliberately avoiding
 the library's im2col/reduction machinery so the two sides of each check
 stay independent.  The rest keeps earlier formulations of library code
-(``sliding_window_view`` patches, ``mean`` pooling, per-filter and
-per-secondary loops) that the current code must match byte for byte.
+(``sliding_window_view`` patches, ``mean`` pooling, a channel-last
+``col2im``, per-filter and per-secondary loops) that the current code
+must match byte for byte.
 """
 
 import numpy as np
@@ -180,7 +181,13 @@ def im2col_windows(x, d, stride=1, padding=0):
 
 
 def avgpool_mean(x):
-    """2x2 stride-2 average pooling of a (B, H, W, c) batch as a ``mean``."""
+    """2x2 stride-2 average pooling of a (B, H, W, c) batch as a ``mean``.
+
+    The batch is made C-contiguous first: ``mean`` sums in the order of
+    the array's memory layout, so a map-major batch would round
+    differently in the last bit.
+    """
+    x = np.ascontiguousarray(x)
     b, h, w, c = x.shape
     return x.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
 
@@ -189,6 +196,24 @@ def avgpool_repeat_backward(grad):
     """Gradient of 2x2 average pooling: each output's grad / 4 repeated over its window."""
     up = np.repeat(np.repeat(grad, 2, axis=1), 2, axis=2)
     return (up / 4.0).astype(grad.dtype)
+
+
+def col2im_channel_last(grad_cols, pm):
+    """``convref.col2im`` scattering into a C-contiguous channel-last buffer.
+
+    The transposed columns are gathered tap by tap, in the same ``(a, b)``
+    order, into a zero-padded ``(*batch, H_p, W_p, c)`` array.
+    """
+    *batch, h, w, c = pm.in_shape
+    d, st, p = pm.d, pm.stride, pm.padding
+    grad_pad = np.zeros((*batch, h + 2 * p, w + 2 * p, c), dtype=grad_cols.dtype)
+    blocks = grad_cols.T.reshape(*batch, pm.h_out, pm.w_out, d, d, c)
+    for a in range(d):
+        for b in range(d):
+            grad_pad[
+                ..., a : a + st * pm.h_out : st, b : b + st * pm.w_out : st, :
+            ] += blocks[..., a, b, :]
+    return grad_pad[..., p : p + h, p : p + w, :]
 
 
 def matmul_conv_loop(patches, filters):

@@ -292,6 +292,20 @@ def test_export_masks_hostile_checkpoint_exits_1(tmp_path):
     assert out.text.startswith("error:")
 
 
+def test_export_masks_derived_mask_bomb_exits_1(tmp_path):
+    # 16 KiB of filters for a d=1 c=4096 channel layer with 4096 windows
+    header = struct.pack("<BB8If", 2, 0, 1, 4096, 1, 1, 1, 1, 1, 0, 0.0)
+    path = tmp_path / "bomb.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IIB", 1, 1, 1) + header + bytes(3 + 4 * 4096))
+    out = Capture()
+    code = main(
+        ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")],
+        out=out,
+    )
+    assert code == 1
+    assert out.text.startswith("error:")
+
+
 def test_usage_error_exit_code():
     assert main([], out=Capture()) == 2
     assert main(["unknown-command"], out=Capture()) == 2

@@ -1,14 +1,18 @@
 """Seeded differential sweep of the conv core over random layer specs.
 
 ``matmul_conv`` must reproduce the per-filter loop of ``tests/oracles.py``
-byte for byte over random shapes, dtypes and signed zeros.  Every forward
-path (``bank_forward``, ``MaskedConv.forward``, ``cached_forward``) must
-equal the stacked ``conv_reference`` maps bit for bit, and the vectorized
-mask layout must reproduce the per-secondary loops of ``tests/oracles.py``
-bit for bit: the secondary filters, the filter and mask gradients, and the
-cached-product ADD tally.  ``im2col`` and ``AvgPool2`` must reproduce the
-oracles' ``sliding_window_view`` and ``mean``/``repeat`` formulations byte
-for byte, alone and through training, and so must ``matmul_conv`` through
+byte for byte over random shapes, dtypes and signed zeros, across its
+column blocks.  Every forward path (``bank_forward``, ``MaskedConv.forward``,
+``cached_forward``) must equal the stacked ``conv_reference`` maps bit for
+bit, ``MaskedConv.forward`` in map-major memory order and the other two
+C-contiguous, and the vectorized mask layout must reproduce the
+per-secondary loops of ``tests/oracles.py`` bit for bit: the secondary
+filters, the filter and mask gradients, and the cached-product ADD tally.
+``bank_backward`` must give the same bytes whatever the memory order of
+``dL/dy``.  ``im2col``, ``col2im`` and ``AvgPool2`` must reproduce the
+oracles' ``sliding_window_view``, channel-last scatter and
+``mean``/``repeat`` formulations byte for byte, alone and through training
+(pooling in either memory order), and so must ``matmul_conv`` through
 training.  ``Dense``'s weight gradient must equal its batch-major
 ``einsum`` by bytes.
 """
@@ -18,7 +22,14 @@ import pytest
 
 from maskconv import convref, fastinfer, layers, network
 from maskconv.checkpoint import save_checkpoint
-from maskconv.convref import PatchMatrix, conv_output_size, conv_reference, im2col, matmul_conv
+from maskconv.convref import (
+    PatchMatrix,
+    col2im,
+    conv_output_size,
+    conv_reference,
+    im2col,
+    matmul_conv,
+)
 from maskconv.fastinfer import cached_forward, masks_for_spec
 from maskconv.layers import (
     STRATEGIES,
@@ -36,6 +47,7 @@ from oracles import (
     avgpool_mean,
     avgpool_repeat_backward,
     cached_adds_loop,
+    col2im_channel_last,
     grads_from_secondary_loop,
     im2col_windows,
     matmul_conv_loop,
@@ -55,7 +67,18 @@ def assert_same_contiguous_bits(got, want):
     assert_same_bits(got, want)
 
 
-MATMUL_WIDTHS = (1, 2, 3, 5, 7, 16, 33, 100, 1000, 9000)
+def map_major(x):
+    """A copy of ``x`` whose last (map) axis is the slowest in memory."""
+    out = np.moveaxis(np.empty((x.shape[-1], *x.shape[:-1]), dtype=x.dtype), 0, -1)
+    out[...] = x
+    return out
+
+
+def is_map_major(x):
+    return np.moveaxis(x, -1, 0).flags.c_contiguous
+
+
+MATMUL_WIDTHS = (1, 2, 3, 5, 7, 16, 33, 100, 1000, 2048, 2049, 3072, 4097, 9000)
 MATMUL_DTYPES = (
     (np.float32, np.float32),
     (np.float64, np.float64),
@@ -159,12 +182,13 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         want = reference_maps(x, fhat, bank.biases, spec)
 
         assert_same_contiguous_bits(bank_forward(x, bank, masks, spec), want)
-        conv = MaskedConv(spec, seed=0, dtype=x.dtype)
-        conv.filters, conv.biases, conv.masks = bank.filters, bank.biases, masks
+        conv = MaskedConv.from_arrays(spec, bank.filters, bank.biases, masks)
         batch = x if x.ndim == 4 else x[None]
-        assert_same_bits(conv.forward(batch), want if x.ndim == 4 else want[None])
+        y = conv.forward(batch)
+        assert is_map_major(y)
+        assert_same_bits(y, want if x.ndim == 4 else want[None])
         y, counts = cached_forward(x, bank, masks, spec)
-        assert_same_bits(y, want)
+        assert_same_contiguous_bits(y, want)
         h_out = conv_output_size(x.shape[-3], spec.d, spec.stride, spec.padding)
         w_out = conv_output_size(x.shape[-2], spec.d, spec.stride, spec.padding)
         positions = h_out * w_out * (x.shape[0] if x.ndim == 4 else 1)
@@ -173,6 +197,15 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         grad_y = rng.normal(size=want.shape).astype(x.dtype)
         grad_y[..., trial % spec.n_secondary] = 0.0  # a dead map: its products are signed zeros
         grads = bank_backward(grad_y, x, bank, masks, spec)
+        same = bank_backward(map_major(grad_y), x, bank, masks, spec)
+        for name in ("filters", "biases", "masks", "x", "secondary"):
+            got, want_grad = getattr(same, name), getattr(grads, name)
+            if want_grad is None:
+                assert got is None
+            else:
+                assert_same_bits(got, want_grad)
+        grad_cols = rng.normal(size=pm.cols.shape).astype(x.dtype)
+        assert_same_bits(col2im(grad_cols, pm), col2im_channel_last(grad_cols, pm))
         grad_f, grad_m = grads_from_secondary_loop(grads.secondary, bank, masks, spec)
         assert_same_bits(grads.filters, grad_f)
         if grad_m is None:
@@ -203,6 +236,13 @@ def test_avgpool_matches_mean_and_repeat_oracles(dtype):
                 assert_same_contiguous_bits(pool.forward(x), avgpool_mean(x))
                 grad = rng.normal(size=(batch, hw // 2, hw // 2, c)).astype(dtype)
                 assert_same_contiguous_bits(pool.backward(grad), avgpool_repeat_backward(grad))
+                # a map-major batch, as a conv layer passes it on: same bytes, same order
+                y = pool.forward(map_major(x))
+                assert is_map_major(y)
+                assert_same_bits(y, avgpool_mean(x))
+                up = pool.backward(map_major(grad))
+                assert is_map_major(up)
+                assert_same_bits(up, avgpool_repeat_backward(grad))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -251,4 +291,5 @@ def test_training_checkpoints_match_oracle_patches_and_pooling(tmp_path, monkeyp
     monkeypatch.setattr(AvgPool2, "forward", pool_forward)
     monkeypatch.setattr(AvgPool2, "backward", lambda self, grad: avgpool_repeat_backward(grad))
     monkeypatch.setattr(convref, "matmul_conv", matmul_conv_loop)
+    monkeypatch.setattr(convref, "col2im", col2im_channel_last)
     assert trained_checkpoints(tmp_path) == live

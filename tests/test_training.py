@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,7 +312,10 @@ def test_checkpoint_second_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_preserves_all_variants(tmp_path):
+def test_checkpoint_preserves_all_variants(tmp_path, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
     for variant, kwargs in [
         ("standard", {}),
         ("spatial", {}),  # conv1 has 3 scales, conv2 has 2: 6 and 8 maps divide
@@ -332,7 +336,11 @@ def test_checkpoint_preserves_all_variants(tmp_path):
         before = model.forward(x)
         path = tmp_path / f"{variant}-{kwargs.get('strategy', '')}.ckpt"
         save_checkpoint(model, path)
-        assert np.array_equal(before, load_checkpoint(path).forward(x))
+        # layers are built from the arrays read, not initialized and overwritten
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", no_draws)
+            loaded = load_checkpoint(path)
+        assert np.array_equal(before, loaded.forward(x))
 
 
 def test_checkpoint_truncation_names_offset(tmp_path):
@@ -359,9 +367,11 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def conv_checkpoint(variant=0, strategy=0, d=3, c=1, k=1, s=1, flags=(1, 0, 0), body=b""):
+def conv_checkpoint(
+    variant=0, strategy=0, d=3, c=1, k=1, s=1, flags=(1, 0, 0), body=b"", c_hat=0, g=0
+):
     """A one-layer checkpoint: a conv record header, its flags, then ``body``."""
-    header = struct.pack("<BB8If", variant, strategy, d, c, k, s, 0, 0, 1, 0, 0.0)
+    header = struct.pack("<BB8If", variant, strategy, d, c, k, s, c_hat, g, 1, 0, 0.0)
     return MAGIC + struct.pack("<IIB", 1, 1, 1) + header + struct.pack("<BBB", *flags) + body
 
 
@@ -399,6 +409,23 @@ def test_checkpoint_hostile_records_rejected(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(CheckpointError, match="offset"):
         load_checkpoint(path)
+
+
+def test_checkpoint_derived_mask_bomb_rejected_without_allocating(tmp_path):
+    # one channel record, d=1 c=4096 c_hat=1 g=1 k=1: 16 KiB of filters behind
+    # 4096 derived windows of 4096 bits, built one byte per bit
+    data = conv_checkpoint(variant=2, d=1, c=4096, c_hat=1, g=1, flags=(0, 0, 0), body=f32_bytes(4096))
+    assert len(data) == 16438
+    path = tmp_path / "bomb.ckpt"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="channel masks of 16777216 bits .* offset"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_identical_seeds_produce_identical_checkpoints(tmp_path):

@@ -1,36 +1,33 @@
 """Learnable binary masks: straight-through training and the regularizer.
 
-Masks are bits derived from a real latent matrix by thresholding at zero.
-The task gradient reaches the latent unchanged (straight-through), the
-latent is reset to the bits and clipped to [0, 1] every step, and an
-orthogonality penalty pushes each primary filter's masks apart.  The
-update rule is asymmetric by construction: a set bit clears only when
-lr * grad >= 1 in one step, while a cleared bit sets on any negative
-gradient.  Flip rates are therefore worth watching during training.
+The mask bits are the whole mask state.  A fresh learnable layer starts
+with every bit on; each step moves the bits against the mask gradient,
+which reaches them unchanged (straight-through), and thresholds at zero:
+M <- (M - lr * grad) > 0.  An orthogonality penalty pushes each primary
+filter's masks apart.  The update rule is asymmetric by construction: a
+set bit clears only when lr * grad >= 1 in one step, while a cleared bit
+sets on any negative gradient.  Flip rates are therefore worth watching
+during training.
 """
 
 import numpy as np
 
 from maskconv.experiments import diversity_comparison, diversity_trial
-from maskconv.masks import (
-    agent_update,
-    gram_offdiagonal,
-    init_learnable,
-    ortho_grad,
-    ortho_loss,
-    sign_binarize,
-)
+from maskconv.layers import LayerSpec
+from maskconv.masks import agent_update, gram_offdiagonal, ortho_grad, ortho_loss
+from maskconv.network import MaskedConv
 
 print("=== the straight-through update rule ===")
-latent, masks = init_learnable(k=1, s=2, d=3, c=1, strategy="shared", seed=0)
-print(f"uniform [0,1] latent init: every initial bit is on -> density {masks.dense().mean():.0%}")
+conv = MaskedConv(LayerSpec("learnable", d=3, c=1, k=1, s=2, strategy="shared"), seed=0)
+masks = conv.masks
+print(f"a fresh learnable layer: every initial bit is on -> density {masks.dense().mean():.0%}")
 grad = np.zeros((9, 2))
 grad[0, 0] = 12.0   # lr * grad >= 1 clears the bit
 grad[1, 0] = 0.5    # below the threshold: bit survives
-new_latent = agent_update(latent, masks, grad, lr=0.1)
-new_masks = sign_binarize(new_latent, masks.kind, 3, 1, 2)
+new_masks = agent_update(masks, grad, lr=0.1)
 print(f"after one step at lr=0.1 with grads (12.0, 0.5, 0...): bits ->"
-      f" {new_masks.dense()[:2, 0].astype(int)} (only the >=1/lr entry flips)")
+      f" {new_masks.dense()[:2, 0].astype(int)} (only the >=1/lr entry flips),"
+      f" {new_masks.flip_count(masks)} flip")
 
 print("\n=== the orthogonality penalty ===")
 dense_pair = np.ones((9, 2))

@@ -31,7 +31,6 @@ from maskconv.masks import (
     MaskSet,
     agent_update,
     channel_windows,
-    init_learnable,
     ortho_grad,
     ortho_loss,
     random_masks,
@@ -56,7 +55,6 @@ __all__ = [
     "conv_output_size",
     "conv_reference",
     "im2col",
-    "init_learnable",
     "matmul_conv",
     "measure_vs_predict",
     "naive_sum_forward",

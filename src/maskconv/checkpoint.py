@@ -5,11 +5,12 @@ Layout (all little-endian):
     magic b"MKCV" | u32 version | u32 layer count | layer records...
 
 Layer records start with a u8 tag (1 conv, 2 relu, 3 avgpool, 4 flatten,
-5 dense).  Conv records carry the layer spec, primary filters as float32,
-biases, bit-packed masks, and optionally the real latent behind learnable
-masks.  Dense records carry the weight matrix and bias vector.  Loading a
-saved model reproduces its forward outputs bit-exactly at 32-bit, and a
-second save of the loaded model is byte-identical.
+5 dense).  A conv record is the layer spec, the primary filters as
+float32, the biases iff the variant has them, then the shape and words
+of the bit-packed masks iff the layer is learnable, whose training state
+they are.  Dense records carry the weight matrix and bias vector.
+Loading a saved model reproduces its forward outputs bit-exactly at
+32-bit, and a second save of the loaded model is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from maskconv.masks import MaskError, MaskSet
 from maskconv.network import AvgPool2, Dense, Flatten, MaskedConv, Network, ReLU
 
 MAGIC = b"MKCV"
-VERSION = 1
+VERSION = 2
 
 _VARIANT_CODE = {"standard": 0, "spatial": 1, "channel": 2, "learnable": 3}
 _STRATEGY_CODE = {None: 0, "shared": 1, "separate": 2, "random-fixed": 3}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 _STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
+# variant, strategy, d, c, k, s, c_hat, g, stride, padding, lam
+_HEADER = struct.Struct("<BB8If")
 
 
 # A conv record's derived spatial or channel masks may take at most this many
@@ -49,38 +52,21 @@ def _f32(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f4").tobytes()
 
 
+def _header(spec: LayerSpec) -> bytes:
+    """The conv record header of ``spec``; unset fields are written as 0."""
+    codes = (_VARIANT_CODE[spec.variant], _STRATEGY_CODE[spec.strategy])
+    geometry = (spec.d, spec.c, spec.k, spec.s, spec.c_hat or 0, spec.g or 0, spec.stride, spec.padding)
+    return _HEADER.pack(*codes, *geometry, spec.lam)
+
+
 def _conv_record(layer: MaskedConv) -> bytes:
     spec = layer.spec
-    parts = [
-        struct.pack(
-            "<BB8If",
-            _VARIANT_CODE[spec.variant],
-            _STRATEGY_CODE[spec.strategy],
-            spec.d,
-            spec.c,
-            spec.k,
-            spec.s,
-            spec.c_hat or 0,
-            spec.g or 0,
-            spec.stride,
-            spec.padding,
-            spec.lam,
-        ),
-        struct.pack(
-            "<BBB",
-            layer.biases is not None,
-            layer.masks is not None and spec.variant == "learnable",
-            layer.latent is not None,
-        ),
-        _f32(layer.filters),
-    ]
-    if layer.biases is not None:
+    parts = [_header(spec), _f32(layer.filters)]
+    if spec.has_biases:
         parts.append(_f32(layer.biases))
-    if layer.masks is not None and spec.variant == "learnable":
+    if spec.variant == "learnable":
         parts.append(struct.pack("<II", *layer.masks.words.shape))
         parts.append(np.ascontiguousarray(layer.masks.words, dtype="<u4").tobytes())
-    if layer.latent is not None:
-        parts.append(_f32(layer.latent))
     return b"".join(parts)
 
 
@@ -133,47 +119,44 @@ class _Reader:
 def _read_conv(r: _Reader) -> MaskedConv:
     """Read one conv record; every array is read before a layer is built.
 
-    Spatial and channel masks are not stored but derived from the spec;
+    The header must be the one the writer gives the spec it describes, so
+    no field the variant ignores is carried along and a re-saved model is
+    byte-identical.  Spatial and channel masks are derived from the spec;
     a record whose derived mask bits would outweigh
     :data:`MASK_BYTES_PER_RECORD_BYTE` times its own bytes is rejected
     before they are built.
     """
     start = r.offset
-    variant_code, strategy_code, d, c, k, s, c_hat, g, stride, padding, lam = r.unpack("<BB8If")
-    variant = _VARIANT_NAME.get(variant_code)
-    strategy = _STRATEGY_NAME.get(strategy_code)
-    if variant is None:
-        raise CheckpointError(f"unknown variant code {variant_code} at offset {r.offset}")
+    header = r.take(_HEADER.size)
+    variant_code, strategy_code, d, c, k, s, c_hat, g, stride, padding, lam = _HEADER.unpack(header)
+    # an unknown variant code reaches LayerSpec as itself, which rejects it by name
+    variant = _VARIANT_NAME.get(variant_code, variant_code)
     spec = LayerSpec(
         variant,
         d=d,
         c=c,
         k=k,
-        strategy=strategy,
-        s=s if variant == "learnable" else None,
-        c_hat=c_hat if variant == "channel" else None,
-        g=g if variant == "channel" else None,
+        strategy=_STRATEGY_NAME.get(strategy_code),
+        s=s,
+        c_hat=c_hat or None,
+        g=g or None,
         stride=stride,
         padding=padding,
-        lam=float(lam),
+        lam=lam,
     )
-    flags = r.unpack("<BBB")
-    has_biases, has_masks, has_latent = flags
-    if (has_biases, has_masks) != (spec.has_biases, variant == "learnable") or has_latent > has_masks:
-        raise CheckpointError(f"flags {flags} do not fit a {variant} layer at offset {r.offset}")
+    if _header(spec) != header:
+        raise CheckpointError(f"conv header at offset {start} does not re-encode to its own bytes")
     filters = r.f32((k, d, d, c))
-    biases = r.f32((spec.n_secondary,)) if has_biases else None
-    masks = latent = None
-    if has_masks:
+    biases = r.f32((spec.n_secondary,)) if spec.has_biases else None
+    masks = None
+    if variant == "learnable":
         n_masks, n_words = r.unpack("<II")
         if n_words != (d * d * c + 31) // 32:
             raise CheckpointError(f"{n_words} mask words do not fit d={d} c={c} at offset {r.offset}")
         words = np.frombuffer(r.take(4 * n_masks * n_words), dtype="<u4")
         words = words.reshape(n_masks, n_words).astype(np.uint32)
         masks = MaskSet(spec.mask_kind, words, d, c, s, spec.mask_groups)
-        if has_latent:
-            latent = r.f32((d * d * c, n_masks)).astype(np.float64)
-    elif spec.variant != "standard":
+    elif variant != "standard":
         # built as one uint8 per bit (s, d*d*c) before packing
         mask_bytes = spec.s * d * d * c
         if mask_bytes > MASK_BYTES_PER_RECORD_BYTE * (r.offset - start):
@@ -182,7 +165,7 @@ def _read_conv(r: _Reader) -> MaskedConv:
                 f" at offset {start}"
             )
         masks = spec.structural_masks()
-    return MaskedConv.from_arrays(spec, filters, biases, masks, latent)
+    return MaskedConv.from_arrays(spec, filters, biases, masks)
 
 
 def load_checkpoint(path: str | Path) -> Network:

@@ -8,9 +8,9 @@ stages so late training reaches the regime where tiny task gradients
 compete with the regularizer.  Without the regularizer, cleared mask bits
 resurrect on any negative gradient jitter and the masks drift dense and
 correlated; with it, the resurrection is suppressed and the masks stay
-decorrelated.  Latents start at random bits so both flip directions are
-live from the start (the canonical uniform init starts all-ones, where a
-set bit only clears when ``lr * grad >= 1``).
+decorrelated.  Masks start at random bits so both flip directions are
+live from the start (a fresh layer starts all ones, where a set bit only
+clears when ``lr * grad >= 1``).
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ def _masked_toy_model(seed: int, bit_seed: int) -> Network:
     spec = LayerSpec("learnable", d=3, c=1, k=2, s=2, strategy="separate")
     model = Network([MaskedConv(spec, seed, np.float64), Flatten()])
     conv = model.conv_layers()[0]
-    bits = np.random.default_rng(bit_seed).integers(0, 2, size=(9, 4)).astype(np.float64)
+    bits = np.random.default_rng(bit_seed).integers(0, 2, size=(9, 4))
     conv.masks = from_dense(bits, "learned-separate", 3, 1, 2, k=2)
-    conv.latent = bits.copy()
     return model
 
 

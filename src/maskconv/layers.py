@@ -45,7 +45,11 @@ STRATEGIES = ("shared", "separate", "random-fixed")
 
 @dataclass
 class LayerSpec:
-    """Configuration of one masked convolution layer."""
+    """Configuration of one masked convolution layer.
+
+    Fields the variant does not read stay unset; an ``s`` the variant
+    fixes is either unset or that value.
+    """
 
     variant: str
     d: int
@@ -65,8 +69,12 @@ class LayerSpec:
             raise ShapeError(f"unknown variant {self.variant!r}")
         if min(self.d, self.c, self.k) < 1 or self.stride < 1 or self.padding < 0:
             raise ShapeError(f"invalid layer geometry in {self}")
-        if self.lam < 0:
-            raise ShapeError("orthogonality weight must be >= 0")
+        if not self.lam >= 0:
+            raise ShapeError(f"orthogonality weight must be >= 0, got {self.lam}")
+        if self.strategy is not None and self.variant != "learnable":
+            raise ShapeError(f"{self.variant} layers take no strategy, got {self.strategy!r}")
+        if (self.c_hat, self.g) != (None, None) and self.variant != "channel":
+            raise ShapeError(f"{self.variant} layers take no c_hat or g")
         if self.variant == "standard":
             if self.s not in (None, 1):
                 raise ShapeError("standard layers have s = 1")
@@ -83,7 +91,10 @@ class LayerSpec:
                 raise ShapeError(
                     f"invalid channel window: c={self.c} c_hat={self.c_hat} g={self.g}"
                 )
-            self.s = (self.c - self.c_hat) // self.g + 1
+            windows = (self.c - self.c_hat) // self.g + 1
+            if self.s not in (None, windows):
+                raise ShapeError(f"channel s must be (c - c_hat)/g + 1 = {windows}, got {self.s}")
+            self.s = windows
         else:  # learnable
             if self.strategy not in STRATEGIES:
                 raise ShapeError(f"learnable variant needs a strategy, got {self.strategy!r}")

@@ -6,8 +6,8 @@ A mask is a bit vector of length ``d*d*c`` in the canonical vec order of
 
 * ``spatial``          nested centered squares, ``s = ceil(d/2)`` scales;
 * ``channel-window``   a ``c_hat``-channel window slid with stride ``g``;
-* ``learned-*``        bits behind a real latent matrix, trained with a
-                       straight-through estimator;
+* ``learned-*``        bits trained with a straight-through estimator
+                       (:func:`agent_update`), starting all ones;
 * ``random-fixed``     fair-coin bits, frozen.
 
 Shared-style kinds hold one group of ``s`` masks applied to every primary
@@ -161,35 +161,13 @@ def random_masks(k: int, s: int, d: int, c: int, seed: int) -> MaskSet:
     return MaskSet("random-fixed", pack_bits(bits), d, c, s, k)
 
 
-def sign_binarize(latent: np.ndarray, kind: str, d: int, c: int, s: int, k: int = 1) -> MaskSet:
-    """Threshold the latent matrix: bit = 1 iff the entry is > 0.
+def sign_binarize(values: np.ndarray, kind: str, d: int, c: int, s: int, k: int = 1) -> MaskSet:
+    """Threshold a real ``(d*d*c, n_masks)`` matrix: bit = 1 iff the entry is > 0.
 
-    Exactly zero binarizes to 0, so a latent pinned at the lower clip
-    bound yields an off bit.
+    Exactly zero and NaN binarize to 0.
     """
-    bits = (np.asarray(latent) > 0).astype(np.uint8).T
+    bits = (np.asarray(values) > 0).astype(np.uint8).T
     return MaskSet(kind, pack_bits(bits), d, c, s, k)
-
-
-def init_learnable(
-    k: int, s: int, d: int, c: int, strategy: str, seed: int
-) -> tuple[np.ndarray, MaskSet]:
-    """Fresh latent matrix and its binarization.
-
-    Latent entries are i.i.d. uniform on [0, 1] so the initial state is a
-    fixed point of the clip; note every initial bit is therefore 1 (the
-    threshold sits at zero), and diversity appears only once training
-    flips bits.  ``strategy`` is ``"shared"`` (s masks total) or
-    ``"separate"`` (s masks per primary filter).
-    """
-    if k < 1 or s < 1:
-        raise MaskError(f"k and s must be >= 1, got k={k} s={s}")
-    if strategy not in ("shared", "separate"):
-        raise MaskError(f"unknown strategy {strategy!r}")
-    kind = STRATEGY_KINDS[strategy]
-    groups = k if kind in SEPARATE_KINDS else 1
-    latent = np.random.default_rng(seed).random((d * d * c, groups * s))
-    return latent, sign_binarize(latent, kind, d, c, s, groups)
 
 
 def _gram_blocks(masks: MaskSet | np.ndarray):
@@ -252,25 +230,23 @@ def gram_offdiagonal(masks: MaskSet | np.ndarray) -> float:
     return total / count if count else 0.0
 
 
-def agent_update(
-    latent: np.ndarray, masks: MaskSet, grad_m: np.ndarray, lr: float
-) -> np.ndarray:
-    """Straight-through update of the latent behind the binary masks.
+def agent_update(masks: MaskSet, grad_m: np.ndarray, lr: float) -> MaskSet:
+    """Straight-through step of binary masks; returns the next masks.
 
-    The latent is first reset to the current bits, then stepped against
-    the mask gradient (passed through unchanged) and clipped to [0, 1]::
+    The mask gradient passes through the threshold unchanged, so each bit
+    steps from its current value against it::
 
-        H <- clip(M - lr * grad_m, 0, 1)
+        M <- (M - lr * grad_m) > 0
 
-    Consequences asserted in tests: a set bit flips off only when
-    ``lr * grad >= 1`` in a single step, while a cleared bit flips on for
-    any negative gradient.
+    which is the reset-and-clip rule ``clip(M - lr * grad_m, 0, 1) > 0``
+    entry for entry.  Consequences asserted in tests: a set bit flips off
+    only when ``lr * grad >= 1`` in a single step, while a cleared bit
+    flips on for any negative gradient.
     """
     m = masks.dense(np.float64)
     if grad_m.shape != m.shape:
         raise MaskError(f"grad shape {grad_m.shape} != mask shape {m.shape}")
-    del latent  # replaced wholesale by the reset-and-step rule
-    return np.clip(m - lr * grad_m, 0.0, 1.0)
+    return sign_binarize(m - lr * grad_m, masks.kind, masks.d, masks.c, masks.s, masks.k)
 
 
 def write_mask_records(masks: MaskSet, fileobj) -> None:

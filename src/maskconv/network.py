@@ -31,29 +31,30 @@ from maskconv.layers import (
 from maskconv.masks import (
     MaskSet,
     agent_update,
-    init_learnable,
+    from_dense,
     ortho_grad,
     ortho_loss,
     random_masks,
-    sign_binarize,
 )
 
 
 class MaskedConv:
-    """Convolution layer deriving its outputs from masked primary filters."""
+    """Convolution layer deriving its outputs from masked primary filters.
+
+    Learned masks start all ones; :meth:`update_masks` replaces their bits.
+    """
 
     def __init__(self, spec: LayerSpec, seed: int, dtype=np.float32):
         # He initialization: scale sqrt(2 / fan_in), zero biases
         bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), dtype)
-        latent = None
-        if spec.variant == "learnable":
-            if spec.strategy == "random-fixed":
-                masks = random_masks(spec.k, spec.s, spec.d, spec.c, seed)
-            else:
-                latent, masks = init_learnable(spec.k, spec.s, spec.d, spec.c, spec.strategy, seed)
+        if spec.strategy == "random-fixed":
+            masks = random_masks(spec.k, spec.s, spec.d, spec.c, seed)
+        elif spec.variant == "learnable":
+            ones = np.ones((spec.d * spec.d * spec.c, spec.mask_groups * spec.s))
+            masks = from_dense(ones, spec.mask_kind, spec.d, spec.c, spec.s, spec.mask_groups)
         else:
             masks = spec.structural_masks()
-        self._hold(spec, bank.filters, bank.biases, masks, latent)
+        self._hold(spec, bank.filters, bank.biases, masks)
 
     @classmethod
     def from_arrays(
@@ -62,19 +63,17 @@ class MaskedConv:
         filters: np.ndarray,
         biases: np.ndarray | None,
         masks: MaskSet | None,
-        latent: np.ndarray | None = None,
     ) -> "MaskedConv":
         """The layer holding these parameters, with no random initialization."""
         layer = cls.__new__(cls)
-        layer._hold(spec, filters, biases, masks, latent)
+        layer._hold(spec, filters, biases, masks)
         return layer
 
-    def _hold(self, spec, filters, biases, masks, latent) -> None:
+    def _hold(self, spec, filters, biases, masks) -> None:
         self.spec = spec
         self.dtype = filters.dtype
         self.filters, self.biases = filters, biases
         self.masks: MaskSet | None = masks
-        self.latent: np.ndarray | None = latent
         self._patches = None
         self.grad_filters = None
         self.grad_biases = None
@@ -82,19 +81,10 @@ class MaskedConv:
 
     @property
     def trainable_masks(self) -> bool:
-        return self.latent is not None
+        return self.spec.strategy in ("shared", "separate")
 
     def bank(self) -> FilterBank:
         return FilterBank(self.filters, self.biases)
-
-    def binarize(self) -> tuple[int, int]:
-        """Refresh masks from the latent; returns (flipped bits, total bits)."""
-        if not self.trainable_masks:
-            return 0, 0
-        ms = self.masks
-        new = sign_binarize(self.latent, ms.kind, ms.d, ms.c, ms.s, ms.k)
-        self.masks = new
-        return new.flip_count(ms), ms.n_masks * ms.bits_per_mask
 
     def forward(self, xb: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -127,11 +117,13 @@ class MaskedConv:
     def ortho_loss(self) -> float:
         return ortho_loss(self.masks) if self.trainable_masks else 0.0
 
-    def update_masks(self, lr: float, lam: float) -> None:
+    def update_masks(self, lr: float, lam: float) -> tuple[int, int]:
+        """Straight-through step of trainable masks; returns (flipped bits, total bits)."""
         if not self.trainable_masks:
-            return
+            return 0, 0
         grad = self.grad_masks + lam * ortho_grad(self.masks)
-        self.latent = agent_update(self.latent, self.masks, grad, lr)
+        old, self.masks = self.masks, agent_update(self.masks, grad, lr)
+        return self.masks.flip_count(old), old.n_masks * old.bits_per_mask
 
     def sgd(self, lr: float) -> None:
         self.filters = self.filters - (lr * self.grad_filters).astype(self.dtype)
@@ -231,15 +223,6 @@ class Network:
     def conv_layers(self) -> list[MaskedConv]:
         return [l for l in self.layers if isinstance(l, MaskedConv)]
 
-    def binarize_masks(self) -> float:
-        """Refresh all learnable masks; returns the overall bit flip rate."""
-        flipped = total = 0
-        for layer in self.conv_layers():
-            f, t = layer.binarize()
-            flipped += f
-            total += t
-        return flipped / total if total else 0.0
-
     def forward(self, xb: np.ndarray) -> np.ndarray:
         out = xb
         for layer in self.layers:
@@ -265,9 +248,14 @@ class Network:
             if hasattr(layer, "sgd"):
                 layer.sgd(lr)
 
-    def update_masks(self, lr: float, lam: float) -> None:
+    def update_masks(self, lr: float, lam: float) -> float:
+        """Step all trainable masks; returns the fraction of their bits that flipped."""
+        flipped = total = 0
         for layer in self.conv_layers():
-            layer.update_masks(lr, lam)
+            f, t = layer.update_masks(lr, lam)
+            flipped += f
+            total += t
+        return flipped / total if total else 0.0
 
     def ortho_loss(self) -> float:
         return sum(layer.ortho_loss() for layer in self.conv_layers())

@@ -1,10 +1,11 @@
 """End-to-end optimization: loss assembly, SGD, straight-through masks.
 
-One training step runs, in order: binarize the mask latents, forward,
-task gradient, per-layer backward, mask gradient plus the weighted
-orthogonality gradient, straight-through latent update, then plain SGD on
+One training step runs, in order: forward, task gradient, per-layer
+backward, mask gradient plus the weighted orthogonality gradient, the
+straight-through step that writes the next mask bits, then plain SGD on
 filters, biases and head weights.  Plain SGD (no momentum, no decay) is
-the reference optimizer; loss reductions are mean-over-batch.
+the reference optimizer; loss reductions are mean-over-batch.  A step's
+``flip_rate`` is the fraction of mask bits its own update changed.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def task_loss_and_grad(logits, targets, loss: str):
 def train_step(batch, model: Network, config: TrainConfig):
     """One optimization step; returns (total loss, metrics dict)."""
     xb, yb = batch
-    flip_rate = model.binarize_masks()
     logits = model.forward(xb)
     task, grad_logits = task_loss_and_grad(logits, yb, config.loss)
     ortho = model.ortho_loss()
@@ -86,7 +86,7 @@ def train_step(batch, model: Network, config: TrainConfig):
             f"logit range [{logits.min()}, {logits.max()}]"
         )
     model.backward(grad_logits)
-    model.update_masks(config.lr, config.lam)
+    flip_rate = model.update_masks(config.lr, config.lam)
     model.sgd(config.lr)
     metrics = {
         "loss": loss,

@@ -4,13 +4,15 @@ Most of this is written with plain Python loops, deliberately avoiding
 the library's im2col/reduction machinery so the two sides of each check
 stay independent.  The rest keeps earlier formulations of library code
 (``sliding_window_view`` patches, ``mean`` pooling, a channel-last
-``col2im``, per-filter and per-secondary loops) that the current code
+``col2im``, per-filter and per-secondary loops, the clipped-latent mask
+step) that the current code
 must match byte for byte.
 """
 
 import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
+from maskconv.masks import sign_binarize
 
 
 def conv_brute(x, f, stride=1, padding=0, bias=0.0):
@@ -159,6 +161,12 @@ def cached_adds_loop(masks, spec, n_positions):
             ones = v if masks is None else int(masks.dense()[:, masks.column_index(i, j)].sum())
             total += ones * n_positions
     return total
+
+
+def agent_update_clip(masks, grad_m, lr):
+    """The straight-through step as a clipped real latent: ``clip(M - lr*g, 0, 1) > 0``."""
+    latent = np.clip(masks.dense(np.float64) - lr * grad_m, 0.0, 1.0)
+    return sign_binarize(latent, masks.kind, masks.d, masks.c, masks.s, masks.k)
 
 
 def im2col_windows(x, d, stride=1, padding=0):

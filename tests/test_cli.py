@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maskconv.accounting import shipped_netspec_path
-from maskconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from maskconv.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from maskconv.cli import main
 from maskconv.config import ConfigError, RunConfig, load_config, parse_config_text
 from maskconv.datagen import write_dataset
@@ -278,11 +278,11 @@ def test_export_masks_roundtrip(tmp_path, dataset):
 
 
 def test_export_masks_hostile_checkpoint_exits_1(tmp_path):
-    # a 54-byte conv record declaring d = c = k = 60000
+    # a 51-byte conv record declaring d = c = k = 60000
     header = struct.pack("<BB8If", 0, 0, 60000, 60000, 60000, 1, 0, 0, 1, 0, 0.0)
     path = tmp_path / "hostile.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<IIB", 1, 1, 1) + header + bytes([1, 0, 0]))
-    assert len(path.read_bytes()) == 54
+    path.write_bytes(MAGIC + struct.pack("<IIB", VERSION, 1, 1) + header)
+    assert len(path.read_bytes()) == 51
     out = Capture()
     code = main(
         ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")],
@@ -294,9 +294,9 @@ def test_export_masks_hostile_checkpoint_exits_1(tmp_path):
 
 def test_export_masks_derived_mask_bomb_exits_1(tmp_path):
     # 16 KiB of filters for a d=1 c=4096 channel layer with 4096 windows
-    header = struct.pack("<BB8If", 2, 0, 1, 4096, 1, 1, 1, 1, 1, 0, 0.0)
+    header = struct.pack("<BB8If", 2, 0, 1, 4096, 1, 4096, 1, 1, 1, 0, 0.0)
     path = tmp_path / "bomb.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<IIB", 1, 1, 1) + header + bytes(3 + 4 * 4096))
+    path.write_bytes(MAGIC + struct.pack("<IIB", VERSION, 1, 1) + header + bytes(4 * 4096))
     out = Capture()
     code = main(
         ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")],
@@ -304,6 +304,17 @@ def test_export_masks_derived_mask_bomb_exits_1(tmp_path):
     )
     assert code == 1
     assert out.text.startswith("error:")
+
+
+def test_eval_version_1_checkpoint_exits_1(tmp_path, dataset):
+    # a version-1 standard conv record: header, flags (biases, masks, latent), filters, bias
+    header = struct.pack("<BB8If", 0, 0, 3, 1, 1, 1, 0, 0, 1, 0, 0.0)
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IIB", 1, 1, 1) + header + bytes([1, 0, 0]) + bytes(40))
+    out = Capture()
+    code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)], out=out)
+    assert code == 1
+    assert out.text.startswith("error:") and "version 1 unsupported" in out.text
 
 
 def test_usage_error_exit_code():

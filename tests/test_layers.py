@@ -156,6 +156,26 @@ def test_channel_spec_divisibility_errors():
         channel_spec(16, 20, 4)
 
 
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(variant="spatial", c=2, c_hat=1, g=4), "spatial layers take no c_hat or g"),
+        (dict(variant="standard", strategy="shared"), "standard layers take no strategy"),
+        (dict(variant="channel", c=4, c_hat=2, g=2, strategy="random-fixed"), "channel layers take no strategy"),
+        (dict(variant="channel", c=4, c_hat=2, g=2, s=3), "channel s must be"),
+        (dict(variant="learnable", strategy="shared", s=2, c_hat=1, g=1), "learnable layers take no c_hat"),
+        (dict(variant="standard", lam=float("nan")), "orthogonality weight must be >= 0"),
+    ],
+)
+def test_layer_spec_rejects_fields_its_variant_ignores(fields, message):
+    fields = {"d": 3, "c": 1, "k": 1, **fields}
+    with pytest.raises(ShapeError, match=message):
+        LayerSpec(**fields)
+    # a field given at the value the variant implies is accepted
+    assert LayerSpec("channel", d=3, c=4, k=1, c_hat=2, g=2, s=2).s == 2
+
+
 # --------------------------------------------------------- learnable path
 
 

@@ -11,7 +11,6 @@ from maskconv.masks import (
     agent_update,
     channel_windows,
     from_dense,
-    init_learnable,
     ortho_grad,
     ortho_loss,
     pack_bits,
@@ -23,7 +22,10 @@ from maskconv.masks import (
     write_mask_records,
 )
 
-from oracles import finite_difference, relative_error
+from maskconv.layers import LayerSpec
+from maskconv.network import MaskedConv
+
+from oracles import agent_update_clip, finite_difference, relative_error
 
 
 # ---------------------------------------------------------------- spatial
@@ -127,28 +129,32 @@ def test_channel_windows_errors():
 # ------------------------------------------------------------- learnable
 
 
-def test_init_learnable_deterministic():
-    h1, m1 = init_learnable(4, 3, 3, 2, "separate", seed=99)
-    h2, m2 = init_learnable(4, 3, 3, 2, "separate", seed=99)
-    assert np.array_equal(h1, h2)
-    assert np.array_equal(m1.words, m2.words)
-    h3, _ = init_learnable(4, 3, 3, 2, "separate", seed=100)
-    assert not np.array_equal(h1, h3)
+def learnable_layer(strategy, seed=0, k=4, s=3):
+    return MaskedConv(LayerSpec("learnable", d=3, c=2, k=k, s=s, strategy=strategy), seed)
 
 
-def test_init_learnable_column_counts():
-    _, shared = init_learnable(4, 3, 3, 2, "shared", seed=0)
+def test_random_fixed_masks_keep_their_draw():
+    layer = learnable_layer("random-fixed", seed=99)
+    assert not layer.trainable_masks
+    assert np.array_equal(layer.masks.words, random_masks(4, 3, 3, 2, seed=99).words)
+    assert not np.array_equal(layer.masks.words, learnable_layer("random-fixed", seed=100).masks.words)
+
+
+def test_learned_masks_column_counts():
+    shared = learnable_layer("shared").masks
     assert shared.n_masks == 3 and shared.kind == "learned-shared"
-    _, separate = init_learnable(4, 3, 3, 2, "separate", seed=0)
+    separate = learnable_layer("separate").masks
     assert separate.n_masks == 12 and separate.kind == "learned-separate"
 
 
-def test_init_learnable_latent_range_and_density():
-    h, m = init_learnable(2, 2, 3, 2, "shared", seed=5)
-    assert h.shape == (18, 2)
-    assert np.all((h >= 0) & (h <= 1))
-    # uniform [0,1] entries are positive with probability 1: all bits on
-    assert np.all(m.dense() == 1)
+def test_learned_masks_start_all_ones():
+    for strategy in ("shared", "separate"):
+        layer = learnable_layer(strategy, seed=5, k=2, s=2)
+        assert layer.trainable_masks
+        assert np.all(layer.masks.dense() == 1)
+        # no draw decides the bits: every seed starts from the same masks
+        other = learnable_layer(strategy, seed=6, k=2, s=2)
+        assert np.array_equal(layer.masks.words, other.masks.words)
 
 
 def test_sign_binarize_thresholds():
@@ -233,42 +239,59 @@ def test_ortho_grad_matches_fd_on_separate_blocks():
 # ---------------------------------------------------------- agent update
 
 
+def random_learned(kind, s, k=1, d=3, c=1, seed=0):
+    bits = np.random.default_rng(seed).integers(0, 2, size=(d * d * c, s * k))
+    return from_dense(bits, kind, d, c, s, k)
+
+
 def test_agent_update_zero_grad_resets_to_mask():
-    _, ms = init_learnable(1, 2, 3, 1, "shared", seed=0)
-    h = agent_update(np.full((9, 2), 0.4), ms, np.zeros((9, 2)), lr=0.1)
-    assert np.array_equal(h, ms.dense())
+    ms = random_learned("learned-shared", s=2)
+    assert np.array_equal(agent_update(ms, np.zeros((9, 2)), lr=0.1).words, ms.words)
 
 
 def test_agent_update_large_grad_flips_on_bit():
     ms = from_dense(np.ones((9, 1)), "learned-shared", 3, 1, 1)
     grad = np.zeros((9, 1))
-    grad[0, 0] = 20.0  # lr * grad = 2 -> clip(1 - 2) = 0
-    h = agent_update(np.ones((9, 1)), ms, grad, lr=0.1)
-    assert h[0, 0] == 0.0
-    flipped = sign_binarize(h, "learned-shared", 3, 1, 1)
-    assert flipped.dense()[0, 0] == 0
+    grad[0, 0] = 20.0  # lr * grad = 2 -> 1 - 2 < 0
+    flipped = agent_update(ms, grad, lr=0.1)
+    assert np.array_equal(flipped.dense()[:, 0], [0] + [1] * 8)
+    assert flipped.flip_count(ms) == 1
 
 
 def test_agent_update_negative_grad_flips_off_bit():
     ms = from_dense(np.zeros((9, 1)), "learned-shared", 3, 1, 1)
     grad = np.full((9, 1), -0.5)
-    h = agent_update(np.zeros((9, 1)), ms, grad, lr=0.1)
-    assert np.all(h > 0)
-    assert np.all(sign_binarize(h, "learned-shared", 3, 1, 1).dense() == 1)
+    assert np.all(agent_update(ms, grad, lr=0.1).dense() == 1)
 
 
 def test_agent_update_clips_to_unit_interval():
-    _, ms = init_learnable(1, 1, 3, 1, "shared", seed=2)
-    grad = np.linspace(-30, 30, 9)[:, None]
-    h = agent_update(np.zeros((9, 1)), ms, grad, lr=0.1)
-    assert np.all((h >= 0) & (h <= 1))
+    """The bits are those of the latent ``clip(M - lr*g, 0, 1)``, thresholded at 0,
+    at the edges too: exact zeros, subnormals, exactly ``1/lr`` and infinities."""
+    rng = np.random.default_rng(4)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for lr in (0.1, 0.5, 2.0, 0.15):
+        ms = random_learned("learned-separate", s=3, k=4, d=3, c=2, seed=int(10 * lr))
+        edges = np.array([0.0, -0.0, tiny, -tiny, 1 / lr, -1 / lr, np.inf, -np.inf])
+        grad = np.where(
+            rng.random(ms.dense().shape) < 0.5,
+            rng.choice(edges, size=ms.dense().shape),
+            rng.normal(scale=2 / lr, size=ms.dense().shape),
+        )
+        got = agent_update(ms, grad, lr)
+        assert got.words.tobytes() == agent_update_clip(ms, grad, lr).words.tobytes()
+        assert (got.kind, got.d, got.c, got.s, got.k) == (ms.kind, ms.d, ms.c, ms.s, ms.k)
 
 
 def test_agent_update_then_binarize_idempotent_without_grad():
-    _, ms = init_learnable(2, 2, 3, 2, "separate", seed=7)
-    h = agent_update(np.zeros((18, 4)), ms, np.zeros((18, 4)), lr=0.5)
-    again = sign_binarize(h, ms.kind, ms.d, ms.c, ms.s, ms.k)
-    assert np.array_equal(again.words, ms.words)
+    ms = random_learned("learned-separate", s=2, k=2, d=3, c=2, seed=7)
+    new = agent_update(ms, np.zeros((18, 4)), lr=0.5)
+    again = sign_binarize(new.dense(), ms.kind, ms.d, ms.c, ms.s, ms.k)
+    assert np.array_equal(new.words, ms.words) and np.array_equal(again.words, ms.words)
+
+
+def test_agent_update_rejects_a_grad_of_another_shape():
+    with pytest.raises(MaskError, match="grad shape"):
+        agent_update(random_learned("learned-shared", s=2), np.zeros((9, 3)), lr=0.1)
 
 
 # ------------------------------------------------------------ bit packing

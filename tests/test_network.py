@@ -19,7 +19,7 @@ from maskconv.layers import (
     secondary_matrix,
 )
 from maskconv.masks import from_dense
-from maskconv.network import MaskedConv, build_small_cnn
+from maskconv.network import MaskedConv, Network, build_small_cnn
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -271,14 +271,27 @@ def test_masked_conv_rejects_input_that_is_not_a_4d_batch(shape):
         conv.forward(np.zeros(shape))
 
 
-def test_binarize_returns_the_exact_count_of_flipped_bits():
+def test_update_masks_returns_the_exact_count_of_flipped_bits():
     spec = LayerSpec("learnable", d=3, c=2, k=2, strategy="separate", s=2)
     conv = MaskedConv(spec, seed=0)
+    net = Network([conv])
     total = 4 * 18  # k*s masks of d*d*c bits
-    assert conv.binarize() == (0, total)  # fresh latent: every bit already on
-    conv.latent[[0, 5, 17], [0, 1, 3]] = -0.25  # three on-bits turn off
-    conv.latent[7, 2] = 0.0  # an exact zero binarizes to an off bit
-    assert conv.binarize() == (4, total)
-    conv.latent[5, 1] = 0.5  # one bit turns back on
-    assert conv.binarize() == (1, total)
-    assert conv.binarize() == (0, total)
+
+    def step(entries):
+        conv.grad_masks = np.zeros((18, 4))
+        for index, value in entries.items():
+            conv.grad_masks[index] = value
+        return conv.update_masks(lr=1.0, lam=0.0)
+
+    assert step({}) == (0, total)  # a fresh layer: every bit already on
+    # three on-bits step below zero, and one lands exactly on 0: an off bit
+    assert step({(0, 0): 1.25, (5, 1): 1.5, (17, 3): 2.0, (7, 2): 1.0}) == (4, total)
+    assert conv.masks.ones_counts().tolist() == [17, 17, 17, 17]
+    assert step({(5, 1): -0.5}) == (1, total)  # one bit turns back on
+    assert step({(0, 0): 0.0, (7, 2): 0.0}) == (0, total)  # off bits stay off
+    conv.grad_masks[0, 0] = -1.0
+    assert net.update_masks(lr=1.0, lam=0.0) == 1 / total
+    # random-fixed masks are frozen: no flips and no bits counted
+    frozen = MaskedConv(LayerSpec("learnable", d=3, c=2, k=2, strategy="random-fixed", s=2), seed=0)
+    before = frozen.masks
+    assert frozen.update_masks(lr=1.0, lam=0.0) == (0, 0) and frozen.masks is before

@@ -6,12 +6,13 @@ import pytest
 
 from maskconv.checkpoint import (
     MAGIC,
+    VERSION,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
 from maskconv.layers import LayerSpec
-from maskconv.masks import from_dense, ortho_loss, sign_binarize
+from maskconv.masks import agent_update, from_dense, ortho_loss
 from maskconv.network import (
     Dense,
     Flatten,
@@ -122,8 +123,9 @@ def test_train_step_adds_ortho_term_per_layer():
     loss, metrics = train_step((images, labels), model, TrainConfig(lr=0.1, lam=0.1))
     convs = model.conv_layers()
     assert len(convs) == 2 and all(layer.trainable_masks for layer in convs)
-    # the step binarizes first, so the layers' masks are the ones it scored:
-    # two layers of all-ones s=2 masks contribute 1.0 each
+    # two layers of all-ones s=2 masks contribute 1.0 each; no set bit clears
+    # at lr 0.1, so the layers still hold the masks the step scored
+    assert metrics["flip_rate"] == 0.0
     assert metrics["ortho_loss"] == sum(ortho_loss(layer.masks) for layer in convs) == 2.0
     assert loss == metrics["loss"] == metrics["task_loss"] + 0.1 * metrics["ortho_loss"]
 
@@ -211,8 +213,7 @@ def test_equivalence_frozen_all_ones_masks_match_standard_model():
     std = build_small_cnn(variant="standard", **kwargs)
     ver = build_small_cnn(variant="learnable", strategy="shared", s=1, **kwargs)
     for layer in ver.conv_layers():
-        assert np.all(layer.masks.dense() == 1)  # uniform init: all bits on
-        layer.latent = None  # freeze
+        assert np.all(layer.masks.dense() == 1)  # a fresh learnable layer: all bits on
     for layer_s, layer_v in zip(std.conv_layers(), ver.conv_layers()):
         assert np.array_equal(layer_s.filters, layer_v.filters)
     config = TrainConfig(lr=0.05, lam=0.0, epochs=4, batch=16, seed=0)
@@ -223,12 +224,12 @@ def test_equivalence_frozen_all_ones_masks_match_standard_model():
     assert losses_s == losses_v  # bitwise-identical trajectories
     for layer_s, layer_v in zip(std.conv_layers(), ver.conv_layers()):
         assert np.array_equal(layer_s.filters, layer_v.filters)
+        # trainable, but no set bit clears: that needs lr * grad >= 1
+        assert np.all(layer_v.masks.dense() == 1)
 
 
 def test_flip_monotonicity_of_literal_update_rule():
     # set bit: flips only when lr*grad >= 1; cleared bit: flips iff grad < 0
-    from maskconv.masks import agent_update
-
     dense = np.array([[1.0, 0.0]] * 9)
     ms = from_dense(dense, "learned-shared", 3, 1, 2)
     for lr, grad_val, expect_flip in [
@@ -239,14 +240,12 @@ def test_flip_monotonicity_of_literal_update_rule():
     ]:
         grad = np.zeros((9, 2))
         grad[:, 0] = grad_val
-        h = agent_update(None, ms, grad, lr)
-        bit = sign_binarize(h, "learned-shared", 3, 1, 2).dense()[0, 0]
+        bit = agent_update(ms, grad, lr).dense()[0, 0]
         assert (bit == 0) == expect_flip
     for grad_val, expect_on in [(-1e-9, True), (0.0, False), (0.5, False)]:
         grad = np.zeros((9, 2))
         grad[:, 1] = grad_val
-        h = agent_update(None, ms, grad, 0.1)
-        bit = sign_binarize(h, "learned-shared", 3, 1, 2).dense()[0, 1]
+        bit = agent_update(ms, grad, 0.1).dense()[0, 1]
         assert (bit == 1) == expect_on
 
 
@@ -367,12 +366,10 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def conv_checkpoint(
-    variant=0, strategy=0, d=3, c=1, k=1, s=1, flags=(1, 0, 0), body=b"", c_hat=0, g=0
-):
-    """A one-layer checkpoint: a conv record header, its flags, then ``body``."""
+def conv_checkpoint(variant=0, strategy=0, d=3, c=1, k=1, s=1, body=b"", c_hat=0, g=0, version=VERSION):
+    """A one-layer checkpoint: a conv record header, then ``body``."""
     header = struct.pack("<BB8If", variant, strategy, d, c, k, s, c_hat, g, 1, 0, 0.0)
-    return MAGIC + struct.pack("<IIB", 1, 1, 1) + header + struct.pack("<BBB", *flags) + body
+    return MAGIC + struct.pack("<IIB", version, 1, 1) + header + body
 
 
 def f32_bytes(count):
@@ -380,42 +377,71 @@ def f32_bytes(count):
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, message",
     [
-        # dims whose product overflows int64; 54 bytes in all
-        conv_checkpoint(d=60000, c=60000, k=60000),
-        # 8 GiB of filters declared, none present
-        conv_checkpoint(d=64, c=64, k=4096),
+        # a version-1 record: header, flags (biases, masks, latent), filters, bias
+        (
+            conv_checkpoint(version=1, body=bytes([1, 0, 0]) + f32_bytes(9 + 1)),
+            "checkpoint version 1 unsupported",
+        ),
+        # dims whose product overflows int64; 51 bytes in all
+        (conv_checkpoint(d=60000, c=60000, k=60000), "truncated checkpoint: wanted .* at offset 51"),
+        # 4 GiB of filters declared, none present
+        (conv_checkpoint(d=64, c=64, k=4096), "truncated checkpoint: wanted 4294967296 bytes at offset 51"),
         # learnable shared, s=2: three mask rows instead of two
-        conv_checkpoint(
-            variant=3, strategy=1, k=2, s=2, flags=(1, 1, 1),
-            body=f32_bytes(18 + 4) + struct.pack("<II", 3, 1) + bytes(12) + f32_bytes(27),
+        (
+            conv_checkpoint(
+                variant=3, strategy=1, k=2, s=2,
+                body=f32_bytes(18 + 4) + struct.pack("<II", 3, 1) + bytes(12),
+            ),
+            "offset 13: learned-shared mask set expects 2 masks, got 3",
         ),
         # two mask words for nine bits
-        conv_checkpoint(
-            variant=3, strategy=1, k=1, s=1, flags=(1, 1, 0),
-            body=f32_bytes(9 + 1) + struct.pack("<II", 1, 2) + bytes(8),
+        (
+            conv_checkpoint(
+                variant=3, strategy=1, k=1, s=1,
+                body=f32_bytes(9 + 1) + struct.pack("<II", 1, 2) + bytes(8),
+            ),
+            "2 mask words do not fit d=3 c=1 at offset",
         ),
-        # a learnable layer without masks
-        conv_checkpoint(variant=3, strategy=1, flags=(1, 0, 0), body=f32_bytes(9 + 1)),
         # a zero kernel size
-        conv_checkpoint(d=0),
+        (conv_checkpoint(d=0), "offset 13: invalid layer geometry"),
         # a dense layer with no inputs
-        MAGIC + struct.pack("<IIBII", 1, 1, 5, 0, 4) + f32_bytes(4),
+        (MAGIC + struct.pack("<IIBII", VERSION, 1, 5, 0, 4) + f32_bytes(4), "dense layer with no inputs at offset"),
+        # a spatial record carrying a random-fixed strategy, s, c_hat and g
+        (
+            conv_checkpoint(variant=1, strategy=3, s=99, c_hat=77, g=55, body=f32_bytes(9 + 2)),
+            "offset 13: spatial layers take no strategy",
+        ),
+        # a spatial record whose s is not ceil(d/2)
+        (conv_checkpoint(variant=1, s=99, body=f32_bytes(9 + 2)), "offset 13: spatial s must be ceil"),
+        # a standard record carrying a channel window
+        (conv_checkpoint(c_hat=1, g=1, body=f32_bytes(9 + 1)), "offset 13: standard layers take no c_hat or g"),
+        # a channel record whose s is not (c - c_hat)/g + 1 = 2
+        (
+            conv_checkpoint(variant=2, d=1, c=4, c_hat=2, g=2, s=3, body=f32_bytes(4)),
+            r"offset 13: channel s must be \(c - c_hat\)/g \+ 1 = 2, got 3",
+        ),
+        # a learnable record without a strategy
+        (conv_checkpoint(variant=3, s=1, body=f32_bytes(9 + 1)), "offset 13: learnable variant needs a strategy"),
+        # an unknown strategy code on a standard record
+        (conv_checkpoint(strategy=9, body=f32_bytes(9 + 1)), "conv header at offset 13 does not re-encode"),
+        # an unknown variant code
+        (conv_checkpoint(variant=7, body=f32_bytes(9 + 1)), "offset 13: unknown variant 7"),
     ],
 )
-def test_checkpoint_hostile_records_rejected(tmp_path, data):
+def test_checkpoint_hostile_records_rejected(tmp_path, data, message):
     path = tmp_path / "hostile.ckpt"
     path.write_bytes(data)
-    with pytest.raises(CheckpointError, match="offset"):
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 
 def test_checkpoint_derived_mask_bomb_rejected_without_allocating(tmp_path):
     # one channel record, d=1 c=4096 c_hat=1 g=1 k=1: 16 KiB of filters behind
     # 4096 derived windows of 4096 bits, built one byte per bit
-    data = conv_checkpoint(variant=2, d=1, c=4096, c_hat=1, g=1, flags=(0, 0, 0), body=f32_bytes(4096))
-    assert len(data) == 16438
+    data = conv_checkpoint(variant=2, d=1, c=4096, s=4096, c_hat=1, g=1, body=f32_bytes(4096))
+    assert len(data) == 16435
     path = tmp_path / "bomb.ckpt"
     path.write_bytes(data)
     tracemalloc.start()
@@ -441,6 +467,60 @@ def test_identical_seeds_produce_identical_checkpoints(tmp_path):
         save_checkpoint(model, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def random_bit_model(strategy, seed=0):
+    """small_model's stack with the given strategy and every mask bit a fair coin."""
+    model = build_small_cnn(
+        "learnable", strategy=strategy, s=2, conv1_maps=4, conv2_maps=8, hidden=16,
+        input_hw=12, seed=seed,
+    )
+    rng = np.random.default_rng(seed + 1)
+    for conv in model.conv_layers():
+        ms = conv.masks
+        bits = rng.integers(0, 2, size=(ms.bits_per_mask, ms.n_masks))
+        conv.masks = from_dense(bits, ms.kind, ms.d, ms.c, ms.s, ms.k)
+    return model
+
+
+@pytest.mark.parametrize("strategy", ["separate", "random-fixed"])
+def test_resumed_training_writes_the_uninterrupted_checkpoint(tmp_path, strategy):
+    images, labels = toy_two_class(48, seed=4)
+    images = np.pad(images, ((0, 0), (2, 2), (2, 2), (0, 0))).astype(np.float32)
+    configs = [TrainConfig(lr=2.0, lam=0.1, epochs=1, batch=8, seed=seed) for seed in (0, 1)]
+
+    whole = random_bit_model(strategy)
+    flips = []
+    for config in configs:
+        flips += [r["flip_rate"] for r in fit(whole, images, labels, config, steps=3).records]
+    save_checkpoint(whole, tmp_path / "whole.ckpt")
+
+    resumed = random_bit_model(strategy)
+    fit(resumed, images, labels, configs[0], steps=3)
+    save_checkpoint(resumed, tmp_path / "half.ckpt")
+    resumed = load_checkpoint(tmp_path / "half.ckpt")
+    fit(resumed, images, labels, configs[1], steps=3)
+    save_checkpoint(resumed, tmp_path / "resumed.ckpt")
+
+    assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+    # learned bits do flip at this rate; random-fixed bits never do
+    assert (max(flips) > 0) == (strategy == "separate")
+
+
+def test_flip_rate_is_the_fraction_of_bits_the_step_changed():
+    images, labels = toy_two_class(16, seed=6)
+    images = np.pad(images, ((0, 0), (2, 2), (2, 2), (0, 0))).astype(np.float32)
+    model = random_bit_model("separate", seed=2)
+    config = TrainConfig(lr=2.0, lam=0.1, batch=16)
+    total = sum(conv.masks.n_masks * conv.masks.bits_per_mask for conv in model.conv_layers())
+    rates = []
+    for _ in range(4):
+        before = [conv.masks for conv in model.conv_layers()]
+        _, metrics = train_step((images, labels), model, config)
+        flipped = sum(conv.masks.flip_count(old) for conv, old in zip(model.conv_layers(), before))
+        assert metrics["flip_rate"] == flipped / total
+        rates.append(metrics["flip_rate"])
+    assert rates[0] > 0  # the first step reports its own update, not a zero
 
 
 def test_evaluate_matches_manual_accuracy():

@@ -62,9 +62,12 @@ def _train_config(config: RunConfig) -> TrainConfig:
 
 def _run_one_training(config: RunConfig, out):
     data_root = Path(config.require("data.path"))
+    try:
+        model = _build_model(config, seed=config.get("train.seed"))
+        tc = _train_config(config)
+    except ValueError as exc:  # ShapeError included: values no model or schedule takes
+        raise ConfigError(str(exc)) from None
     images, labels = load_dataset_dir(data_root, "train")
-    model = _build_model(config, seed=config.get("train.seed"))
-    tc = _train_config(config)
 
     log_path = config.get("out.log")
     log_lines: list[str] = []

@@ -50,10 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# columns per einsum call in matmul_conv: a float32 block of a 5x5 conv1's
-# patch columns (25 x 1024) stays in L2 while all of its filters read it
-COLUMN_BLOCK = 1024
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes cannot be convolved."""
@@ -234,11 +230,7 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     from ``+0.0`` and takes its products one patch row after another, the
     order of :func:`column_sums`; a lone column is padded with a zero
     column as there, since einsum would otherwise sum it in SIMD lanes.
-    The contraction runs over blocks of :data:`COLUMN_BLOCK` columns (the
-    last takes the remainder, so no block is a lone column), which keeps
-    each block of patch columns in cache while every filter reads it and
-    leaves each output's sum as it was.  The result therefore matches
-    :func:`conv_reference` exactly.
+    The result therefore matches :func:`conv_reference` exactly.
     """
     cols = patches.cols
     if filters.shape[0] != cols.shape[0]:
@@ -249,9 +241,6 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     if n_cols == 1:
         cols = np.hstack([cols, np.zeros_like(cols)])
     f_rows = np.ascontiguousarray(filters.T)
-    width = cols.shape[1]
-    maps = np.empty((f_rows.shape[0], width), dtype=np.result_type(cols, f_rows))
-    edges = [0, *range(COLUMN_BLOCK, width - COLUMN_BLOCK + 1, COLUMN_BLOCK), width]
-    for start, stop in zip(edges, edges[1:]):
-        np.einsum("vl,nv->nl", cols[:, start:stop], f_rows, out=maps[:, start:stop])
+    maps = np.empty((f_rows.shape[0], cols.shape[1]), dtype=np.result_type(cols, f_rows))
+    np.einsum("vl,nv->nl", cols, f_rows, out=maps)
     return np.ascontiguousarray(maps[:, :n_cols]).T

@@ -17,9 +17,11 @@ masked-filter matrix and runs it through :func:`convref.matmul_conv`, a
 C ``einsum`` contraction that sums each output's products row by row from
 ``+0.0``, so each output channel equals ``conv_reference(x, mask *
 filter) + bias`` exactly.  The one backward, :func:`bank_backward`, runs
-its two contractions the same way.  Both use numpy's single-threaded C
-``einsum`` rather than BLAS, so their bits do not depend on the thread
-count; the backward can skip the input gradient of a first layer.
+its two contractions the same way and maps the per-secondary filter
+gradient onto primaries and masks without keeping it.  Both use numpy's
+single-threaded C ``einsum`` rather than BLAS, so their bits do not
+depend on the thread count; the backward can skip a first layer's input
+gradient.
 
 Activations keep the core's map-major memory order: the forward returns
 its ``(..., H', W', n)`` maps as a view of the contraction's ``(n, l)``
@@ -31,7 +33,7 @@ copy for callers outside a network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,48 +258,12 @@ def naive_sum_forward(
 
 @dataclass
 class BankGrads:
-    """Backward-pass results for one layer."""
+    """Backward-pass results for one layer, summed over the batch."""
 
     filters: np.ndarray
     biases: np.ndarray | None
     masks: np.ndarray | None  # real-relaxed, (d*d*c, n_mask_columns)
     x: np.ndarray | None  # None when the input gradient was not asked for
-    secondary: np.ndarray = field(repr=False, default=None)  # (d*d*c, n)
-
-
-def grads_from_secondary(
-    ghat: np.ndarray, bank: FilterBank, masks: MaskSet | None, spec: LayerSpec
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Map per-secondary gradients onto primaries and real-relaxed masks.
-
-    Primary i accumulates its secondaries' gradients through the masks,
-    mask by mask; mask columns accumulate through the filters, primary by
-    primary when shared, single-term when separate.  Each sum starts from
-    zero and runs in that order.  The spatial variant's filter gradient
-    is divided by s, matching its forward reuse of the primary at every
-    scale.
-    """
-    fmat = bank.filter_matrix()
-    if spec.variant == "standard":
-        return ghat.copy().T.reshape(bank.filters.shape), None
-    v, k, s = fmat.shape[0], spec.k, spec.s
-    dense = masks.dense(fmat.dtype)
-    cols = mask_columns(masks, spec)
-    through_masks = (ghat * dense[:, cols]).reshape(v, k, s)
-    grad_f = np.zeros((v, k), dtype=fmat.dtype)
-    for j in range(s):
-        grad_f += through_masks[:, :, j]
-    if spec.variant == "spatial":
-        grad_f /= s
-    grad_m = None
-    if spec.variant == "learnable":
-        groups = masks.n_masks // s
-        through_filters = (ghat * np.repeat(fmat, s, axis=1)).reshape(v, k, s)
-        grad_m = np.zeros((v, groups, s), dtype=dense.dtype)
-        for start in range(0, k, groups):
-            grad_m += through_filters[:, start : start + groups]
-        grad_m = grad_m.reshape(v, -1)
-    return grad_f.T.reshape(bank.filters.shape), grad_m
 
 
 def bank_backward(
@@ -312,17 +278,19 @@ def bank_backward(
     """Analytic gradients for filters, masks, biases, and the input.
 
     ``x`` is an image or a batch, as in :func:`bank_forward`; it is not
-    read when the forward's ``patches`` are passed.  Filter, mask and bias
-    gradients sum over the batch; the input gradient has ``x``'s shape in
-    map-major memory order (see :func:`convref.col2im`), or is ``None``
-    with ``input_grad=False``, which skips its products and scatter.
-    ``grad_y`` is read as ``(n, l)`` map rows, so its memory order does
-    not change the bits.  Both contractions, and the bias gradient's sum
-    along each map's row, are numpy's C ``einsum`` without ``optimize``:
-    single-threaded, in an order fixed by the shapes, so the bits never
-    depend on a BLAS thread count.
+    read when the forward's ``patches`` are passed.  The input gradient has
+    ``x``'s shape in map-major memory order (see :func:`convref.col2im`),
+    or is ``None`` with ``input_grad=False``, which skips its products and
+    scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
+    order does not change the bits.  Both contractions, and the bias
+    gradient's sum along each map's row, are numpy's C ``einsum`` without
+    ``optimize``: single-threaded, in an order fixed by the shapes, so the
+    bits never depend on a BLAS thread count.  Primary and mask gradients
+    sum their secondaries' terms in index order, each sum from zero.
     """
     if patches is None:
+        if x is None:
+            raise ShapeError("bank_backward needs x or the forward's patches")
         patches = im2col(x, spec.d, spec.stride, spec.padding)
     n = spec.n_secondary
     out_shape = patches.out_shape + (n,)
@@ -332,7 +300,28 @@ def bank_backward(
     # map-major grad_y, as the layers pass it on, gives them without a copy
     grad_T = np.ascontiguousarray(np.moveaxis(grad_y, -1, 0)).reshape(n, -1)
     ghat = np.einsum("vl,nl->vn", patches.cols, grad_T)
-    grad_f, grad_m = grads_from_secondary(ghat, bank, masks, spec)
+    fmat = bank.filter_matrix()
+    grad_f, grad_m = ghat, None
+    if spec.variant == "standard":
+        fhat = np.ascontiguousarray(fmat)  # the einsum's bits depend on its layout
+    else:
+        v, k, s = fmat.shape[0], spec.k, spec.s
+        wide = np.repeat(fmat, s, axis=1)
+        sel = masks.dense(fmat.dtype)[:, mask_columns(masks, spec)]
+        fhat = wide * sel
+        through_masks = (ghat * sel).reshape(v, k, s)
+        grad_f = np.zeros((v, k), dtype=fmat.dtype)
+        for j in range(s):
+            grad_f += through_masks[:, :, j]
+        if spec.variant == "spatial":
+            grad_f /= s
+        if spec.variant == "learnable":
+            groups = masks.n_masks // s
+            through_filters = (ghat * wide).reshape(v, k, s)
+            grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
+            for start in range(0, k, groups):
+                grad_m += through_filters[:, start : start + groups]
+            grad_m = grad_m.reshape(v, -1)
 
     grad_b = None
     if spec.has_biases and bank.biases is not None:
@@ -340,9 +329,8 @@ def bank_backward(
 
     grad_x = None
     if input_grad:
-        fhat = secondary_matrix(bank, masks, spec)
         grad_cols = np.einsum("vn,nl->vl", fhat, grad_T)
         grad_x = convref.col2im(grad_cols.astype(patches.cols.dtype, copy=False), patches)
         if spec.variant == "spatial":
             grad_x = grad_x / spec.s
-    return BankGrads(grad_f, grad_b, grad_m, grad_x, secondary=ghat)
+    return BankGrads(grad_f.T.reshape(bank.filters.shape), grad_b, grad_m, grad_x)

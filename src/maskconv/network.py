@@ -42,6 +42,7 @@ class MaskedConv:
     """Convolution layer deriving its outputs from masked primary filters.
 
     Learned masks start all ones; :meth:`update_masks` replaces their bits.
+    A forward keeps its batch's patches for one :meth:`backward`, which drops them.
     """
 
     def __init__(self, spec: LayerSpec, seed: int, dtype=np.float32):
@@ -109,6 +110,7 @@ class MaskedConv:
             patches=self._patches,
             input_grad=input_grad,
         )
+        self._patches = None
         self.grad_filters = grads.filters
         self.grad_biases = grads.biases
         self.grad_masks = grads.masks
@@ -187,6 +189,8 @@ class Flatten:
 
 class Dense:
     def __init__(self, n_in: int, n_out: int, seed: int, dtype=np.float32, init_scale: float = 1.0):
+        if min(n_in, n_out) < 1:
+            raise ShapeError(f"dense layer needs sizes >= 1, got {n_in} x {n_out}")
         rng = np.random.default_rng(seed)
         self.w = (rng.normal(size=(n_in, n_out)) * np.sqrt(2.0 / n_in) * init_scale).astype(dtype)
         self.b = np.zeros(n_out, dtype=dtype)

@@ -33,10 +33,12 @@ class TrainConfig:
     loss: str = "cross-entropy"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
-        if self.lam < 0:
-            raise ValueError(f"orthogonality weight must be >= 0, got {self.lam}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"orthogonality weight must be finite and >= 0, got {self.lam}")
+        if self.epochs < 1 or self.batch < 1:
+            raise ValueError(f"epochs and batch must be >= 1, got {self.epochs} and {self.batch}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
 

@@ -6,12 +6,15 @@ stay independent.  The rest keeps earlier formulations of library code
 (``sliding_window_view`` patches, ``mean`` pooling, a channel-last
 ``col2im``, per-filter and per-secondary loops, the clipped-latent mask
 step) that the current code
-must match byte for byte.
+must match byte for byte.  ``secondary_grads`` alone calls the library: it
+reads the per-secondary gradient that ``bank_backward`` keeps to itself
+through a standard layer of the secondary filters.
 """
 
 import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
+from maskconv.layers import FilterBank, LayerSpec, bank_backward, secondary_matrix
 from maskconv.masks import sign_binarize
 
 
@@ -123,6 +126,21 @@ def secondary_matrix_loop(bank, masks, spec):
         for j in range(spec.s):
             out[:, i * spec.s + j] = fmat[:, i] * dense[:, masks.column_index(i, j)]
     return out
+
+
+def secondary_grads(grad_y, x, bank, masks, spec):
+    """(d*d*c, n) gradients of the masked secondary filters.
+
+    The filter gradient of a standard layer whose ``n`` filters are the
+    secondaries: ``bank_backward`` runs the same contraction on the same
+    operands for any variant, then maps it onto primaries and masks.
+    """
+    fhat = secondary_matrix(bank, masks, spec)
+    n = spec.n_secondary
+    plain = LayerSpec("standard", d=spec.d, c=spec.c, k=n, stride=spec.stride, padding=spec.padding)
+    filters = np.ascontiguousarray(fhat.T).reshape(n, spec.d, spec.d, spec.c)
+    grads = bank_backward(grad_y, x, FilterBank(filters), None, plain, input_grad=False)
+    return grads.filters.reshape(n, -1).T
 
 
 def grads_from_secondary_loop(ghat, bank, masks, spec):

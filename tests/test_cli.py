@@ -100,6 +100,25 @@ def test_train_unknown_key_exits_2():
     assert "model.depth" in out.text
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "train.lr=-1",
+        "train.loss=foo",
+        "train.batch=0",
+        "model.hidden=0",
+        "model.variant=bogus",
+        "model.s=0",
+    ],
+)
+def test_train_value_no_model_or_schedule_takes_exits_2(tmp_path, dataset, setting):
+    out = Capture()
+    code = main(["train", "--config", str(small_config(tmp_path, dataset)), "--set", setting], out=out)
+    assert code == 2
+    assert out.lines[-1].startswith("config error:")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_writes_checkpoint_log_and_config(tmp_path, dataset):
     log_path = tmp_path / "train.log"
     cfg = small_config(tmp_path, dataset, **{"out.log": str(log_path)})

@@ -1,13 +1,15 @@
 """Seeded differential sweep of the conv core over random layer specs.
 
 ``matmul_conv`` must reproduce the per-filter loop of ``tests/oracles.py``
-byte for byte over random shapes, dtypes and signed zeros, across its
-column blocks.  Every forward path (``bank_forward``, ``MaskedConv.forward``,
+byte for byte over random shapes, widths, dtypes and signed zeros.  Every
+forward path (``bank_forward``, ``MaskedConv.forward``,
 ``cached_forward``) must equal the stacked ``conv_reference`` maps bit for
 bit, ``MaskedConv.forward`` in map-major memory order and the other two
 C-contiguous, and the vectorized mask layout must reproduce the
 per-secondary loops of ``tests/oracles.py`` bit for bit: the secondary
-filters, the filter and mask gradients, and the cached-product ADD tally.
+filters, the filter and mask gradients (from the secondary-filter
+gradients of a standard layer, the same contraction), and the
+cached-product ADD tally.
 ``bank_backward`` must give the same bytes whatever the memory order of
 ``dL/dy``.  ``im2col``, ``col2im`` and ``AvgPool2`` must reproduce the
 oracles' ``sliding_window_view``, channel-last scatter and
@@ -51,6 +53,7 @@ from oracles import (
     grads_from_secondary_loop,
     im2col_windows,
     matmul_conv_loop,
+    secondary_grads,
     secondary_matrix_loop,
 )
 
@@ -198,7 +201,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         grad_y[..., trial % spec.n_secondary] = 0.0  # a dead map: its products are signed zeros
         grads = bank_backward(grad_y, x, bank, masks, spec)
         same = bank_backward(map_major(grad_y), x, bank, masks, spec)
-        for name in ("filters", "biases", "masks", "x", "secondary"):
+        for name in ("filters", "biases", "masks", "x"):
             got, want_grad = getattr(same, name), getattr(grads, name)
             if want_grad is None:
                 assert got is None
@@ -206,7 +209,8 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
                 assert_same_bits(got, want_grad)
         grad_cols = rng.normal(size=pm.cols.shape).astype(x.dtype)
         assert_same_bits(col2im(grad_cols, pm), col2im_channel_last(grad_cols, pm))
-        grad_f, grad_m = grads_from_secondary_loop(grads.secondary, bank, masks, spec)
+        ghat = secondary_grads(grad_y, x, bank, masks, spec)
+        grad_f, grad_m = grads_from_secondary_loop(ghat, bank, masks, spec)
         assert_same_bits(grads.filters, grad_f)
         if grad_m is None:
             assert grads.masks is None

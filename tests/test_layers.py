@@ -13,7 +13,7 @@ from maskconv.layers import (
 )
 from maskconv.masks import from_dense, random_masks, spatial_masks
 
-from oracles import conv_brute, finite_difference, relative_error
+from oracles import conv_brute, finite_difference, relative_error, secondary_grads
 
 
 def relaxed_loss(x, filters, mask_cols, spec, biases, targets):
@@ -304,8 +304,9 @@ def test_backward_all_ones_shared_filter_grad_is_plain_sum():
     x = rng.normal(size=(5, 5, 2))
     grad_y = rng.normal(size=(3, 3, 6))
     g = bank_backward(grad_y, x, bank, masks, spec)
+    ghat = secondary_grads(grad_y, x, bank, masks, spec)
     for i in range(2):
-        summed = np.add.reduce(g.secondary[:, 3 * i : 3 * i + 3], axis=1)
+        summed = np.add.reduce(ghat[:, 3 * i : 3 * i + 3], axis=1)
         assert np.array_equal(g.filters[i].reshape(-1), summed)
 
 

@@ -140,7 +140,6 @@ def test_backward_without_input_grad_keeps_parameter_grads(variant, dtype):
             (full.filters, params.filters),
             (full.biases, params.biases),
             (full.masks, params.masks),
-            (full.secondary, params.secondary),
         ]:
             assert (a is None and b is None) or np.array_equal(a, b)
 
@@ -164,6 +163,7 @@ def test_network_backward_skips_first_conv_input_grad(kwargs, monkeypatch):
     assert net.backward(grad) is None
     assert len(scatters) == 1  # conv2's input gradient only
     conv1 = net.layers[0]
+    net.forward(xb)  # each backward reads the patches of a forward of its own
     for layer in reversed(net.layers[1:]):
         grad = layer.backward(grad)
     direct = bank_backward(grad, xb, conv1.bank(), conv1.masks, conv1.spec)
@@ -232,7 +232,7 @@ def run_under_thread_counts(script):
 
 def test_backward_bits_do_not_depend_on_thread_count():
     outputs = run_under_thread_counts(_THREADED_BACKWARD)
-    assert len(outputs[0].splitlines()) == 10
+    assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
 
 
@@ -262,6 +262,15 @@ def test_batched_cached_forward_equals_core_and_scales_tallies(variant, dtype):
             single.param_values_fp32,
             single.mask_bits,
         )
+
+
+def test_backward_drops_the_patches_and_a_second_backward_raises():
+    conv = MaskedConv(LayerSpec("standard", d=3, c=1, k=2), seed=0)
+    grad = np.ones(conv.forward(np.ones((1, 5, 5, 1), dtype=np.float32)).shape, np.float32)
+    conv.backward(grad)
+    assert conv._patches is None
+    with pytest.raises(ShapeError, match="bank_backward needs x or the forward's patches"):
+        conv.backward(grad)
 
 
 @pytest.mark.parametrize("shape", [(2, 6, 6), (6, 6, 1), (1, 2, 6, 6, 1)])

@@ -177,12 +177,20 @@ def test_train_step_lr_zero_keeps_model_constant():
 
 
 def test_train_step_rejects_bad_config():
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(lam=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(loss="hinge")
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(lr=0.0),
+        dict(lr=nan),
+        dict(lr=inf),
+        dict(lam=-1.0),
+        dict(lam=nan),
+        dict(lam=inf),
+        dict(batch=0),
+        dict(epochs=0),
+        dict(loss="hinge"),
+    ):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_train_step_nonfinite_loss_aborts():
@@ -257,6 +265,15 @@ def test_fit_is_deterministic_given_seed():
         fit(model, images, labels, TrainConfig(lr=0.1, lam=0.0, epochs=2, batch=8, seed=11))
         runs.append(model.layers[0].filters.copy())
     assert np.array_equal(runs[0], runs[1])
+
+
+def test_fit_leaves_no_patches_on_the_conv_layers():
+    rng = np.random.default_rng(2)
+    images = rng.random((16, 12, 12, 1)).astype(np.float32)
+    model = build_small_cnn("learnable", "separate", s=2, hidden=16, input_hw=12, seed=3)
+    fit(model, images, rng.integers(0, 10, 16), TrainConfig(epochs=1, batch=8, seed=1))
+    assert len(model.conv_layers()) == 2
+    assert all(conv._patches is None for conv in model.conv_layers())
 
 
 def test_format_log_record_fields():

@@ -18,11 +18,12 @@ Canonical vectorization order.
 Fixed reduction order.
     Every dot product adds its elementwise products one row after another,
     starting from ``+0.0``: :func:`column_sums` reduces a products array
-    over axis 0 that way, and :func:`matmul_conv`, the forward of every
-    layer, is one C ``einsum`` contraction whose inner loop runs along an
-    output row, so each output takes the patch rows in order too.  A lone
-    column (one output position) is reduced beside a zero column in both,
-    since numpy would otherwise sum it pairwise or in SIMD lanes.  The
+    over axis 0 that way, and :func:`matmul_conv`, the matrix form of
+    standard convolution, is one C ``einsum`` contraction whose inner loop
+    runs along an output row, so each output takes the patch rows in order
+    too; the layers' forward contracts each mask's rows the same way.  A
+    lone column (one output position) is reduced beside a zero column in
+    both, since numpy would otherwise sum it pairwise or in SIMD lanes.  The
     order is fixed by the number of rows, never by thread count (neither
     uses BLAS), by the number of columns or by which entries happen to be
     zero, so a masked filter whose masked entries stay in place as zeros
@@ -82,9 +83,12 @@ def column_sums(products: np.ndarray) -> np.ndarray:
     without forming the products array, and pads a lone column the same
     way.
     """
-    if products.shape[1] == 1:
-        return np.add.reduce(np.hstack([products, np.zeros_like(products)]), axis=0)[:1]
-    return np.add.reduce(products, axis=0)
+    return np.add.reduce(_pad_lone_column(products), axis=0)[: products.shape[1]]
+
+
+def _pad_lone_column(a: np.ndarray) -> np.ndarray:
+    """A 2-d ``a`` beside a zero column if it has only one, else ``a`` itself."""
+    return np.hstack([a, np.zeros_like(a)]) if a.shape[1] == 1 else a
 
 
 def vec(block: np.ndarray) -> np.ndarray:
@@ -238,8 +242,7 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
             f"filter rows {filters.shape[0]} != patch rows {cols.shape[0]}"
         )
     n_cols = cols.shape[1]
-    if n_cols == 1:
-        cols = np.hstack([cols, np.zeros_like(cols)])
+    cols = _pad_lone_column(cols)
     f_rows = np.ascontiguousarray(filters.T)
     maps = np.empty((f_rows.shape[0], cols.shape[1]), dtype=np.result_type(cols, f_rows))
     np.einsum("vl,nv->nl", cols, f_rows, out=maps)

@@ -16,10 +16,13 @@ further multiplication.  Cost model per patch:
 A MASK op is priced at 1/32 of an fp32 MUL in the combined total:
 ``combined_mul = mul_fp32 + mask_ops / 32``.
 
-:func:`cached_forward` tallies these counts for a call's shapes and mask
-popcounts; its output comes from the package's one forward kernel,
-:func:`maskconv.layers.forward_patches`, so the saving is a cost model
-here, not a second numpy kernel.
+:func:`cached_forward` tallies these counts for a call; its output
+comes from the package's one forward kernel,
+:func:`maskconv.layers.forward_patches`.  That kernel runs spatial and
+channel masks as index ranges of the patch rows, so for them (and for
+standard layers) the ADD tally is the multiply-adds it ran.  Learned and
+random bits stay a dense masked-filter matrix in the kernel, so their
+ADD and MASK tallies are the scheme's cost model.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from maskconv.convref import conv_output_size, im2col
-from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, random_bank
-from maskconv.masks import STRATEGY_KINDS, MaskSet, random_masks
+from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, mask_ranges, random_bank
+from maskconv.masks import MaskSet, random_masks
 
 
 class CountMismatchError(AssertionError):
@@ -91,21 +94,25 @@ def cached_forward(
     output is :func:`maskconv.layers.bank_forward`'s, bit for bit and
     C-contiguous.  The :class:`OpCounts` are what the scheme executes on
     this call: ``k`` product passes over every patch, one ADD per
-    mask-selected entry (the masks' popcounts), and for bit masks one MASK
-    op per entry and mask.
+    mask-selected entry, and for bit masks one MASK op per entry and mask.
+    The ADDs of index-range masks are counted over the ranges the kernel
+    ran (see :func:`maskconv.layers.mask_ranges`), those of bit masks from
+    their popcounts.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
     y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
     v, l = pm.cols.shape
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
-    if spec.variant == "standard":
-        counts.add_fp32 = v * l * spec.k
+    if spec.variant != "learnable":
+        # the MACs the kernel ran: the patch entries of each mask's index range, per primary
+        grid, views, _ = mask_ranges(spec)
+        patches = pm.cols.reshape(*grid, l)
+        counts.add_fp32 = sum(patches[view].size for view in views) * spec.k
         return y, counts
+    # bit masks cost mask ops and storage besides their ADDs
     counts.add_fp32 = int(masks.ones_counts()[mask_columns(masks, spec)].sum()) * l
-    # bit masks of a learnable strategy cost mask ops and storage; structural ones do not
-    if masks.kind in STRATEGY_KINDS.values():
-        counts.mask_ops = v * l * spec.n_secondary
-        counts.mask_bits = v * masks.n_masks
+    counts.mask_ops = v * l * spec.n_secondary
+    counts.mask_bits = v * masks.n_masks
     return y, counts
 
 

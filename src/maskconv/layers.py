@@ -12,16 +12,21 @@ then filter 2, and so on.  Variants:
 ``channel``    sliding channel windows, no biases;
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
-The one forward, :func:`forward_patches`, builds the explicit
-masked-filter matrix and runs it through :func:`convref.matmul_conv`, a
-C ``einsum`` contraction that sums each output's products row by row from
-``+0.0``, so each output channel equals ``conv_reference(x, mask *
-filter) + bias`` exactly.  The one backward, :func:`bank_backward`, runs
-its two contractions the same way and maps the per-secondary filter
-gradient onto primaries and masks without keeping it.  Both use numpy's
-single-threaded C ``einsum`` rather than BLAS, so their bits do not
-depend on the thread count; the backward can skip a first layer's input
-gradient.
+Spatial squares and channel windows are index ranges of the patch rows
+(:func:`mask_ranges`), and the kernels run them as such, with no 0/1
+matrix: the one forward, :func:`forward_patches`, contracts each mask's
+filter slice with the rows it keeps, and the one backward,
+:func:`bank_backward`, runs its two contractions over rectangles of rows
+that one run of masks keeps.  Standard conv is the single full-range
+view, and a learnable layer runs its explicit masked-filter matrix over
+it.  Every sum starts from ``+0.0`` and takes its terms in the order of
+a dense contraction with the masked entries left in place as zeros, so
+a skipped row drops only a signed-zero addend: each output channel equals
+``conv_reference(x, mask * filter) + bias`` exactly.  The backward maps
+the per-secondary filter gradient onto primaries and masks without
+keeping it, and can skip a first layer's input gradient.  All
+contractions are numpy's single-threaded C ``einsum``, never BLAS, so
+their bits do not depend on the thread count.
 
 Activations keep the core's map-major memory order: the forward returns
 its ``(..., H', W', n)`` maps as a view of the contraction's ``(n, l)``
@@ -38,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from maskconv import convref
-from maskconv.convref import PatchMatrix, ShapeError, im2col
+from maskconv.convref import PatchMatrix, ShapeError, _pad_lone_column, im2col
 from maskconv.masks import SEPARATE_KINDS, STRATEGY_KINDS, MaskSet, channel_windows, spatial_masks
 
 VARIANTS = ("standard", "spatial", "channel", "learnable")
@@ -206,22 +211,71 @@ def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -
     return np.repeat(fmat, spec.s, axis=1) * masks.dense(fmat.dtype)[:, cols]
 
 
+def mask_ranges(spec: LayerSpec):
+    """``(grid, views, regions)``: the patch rows each mask keeps, as index ranges.
+
+    The ``d*d*c`` patch rows are viewed as a ``grid`` of shape ``(T, R)``:
+    ``(d, d*c)`` for spatial squares (a grid row per window row),
+    ``(d*d, c)`` for channel windows (a grid row per tap) and
+    ``(1, d*d*c)`` otherwise.  Mask ``j`` keeps the rectangle ``views[j]``;
+    standard and learnable layers have one full view.  ``regions`` split
+    the grid into rectangles ``(t, r, j0, j1)`` kept by exactly the masks
+    ``j0:j1``, by none if ``j0 == j1``.
+    """
+    d, c, s = spec.d, spec.c, spec.s
+    if spec.variant == "spatial":
+        views = [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
+        regions = []
+        for q in range(s):  # ring q, kept by squares 0..q: top and bottom rows, then the sides
+            lo, hi = q, d - 1 - q
+            width = slice(lo * c, (hi + 1) * c)
+            regions += [(slice(a, a + 1), width, 0, q + 1) for a in sorted({lo, hi})]
+            if hi - lo > 1:
+                sides = (slice(b * c, (b + 1) * c) for b in (lo, hi))
+                regions += [(slice(lo + 1, hi), side, 0, q + 1) for side in sides]
+        return (d, d * c), views, regions
+    if spec.variant == "channel":
+        starts = [j * spec.g for j in range(s)]
+        views = [(slice(None), slice(a, a + spec.c_hat)) for a in starts]
+        edges = sorted({0, c, *starts, *(a + spec.c_hat for a in starts)})
+        regions = []
+        for lo, hi in zip(edges, edges[1:]):
+            # channels lo:hi lie in the windows that start at or before lo, less
+            # those that end there
+            j0 = sum(a + spec.c_hat <= lo for a in starts)
+            j1 = sum(a <= lo for a in starts)
+            regions.append((slice(None), slice(lo, hi), j0, j1))
+        return (d * d, c), views, regions
+    full = (slice(None), slice(None))
+    return (1, d * d * c), [full], [(*full, 0, 1)]
+
+
 def forward_patches(
     pm: PatchMatrix, bank: FilterBank, masks: MaskSet | None, spec: LayerSpec
 ) -> np.ndarray:
     """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
 
     Output ``pm.out_shape + (n,)``, primary-major, in map-major memory
-    order: a view of the ``(n, l)`` rows :func:`convref.matmul_conv`
-    writes for the masked-filter matrix, each row plus its bias in place,
-    so moving the map axis first gives a C-contiguous array.  Each map is
-    reduced in the order :func:`convref.conv_reference` uses on the same
-    patch columns.
+    order: a view of contiguous ``(n, l)`` rows, each plus its bias in
+    place, so moving the map axis first gives a C-contiguous array.  Per
+    view of :func:`mask_ranges`, one C ``einsum`` contracts the rows it
+    keeps with the filters' slice; spatial and channel masks come from
+    the spec, not from ``masks``.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
-    maps = convref.matmul_conv(pm, secondary_matrix(bank, masks, spec)).T
+    grid, views, _ = mask_ranges(spec)
+    # the primaries, or a learnable layer's masked secondaries, as (k', T, R) rows
+    f_rows = secondary_matrix(bank, masks, spec).T if spec.variant == "learnable" else bank.filters
+    filters = np.ascontiguousarray(f_rows).reshape(len(f_rows), *grid)
+    l = pm.cols.shape[1]
+    cols = _pad_lone_column(pm.cols)
+    rows = cols.reshape(*grid, -1)
+    maps = np.empty((len(filters), len(views), cols.shape[1]), dtype=np.result_type(cols, filters))
+    for j, (t, r) in enumerate(views):
+        np.einsum("trl,ktr->kl", rows[t, r], filters[:, t, r], out=maps[:, j])
+    maps = np.ascontiguousarray(maps.reshape(spec.n_secondary, -1)[:, :l])
     if biases is not None:
         maps += biases[:, None]
     return maps.T.reshape(pm.out_shape + (spec.n_secondary,))
@@ -282,11 +336,14 @@ def bank_backward(
     ``x``'s shape in map-major memory order (see :func:`convref.col2im`),
     or is ``None`` with ``input_grad=False``, which skips its products and
     scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
-    order does not change the bits.  Both contractions, and the bias
-    gradient's sum along each map's row, are numpy's C ``einsum`` without
-    ``optimize``: single-threaded, in an order fixed by the shapes, so the
-    bits never depend on a BLAS thread count.  Primary and mask gradients
-    sum their secondaries' terms in index order, each sum from zero.
+    order does not change the bits.  Both contractions run per region of
+    :func:`mask_ranges`, on the rows one run of masks keeps, and each sum
+    takes the terms of a dense contraction over the masked filters, in its
+    order.  They and the bias gradient's sum along each map's row are
+    numpy's C ``einsum`` without ``optimize``: single-threaded, in an
+    order fixed by the shapes, so the bits never depend on a BLAS thread
+    count.  Primary and mask gradients sum their secondaries' terms in
+    index order, each sum from zero.
     """
     if patches is None:
         if x is None:
@@ -299,29 +356,51 @@ def bank_backward(
     # (n, l) rows keep both contractions' inner loops on contiguous memory; a
     # map-major grad_y, as the layers pass it on, gives them without a copy
     grad_T = np.ascontiguousarray(np.moveaxis(grad_y, -1, 0)).reshape(n, -1)
-    ghat = np.einsum("vl,nl->vn", patches.cols, grad_T)
+    grid, views, regions = mask_ranges(spec)
     fmat = bank.filter_matrix()
-    grad_f, grad_m = ghat, None
-    if spec.variant == "standard":
-        fhat = np.ascontiguousarray(fmat)  # the einsum's bits depend on its layout
+    if spec.variant == "learnable":
+        wide = np.repeat(fmat, spec.s, axis=1)
+        sel = masks.dense(fmat.dtype)[:, mask_columns(masks, spec)]
+        fmat = wide * sel  # the masked secondaries, contracted over the one full view
+    k_rows = fmat.shape[1]
+    f_grid = fmat.reshape(*grid, k_rows)
+    l = grad_T.shape[1]
+    rows = patches.cols.reshape(*grid, l)
+    grad3 = grad_T.reshape(k_rows, len(views), l)
+    structural = spec.variant in ("spatial", "channel")
+    if structural:
+        grad_f = np.zeros((*grid, k_rows), dtype=fmat.dtype)
+    for t, r, j0, j1 in regions:
+        kept = np.ascontiguousarray(rows[t, r]).reshape(-1, l)
+        n_kept = len(kept)
+        if n_kept == k_rows == 1 < len(regions):
+            # numpy would sum this lone dot product in 8192-term chunks, the
+            # dense contraction it is part of in one pass
+            kept = np.concatenate([kept, np.zeros_like(kept)])
+        for j in range(j0, j1):  # each primary takes its masks' terms in order j, from zero
+            ghat = np.einsum("vl,kl->vk", kept, grad3[:, j])[:n_kept]
+            if structural:
+                grad_f[t, r] += ghat.reshape(grad_f[t, r].shape)
+
+    grad_m = None
+    if structural:
+        grad_f = grad_f.reshape(-1, k_rows)
+        if spec.variant == "spatial":
+            grad_f /= spec.s
+    elif spec.variant == "standard":
+        grad_f = ghat  # the one full region's
     else:
         v, k, s = fmat.shape[0], spec.k, spec.s
-        wide = np.repeat(fmat, s, axis=1)
-        sel = masks.dense(fmat.dtype)[:, mask_columns(masks, spec)]
-        fhat = wide * sel
         through_masks = (ghat * sel).reshape(v, k, s)
         grad_f = np.zeros((v, k), dtype=fmat.dtype)
         for j in range(s):
             grad_f += through_masks[:, :, j]
-        if spec.variant == "spatial":
-            grad_f /= s
-        if spec.variant == "learnable":
-            groups = masks.n_masks // s
-            through_filters = (ghat * wide).reshape(v, k, s)
-            grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
-            for start in range(0, k, groups):
-                grad_m += through_filters[:, start : start + groups]
-            grad_m = grad_m.reshape(v, -1)
+        groups = masks.n_masks // s
+        through_filters = (ghat * wide).reshape(v, k, s)
+        grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
+        for start in range(0, k, groups):
+            grad_m += through_filters[:, start : start + groups]
+        grad_m = grad_m.reshape(v, -1)
 
     grad_b = None
     if spec.has_biases and bank.biases is not None:
@@ -329,7 +408,19 @@ def bank_backward(
 
     grad_x = None
     if input_grad:
-        grad_cols = np.einsum("vn,nl->vl", fhat, grad_T)
+        grad_cols = np.empty((*grid, max(l, 2)), dtype=np.result_type(fmat, grad3))
+        for t, r, j0, j1 in regions:
+            f_run = f_grid[t, r].reshape(-1, k_rows)
+            run = j1 - j0
+            # np.repeat copies element by element, slower than a plain copy
+            f_run = np.repeat(f_run, run, axis=1) if run != 1 else np.ascontiguousarray(f_run)
+            terms = _pad_lone_column(grad3[:, j0:j1].reshape(-1, l))
+            into = grad_cols[t, r]
+            if into.flags.c_contiguous:
+                np.einsum("vn,nl->vl", f_run, terms, out=into.reshape(len(f_run), -1))
+            else:  # a contiguous product copied in beats einsum writing strided rows
+                into[...] = np.einsum("vn,nl->vl", f_run, terms).reshape(into.shape)
+        grad_cols = grad_cols.reshape(patches.cols.shape[0], -1)[:, :l]
         grad_x = convref.col2im(grad_cols.astype(patches.cols.dtype, copy=False), patches)
         if spec.variant == "spatial":
             grad_x = grad_x / spec.s

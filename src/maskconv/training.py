@@ -149,9 +149,14 @@ def fit(
 
 
 def evaluate(model: Network, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
-    """Classification accuracy over a dataset."""
+    """Classification accuracy over a dataset.
+
+    The conv layers keep no patches afterwards, as after :func:`fit`.
+    """
     hits = 0
     for start in range(0, len(images), batch):
         logits = model.forward(images[start : start + batch])
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + batch]))
+    for conv in model.conv_layers():
+        conv._patches = None  # kept by each forward for a backward that never comes
     return hits / len(images)

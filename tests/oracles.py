@@ -4,11 +4,11 @@ Most of this is written with plain Python loops, deliberately avoiding
 the library's im2col/reduction machinery so the two sides of each check
 stay independent.  The rest keeps earlier formulations of library code
 (``sliding_window_view`` patches, ``mean`` pooling, a channel-last
-``col2im``, per-filter and per-secondary loops, the clipped-latent mask
-step) that the current code
-must match byte for byte.  ``secondary_grads`` alone calls the library: it
-reads the per-secondary gradient that ``bank_backward`` keeps to itself
-through a standard layer of the secondary filters.
+``col2im``, per-filter and per-secondary loops, the dense masked-filter
+forward and input gradient, the clipped-latent mask step) that the
+current code must match byte for byte.  ``secondary_grads`` alone calls
+the library: it reads the per-secondary gradient that ``bank_backward``
+keeps to itself through a standard layer of the secondary filters.
 """
 
 import numpy as np
@@ -143,6 +143,23 @@ def secondary_grads(grad_y, x, bank, masks, spec):
     return grads.filters.reshape(n, -1).T
 
 
+def input_grad(grad_y, x, bank, masks, spec):
+    """The input gradient: ``col2im`` of the secondary filters times ``dL/dy``.
+
+    Every patch row's gradient starts from zero and takes the secondaries'
+    terms in index order, all its columns at once; spatial layers divide
+    the scattered sum by ``s``.
+    """
+    fhat = secondary_matrix_loop(bank, masks, spec)
+    pm = im2col_windows(x, spec.d, spec.stride, spec.padding)
+    grads = np.moveaxis(grad_y, -1, 0).reshape(spec.n_secondary, -1)
+    grad_cols = np.zeros(pm.cols.shape, dtype=np.result_type(fhat, grads))
+    for n, grad in enumerate(grads):
+        grad_cols += fhat[:, n : n + 1] * grad
+    grad_x = col2im_channel_last(grad_cols.astype(pm.cols.dtype, copy=False), pm)
+    return grad_x / spec.s if spec.variant == "spatial" else grad_x
+
+
 def grads_from_secondary_loop(ghat, bank, masks, spec):
     """Filter and mask gradients from per-secondary ones, one secondary at a time.
 
@@ -258,3 +275,11 @@ def matmul_conv_loop(patches, filters):
         else:
             np.add.reduce(products, axis=0, out=row)
     return maps.T
+
+
+def forward_patches_loop(pm, bank, masks, spec):
+    """``layers.forward_patches`` as ``matmul_conv_loop`` over the explicit masked filters."""
+    maps = matmul_conv_loop(pm, secondary_matrix_loop(bank, masks, spec)).T
+    if spec.has_biases:
+        maps = maps + bank.biases[:, None]
+    return maps.T.reshape(pm.out_shape + (spec.n_secondary,))

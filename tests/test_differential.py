@@ -8,15 +8,17 @@ bit, ``MaskedConv.forward`` in map-major memory order and the other two
 C-contiguous, and the vectorized mask layout must reproduce the
 per-secondary loops of ``tests/oracles.py`` bit for bit: the secondary
 filters, the filter and mask gradients (from the secondary-filter
-gradients of a standard layer, the same contraction), and the
-cached-product ADD tally.
+gradients of a standard layer, the same contraction), the input gradient
+(an in-order sum over the secondary filters, scattered) and the
+cached-product ADD tally.  The index range of each spatial and channel
+mask must select exactly its set bits.
 ``bank_backward`` must give the same bytes whatever the memory order of
 ``dL/dy``.  ``im2col``, ``col2im`` and ``AvgPool2`` must reproduce the
 oracles' ``sliding_window_view``, channel-last scatter and
 ``mean``/``repeat`` formulations byte for byte, alone and through training
-(pooling in either memory order), and so must ``matmul_conv`` through
-training.  ``Dense``'s weight gradient must equal its batch-major
-``einsum`` by bytes.
+(pooling in either memory order), and so must the per-filter loop over
+the explicit masked filters through training.  ``Dense``'s weight
+gradient must equal its batch-major ``einsum`` by bytes.
 """
 
 import numpy as np
@@ -39,6 +41,7 @@ from maskconv.layers import (
     LayerSpec,
     bank_backward,
     bank_forward,
+    mask_ranges,
     random_bank,
     secondary_matrix,
 )
@@ -50,8 +53,10 @@ from oracles import (
     avgpool_repeat_backward,
     cached_adds_loop,
     col2im_channel_last,
+    forward_patches_loop,
     grads_from_secondary_loop,
     im2col_windows,
+    input_grad,
     matmul_conv_loop,
     secondary_grads,
     secondary_matrix_loop,
@@ -161,6 +166,23 @@ def reference_maps(x, fhat, biases, spec):
     return np.stack(maps) if x.ndim == 4 else maps[0]
 
 
+def assert_ranges_select_mask_bits(spec, masks):
+    """Each mask's index range holds exactly its set bits; each region its masks' run."""
+    grid, views, regions = mask_ranges(spec)
+    bits = masks.dense().astype(bool).reshape(*grid, -1)
+    for j, view in enumerate(views):
+        kept = np.zeros(grid, dtype=bool)
+        kept[view] = True
+        assert np.array_equal(kept, bits[..., j])
+    covered = np.zeros(grid, dtype=int)
+    for t, r, j0, j1 in regions:
+        covered[t, r] += 1
+        run = np.zeros(spec.s, dtype=bool)
+        run[j0:j1] = True
+        assert (bits[t, r] == run).all()
+    assert (covered == 1).all()
+
+
 def test_mask_layout_matches_per_secondary_loops_and_reference():
     rng = np.random.default_rng(20)
     covered = set()
@@ -175,6 +197,8 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
             ("s = 1", spec.variant, spec.s == 1),
             ("c_hat = c", spec.c_hat == spec.c),
         }
+        if spec.variant in ("spatial", "channel"):
+            assert_ranges_select_mask_bits(spec, masks)
         pm = im2col(x, spec.d, spec.stride, spec.padding)
         pm_want = im2col_windows(x, spec.d, spec.stride, spec.padding)
         assert_same_contiguous_bits(pm.cols, pm_want.cols)
@@ -195,6 +219,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         h_out = conv_output_size(x.shape[-3], spec.d, spec.stride, spec.padding)
         w_out = conv_output_size(x.shape[-2], spec.d, spec.stride, spec.padding)
         positions = h_out * w_out * (x.shape[0] if x.ndim == 4 else 1)
+        covered.add(("one output position", positions == 1))
         assert counts.add_fp32 == cached_adds_loop(masks, spec, positions)
 
         grad_y = rng.normal(size=want.shape).astype(x.dtype)
@@ -209,6 +234,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
                 assert_same_bits(got, want_grad)
         grad_cols = rng.normal(size=pm.cols.shape).astype(x.dtype)
         assert_same_bits(col2im(grad_cols, pm), col2im_channel_last(grad_cols, pm))
+        assert_same_bits(grads.x, input_grad(grad_y, x, bank, masks, spec))
         ghat = secondary_grads(grad_y, x, bank, masks, spec)
         grad_f, grad_m = grads_from_secondary_loop(ghat, bank, masks, spec)
         assert_same_bits(grads.filters, grad_f)
@@ -219,6 +245,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
     required = {("s = 1", v, True) for v in VARIANTS} | {("c_hat = c", True)}
     required |= {("d odd", 0), ("d odd", 1), ("stride", 2), ("padding", 2)}
     required |= {("batch", b) for b in range(4)}
+    required |= {("one output position", True), ("one output position", False)}
     required |= {
         (v, strategy, t)
         for v in VARIANTS
@@ -294,6 +321,6 @@ def test_training_checkpoints_match_oracle_patches_and_pooling(tmp_path, monkeyp
 
     monkeypatch.setattr(AvgPool2, "forward", pool_forward)
     monkeypatch.setattr(AvgPool2, "backward", lambda self, grad: avgpool_repeat_backward(grad))
-    monkeypatch.setattr(convref, "matmul_conv", matmul_conv_loop)
+    monkeypatch.setattr(network, "forward_patches", forward_patches_loop)
     monkeypatch.setattr(convref, "col2im", col2im_channel_last)
     assert trained_checkpoints(tmp_path) == live

@@ -173,33 +173,43 @@ def test_network_backward_skips_first_conv_input_grad(kwargs, monkeypatch):
         assert np.array_equal(conv1.grad_masks, direct.masks)
 
 
-_THREADED_BACKWARD = """
-import hashlib
-from dataclasses import astuple
-import numpy as np
-from maskconv.layers import LayerSpec, bank_backward
-from maskconv.network import MaskedConv
-for dtype in (np.float32, np.float64):
-    spec = LayerSpec("learnable", d=3, c=8, k=4, s=2, strategy="separate", padding=1)
-    conv = MaskedConv(spec, seed=5, dtype=dtype)
-    rng = np.random.default_rng(6)
-    xb = rng.normal(size=(4, 16, 16, 8)).astype(dtype)
-    grad_y = rng.normal(size=conv.forward(xb).shape).astype(dtype)
-    grads = bank_backward(grad_y, xb, conv.bank(), conv.masks, spec)
-    for a in astuple(grads):
-        print(a.dtype, hashlib.sha256(a.tobytes()).hexdigest())
-"""
-
-
-_THREADED_FORWARD = """
-import hashlib
-import numpy as np
-from maskconv.layers import LayerSpec, bank_forward
-from maskconv.network import MaskedConv
+# dense filter matrices (standard, learnable), the three squares of a d = 5
+# spatial layer, and channel windows that split c = 8 into four regions
+_THREADED_SPECS = """
+from maskconv.layers import LayerSpec
 specs = (
     LayerSpec("standard", d=5, c=8, k=8, padding=2),
     LayerSpec("learnable", d=3, c=8, k=4, s=2, strategy="separate", padding=1),
+    LayerSpec("spatial", d=5, c=8, k=4, padding=2),
+    LayerSpec("channel", d=3, c=8, k=4, c_hat=4, g=2, padding=1),
 )
+"""
+
+
+_THREADED_BACKWARD = _THREADED_SPECS + """
+import hashlib
+from dataclasses import astuple
+import numpy as np
+from maskconv.layers import bank_backward
+from maskconv.network import MaskedConv
+for dtype in (np.float32, np.float64):
+    for spec in specs[1:]:
+        conv = MaskedConv(spec, seed=5, dtype=dtype)
+        rng = np.random.default_rng(6)
+        xb = rng.normal(size=(4, 16, 16, 8)).astype(dtype)
+        grad_y = rng.normal(size=conv.forward(xb).shape).astype(dtype)
+        grads = bank_backward(grad_y, xb, conv.bank(), conv.masks, spec)
+        for a in astuple(grads):
+            if a is not None:
+                print(a.dtype, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+_THREADED_FORWARD = _THREADED_SPECS + """
+import hashlib
+import numpy as np
+from maskconv.layers import bank_forward
+from maskconv.network import MaskedConv
 for dtype in (np.float32, np.float64):
     for spec in specs:
         conv = MaskedConv(spec, seed=5, dtype=dtype)
@@ -232,13 +242,14 @@ def run_under_thread_counts(script):
 
 def test_backward_bits_do_not_depend_on_thread_count():
     outputs = run_under_thread_counts(_THREADED_BACKWARD)
-    assert len(outputs[0].splitlines()) == 8
+    # per dtype: learnable filters, biases, masks, x; spatial filters, biases, x; channel filters, x
+    assert len(outputs[0].splitlines()) == 18
     assert outputs[0] == outputs[1]
 
 
 def test_forward_bits_do_not_depend_on_thread_count():
     outputs = run_under_thread_counts(_THREADED_FORWARD)
-    assert len(outputs[0].splitlines()) == 8
+    assert len(outputs[0].splitlines()) == 16
     assert outputs[0] == outputs[1]
 
 

@@ -276,6 +276,15 @@ def test_fit_leaves_no_patches_on_the_conv_layers():
     assert all(conv._patches is None for conv in model.conv_layers())
 
 
+def test_evaluate_leaves_no_patches_on_the_conv_layers():
+    rng = np.random.default_rng(2)
+    images = rng.random((16, 12, 12, 1)).astype(np.float32)
+    model = build_small_cnn("learnable", "separate", s=2, hidden=16, input_hw=12, seed=3)
+    evaluate(model, images, rng.integers(0, 10, 16), batch=8)
+    assert len(model.conv_layers()) == 2
+    assert all(conv._patches is None for conv in model.conv_layers())
+
+
 def test_format_log_record_fields():
     line = format_log_record(3, {"loss": 1.5, "task_loss": 1.25, "ortho_loss": 2.5, "accuracy": 0.5, "flip_rate": 0.0})
     assert line.startswith("step=3 loss=1.500000 task_loss=1.250000")

@@ -8,7 +8,10 @@ Layer records start with a u8 tag (1 conv, 2 relu, 3 avgpool, 4 flatten,
 5 dense).  A conv record is the layer spec, the primary filters as
 float32, the biases iff the variant has them, then the shape and words
 of the bit-packed masks iff the layer is learnable, whose training state
-they are.  Dense records carry the weight matrix and bias vector.
+they are.  Spatial and channel masks follow from the spec and are not
+stored, so a loaded layer holds masks iff it is learnable, and the loader
+allocates nothing beyond the arrays the file holds.  Dense records carry
+the weight matrix and bias vector.
 Loading a saved model reproduces its forward outputs bit-exactly at
 32-bit, and a second save of the loaded model is byte-identical.
 """
@@ -35,13 +38,6 @@ _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 _STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
 # variant, strategy, d, c, k, s, c_hat, g, stride, padding, lam
 _HEADER = struct.Struct("<BB8If")
-
-
-# A conv record's derived spatial or channel masks may take at most this many
-# bytes per byte of the record.  The record stores 4 bytes per filter entry
-# against s mask bytes, so only a layer with more than 256 * k masks can reach
-# the bound; the small CNN's default layers stay below 2.
-MASK_BYTES_PER_RECORD_BYTE = 64
 
 
 class CheckpointError(ValueError):
@@ -121,10 +117,7 @@ def _read_conv(r: _Reader) -> MaskedConv:
 
     The header must be the one the writer gives the spec it describes, so
     no field the variant ignores is carried along and a re-saved model is
-    byte-identical.  Spatial and channel masks are derived from the spec;
-    a record whose derived mask bits would outweigh
-    :data:`MASK_BYTES_PER_RECORD_BYTE` times its own bytes is rejected
-    before they are built.
+    byte-identical.
     """
     start = r.offset
     header = r.take(_HEADER.size)
@@ -156,15 +149,6 @@ def _read_conv(r: _Reader) -> MaskedConv:
         words = np.frombuffer(r.take(4 * n_masks * n_words), dtype="<u4")
         words = words.reshape(n_masks, n_words).astype(np.uint32)
         masks = MaskSet(spec.mask_kind, words, d, c, s, spec.mask_groups)
-    elif variant != "standard":
-        # built as one uint8 per bit (s, d*d*c) before packing
-        mask_bytes = spec.s * d * d * c
-        if mask_bytes > MASK_BYTES_PER_RECORD_BYTE * (r.offset - start):
-            raise CheckpointError(
-                f"{variant} masks of {mask_bytes} bits from a {r.offset - start}-byte record"
-                f" at offset {start}"
-            )
-        masks = spec.structural_masks()
     return MaskedConv.from_arrays(spec, filters, biases, masks)
 
 

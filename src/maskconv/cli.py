@@ -24,8 +24,8 @@ from maskconv.convref import ShapeError
 from maskconv.fastinfer import CountMismatchError, LayerSpec, measure_vs_predict
 from maskconv.idx import IdxFormatError, load_dataset_dir
 from maskconv.masks import write_mask_records
-from maskconv.network import MaskedConv, build_small_cnn
-from maskconv.training import TrainConfig, TrainingDiverged, evaluate, fit
+from maskconv.network import build_small_cnn
+from maskconv.training import DataError, TrainConfig, TrainingDiverged, evaluate, fit
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -155,15 +155,19 @@ def cmd_count_ops(args, out) -> int:
 
 def cmd_export_masks(args, out) -> int:
     model = load_checkpoint(args.checkpoint)
-    convs = [l for l in model.layers if isinstance(l, MaskedConv) and l.masks is not None]
+    convs = [l for l in model.conv_layers() if l.spec.variant != "standard"]
     if args.layer is not None:
         if not 0 <= args.layer < len(convs):
             raise ConfigError(f"--layer {args.layer} out of range (0..{len(convs) - 1})")
         convs = [convs[args.layer]]
+    for spec in (c.spec for c in convs if c.masks is None):
+        if spec.s > 256 * spec.k:  # built one byte per bit: at most 64 per float32 filter byte
+            raise CheckpointError(f"{spec.name}: {spec.s} masks of {spec.k} filters over the bound")
+    mask_sets = [c.spec.structural_masks() if c.masks is None else c.masks for c in convs]
     with open(args.out, "wb") as f:
-        for conv in convs:
-            write_mask_records(conv.masks, f)
-    total = sum(c.masks.n_masks for c in convs)
+        for masks in mask_sets:
+            write_mask_records(masks, f)
+    total = sum(m.n_masks for m in mask_sets)
     out(f"wrote {total} mask records from {len(convs)} layers to {args.out}")
     return 0
 
@@ -222,6 +226,7 @@ def main(argv: list[str] | None = None, out=print) -> int:
         NetSpecError,
         CountMismatchError,
         TrainingDiverged,
+        DataError,
         ShapeError,
         OSError,
     ) as exc:

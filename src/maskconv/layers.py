@@ -304,9 +304,7 @@ def naive_sum_forward(
     f = np.atleast_3d(np.asarray(f))
     d, c = f.shape[0], f.shape[2]
     spec = LayerSpec("spatial", d=d, c=c, k=1, stride=stride, padding=padding)
-    channels = bank_forward(
-        x, FilterBank(f[None], np.zeros(spec.s, dtype=f.dtype)), spatial_masks(d, c), spec
-    )
+    channels = bank_forward(x, FilterBank(f[None], np.zeros(spec.s, dtype=f.dtype)), None, spec)
     return np.add.reduce(channels, axis=2) + bias
 
 
@@ -367,36 +365,31 @@ def bank_backward(
     l = grad_T.shape[1]
     rows = patches.cols.reshape(*grid, l)
     grad3 = grad_T.reshape(k_rows, len(views), l)
-    structural = spec.variant in ("spatial", "channel")
-    if structural:
-        grad_f = np.zeros((*grid, k_rows), dtype=fmat.dtype)
+    grad_f = np.zeros((*grid, k_rows), dtype=fmat.dtype)
     for t, r, j0, j1 in regions:
-        kept = np.ascontiguousarray(rows[t, r]).reshape(-1, l)
-        n_kept = len(kept)
+        block = rows[t, r]
+        n_kept = block.shape[0] * block.shape[1]
+        kept = np.ascontiguousarray(block).reshape(n_kept, l)
         if n_kept == k_rows == 1 < len(regions):
             # numpy would sum this lone dot product in 8192-term chunks, the
             # dense contraction it is part of in one pass
             kept = np.concatenate([kept, np.zeros_like(kept)])
-        for j in range(j0, j1):  # each primary takes its masks' terms in order j, from zero
+        for j in range(j0, j1):  # each row takes its masks' terms in order j, from zero
             ghat = np.einsum("vl,kl->vk", kept, grad3[:, j])[:n_kept]
-            if structural:
-                grad_f[t, r] += ghat.reshape(grad_f[t, r].shape)
+            grad_f[t, r] += ghat.reshape(grad_f[t, r].shape)
+    grad_f = grad_f.reshape(-1, k_rows)
 
     grad_m = None
-    if structural:
-        grad_f = grad_f.reshape(-1, k_rows)
-        if spec.variant == "spatial":
-            grad_f /= spec.s
-    elif spec.variant == "standard":
-        grad_f = ghat  # the one full region's
-    else:
+    if spec.variant == "spatial":
+        grad_f /= spec.s
+    elif spec.variant == "learnable":
         v, k, s = fmat.shape[0], spec.k, spec.s
-        through_masks = (ghat * sel).reshape(v, k, s)
+        through_masks = (grad_f * sel).reshape(v, k, s)
+        through_filters = (grad_f * wide).reshape(v, k, s)
         grad_f = np.zeros((v, k), dtype=fmat.dtype)
         for j in range(s):
             grad_f += through_masks[:, :, j]
         groups = masks.n_masks // s
-        through_filters = (ghat * wide).reshape(v, k, s)
         grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
         for start in range(0, k, groups):
             grad_m += through_filters[:, start : start + groups]
@@ -408,13 +401,14 @@ def bank_backward(
 
     grad_x = None
     if input_grad:
-        grad_cols = np.empty((*grid, max(l, 2)), dtype=np.result_type(fmat, grad3))
+        # a lone column is summed beside a zero one, as in the forward
+        grad_cols = np.empty((*grid, l + (l == 1)), dtype=np.result_type(fmat, grad3))
         for t, r, j0, j1 in regions:
             f_run = f_grid[t, r].reshape(-1, k_rows)
             run = j1 - j0
             # np.repeat copies element by element, slower than a plain copy
             f_run = np.repeat(f_run, run, axis=1) if run != 1 else np.ascontiguousarray(f_run)
-            terms = _pad_lone_column(grad3[:, j0:j1].reshape(-1, l))
+            terms = _pad_lone_column(grad3[:, j0:j1].reshape(k_rows * run, l))
             into = grad_cols[t, r]
             if into.flags.c_contiguous:
                 np.einsum("vn,nl->vl", f_run, terms, out=into.reshape(len(f_run), -1))

@@ -13,6 +13,9 @@ contiguous block.  ``MaskedConv`` passes its output on as the core
 returns it, ReLU and ``AvgPool2`` keep their input's order, and
 ``Flatten`` hands its gradient back in its input's order, so no layer
 transposes.  Elementwise results do not depend on the memory order.
+
+A layer's forward keeps what its backward reads in ``_saved``, and the
+backward drops it, as :meth:`Network.release` does when none follows.
 """
 
 from __future__ import annotations
@@ -41,20 +44,20 @@ from maskconv.masks import (
 class MaskedConv:
     """Convolution layer deriving its outputs from masked primary filters.
 
-    Learned masks start all ones; :meth:`update_masks` replaces their bits.
-    A forward keeps its batch's patches for one :meth:`backward`, which drops them.
+    Only a learnable layer holds masks: learned ones start all ones and
+    :meth:`update_masks` replaces their bits.  The kernels read spatial
+    squares and channel windows from the spec, as index ranges.
     """
 
     def __init__(self, spec: LayerSpec, seed: int, dtype=np.float32):
         # He initialization: scale sqrt(2 / fan_in), zero biases
         bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), dtype)
+        masks = None
         if spec.strategy == "random-fixed":
             masks = random_masks(spec.k, spec.s, spec.d, spec.c, seed)
         elif spec.variant == "learnable":
             ones = np.ones((spec.d * spec.d * spec.c, spec.mask_groups * spec.s))
             masks = from_dense(ones, spec.mask_kind, spec.d, spec.c, spec.s, spec.mask_groups)
-        else:
-            masks = spec.structural_masks()
         self._hold(spec, bank.filters, bank.biases, masks)
 
     @classmethod
@@ -75,7 +78,7 @@ class MaskedConv:
         self.dtype = filters.dtype
         self.filters, self.biases = filters, biases
         self.masks: MaskSet | None = masks
-        self._patches = None
+        self._saved = None  # the last forward's patches
         self.grad_filters = None
         self.grad_biases = None
         self.grad_masks = None
@@ -96,21 +99,15 @@ class MaskedConv:
         xb = xb.astype(self.dtype, copy=False)
         # free the previous batch's patches first, so that the new ones can
         # reuse their memory rather than grow the heap by a patch matrix
-        self._patches = None
-        self._patches = im2col(xb, spec.d, spec.stride, spec.padding)
-        return forward_patches(self._patches, self.bank(), self.masks, spec)
+        self._saved = None
+        self._saved = im2col(xb, spec.d, spec.stride, spec.padding)
+        return forward_patches(self._saved, self.bank(), self.masks, spec)
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        patches, self._saved = self._saved, None
         grads = bank_backward(
-            grad_out,
-            None,
-            self.bank(),
-            self.masks,
-            self.spec,
-            patches=self._patches,
-            input_grad=input_grad,
+            grad_out, None, self.bank(), self.masks, self.spec, patches, input_grad
         )
-        self._patches = None
         self.grad_filters = grads.filters
         self.grad_biases = grads.biases
         self.grad_masks = grads.masks
@@ -135,11 +132,12 @@ class MaskedConv:
 
 class ReLU:
     def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+        self._saved = x > 0
+        return x * self._saved
 
     def backward(self, grad):
-        return grad * self._mask
+        positive, self._saved = self._saved, None
+        return grad * positive
 
 
 class AvgPool2:
@@ -154,7 +152,6 @@ class AvgPool2:
         b, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"AvgPool2 needs even spatial dims, got {x.shape}")
-        self._in_shape = x.shape
         y = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
         y += x[:, 1::2, 0::2]
         y += x[:, 1::2, 1::2]
@@ -162,8 +159,9 @@ class AvgPool2:
         return y
 
     def backward(self, grad):
+        n, h, w, c = grad.shape
         share = grad / 4.0
-        up = np.empty_like(grad, shape=self._in_shape)  # in grad's memory order
+        up = np.empty_like(grad, shape=(n, 2 * h, 2 * w, c))  # in grad's memory order
         for a in (0, 1):
             for b in (0, 1):
                 up[:, a::2, b::2] = share
@@ -178,11 +176,12 @@ class Flatten:
     """
 
     def forward(self, x):
-        self._x = x
+        self._saved = x
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        up = np.empty_like(self._x)
+        x, self._saved = self._saved, None
+        up = np.empty_like(x)
         up[...] = grad.reshape(up.shape)
         return up
 
@@ -203,12 +202,15 @@ class Dense:
         return layer
 
     def forward(self, x):
-        self._x = x
+        if x.ndim != 2 or x.shape[1] != len(self.w):
+            raise ShapeError(f"dense layer: expected a B x {len(self.w)} batch, got {x.shape}")
+        self._saved = x
         return np.einsum("bi,io->bo", x, self.w) + self.b
 
     def backward(self, grad):
+        x, self._saved = self._saved, None
         # grad as contiguous (o, b) rows: the same bits as "bi,bo->io" at about half the cost
-        self.grad_w = np.einsum("bi,ob->io", self._x, np.ascontiguousarray(grad.T))
+        self.grad_w = np.einsum("bi,ob->io", x, np.ascontiguousarray(grad.T))
         self.grad_b = np.add.reduce(grad, axis=0)
         # w as contiguous (o, i) rows keeps the inner loop on contiguous memory
         return np.einsum("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
@@ -246,6 +248,11 @@ class Network:
             first.backward(grad, input_grad=False)
         else:
             first.backward(grad)
+
+    def release(self) -> None:
+        """Drop what each layer's last forward saved for a backward."""
+        for layer in self.layers:
+            layer._saved = None
 
     def sgd(self, lr: float) -> None:
         for layer in self.layers:

@@ -23,6 +23,10 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite."""
 
 
+class DataError(ValueError):
+    """Raised on a dataset that the model or the loss cannot take."""
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.1
@@ -48,7 +52,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     n, n_classes = logits.shape
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(
+        raise DataError(
             f"label out of range: saw {labels.min()}..{labels.max()} "
             f"for {n_classes} classes"
         )
@@ -131,6 +135,8 @@ def fit(
     visit identical batches.  ``log`` receives one line-delimited record
     per step.  ``steps`` caps the total step count.
     """
+    if not len(images):
+        raise DataError("no images to train on")
     rng = np.random.default_rng(config.seed)
     history = History()
     step = 0
@@ -151,12 +157,13 @@ def fit(
 def evaluate(model: Network, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
     """Classification accuracy over a dataset.
 
-    The conv layers keep no patches afterwards, as after :func:`fit`.
+    The layers keep no activations afterwards, as after :func:`fit`.
     """
+    if not len(images):
+        raise DataError("no images to evaluate")
     hits = 0
     for start in range(0, len(images), batch):
         logits = model.forward(images[start : start + batch])
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + batch]))
-    for conv in model.conv_layers():
-        conv._patches = None  # kept by each forward for a backward that never comes
+    model.release()  # what each forward saved for a backward that never comes
     return hits / len(images)

@@ -116,10 +116,14 @@ def relative_error(analytic, numeric):
 
 
 def secondary_matrix_loop(bank, masks, spec):
-    """(d*d*c, n) masked secondary filters, built one secondary at a time."""
+    """(d*d*c, n) masked secondary filters, built one secondary at a time.
+
+    A spatial or channel layer's masks are its spec's when ``masks`` is None.
+    """
     fmat = bank.filter_matrix()
     if spec.variant == "standard":
         return np.ascontiguousarray(fmat)
+    masks = spec.structural_masks() if masks is None else masks
     dense = masks.dense(fmat.dtype)
     out = np.empty((fmat.shape[0], spec.n_secondary), dtype=fmat.dtype)
     for i in range(spec.k):

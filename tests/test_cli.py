@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -8,8 +9,8 @@ from maskconv.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from maskconv.cli import main
 from maskconv.config import ConfigError, RunConfig, load_config, parse_config_text
 from maskconv.datagen import write_dataset
-from maskconv.idx import IMAGES_MAGIC
-from maskconv.masks import read_mask_records
+from maskconv.idx import IMAGES_MAGIC, write_idx_images, write_idx_labels
+from maskconv.masks import read_mask_records, write_mask_records
 from maskconv.network import MaskedConv, build_small_cnn
 
 
@@ -194,6 +195,49 @@ def test_eval_hostile_idx_header_exits_1(tmp_path, dataset):
     assert out.text.startswith("error:") and "truncated pixel data" in out.text
 
 
+def write_split(root, split, n, hw=28, label=0):
+    """A well-formed IDX pair of ``n`` blank ``hw x hw`` images, all labelled ``label``."""
+    root.mkdir(exist_ok=True)
+    write_idx_images(root / f"{split}-images.idx", np.zeros((n, hw, hw)))
+    write_idx_labels(root / f"{split}-labels.idx", np.full(n, label))
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        (dict(n=0), "no images to evaluate"),
+        (dict(n=4, hw=32), "dense layer: expected a B x 400 batch, got (4, 576)"),
+    ],
+    ids=["empty", "32x32"],
+)
+def test_eval_split_that_does_not_fit_the_model_exits_1(tmp_path, split, message):
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(build_small_cnn(conv1_maps=4, conv2_maps=16, hidden=16), model)
+    write_split(tmp_path / "data", "test", **split)
+    out = Capture()
+    code = main(["eval", "--checkpoint", str(model), "--data", str(tmp_path / "data")], out=out)
+    assert code == 1
+    assert out.text.startswith("error:") and message in out.text
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        (dict(n=0), "no images to train on"),
+        (dict(n=4, hw=32), "dense layer"),
+        (dict(n=4, label=10), "label out of range: saw 10..10 for 10 classes"),
+    ],
+    ids=["empty", "32x32", "label 10"],
+)
+def test_train_split_that_does_not_fit_the_model_exits_1(tmp_path, split, message):
+    write_split(tmp_path / "data", "train", **split)
+    out = Capture()
+    code = main(["train", "--config", str(small_config(tmp_path, tmp_path / "data"))], out=out)
+    assert code == 1
+    assert out.lines[-1].startswith("error:") and message in out.text
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -294,6 +338,21 @@ def test_export_masks_roundtrip(tmp_path, dataset):
     d, c, bits = records[0]
     assert (d, c) == (convs[0].masks.d, convs[0].masks.c)
     assert np.array_equal(bits, convs[0].masks.dense()[:, 0])
+
+
+@pytest.mark.parametrize("variant, kwargs", [("spatial", {}), ("channel", dict(c_hat=3, g=3))])
+def test_export_masks_writes_the_masks_the_spec_derives(tmp_path, variant, kwargs):
+    path = tmp_path / "model.ckpt"
+    model = build_small_cnn(variant, conv1_maps=6, conv2_maps=8, hidden=8, **kwargs)
+    save_checkpoint(model, path)
+    want = io.BytesIO()
+    for conv in model.conv_layers():
+        if conv.spec.variant != "standard":
+            write_mask_records(conv.spec.structural_masks(), want)
+    assert len(want.getvalue()) > 0
+    args = ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")]
+    assert main(args, out=Capture()) == 0
+    assert (tmp_path / "m.bin").read_bytes() == want.getvalue()
 
 
 def test_export_masks_hostile_checkpoint_exits_1(tmp_path):

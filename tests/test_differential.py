@@ -123,6 +123,7 @@ def random_case(rng, trial):
 
     Trials cycle through the variants, the learnable strategies and both
     dtypes; geometry, ``s``, channel windows and batch size are drawn.
+    Every 21st trial's batch is empty, cycling through the variants.
     ``k`` and ``s`` reach 9, past the 8 terms below which numpy sums a
     short axis in order anyway, so a reordered accumulation shows.
     """
@@ -148,12 +149,15 @@ def random_case(rng, trial):
     h, w = (int(v) for v in rng.integers(max(1, d - 2 * padding), d - 2 * padding + 5, size=2))
     batch = int(rng.integers(0, 4))  # 0: a single image
     shape = (h, w, c) if batch == 0 else (batch, h, w, c)
-    return spec, bank, masks, rng.normal(size=shape).astype(dtype)
+    x = rng.normal(size=shape).astype(dtype)
+    return spec, bank, masks, x.reshape(-1, h, w, c)[:0] if trial % 21 == 20 else x
 
 
 def reference_maps(x, fhat, biases, spec):
     """``conv_reference`` of each secondary filter, stacked primary-major."""
     images = x if x.ndim == 4 else x[None]
+    if not len(images):
+        return np.zeros((0, *spec.output_shape(*images.shape[1:3])), np.result_type(x, fhat))
     maps = []
     for image in images:
         channels = []
@@ -193,7 +197,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
             ("d odd", spec.d % 2),
             ("stride", spec.stride),
             ("padding", spec.padding),
-            ("batch", x.shape[0] if x.ndim == 4 else 0),
+            ("batch", x.shape[0] if x.ndim == 4 else "one image"),
             ("s = 1", spec.variant, spec.s == 1),
             ("c_hat = c", spec.c_hat == spec.c),
         }
@@ -244,7 +248,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
             assert_same_bits(grads.masks, grad_m)
     required = {("s = 1", v, True) for v in VARIANTS} | {("c_hat = c", True)}
     required |= {("d odd", 0), ("d odd", 1), ("stride", 2), ("padding", 2)}
-    required |= {("batch", b) for b in range(4)}
+    required |= {("batch", b) for b in ("one image", 0, 1, 2, 3)}
     required |= {("one output position", True), ("one output position", False)}
     required |= {
         (v, strategy, t)

@@ -49,6 +49,11 @@ def random_conv(rng, variant, trial, dtype):
     return conv
 
 
+def reference_masks(conv):
+    """The layer's masks, or those its spec derives if it holds none."""
+    return conv.spec.structural_masks() if conv.masks is None else conv.masks
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
@@ -61,7 +66,7 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
         xb = rng.normal(size=(3, h, w, spec.c)).astype(dtype)
         yb = conv.forward(xb)
         assert yb.dtype == dtype
-        fhat = secondary_matrix(bank, masks, spec)
+        fhat = secondary_matrix(bank, reference_masks(conv), spec)
         for i in range(3):
             assert np.array_equal(yb[i], bank_forward(xb[i], bank, masks, spec))
             for j in range(spec.n_secondary):
@@ -112,7 +117,7 @@ def test_batch_of_one_position_images_equals_singles_and_reference(variant, dtyp
         assert yb.shape == (3, 1, 1, spec.n_secondary)
         singles = np.stack([bank_forward(x, bank, masks, spec) for x in xb])
         assert np.array_equal(yb, singles)
-        fhat = secondary_matrix(bank, masks, spec)
+        fhat = secondary_matrix(bank, reference_masks(conv), spec)
         for i in range(3):
             for j in range(spec.n_secondary):
                 f = fhat[:, j].reshape(spec.d, spec.d, spec.c)
@@ -279,7 +284,7 @@ def test_backward_drops_the_patches_and_a_second_backward_raises():
     conv = MaskedConv(LayerSpec("standard", d=3, c=1, k=2), seed=0)
     grad = np.ones(conv.forward(np.ones((1, 5, 5, 1), dtype=np.float32)).shape, np.float32)
     conv.backward(grad)
-    assert conv._patches is None
+    assert conv._saved is None
     with pytest.raises(ShapeError, match="bank_backward needs x or the forward's patches"):
         conv.backward(grad)
 

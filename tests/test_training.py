@@ -267,22 +267,31 @@ def test_fit_is_deterministic_given_seed():
     assert np.array_equal(runs[0], runs[1])
 
 
+def saved_by_layer(model):
+    """What each layer keeps from its last forward for a backward."""
+    return [getattr(layer, "_saved", None) for layer in model.layers]
+
+
 def test_fit_leaves_no_patches_on_the_conv_layers():
     rng = np.random.default_rng(2)
     images = rng.random((16, 12, 12, 1)).astype(np.float32)
     model = build_small_cnn("learnable", "separate", s=2, hidden=16, input_hw=12, seed=3)
+    model.forward(images[:2])
+    assert sum(saved is not None for saved in saved_by_layer(model)) == 8  # all but the pools
     fit(model, images, rng.integers(0, 10, 16), TrainConfig(epochs=1, batch=8, seed=1))
     assert len(model.conv_layers()) == 2
-    assert all(conv._patches is None for conv in model.conv_layers())
+    assert all(saved is None for saved in saved_by_layer(model))  # patches and activations
 
 
 def test_evaluate_leaves_no_patches_on_the_conv_layers():
     rng = np.random.default_rng(2)
     images = rng.random((16, 12, 12, 1)).astype(np.float32)
     model = build_small_cnn("learnable", "separate", s=2, hidden=16, input_hw=12, seed=3)
+    model.forward(images[:2])
+    assert sum(saved is not None for saved in saved_by_layer(model)) == 8  # all but the pools
     evaluate(model, images, rng.integers(0, 10, 16), batch=8)
     assert len(model.conv_layers()) == 2
-    assert all(conv._patches is None for conv in model.conv_layers())
+    assert all(saved is None for saved in saved_by_layer(model))  # patches and activations
 
 
 def test_format_log_record_fields():
@@ -366,6 +375,8 @@ def test_checkpoint_preserves_all_variants(tmp_path, monkeypatch):
             patch.setattr(np.random, "default_rng", no_draws)
             loaded = load_checkpoint(path)
         assert np.array_equal(before, loaded.forward(x))
+        for conv in model.conv_layers() + loaded.conv_layers():  # only learnable layers hold masks
+            assert (conv.masks is not None) == (conv.spec.variant == "learnable")
 
 
 def test_checkpoint_truncation_names_offset(tmp_path):
@@ -463,21 +474,21 @@ def test_checkpoint_hostile_records_rejected(tmp_path, data, message):
         load_checkpoint(path)
 
 
-def test_checkpoint_derived_mask_bomb_rejected_without_allocating(tmp_path):
+def test_checkpoint_channel_record_loads_without_building_its_windows(tmp_path):
     # one channel record, d=1 c=4096 c_hat=1 g=1 k=1: 16 KiB of filters behind
-    # 4096 derived windows of 4096 bits, built one byte per bit
+    # 4096 windows of 4096 bits, which the kernels read as index ranges
     data = conv_checkpoint(variant=2, d=1, c=4096, s=4096, c_hat=1, g=1, body=f32_bytes(4096))
     assert len(data) == 16435
     path = tmp_path / "bomb.ckpt"
     path.write_bytes(data)
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match="channel masks of 16777216 bits .* offset"):
-            load_checkpoint(path)
+        (conv,) = load_checkpoint(path).layers
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert conv.spec.s == 4096 and conv.masks is None
 
 
 def test_identical_seeds_produce_identical_checkpoints(tmp_path):

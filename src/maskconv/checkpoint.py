@@ -18,12 +18,12 @@ Loading a saved model reproduces its forward outputs bit-exactly at
 
 from __future__ import annotations
 
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from maskconv.binread import Reader
 from maskconv.convref import ShapeError
 from maskconv.layers import LayerSpec
 from maskconv.masks import MaskError, MaskSet
@@ -46,6 +46,10 @@ class CheckpointError(ValueError):
 
 def _f32(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f4").tobytes()
+
+
+def _read_f32(r: Reader, shape: tuple[int, ...], what: str) -> np.ndarray:
+    return r.array(shape, "<f4", what).astype(np.float32)
 
 
 def _header(spec: LayerSpec) -> bytes:
@@ -88,31 +92,7 @@ def save_checkpoint(model: Network, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, size: int) -> bytes:
-        if self.offset + size > len(self.data):
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {size} bytes at offset {self.offset}, "
-                f"file has {len(self.data)}"
-            )
-        chunk = self.data[self.offset : self.offset + size]
-        self.offset += size
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def f32(self, shape) -> np.ndarray:
-        count = math.prod(shape)
-        raw = np.frombuffer(self.take(4 * count), dtype="<f4")
-        return raw.reshape(shape).astype(np.float32)
-
-
-def _read_conv(r: _Reader) -> MaskedConv:
+def _read_conv(r: Reader) -> MaskedConv:
     """Read one conv record; every array is read before a layer is built.
 
     The header must be the one the writer gives the spec it describes, so
@@ -120,7 +100,7 @@ def _read_conv(r: _Reader) -> MaskedConv:
     byte-identical.
     """
     start = r.offset
-    header = r.take(_HEADER.size)
+    header = r.take(_HEADER.size, "conv header")
     variant_code, strategy_code, d, c, k, s, c_hat, g, stride, padding, lam = _HEADER.unpack(header)
     # an unknown variant code reaches LayerSpec as itself, which rejects it by name
     variant = _VARIANT_NAME.get(variant_code, variant_code)
@@ -139,30 +119,28 @@ def _read_conv(r: _Reader) -> MaskedConv:
     )
     if _header(spec) != header:
         raise CheckpointError(f"conv header at offset {start} does not re-encode to its own bytes")
-    filters = r.f32((k, d, d, c))
-    biases = r.f32((spec.n_secondary,)) if spec.has_biases else None
+    filters = _read_f32(r, (k, d, d, c), "conv filters")
+    biases = _read_f32(r, (spec.n_secondary,), "conv biases") if spec.has_biases else None
     masks = None
     if variant == "learnable":
-        n_masks, n_words = r.unpack("<II")
+        n_masks, n_words = r.unpack("<II", "mask shape")
         if n_words != (d * d * c + 31) // 32:
             raise CheckpointError(f"{n_words} mask words do not fit d={d} c={c} at offset {r.offset}")
-        words = np.frombuffer(r.take(4 * n_masks * n_words), dtype="<u4")
-        words = words.reshape(n_masks, n_words).astype(np.uint32)
+        words = r.array((n_masks, n_words), "<u4", "mask words").astype(np.uint32)
         masks = MaskSet(spec.mask_kind, words, d, c, s, spec.mask_groups)
     return MaskedConv.from_arrays(spec, filters, biases, masks)
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    data = Path(path).read_bytes()
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
+    r = Reader(Path(path).read_bytes(), CheckpointError, f"checkpoint {path}")
+    if r.take(4, "magic") != MAGIC:
         raise CheckpointError(f"bad magic in {path}: not a checkpoint file")
-    version, n_layers = r.unpack("<II")
+    version, n_layers = r.unpack("<II", "header")
     if version != VERSION:
         raise CheckpointError(f"checkpoint version {version} unsupported (want {VERSION})")
     layers = []
     for _ in range(n_layers):
-        (tag,) = r.unpack("<B")
+        (tag,) = r.unpack("<B", "layer tag")
         if tag == 1:
             start = r.offset
             try:
@@ -176,14 +154,14 @@ def load_checkpoint(path: str | Path) -> Network:
         elif tag == 4:
             layers.append(Flatten())
         elif tag == 5:
-            n_in, n_out = r.unpack("<II")
-            if not n_in:
-                raise CheckpointError(f"dense layer with no inputs at offset {r.offset}")
-            layers.append(Dense.from_arrays(r.f32((n_in, n_out)), r.f32((n_out,))))
+            n_in, n_out = r.unpack("<II", "dense shape")
+            if not n_in or not n_out:
+                side = "outputs" if n_in else "inputs"
+                raise CheckpointError(f"dense layer with no {side} at offset {r.offset}")
+            w = _read_f32(r, (n_in, n_out), "dense weights")
+            layers.append(Dense.from_arrays(w, _read_f32(r, (n_out,), "dense biases")))
         else:
             raise CheckpointError(f"unknown layer tag {tag} at offset {r.offset - 1}")
-    if r.offset != len(data):
-        raise CheckpointError(
-            f"trailing bytes: parsed {r.offset} of {len(data)}"
-        )
+    if r.left:
+        raise CheckpointError(f"trailing bytes: parsed {r.offset} of {len(r.data)}")
     return Network(layers)

@@ -56,7 +56,6 @@ def _train_config(config: RunConfig) -> TrainConfig:
         epochs=config.get("train.epochs"),
         batch=config.get("train.batch"),
         seed=config.get("train.seed"),
-        loss=config.get("train.loss"),
     )
 
 
@@ -78,13 +77,13 @@ def _run_one_training(config: RunConfig, out):
         for line in log_lines:
             out(line)
 
+    save_checkpoint(model, config.get("out.checkpoint"))
+    out(f"checkpoint written to {config.get('out.checkpoint')}")
     accuracy = None
     if (data_root / "test-images.idx").exists():
         test_images, test_labels = load_dataset_dir(data_root, "test")
         accuracy = evaluate(model, test_images, test_labels)
         out(f"test accuracy={accuracy:.4f}")
-    save_checkpoint(model, config.get("out.checkpoint"))
-    out(f"checkpoint written to {config.get('out.checkpoint')}")
     return accuracy
 
 

@@ -29,7 +29,6 @@ KNOWN_KEYS = {
     "train.epochs": (int, 2),
     "train.batch": (int, 64),
     "train.seed": (int, 0),
-    "train.loss": (str, "cross-entropy"),
     "data.path": (str, ""),
     "out.checkpoint": (str, "model.ckpt"),
     "out.log": (str, ""),

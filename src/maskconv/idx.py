@@ -7,11 +7,12 @@ files: magic ``0x00000801``, then N, then N label bytes.
 
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from maskconv.binread import Reader
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -37,42 +38,20 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
         f.write(labels.tobytes())
 
 
-def _read_exact(f, size: int, what: str, path) -> bytes:
-    """Read ``size`` bytes, after checking that the file still holds them.
-
-    Sizes come from the file's own header, so ``size`` is compared with
-    the bytes left in the file before ``read`` is asked for it: a short
-    file that declares gigabytes fails here without allocating them.
-    """
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if size > left:
-        raise IdxFormatError(f"{path}: truncated {what} (wanted {size} bytes, {left} left)")
-    data = f.read(size)
-    if len(data) != size:
-        raise IdxFormatError(f"{path}: truncated {what} (wanted {size} bytes, got {len(data)})")
-    return data
-
-
 def read_idx_images(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, n, h, w = struct.unpack(">IIII", _read_exact(f, 16, "image header", path))
-        if magic != IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad image magic 0x{magic:08x} (want 0x{IMAGES_MAGIC:08x})"
-            )
-        data = _read_exact(f, n * h * w, "pixel data", path)
-    return np.frombuffer(data, dtype=np.uint8).reshape(n, h, w)
+    r = Reader(Path(path).read_bytes(), IdxFormatError, str(path))
+    magic, n, h, w = r.unpack(">IIII", "image header")
+    if magic != IMAGES_MAGIC:
+        raise IdxFormatError(f"{path}: bad image magic 0x{magic:08x} (want 0x{IMAGES_MAGIC:08x})")
+    return r.array((n, h, w), np.uint8, "pixel data")
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, n = struct.unpack(">II", _read_exact(f, 8, "label header", path))
-        if magic != LABELS_MAGIC:
-            raise IdxFormatError(
-                f"{path}: bad label magic 0x{magic:08x} (want 0x{LABELS_MAGIC:08x})"
-            )
-        data = _read_exact(f, n, "label data", path)
-    return np.frombuffer(data, dtype=np.uint8).copy()
+    r = Reader(Path(path).read_bytes(), IdxFormatError, str(path))
+    magic, n = r.unpack(">II", "label header")
+    if magic != LABELS_MAGIC:
+        raise IdxFormatError(f"{path}: bad label magic 0x{magic:08x} (want 0x{LABELS_MAGIC:08x})")
+    return r.array((n,), np.uint8, "label data").copy()
 
 
 def load_idx(

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from maskconv.binread import Reader
+
 SHARED_KINDS = ("spatial", "channel-window", "learned-shared")
 SEPARATE_KINDS = ("learned-separate", "random-fixed")
 KINDS = SHARED_KINDS + SEPARATE_KINDS
@@ -262,24 +264,6 @@ def write_mask_records(masks: MaskSet, fileobj) -> None:
         fileobj.write(np.ascontiguousarray(row, dtype="<u4").tobytes())
 
 
-# Mask payload sizes come from the record header, so the payload is read in
-# chunks no larger than this: a short file that declares gigabytes ends the
-# read at its EOF, having buffered no more than the bytes it holds.
-_READ_CHUNK = 1 << 16
-
-
-def _read_payload(fileobj, size: int) -> bytes:
-    """Up to ``size`` bytes of ``fileobj``, fewer only at EOF."""
-    chunks = []
-    while size > 0:
-        chunk = fileobj.read(min(size, _READ_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
 def read_mask_records(fileobj) -> list[tuple[int, int, np.ndarray]]:
     """Read records written by :func:`write_mask_records` until EOF.
 
@@ -287,21 +271,12 @@ def read_mask_records(fileobj) -> list[tuple[int, int, np.ndarray]]:
     Raises :class:`MaskError` for a truncated record or a zero ``d`` or
     ``c``, without allocating more than the file holds.
     """
+    r = Reader(fileobj.read(), MaskError, "mask records")
     records = []
-    while True:
-        header = fileobj.read(8)
-        if not header:
-            return records
-        if len(header) != 8:
-            raise MaskError("truncated mask record header")
-        d, c = (int(v) for v in np.frombuffer(header, dtype="<u4"))
+    while r.left:
+        d, c = r.unpack("<2I", "mask record header")
         if d == 0 or c == 0:
             raise MaskError(f"mask record declares d={d} c={c}; both must be positive")
-        n_words = (d * d * c + 31) // 32
-        payload = _read_payload(fileobj, 4 * n_words)
-        if len(payload) != 4 * n_words:
-            raise MaskError(
-                f"truncated mask record payload (wanted {4 * n_words} bytes, got {len(payload)})"
-            )
-        words = np.frombuffer(payload, dtype="<u4")
+        words = r.array(((d * d * c + 31) // 32,), "<u4", "mask record payload")
         records.append((d, c, unpack_bits(words, d * d * c)[0]))
+    return records

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from maskconv.convref import ShapeError
 from maskconv.network import Network
 
 LOSSES = ("cross-entropy", "mean-squared-error")
@@ -164,6 +165,8 @@ def evaluate(model: Network, images: np.ndarray, labels: np.ndarray, batch: int 
     hits = 0
     for start in range(0, len(images), batch):
         logits = model.forward(images[start : start + batch])
+        if logits.ndim != 2 or not logits.shape[1]:
+            raise ShapeError(f"cannot classify: the model gives {logits.shape} outputs, not B x classes")
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + batch]))
     model.release()  # what each forward saved for a backward that never comes
     return hits / len(images)

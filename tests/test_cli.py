@@ -110,6 +110,7 @@ def test_train_unknown_key_exits_2():
         "model.hidden=0",
         "model.variant=bogus",
         "model.s=0",
+        "train.loss=mean-squared-error",
     ],
 )
 def test_train_value_no_model_or_schedule_takes_exits_2(tmp_path, dataset, setting):
@@ -236,6 +237,28 @@ def test_train_split_that_does_not_fit_the_model_exits_1(tmp_path, split, messag
     assert code == 1
     assert out.lines[-1].startswith("error:") and message in out.text
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_saves_the_checkpoint_before_a_test_split_it_cannot_evaluate(tmp_path, dataset):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train-images.idx", "train-labels.idx"):
+        (data / name).write_bytes((dataset / name).read_bytes())
+    write_split(data, "test", n=0)
+    out = Capture()
+    code = main(["train", "--config", str(small_config(tmp_path, data))], out=out)
+    assert code == 1
+    assert out.lines[-1].startswith("error:") and "no images to evaluate" in out.text
+    assert load_checkpoint(tmp_path / "model.ckpt").layers
+
+
+def test_eval_zero_layer_checkpoint_exits_1(tmp_path, dataset):
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 0))
+    out = Capture()
+    code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)], out=out)
+    assert code == 1
+    assert out.text.startswith("error:") and "cannot classify" in out.text
 
 
 # ------------------------------------------------------------------- bench

@@ -344,6 +344,22 @@ def test_mask_export_truncation_detected():
         read_mask_records(io.BytesIO(data))
 
 
+def test_mask_records_truncated_at_every_offset():
+    buf = io.BytesIO()
+    write_mask_records(random_masks(1, 3, 3, 8, seed=2), buf)
+    data = buf.getvalue()
+    whole = read_mask_records(io.BytesIO(data))
+    size = len(data) // len(whole)  # 8 header bytes and three words
+    for cut in range(len(data)):
+        if cut % size:
+            with pytest.raises(MaskError, match=r"truncated mask record .* at offset"):
+                read_mask_records(io.BytesIO(data[:cut]))
+        else:  # the records carry no count: a cut between them reads those before it
+            records = read_mask_records(io.BytesIO(data[:cut]))
+            assert len(records) == cut // size
+            assert all(np.array_equal(a[2], b[2]) for a, b in zip(records, whole))
+
+
 @pytest.mark.parametrize("size", [65535, 2**32 - 1])
 @pytest.mark.parametrize("through", ["bytesio", "file"])
 def test_mask_record_huge_header_rejected_without_allocating(tmp_path, size, through):

@@ -389,6 +389,20 @@ def test_checkpoint_truncation_names_offset(tmp_path):
         load_checkpoint(tmp_path / "cut.ckpt")
 
 
+def test_checkpoint_truncated_at_every_offset_raises_checkpoint_error(tmp_path):
+    model = build_small_cnn(
+        "learnable", strategy="separate", s=2, conv1_maps=2, conv2_maps=2, hidden=2,
+        n_classes=2, input_hw=12,
+    )
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    data = (tmp_path / "model.ckpt").read_bytes()
+    for cut in range(len(data)):
+        path = tmp_path / f"cut{cut}.ckpt"
+        path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError, match=r"truncated .* at offset \d+ \(wanted \d+ bytes, \d+ left\)"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_foreign_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -422,9 +436,12 @@ def f32_bytes(count):
             "checkpoint version 1 unsupported",
         ),
         # dims whose product overflows int64; 51 bytes in all
-        (conv_checkpoint(d=60000, c=60000, k=60000), "truncated checkpoint: wanted .* at offset 51"),
+        (
+            conv_checkpoint(d=60000, c=60000, k=60000),
+            r"truncated conv filters at offset 51 \(wanted 51840000000000000000 bytes, 0 left\)",
+        ),
         # 4 GiB of filters declared, none present
-        (conv_checkpoint(d=64, c=64, k=4096), "truncated checkpoint: wanted 4294967296 bytes at offset 51"),
+        (conv_checkpoint(d=64, c=64, k=4096), r"truncated conv filters at offset 51 \(wanted 4294967296 bytes, 0 left\)"),
         # learnable shared, s=2: three mask rows instead of two
         (
             conv_checkpoint(
@@ -445,6 +462,8 @@ def f32_bytes(count):
         (conv_checkpoint(d=0), "offset 13: invalid layer geometry"),
         # a dense layer with no inputs
         (MAGIC + struct.pack("<IIBII", VERSION, 1, 5, 0, 4) + f32_bytes(4), "dense layer with no inputs at offset"),
+        # a dense layer with no outputs
+        (MAGIC + struct.pack("<IIBII", VERSION, 1, 5, 4, 0), "dense layer with no outputs at offset 21"),
         # a spatial record carrying a random-fixed strategy, s, c_hat and g
         (
             conv_checkpoint(variant=1, strategy=3, s=99, c_hat=77, g=55, body=f32_bytes(9 + 2)),

@@ -34,7 +34,6 @@ from maskconv.masks import (
     ortho_grad,
     ortho_loss,
     random_masks,
-    sign_binarize,
     spatial_masks,
 )
 from maskconv.fastinfer import OpCounts, cached_forward, measure_vs_predict, predict_counts
@@ -62,7 +61,6 @@ __all__ = [
     "ortho_loss",
     "predict_counts",
     "random_masks",
-    "sign_binarize",
     "spatial_masks",
     "vec",
 ]

@@ -6,14 +6,20 @@ Layout (all little-endian):
 
 Layer records start with a u8 tag (1 conv, 2 relu, 3 avgpool, 4 flatten,
 5 dense).  A conv record is the layer spec, the primary filters as
-float32, the biases iff the variant has them, then the shape and words
-of the bit-packed masks iff the layer is learnable, whose training state
-they are.  Spatial and channel masks follow from the spec and are not
-stored, so a loaded layer holds masks iff it is learnable, and the loader
-allocates nothing beyond the arrays the file holds.  Dense records carry
-the weight matrix and bias vector.
-Loading a saved model reproduces its forward outputs bit-exactly at
-32-bit, and a second save of the loaded model is byte-identical.
+float32, the biases iff the variant has them, then, iff the layer is
+learnable, its mask bits, the training state: u32 ``(n_masks, n_words)``
+and the words of :func:`maskconv.masks.to_words`.  Spatial and channel
+masks follow from the spec and are not stored, so a loaded layer holds
+masks iff it is learnable.  Dense records carry the weight matrix and
+bias vector.
+
+The loader checks every declared size against the bytes present before
+it allocates.  The mask count must be the spec's before the words are
+read, and the words are unpacked only once read, so the bits take at
+most 8x the file's mask bytes.  A set padding bit past ``d*d*c`` is
+rejected, since no save could write it back.  Loading a saved model
+reproduces its forward outputs bit-exactly at 32-bit, and a second save
+of the loaded model is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from maskconv.binread import Reader
 from maskconv.convref import ShapeError
 from maskconv.layers import LayerSpec
-from maskconv.masks import MaskError, MaskSet
+from maskconv.masks import MaskError, MaskSet, from_words, to_words
 from maskconv.network import AvgPool2, Dense, Flatten, MaskedConv, Network, ReLU
 
 MAGIC = b"MKCV"
@@ -65,8 +71,8 @@ def _conv_record(layer: MaskedConv) -> bytes:
     if spec.has_biases:
         parts.append(_f32(layer.biases))
     if spec.variant == "learnable":
-        parts.append(struct.pack("<II", *layer.masks.words.shape))
-        parts.append(np.ascontiguousarray(layer.masks.words, dtype="<u4").tobytes())
+        words = to_words(layer.masks.bits)
+        parts += [struct.pack("<II", *words.shape), words.tobytes()]
     return b"".join(parts)
 
 
@@ -126,8 +132,10 @@ def _read_conv(r: Reader) -> MaskedConv:
         n_masks, n_words = r.unpack("<II", "mask shape")
         if n_words != (d * d * c + 31) // 32:
             raise CheckpointError(f"{n_words} mask words do not fit d={d} c={c} at offset {r.offset}")
-        words = r.array((n_masks, n_words), "<u4", "mask words").astype(np.uint32)
-        masks = MaskSet(spec.mask_kind, words, d, c, s, spec.mask_groups)
+        if n_masks != s * spec.mask_groups:  # before the words are read
+            raise MaskError(f"{spec.mask_kind} mask set expects {s * spec.mask_groups} masks, got {n_masks}")
+        bits = from_words(r.array((n_masks, n_words), "<u4", "mask words"), d * d * c)
+        masks = MaskSet(spec.mask_kind, bits, d, c, s, spec.mask_groups)
     return MaskedConv.from_arrays(spec, filters, biases, masks)
 
 

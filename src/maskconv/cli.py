@@ -1,8 +1,8 @@
 """Command line front end.
 
-Subcommands: ``train``, ``eval``, ``bench``, ``count-ops``,
-``export-masks``.  Exit codes: 0 success, 1 runtime failure (unreadable
-data, malformed files), 2 usage or configuration errors.
+Subcommands: ``train``, ``eval``, ``count-ops``, ``export-masks``.  Exit
+codes: 0 success, 1 runtime failure (unreadable data, malformed files), 2
+usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from maskconv.accounting import (
 from maskconv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maskconv.config import ConfigError, RunConfig, load_config
 from maskconv.convref import ShapeError
-from maskconv.fastinfer import CountMismatchError, LayerSpec, measure_vs_predict
 from maskconv.idx import IdxFormatError, load_dataset_dir
 from maskconv.masks import write_mask_records
 from maskconv.network import build_small_cnn
@@ -114,32 +113,6 @@ def cmd_eval(args, out) -> int:
     return 0
 
 
-_BENCH_SPECS = [
-    LayerSpec("standard", d=3, c=8, k=8),
-    LayerSpec("spatial", d=5, c=4, k=2),
-    LayerSpec("channel", d=3, c=16, k=2, c_hat=8, g=8),
-    LayerSpec("learnable", d=3, c=16, k=2, s=4, strategy="shared"),
-    LayerSpec("learnable", d=3, c=16, k=2, s=4, strategy="separate"),
-    LayerSpec("learnable", d=3, c=16, k=4, s=2, strategy="random-fixed"),
-]
-
-
-def cmd_bench(args, out) -> int:
-    out(f"bench trials={args.trials} seed={args.seed} hw={args.hw}")
-    for spec in _BENCH_SPECS:
-        report = measure_vs_predict(spec, trials=args.trials, seed=args.seed, hw=args.hw)
-        predicted = report["predicted"]
-        measured = report["measured"][0]
-        tag = spec.variant if spec.strategy is None else f"{spec.variant}/{spec.strategy}"
-        out(
-            f"spec variant={tag} d={spec.d} c={spec.c} n={spec.n_secondary}"
-            f" mul_fp32={measured.mul_fp32} mask_ops={measured.mask_ops}"
-            f" combined_mul={measured.combined_mul:.2f}"
-            f" add_fp32={measured.add_fp32} add_expected={predicted.add_fp32} ok=1"
-        )
-    return 0
-
-
 def cmd_count_ops(args, out) -> int:
     net = load_netspec(args.netspec)
     if args.compare:
@@ -189,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", default="test")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="verify cached-product op tallies")
-    p_bench.add_argument("--trials", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--hw", type=int, default=10)
-    p_bench.set_defaults(fn=cmd_bench)
-
     p_count = sub.add_parser("count-ops", help="closed-form network accounting")
     p_count.add_argument("netspec")
     p_count.add_argument("--compare", default=None)
@@ -223,7 +190,6 @@ def main(argv: list[str] | None = None, out=print) -> int:
         IdxFormatError,
         CheckpointError,
         NetSpecError,
-        CountMismatchError,
         TrainingDiverged,
         DataError,
         ShapeError,

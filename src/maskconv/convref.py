@@ -11,9 +11,9 @@ Canonical vectorization order.
 
     for spatial position ``(p, q)`` and channel ``ch``.  This is exactly
     ``block.reshape(-1)`` on an array of shape ``(d, d, c)``.  Patch-matrix
-    columns, stacked filter matrices, and bit-packed masks all share this
-    order; mixing orders would silently misalign mask bits with filter
-    entries.
+    columns, stacked filter matrices, mask matrices and packed mask words
+    all share this order; mixing orders would silently misalign mask bits
+    with filter entries.
 
 Fixed reduction order.
     Every dot product adds its elementwise products one row after another,

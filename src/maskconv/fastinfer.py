@@ -20,9 +20,9 @@ A MASK op is priced at 1/32 of an fp32 MUL in the combined total:
 comes from the package's one forward kernel,
 :func:`maskconv.layers.forward_patches`.  That kernel runs spatial and
 channel masks as index ranges of the patch rows, so for them (and for
-standard layers) the ADD tally is the multiply-adds it ran.  Learned and
-random bits stay a dense masked-filter matrix in the kernel, so their
-ADD and MASK tallies are the scheme's cost model.
+standard layers) the ADD tally is the multiply-adds it ran on finite
+inputs.  Learned and random bits stay a dense masked-filter matrix in
+the kernel, so their ADD and MASK tallies are the scheme's cost model.
 """
 
 from __future__ import annotations

@@ -20,11 +20,16 @@ filter slice with the rows it keeps, and the one backward,
 that one run of masks keeps.  Standard conv is the single full-range
 view, and a learnable layer runs its explicit masked-filter matrix over
 it.  Every sum starts from ``+0.0`` and takes its terms in the order of
-a dense contraction with the masked entries left in place as zeros, so
-a skipped row drops only a signed-zero addend: each output channel equals
-``conv_reference(x, mask * filter) + bias`` exactly.  The backward maps
+a dense contraction with the masked entries left in place as zeros.  On
+finite patches and filters a skipped row drops only a signed-zero
+addend; where either holds an inf or NaN it would drop a ``0 * inf``
+term, so a spatial or channel forward then runs its masked filters over
+the full view.  Either way each output channel equals
+``conv_reference(x, mask * filter) + bias`` exactly, but for the sign
+and payload of a NaN, which follow operand order.  The backward maps
 the per-secondary filter gradient onto primaries and masks without
-keeping it, and can skip a first layer's input gradient.  All
+keeping it, and can skip a first layer's input gradient; its gradients
+on non-finite inputs are not pinned to any reference.  All
 contractions are numpy's single-threaded C ``einsum``, never BLAS, so
 their bits do not depend on the thread count.
 
@@ -260,14 +265,20 @@ def forward_patches(
     place, so moving the map axis first gives a C-contiguous array.  Per
     view of :func:`mask_ranges`, one C ``einsum`` contracts the rows it
     keeps with the filters' slice; spatial and channel masks come from
-    the spec, not from ``masks``.
+    the spec, not from ``masks``, and run over the full view when the
+    patches or filters are not all finite.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
     grid, views, _ = mask_ranges(spec)
-    # the primaries, or a learnable layer's masked secondaries, as (k', T, R) rows
-    f_rows = secondary_matrix(bank, masks, spec).T if spec.variant == "learnable" else bank.filters
+    f_rows = bank.filters  # as (k', T, R) rows: the primaries, or the masked secondaries
+    if spec.variant == "learnable":
+        f_rows = secondary_matrix(bank, masks, spec).T
+    elif spec.variant != "standard" and not (np.isfinite(pm.cols).all() and np.isfinite(f_rows).all()):
+        # a skipped row would drop a 0*inf or 0*nan term: run the masked filters' full view
+        grid, views = (1, len(pm.cols)), [(slice(None), slice(None))]
+        f_rows = secondary_matrix(bank, spec.structural_masks(), spec).T
     filters = np.ascontiguousarray(f_rows).reshape(len(f_rows), *grid)
     l = pm.cols.shape[1]
     cols = _pad_lone_column(pm.cols)

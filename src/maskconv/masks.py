@@ -1,8 +1,11 @@
 """Binary mask sets that derive secondary filters from primary filters.
 
 A mask is a bit vector of length ``d*d*c`` in the canonical vec order of
-:mod:`maskconv.convref`, stored bit-packed 32 bits per word (vec index
-``32*w + b`` lives in bit ``b`` of word ``w``).  Four families:
+:mod:`maskconv.convref`.  In memory a :class:`MaskSet` holds its masks as
+a 0/1 matrix; only the two file formats that store bits, checkpoints and
+mask records, pack them 32 to a little-endian word (vec index ``32*w + b``
+in bit ``b`` of word ``w``), through :func:`to_words` and
+:func:`from_words`.  Four families:
 
 * ``spatial``          nested centered squares, ``s = ceil(d/2)`` scales;
 * ``channel-window``   a ``c_hat``-channel window slid with stride ``g``;
@@ -16,7 +19,7 @@ filter; the separate kind holds ``k`` groups of ``s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,36 +40,18 @@ class MaskError(ValueError):
     """Raised on invalid mask construction parameters."""
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack rows of 0/1 values into little-endian 32-bit words."""
-    bits = np.atleast_2d(np.asarray(bits)).astype(np.uint8)
-    n, nbits = bits.shape
-    n_words = (nbits + 31) // 32
-    padded = np.zeros((n, n_words * 32), dtype=np.uint8)
-    padded[:, :nbits] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view("<u4").reshape(n, n_words).astype(np.uint32)
-
-
-def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns uint8 rows of length nbits."""
-    words = np.atleast_2d(np.asarray(words, dtype="<u4"))
-    as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :nbits]
-
-
 @dataclass
 class MaskSet:
-    """A collection of bit-packed masks over a d x d x c filter shape.
+    """A collection of masks over a d x d x c filter shape.
 
-    ``words`` is ``(n_masks, ceil(d*d*c/32))`` uint32.  ``s`` is the
+    ``bits`` is the ``(d*d*c, n_masks)`` boolean matrix, one mask per
+    column; it is kept column-major, each mask contiguous.  ``s`` is the
     per-primary-filter mask count (scales, windows, or learned masks);
     ``k`` is the number of per-primary groups (1 for shared-style kinds).
     """
 
     kind: str
-    words: np.ndarray
+    bits: np.ndarray
     d: int
     c: int
     s: int
@@ -75,12 +60,10 @@ class MaskSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MaskError(f"unknown mask kind {self.kind!r}")
-        expected = self.s * (self.k if self.per_primary else 1)
-        if self.words.shape[0] != expected:
-            raise MaskError(
-                f"{self.kind} mask set expects {expected} masks, "
-                f"got {self.words.shape[0]}"
-            )
+        self.bits = np.asfortranarray(self.bits, dtype=bool)
+        v, n = self.d * self.d * self.c, self.s * (self.k if self.per_primary else 1)
+        if self.bits.shape != (v, n):
+            raise MaskError(f"{self.kind} mask set expects {n} masks of {v} bits, got {self.bits.shape}")
 
     @property
     def per_primary(self) -> bool:
@@ -88,33 +71,51 @@ class MaskSet:
 
     @property
     def bits_per_mask(self) -> int:
-        return self.d * self.d * self.c
+        return self.bits.shape[0]
 
     @property
     def n_masks(self) -> int:
-        return self.words.shape[0]
+        return self.bits.shape[1]
 
     def dense(self, dtype=np.float64) -> np.ndarray:
-        """Unpacked masks as a (d*d*c, n_masks) 0/1 matrix."""
-        return unpack_bits(self.words, self.bits_per_mask).T.astype(dtype)
+        """The masks as a (d*d*c, n_masks) 0/1 matrix of ``dtype``."""
+        return self.bits.astype(dtype)
 
     def column_index(self, i: int, j: int) -> int:
         """Mask index serving secondary filter (primary i, mask j)."""
         return i * self.s + j if self.per_primary else j
 
     def ones_counts(self) -> np.ndarray:
-        return unpack_bits(self.words, self.bits_per_mask).sum(axis=1)
+        return self.bits.sum(axis=0)
 
     def flip_count(self, other: "MaskSet") -> int:
         """Number of mask bits that differ from ``other`` (same dims)."""
-        a = unpack_bits(self.words, self.bits_per_mask)
-        b = unpack_bits(other.words, other.bits_per_mask)
-        return int(np.count_nonzero(a != b))
+        return int(np.count_nonzero(self.bits != other.bits))
 
 
 def from_dense(bits: np.ndarray, kind: str, d: int, c: int, s: int, k: int = 1) -> MaskSet:
     """Build a MaskSet from a (d*d*c, n_masks) 0/1 matrix."""
-    return MaskSet(kind, pack_bits(np.asarray(bits).T), d, c, s, k)
+    return MaskSet(kind, bits, d, c, s, k)
+
+
+def to_words(bits: np.ndarray) -> np.ndarray:
+    """``(n_masks, ceil(v/32))`` little-endian uint32 words of a ``(v, n_masks)`` 0/1 matrix."""
+    v, n = bits.shape
+    padded = np.zeros((n, (v + 31) // 32 * 32), dtype=bool)
+    padded[:, :v] = bits.T
+    return np.packbits(padded, axis=1, bitorder="little").view("<u4")
+
+
+def from_words(words: np.ndarray, v: int) -> np.ndarray:
+    """The ``(v, n_masks)`` boolean matrix of :func:`to_words`' words.
+
+    Raises :class:`MaskError` if a padding bit past ``v`` is set, since
+    writing the bits back could not reproduce it.
+    """
+    tail = v % 32
+    if tail and (words[:, -1] >> tail).any():
+        raise MaskError(f"mask words set padding bits past bit {v}")
+    return np.unpackbits(words.view(np.uint8), axis=1, count=v, bitorder="little").T.view(bool)
 
 
 def spatial_masks(d: int, c: int) -> MaskSet:
@@ -127,12 +128,12 @@ def spatial_masks(d: int, c: int) -> MaskSet:
     if d < 1 or c < 1:
         raise MaskError(f"d and c must be positive, got d={d} c={c}")
     s = (d + 1) // 2
-    bits = np.zeros((s, d * d * c), dtype=np.uint8)
+    bits = np.zeros((s, d * d * c), dtype=bool)
     for i in range(1, s + 1):
-        grid = np.zeros((d, d), dtype=np.uint8)
-        grid[i - 1 : d + 1 - i, i - 1 : d + 1 - i] = 1
+        grid = np.zeros((d, d), dtype=bool)
+        grid[i - 1 : d + 1 - i, i - 1 : d + 1 - i] = True
         bits[i - 1] = np.repeat(grid.reshape(-1), c)
-    return MaskSet("spatial", pack_bits(bits), d, c, s, 1)
+    return MaskSet("spatial", bits.T, d, c, s, 1)
 
 
 def channel_windows(d: int, c: int, c_hat: int, g: int) -> MaskSet:
@@ -148,28 +149,19 @@ def channel_windows(d: int, c: int, c_hat: int, g: int) -> MaskSet:
     if (c - c_hat) % g != 0:
         raise MaskError(f"(c - c_hat) = {c - c_hat} not divisible by g = {g}")
     n = (c - c_hat) // g + 1
-    bits = np.zeros((n, d * d * c), dtype=np.uint8)
+    bits = np.zeros((n, d * d * c), dtype=bool)
     for i in range(n):
-        chans = np.zeros(c, dtype=np.uint8)
-        chans[i * g : i * g + c_hat] = 1
+        chans = np.zeros(c, dtype=bool)
+        chans[i * g : i * g + c_hat] = True
         bits[i] = np.tile(chans, d * d)
-    return MaskSet("channel-window", pack_bits(bits), d, c, n, 1)
+    return MaskSet("channel-window", bits.T, d, c, n, 1)
 
 
 def random_masks(k: int, s: int, d: int, c: int, seed: int) -> MaskSet:
     """Fair-coin fixed masks, one group of s per primary filter."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(k * s, d * d * c), dtype=np.uint8)
-    return MaskSet("random-fixed", pack_bits(bits), d, c, s, k)
-
-
-def sign_binarize(values: np.ndarray, kind: str, d: int, c: int, s: int, k: int = 1) -> MaskSet:
-    """Threshold a real ``(d*d*c, n_masks)`` matrix: bit = 1 iff the entry is > 0.
-
-    Exactly zero and NaN binarize to 0.
-    """
-    bits = (np.asarray(values) > 0).astype(np.uint8).T
-    return MaskSet(kind, pack_bits(bits), d, c, s, k)
+    return MaskSet("random-fixed", bits.T, d, c, s, k)
 
 
 def _gram_blocks(masks: MaskSet | np.ndarray):
@@ -248,7 +240,7 @@ def agent_update(masks: MaskSet, grad_m: np.ndarray, lr: float) -> MaskSet:
     m = masks.dense(np.float64)
     if grad_m.shape != m.shape:
         raise MaskError(f"grad shape {grad_m.shape} != mask shape {m.shape}")
-    return sign_binarize(m - lr * grad_m, masks.kind, masks.d, masks.c, masks.s, masks.k)
+    return replace(masks, bits=m - lr * grad_m > 0)
 
 
 def write_mask_records(masks: MaskSet, fileobj) -> None:
@@ -259,17 +251,18 @@ def write_mask_records(masks: MaskSet, fileobj) -> None:
     holds vec index ``32*w + b``.
     """
     header = np.array([masks.d, masks.c], dtype="<u4").tobytes()
-    for row in masks.words:
+    for row in to_words(masks.bits):
         fileobj.write(header)
-        fileobj.write(np.ascontiguousarray(row, dtype="<u4").tobytes())
+        fileobj.write(row.tobytes())
 
 
 def read_mask_records(fileobj) -> list[tuple[int, int, np.ndarray]]:
     """Read records written by :func:`write_mask_records` until EOF.
 
-    Returns (d, c, bits) tuples with bits unpacked to uint8 vectors.
-    Raises :class:`MaskError` for a truncated record or a zero ``d`` or
-    ``c``, without allocating more than the file holds.
+    Returns (d, c, bits) tuples with bits unpacked to boolean vectors.
+    Raises :class:`MaskError` for a truncated record, a zero ``d`` or
+    ``c`` or a set padding bit.  Each record's words are unpacked only
+    once they are read, so the bits take at most 8x the file's bytes.
     """
     r = Reader(fileobj.read(), MaskError, "mask records")
     records = []
@@ -277,6 +270,6 @@ def read_mask_records(fileobj) -> list[tuple[int, int, np.ndarray]]:
         d, c = r.unpack("<2I", "mask record header")
         if d == 0 or c == 0:
             raise MaskError(f"mask record declares d={d} c={c}; both must be positive")
-        words = r.array(((d * d * c + 31) // 32,), "<u4", "mask record payload")
-        records.append((d, c, unpack_bits(words, d * d * c)[0]))
+        words = r.array((1, (d * d * c + 31) // 32), "<u4", "mask record payload")
+        records.append((d, c, from_words(words, d * d * c)[:, 0]))
     return records

@@ -15,7 +15,7 @@ import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
 from maskconv.layers import FilterBank, LayerSpec, bank_backward, secondary_matrix
-from maskconv.masks import sign_binarize
+from maskconv.masks import from_dense
 
 
 def conv_brute(x, f, stride=1, padding=0, bias=0.0):
@@ -205,7 +205,7 @@ def cached_adds_loop(masks, spec, n_positions):
 def agent_update_clip(masks, grad_m, lr):
     """The straight-through step as a clipped real latent: ``clip(M - lr*g, 0, 1) > 0``."""
     latent = np.clip(masks.dense(np.float64) - lr * grad_m, 0.0, 1.0)
-    return sign_binarize(latent, masks.kind, masks.d, masks.c, masks.s, masks.k)
+    return from_dense(latent > 0, masks.kind, masks.d, masks.c, masks.s, masks.k)
 
 
 def im2col_windows(x, d, stride=1, padding=0):

@@ -261,18 +261,6 @@ def test_eval_zero_layer_checkpoint_exits_1(tmp_path, dataset):
     assert out.text.startswith("error:") and "cannot classify" in out.text
 
 
-# ------------------------------------------------------------------- bench
-
-
-def test_bench_reports_all_specs():
-    out = Capture()
-    assert main(["bench", "--trials", "2", "--hw", "8"], out=out) == 0
-    rows = [l for l in out.lines if l.startswith("spec ")]
-    assert len(rows) == 6
-    for row in rows:
-        assert "ok=1" in row and "mul_fp32=" in row
-
-
 # --------------------------------------------------------------- count-ops
 
 
@@ -391,6 +379,18 @@ def test_export_masks_hostile_checkpoint_exits_1(tmp_path):
     )
     assert code == 1
     assert out.text.startswith("error:")
+
+
+def test_export_masks_checkpoint_with_a_mask_padding_bit_exits_1(tmp_path):
+    # a learnable shared record, d=3 c=1 k=1 s=1, whose one mask word sets bit 9 of 9
+    header = struct.pack("<BB8If", 3, 1, 3, 1, 1, 1, 0, 0, 1, 0, 0.0)
+    masks = struct.pack("<III", 1, 1, 1 << 9)
+    path = tmp_path / "padded.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IIB", VERSION, 1, 1) + header + bytes(4 * 10) + masks)
+    out = Capture()
+    code = main(["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")], out=out)
+    assert code == 1
+    assert out.text.startswith("error:") and "padding bits" in out.text
 
 
 def test_export_masks_derived_mask_bomb_exits_1(tmp_path):

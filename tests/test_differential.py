@@ -259,6 +259,64 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
     assert required <= covered
 
 
+NON_FINITE = (np.inf, -np.inf, np.nan)
+
+
+def assert_same_bits_any_nan(got, want):
+    """Same bytes once every NaN is one NaN: IEEE 754 leaves a NaN's sign and
+    payload to the order of the operands, which a contraction may swap."""
+
+    def one_nan(a):
+        return np.where(np.isnan(a), np.array(np.nan, a.dtype), a)
+
+    assert_same_bits(one_nan(got), one_nan(want))
+
+
+@np.errstate(invalid="ignore")  # inf - inf and 0 * inf are the point here
+def test_non_finite_inputs_forward_equals_reference():
+    """``inf``, ``-inf`` and NaN in the input, or every fifth trial in the
+    filters, at entries that a mask keeps and at entries that it drops:
+    every forward path still gives the stacked ``conv_reference`` maps."""
+    rng = np.random.default_rng(25)
+    covered = set()
+    for trial in range(120):
+        spec, bank, masks, x = random_case(rng, trial)
+        bits = np.ones((spec.d * spec.d * spec.c, 1), bool) if masks is None else masks.dense().astype(bool)
+        place = "filters" if trial % 5 == 4 else "input"
+        if place == "filters":
+            at = int(rng.integers(bank.filters.size))
+            bank.filters.reshape(-1)[at] = rng.choice(NON_FINITE)
+            held = bits[at % len(bits)][None]  # the masks' bits at that filter entry
+        else:
+            flat = x.reshape(-1)
+            for at in rng.integers(flat.size, size=int(rng.integers(1, 4))) if flat.size else ():
+                flat[at] = rng.choice(NON_FINITE)
+            cols = im2col(x, spec.d, spec.stride, spec.padding).cols
+            held = bits[~np.isfinite(cols).all(axis=1)]  # the masks' bits on the non-finite patch rows
+        want = reference_maps(x, secondary_matrix_loop(bank, masks, spec), bank.biases, spec)
+        y = bank_forward(x, bank, masks, spec)
+        assert y.flags.c_contiguous
+        assert_same_bits_any_nan(y, want)
+        y = MaskedConv.from_arrays(spec, bank.filters, bank.biases, masks).forward(x.reshape(-1, *x.shape[-3:]))
+        assert_same_bits_any_nan(y, want.reshape(y.shape))
+        y, _ = cached_forward(x, bank, masks, spec)
+        assert y.flags.c_contiguous
+        assert_same_bits_any_nan(y, want)
+        covered.add((spec.variant, spec.strategy, x.dtype.name))
+        covered |= {(spec.variant, place, "kept")} if held.any() else set()
+        covered |= {(spec.variant, place, "dropped")} if not held.all() else set()
+    required = {
+        (v, strategy, t)
+        for v in VARIANTS
+        for strategy in (STRATEGIES if v == "learnable" else (None,))
+        for t in ("float32", "float64")
+    }
+    for place in ("input", "filters"):
+        required |= {(v, place, "kept") for v in VARIANTS}
+        required |= {(v, place, "dropped") for v in VARIANTS if v != "standard"}
+    assert required <= covered
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_avgpool_matches_mean_and_repeat_oracles(dtype):
     rng = np.random.default_rng(21)

@@ -1,10 +1,12 @@
 import io
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maskconv
 from maskconv.masks import (
     MaskError,
     MaskSet,
@@ -12,13 +14,12 @@ from maskconv.masks import (
     channel_windows,
     from_dense,
     ortho_grad,
+    from_words,
     ortho_loss,
-    pack_bits,
     random_masks,
     read_mask_records,
-    sign_binarize,
     spatial_masks,
-    unpack_bits,
+    to_words,
     write_mask_records,
 )
 
@@ -136,8 +137,8 @@ def learnable_layer(strategy, seed=0, k=4, s=3):
 def test_random_fixed_masks_keep_their_draw():
     layer = learnable_layer("random-fixed", seed=99)
     assert not layer.trainable_masks
-    assert np.array_equal(layer.masks.words, random_masks(4, 3, 3, 2, seed=99).words)
-    assert not np.array_equal(layer.masks.words, learnable_layer("random-fixed", seed=100).masks.words)
+    assert np.array_equal(layer.masks.bits, random_masks(4, 3, 3, 2, seed=99).bits)
+    assert not np.array_equal(layer.masks.bits, learnable_layer("random-fixed", seed=100).masks.bits)
 
 
 def test_learned_masks_column_counts():
@@ -154,15 +155,16 @@ def test_learned_masks_start_all_ones():
         assert np.all(layer.masks.dense() == 1)
         # no draw decides the bits: every seed starts from the same masks
         other = learnable_layer(strategy, seed=6, k=2, s=2)
-        assert np.array_equal(layer.masks.words, other.masks.words)
+        assert np.array_equal(layer.masks.bits, other.masks.bits)
 
 
-def test_sign_binarize_thresholds():
-    latent = np.array([[-0.3], [0.0], [0.7]])
-    ms = sign_binarize(latent, "learned-shared", 1, 3, 1)
-    assert np.array_equal(ms.dense()[:, 0], [0, 0, 1])
-    assert np.all(sign_binarize(np.zeros((9, 2)), "learned-shared", 3, 1, 2).dense() == 0)
-    assert np.all(sign_binarize(np.ones((9, 2)), "learned-shared", 3, 1, 2).dense() == 1)
+def test_agent_update_thresholds_at_zero():
+    # from all-zero bits the next bits are -lr*grad > 0: exactly zero and NaN give 0
+    zeros = from_dense(np.zeros((4, 1)), "learned-shared", 1, 4, 1)
+    ms = agent_update(zeros, np.array([[0.3], [0.0], [-0.7], [np.nan]]), lr=1.0)
+    assert np.array_equal(ms.dense()[:, 0], [0, 0, 1, 0])
+    assert np.all(agent_update(zeros, np.ones((4, 1)), lr=1.0).dense() == 0)
+    assert np.all(agent_update(zeros, -np.ones((4, 1)), lr=1.0).dense() == 1)
 
 
 def test_random_masks_shape_and_density():
@@ -171,7 +173,7 @@ def test_random_masks_shape_and_density():
     assert ms.n_masks == 8
     density = ms.dense().mean()
     assert 0.4 < density < 0.6
-    assert np.array_equal(ms.words, random_masks(4, 2, 3, 8, seed=1).words)
+    assert np.array_equal(ms.bits, random_masks(4, 2, 3, 8, seed=1).bits)
 
 
 # ----------------------------------------------------------- regularizer
@@ -246,7 +248,7 @@ def random_learned(kind, s, k=1, d=3, c=1, seed=0):
 
 def test_agent_update_zero_grad_resets_to_mask():
     ms = random_learned("learned-shared", s=2)
-    assert np.array_equal(agent_update(ms, np.zeros((9, 2)), lr=0.1).words, ms.words)
+    assert np.array_equal(agent_update(ms, np.zeros((9, 2)), lr=0.1).bits, ms.bits)
 
 
 def test_agent_update_large_grad_flips_on_bit():
@@ -278,15 +280,15 @@ def test_agent_update_clips_to_unit_interval():
             rng.normal(scale=2 / lr, size=ms.dense().shape),
         )
         got = agent_update(ms, grad, lr)
-        assert got.words.tobytes() == agent_update_clip(ms, grad, lr).words.tobytes()
+        assert got.bits.tobytes() == agent_update_clip(ms, grad, lr).bits.tobytes()
         assert (got.kind, got.d, got.c, got.s, got.k) == (ms.kind, ms.d, ms.c, ms.s, ms.k)
 
 
 def test_agent_update_then_binarize_idempotent_without_grad():
     ms = random_learned("learned-separate", s=2, k=2, d=3, c=2, seed=7)
     new = agent_update(ms, np.zeros((18, 4)), lr=0.5)
-    again = sign_binarize(new.dense(), ms.kind, ms.d, ms.c, ms.s, ms.k)
-    assert np.array_equal(new.words, ms.words) and np.array_equal(again.words, ms.words)
+    again = agent_update(new, np.zeros((18, 4)), lr=0.5)
+    assert np.array_equal(new.bits, ms.bits) and np.array_equal(again.bits, ms.bits)
 
 
 def test_agent_update_rejects_a_grad_of_another_shape():
@@ -300,17 +302,17 @@ def test_agent_update_rejects_a_grad_of_another_shape():
 @pytest.mark.parametrize("nbits", [1, 31, 32, 33, 64, 100])
 def test_pack_unpack_roundtrip(nbits):
     rng = np.random.default_rng(nbits)
-    bits = rng.integers(0, 2, size=(3, nbits)).astype(np.uint8)
-    assert np.array_equal(unpack_bits(pack_bits(bits), nbits), bits)
+    bits = rng.integers(0, 2, size=(nbits, 3)).astype(bool)
+    words = to_words(bits)
+    assert words.shape == (3, (nbits + 31) // 32) and words.dtype == np.dtype("<u4")
+    assert np.array_equal(from_words(words, nbits), bits)
 
 
 def test_pack_bit_position_convention():
     # vec index 32*w + b must land in bit b of word w
-    bits = np.zeros(70, dtype=np.uint8)
-    bits[0] = 1
-    bits[33] = 1
-    bits[69] = 1
-    words = pack_bits(bits)[0]
+    bits = np.zeros((70, 1), dtype=bool)
+    bits[[0, 33, 69]] = True
+    words = to_words(bits)[0]
     assert words[0] == 1
     assert words[1] == 1 << 1
     assert words[2] == 1 << 5
@@ -319,7 +321,7 @@ def test_pack_bit_position_convention():
 def test_maskset_roundtrip_through_dense():
     ms = random_masks(3, 2, 3, 4, seed=11)
     rebuilt = from_dense(ms.dense(), ms.kind, ms.d, ms.c, ms.s, ms.k)
-    assert np.array_equal(rebuilt.words, ms.words)
+    assert np.array_equal(rebuilt.bits, ms.bits)
 
 
 def test_mask_export_roundtrip():
@@ -386,6 +388,21 @@ def test_mask_record_zero_size_rejected(d, c):
         read_mask_records(io.BytesIO(struct.pack("<2I", d, c) + bytes(4)))
 
 
+@pytest.mark.parametrize("bit", [9, 31])
+def test_mask_record_padding_bit_rejected(bit):
+    # d=3 c=1: nine bits in one word; a set bit past them could not be written back
+    with pytest.raises(MaskError, match="padding bits past bit 9"):
+        read_mask_records(io.BytesIO(struct.pack("<3I", 3, 1, 1 << bit)))
+
+
+def test_packing_occurs_only_in_masks():
+    # bits are packed into words only at the file boundary, through masks.to_words/from_words
+    package = Path(maskconv.__file__).parent
+    sources = {p.name: p.read_text() for p in package.glob("*.py")}
+    assert sorted(name for name, text in sources.items() if "packbits" in text) == ["masks.py"]
+    assert not [name for name, text in sources.items() if ".words" in text]
+
+
 def test_maskset_wrong_mask_count_rejected():
     with pytest.raises(MaskError):
-        MaskSet("learned-separate", pack_bits(np.ones((3, 9))), 3, 1, 2, k=2)
+        MaskSet("learned-separate", np.ones((9, 3)), 3, 1, 2, k=2)

@@ -450,6 +450,19 @@ def f32_bytes(count):
             ),
             "offset 13: learned-shared mask set expects 2 masks, got 3",
         ),
+        # learnable shared, s=2: 2**32 - 1 mask rows declared, none present
+        (
+            conv_checkpoint(variant=3, strategy=1, k=2, s=2, body=f32_bytes(18 + 4) + struct.pack("<II", 2**32 - 1, 1)),
+            "offset 13: learned-shared mask set expects 2 masks, got 4294967295",
+        ),
+        # nine mask bits, and bit 9 of their word set: a re-save could not write it
+        (
+            conv_checkpoint(
+                variant=3, strategy=1, k=1, s=1,
+                body=f32_bytes(9 + 1) + struct.pack("<II", 1, 1) + struct.pack("<I", 0x1FF | 1 << 9),
+            ),
+            "offset 13: mask words set padding bits past bit 9",
+        ),
         # two mask words for nine bits
         (
             conv_checkpoint(

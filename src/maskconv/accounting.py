@@ -9,8 +9,9 @@ A network spec is a line-based text file, one convolution layer per line::
 primary-filter count ``k`` is derived from the variant.  ``hw`` is the
 square input size of the layer.  ``variant`` is one of ``standard``,
 ``spatial``, ``channel``, ``learnable-shared``, ``learnable-separate``,
-``random-fixed``.  Unused fields are written as 0.  Blank lines and
-``#`` comments are ignored.
+``random-fixed``.  Fields the variant does not read must be 0; a nonzero
+one is rejected, as :class:`maskconv.layers.LayerSpec` rejects it.
+Blank lines and ``#`` comments are ignored.
 
 Reference shape lists for the networks used in the comparison tables ship
 as package data files, so any discrepancy is inspectable by editing the
@@ -75,13 +76,11 @@ def _layer_from_fields(name: str, fields: dict[str, str], lineno: int) -> Networ
     except (KeyError, ValueError) as exc:
         raise NetSpecError(f"line {lineno}: bad field value ({exc})") from None
 
-    kwargs = dict(d=d, c=c, strategy=strategy, stride=stride, padding=pad, name=name)
-    if variant in ("spatial", "learnable"):
-        kwargs["s"] = s or None
-    elif variant == "channel":
-        kwargs.update(c_hat=chat, g=g)
     try:
-        spec = spec_for_maps(variant, n, **kwargs)
+        spec = spec_for_maps(
+            variant, n, d=d, c=c, s=s or None, c_hat=chat or None, g=g or None,
+            strategy=strategy, stride=stride, padding=pad, name=name,
+        )
         conv_output_size(hw, d, stride, pad)
     except ShapeError as exc:
         raise NetSpecError(f"line {lineno}: {exc}") from None

@@ -38,17 +38,15 @@ KNOWN_KEYS = {
 class RunConfig:
     """Validated settings for one command invocation."""
 
-    def __init__(self, values: dict | None = None):
+    def __init__(self):
         self.values = {key: default for key, (_, default) in KNOWN_KEYS.items()}
-        for key, value in (values or {}).items():
-            self.set(key, value)
 
-    def set(self, key: str, raw) -> None:
+    def set(self, key: str, raw: str) -> None:
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         parser, _ = KNOWN_KEYS[key]
         try:
-            self.values[key] = parser(raw) if isinstance(raw, str) else raw
+            self.values[key] = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
 

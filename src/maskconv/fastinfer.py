@@ -23,6 +23,8 @@ channel masks as index ranges of the patch rows, so for them (and for
 standard layers) the ADD tally is the multiply-adds it ran on finite
 inputs.  Learned and random bits stay a dense masked-filter matrix in
 the kernel, so their ADD and MASK tallies are the scheme's cost model.
+Tallies never read input values, so the exact closed forms of
+:func:`predict_counts` (all but bit-mask ADDs) hold on every input.
 """
 
 from __future__ import annotations
@@ -31,13 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from maskconv.convref import conv_output_size, im2col
-from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, mask_ranges, random_bank
+from maskconv.convref import im2col
+from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, mask_ranges
 from maskconv.masks import MaskSet, random_masks
-
-
-class CountMismatchError(AssertionError):
-    """Measured operation counts disagree with the closed forms."""
 
 
 @dataclass
@@ -95,16 +93,18 @@ def cached_forward(
     C-contiguous.  The :class:`OpCounts` are what the scheme executes on
     this call: ``k`` product passes over every patch, one ADD per
     mask-selected entry, and for bit masks one MASK op per entry and mask.
-    The ADDs of index-range masks are counted over the ranges the kernel
-    ran (see :func:`maskconv.layers.mask_ranges`), those of bit masks from
-    their popcounts.
+    The ADDs of index-range masks are counted over their ranges (see
+    :func:`maskconv.layers.mask_ranges`), those of bit masks from their
+    popcounts.  The tally never reads input values: when an ``inf`` or
+    NaN sends the kernel down its full-view fallback, the ADDs are still
+    those of the ranges, the scheme's count, not the fallback's.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
     y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
     v, l = pm.cols.shape
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
     if spec.variant != "learnable":
-        # the MACs the kernel ran: the patch entries of each mask's index range, per primary
+        # each mask's index range, per primary: the MACs the kernel runs on finite inputs
         grid, views, _ = mask_ranges(spec)
         patches = pm.cols.reshape(*grid, l)
         counts.add_fp32 = sum(patches[view].size for view in views) * spec.k
@@ -152,51 +152,3 @@ def masks_for_spec(spec: LayerSpec, seed: int = 0) -> MaskSet | None:
         return spec.structural_masks()
     bits = random_masks(spec.mask_groups, spec.s, spec.d, spec.c, seed)
     return replace(bits, kind=spec.mask_kind)
-
-
-def measure_vs_predict(spec: LayerSpec, trials: int = 3, seed: int = 0, hw: int = 8) -> dict:
-    """Tally :func:`cached_forward` and check the tallies against the closed forms.
-
-    MUL and MASK tallies must match exactly.  ADD tallies must match
-    exactly for deterministic masks and land within +-10% of the
-    half-dense expectation for random bit masks.  Raises
-    :class:`CountMismatchError` with both numbers on any violation.
-    """
-    h_out = conv_output_size(hw, spec.d, spec.stride, spec.padding)
-    predicted = predict_counts(spec, h_out, h_out)
-    deterministic_adds = spec.variant in ("standard", "spatial", "channel")
-    results = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + 1000 * trial)
-        bank = random_bank(spec, seed + trial)
-        masks = masks_for_spec(spec, seed + trial)
-        x = rng.normal(size=(hw, hw, spec.c))
-        _, measured = cached_forward(x, bank, masks, spec)
-        if measured.mul_fp32 != predicted.mul_fp32:
-            raise CountMismatchError(
-                f"mul_fp32 measured {measured.mul_fp32} != predicted {predicted.mul_fp32}"
-            )
-        if measured.mask_ops != predicted.mask_ops:
-            raise CountMismatchError(
-                f"mask_ops measured {measured.mask_ops} != predicted {predicted.mask_ops}"
-            )
-        if deterministic_adds:
-            if measured.add_fp32 != predicted.add_fp32:
-                raise CountMismatchError(
-                    f"add_fp32 measured {measured.add_fp32} != predicted {predicted.add_fp32}"
-                )
-        else:
-            rel = abs(measured.add_fp32 - predicted.add_fp32) / predicted.add_fp32
-            if rel > 0.10:
-                raise CountMismatchError(
-                    f"add_fp32 measured {measured.add_fp32} deviates {rel:.1%} from"
-                    f" expectation {predicted.add_fp32}"
-                )
-        results.append(measured)
-    return {
-        "spec": spec,
-        "predicted": predicted,
-        "measured": results,
-        "trials": trials,
-        "ok": True,
-    }

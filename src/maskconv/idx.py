@@ -54,10 +54,8 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     return r.array((n,), np.uint8, "label data").copy()
 
 
-def load_idx(
-    images_path: str | Path, labels_path: str | Path, dtype=np.float32
-) -> tuple[np.ndarray, np.ndarray]:
-    """Load an image/label file pair as ((N, H, W, 1) reals in [0, 1], ints).
+def load_idx(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Load an image/label file pair as ((N, H, W, 1) float32 in [0, 1], int64).
 
     The two files must agree on the example count.
     """
@@ -68,11 +66,11 @@ def load_idx(
             f"count mismatch: {len(images)} images in {images_path} but "
             f"{len(labels)} labels in {labels_path}"
         )
-    scaled = (images.astype(dtype) / 255.0)[:, :, :, None]
+    scaled = (images.astype(np.float32) / 255.0)[:, :, :, None]
     return scaled, labels.astype(np.int64)
 
 
-def load_dataset_dir(root: str | Path, split: str = "train", dtype=np.float32):
+def load_dataset_dir(root: str | Path, split: str = "train"):
     """Load ``<root>/<split>-images.idx`` and ``<root>/<split>-labels.idx``."""
     root = Path(root)
-    return load_idx(root / f"{split}-images.idx", root / f"{split}-labels.idx", dtype)
+    return load_idx(root / f"{split}-images.idx", root / f"{split}-labels.idx")

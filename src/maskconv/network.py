@@ -281,7 +281,6 @@ def build_small_cnn(
     hidden: int = 64,
     n_classes: int = 10,
     input_hw: int = 28,
-    input_c: int = 1,
     lam: float = 0.0,
     seed: int = 0,
     dtype=np.float32,
@@ -290,9 +289,10 @@ def build_small_cnn(
 ) -> Network:
     """Two conv layers (5x5 then 3x3), two pools, and a two-layer head.
 
-    ``conv*_maps`` fixes the feature-map count; the stored primary-filter
-    count k shrinks by the variant's mask multiplicity.  Sized so a run on
-    a 10k-image 28x28 dataset takes minutes on a laptop CPU.
+    Inputs are one-channel ``input_hw`` square images.  ``conv*_maps``
+    fixes the feature-map count; the stored primary-filter count k shrinks
+    by the variant's mask multiplicity.  Sized so a run on a 10k-image
+    28x28 dataset takes minutes on a laptop CPU.
     """
     rng = np.random.default_rng(seed)
     seeds = [int(x) for x in rng.integers(0, 2**31 - 1, size=4)]
@@ -308,9 +308,9 @@ def build_small_cnn(
     if variant == "channel":
         # channel windows need enough input channels; the first layer keeps
         # standard convolution, as is conventional for channel striding
-        spec1 = LayerSpec("standard", d=5, c=input_c, k=conv1_maps, name="conv1")
+        spec1 = LayerSpec("standard", d=5, c=1, k=conv1_maps, name="conv1")
     else:
-        spec1 = conv_spec(5, input_c, conv1_maps, "conv1")
+        spec1 = conv_spec(5, 1, conv1_maps, "conv1")
     spec2 = conv_spec(3, conv1_maps, conv2_maps, "conv2")
     hw1 = conv_output_size(input_hw, 5) // 2
     hw2 = conv_output_size(hw1, 3) // 2

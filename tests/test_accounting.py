@@ -61,11 +61,17 @@ def test_parse_comments_and_blanks():
         (make_line(v="channel", chat=3, g=2), "channel window"),
         (make_line(v="channel", chat=6, g=2), "channel window"),  # c_hat > c
         ("\n".join([make_line(), "layer oops d=3"]), "line 2"),
+        # a nonzero field the variant does not read
+        (make_line(s=3), "standard layers have s = 1"),
+        (make_line(v="channel", c=8, chat=4, g=1, s=2), "channel s must be"),
+        (make_line(v="spatial", chat=2, g=1), "take no c_hat or g"),
+        (make_line(v="learnable-shared", s=2, g=2), "take no c_hat or g"),
     ],
 )
 def test_parse_errors_carry_line_numbers(bad, fragment):
     with pytest.raises(NetSpecError) as err:
         parse_netspec(bad)
+    assert str(err.value).startswith("line ")
     assert fragment in str(err.value)
 
 

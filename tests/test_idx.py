@@ -42,7 +42,8 @@ def test_load_idx_normalizes_to_unit_interval(tmp_path):
     images = np.array([[[0, 255], [128, 64]]], dtype=np.uint8)
     write_idx_images(tmp_path / "im.idx", images)
     write_idx_labels(tmp_path / "lb.idx", np.array([3], dtype=np.uint8))
-    x, y = load_idx(tmp_path / "im.idx", tmp_path / "lb.idx", dtype=np.float64)
+    x, y = load_idx(tmp_path / "im.idx", tmp_path / "lb.idx")
+    assert x.dtype == np.float32
     assert x.shape == (1, 2, 2, 1)
     assert x.max() == 1.0 and x.min() == 0.0
     assert x[0, 1, 0, 0] == pytest.approx(128 / 255)

@@ -111,7 +111,11 @@ def parse_netspec(text: str, name: str = "network") -> NetworkSpec:
 
 def load_netspec(path: str | Path) -> NetworkSpec:
     path = Path(path)
-    return parse_netspec(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NetSpecError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_netspec(text, name=path.stem)
 
 
 def shipped_netspec_path(name: str) -> Path:
@@ -138,24 +142,10 @@ def network_records(net: NetworkSpec) -> list[str]:
     return lines
 
 
-_COLUMNS = ("params", "mul_fp32", "mask_ops", "combined_mul", "add_fp32", "memory_bytes")
-
-
-def _row_values(counts: OpCounts) -> list[float]:
-    return [
-        counts.param_equiv32,
-        counts.mul_fp32,
-        counts.mask_ops,
-        counts.combined_mul,
-        counts.add_fp32,
-        counts.memory_bytes,
-    ]
-
-
 def format_table(rows: list[tuple[str, OpCounts]], title: str = "") -> str:
     """Aligned text table of count rows; numbers match the records."""
-    header = ["layer", *_COLUMNS]
-    body = [[name, *(f"{v:.2f}".rstrip("0").rstrip(".") for v in _row_values(c))] for name, c in rows]
+    header = ["layer", *(name for name, _ in OpCounts().columns())]
+    body = [[name, *(f"{v:.2f}".rstrip("0").rstrip(".") for _, v in c.columns())] for name, c in rows]
     widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
     out = []
     if title:
@@ -176,13 +166,12 @@ def network_table(net: NetworkSpec) -> str:
 def compare_table(net_a: NetworkSpec, net_b: NetworkSpec) -> str:
     """Side-by-side totals with b/a ratios, plus machine-readable lines."""
     a, b = network_counts(net_a), network_counts(net_b)
-    va, vb = _row_values(a), _row_values(b)
     lines = [f"compare {net_a.name} vs {net_b.name}"]
     header = f"{'metric':<14} {net_a.name:>16} {net_b.name:>16} {'ratio b/a':>10}"
     lines.append(header)
     lines.append("-" * len(header))
     records = []
-    for metric, x, y in zip(_COLUMNS, va, vb):
+    for (metric, x), (_, y) in zip(a.columns(), b.columns()):
         if x == y == 0:
             ratio = 1.0
         elif x == 0:

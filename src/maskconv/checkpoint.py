@@ -5,13 +5,14 @@ Layout (all little-endian):
     magic b"MKCV" | u32 version | u32 layer count | layer records...
 
 Layer records start with a u8 tag (1 conv, 2 relu, 3 avgpool, 4 flatten,
-5 dense).  A conv record is the layer spec, the primary filters as
-float32, the biases iff the variant has them, then, iff the layer is
-learnable, its mask bits, the training state: u32 ``(n_masks, n_words)``
-and the words of :func:`maskconv.masks.to_words`.  Spatial and channel
-masks follow from the spec and are not stored, so a loaded layer holds
-masks iff it is learnable.  Dense records carry the weight matrix and
-bias vector.
+5 dense).  A conv record is the layer spec, whose ``padding`` is below
+``d`` (a wider one only adds output windows that read no input), the
+primary filters as float32, the biases iff the variant has them, then,
+iff the layer is learnable, its mask bits, the training state: u32
+``(n_masks, n_words)`` and the words of :func:`maskconv.masks.to_words`.
+Spatial and channel masks follow from the spec and are not stored, so a
+loaded layer holds masks iff it is learnable.  Dense records carry the
+weight matrix and bias vector.
 
 The loader checks every declared size against the bytes present before
 it allocates.  The mask count must be the spec's before the words are
@@ -59,7 +60,13 @@ def _read_f32(r: Reader, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def _header(spec: LayerSpec) -> bytes:
-    """The conv record header of ``spec``; unset fields are written as 0."""
+    """The conv record header of ``spec``; unset fields are written as 0.
+
+    Raises :class:`ShapeError` unless ``padding < d``, so a layer that
+    could not be loaded is never saved.
+    """
+    if spec.padding >= spec.d:
+        raise ShapeError(f"{spec.name}: padding {spec.padding} is not below d={spec.d}")
     codes = (_VARIANT_CODE[spec.variant], _STRATEGY_CODE[spec.strategy])
     geometry = (spec.d, spec.c, spec.k, spec.s, spec.c_hat or 0, spec.g or 0, spec.stride, spec.padding)
     return _HEADER.pack(*codes, *geometry, spec.lam)
@@ -76,26 +83,8 @@ def _conv_record(layer: MaskedConv) -> bytes:
     return b"".join(parts)
 
 
-def save_checkpoint(model: Network, path: str | Path) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(model.layers))]
-    for layer in model.layers:
-        if isinstance(layer, MaskedConv):
-            parts.append(struct.pack("<B", 1))
-            parts.append(_conv_record(layer))
-        elif isinstance(layer, ReLU):
-            parts.append(struct.pack("<B", 2))
-        elif isinstance(layer, AvgPool2):
-            parts.append(struct.pack("<B", 3))
-        elif isinstance(layer, Flatten):
-            parts.append(struct.pack("<B", 4))
-        elif isinstance(layer, Dense):
-            parts.append(struct.pack("<B", 5))
-            parts.append(struct.pack("<II", *layer.w.shape))
-            parts.append(_f32(layer.w))
-            parts.append(_f32(layer.b))
-        else:
-            raise CheckpointError(f"cannot serialize layer {type(layer).__name__}")
-    Path(path).write_bytes(b"".join(parts))
+def _dense_record(layer: Dense) -> bytes:
+    return struct.pack("<II", *layer.w.shape) + _f32(layer.w) + _f32(layer.b)
 
 
 def _read_conv(r: Reader) -> MaskedConv:
@@ -139,6 +128,36 @@ def _read_conv(r: Reader) -> MaskedConv:
     return MaskedConv.from_arrays(spec, filters, biases, masks)
 
 
+def _read_dense(r: Reader) -> Dense:
+    n_in, n_out = r.unpack("<II", "dense shape")
+    if not n_in or not n_out:
+        side = "outputs" if n_in else "inputs"
+        raise CheckpointError(f"dense layer with no {side} at offset {r.offset}")
+    w = _read_f32(r, (n_in, n_out), "dense weights")
+    return Dense.from_arrays(w, _read_f32(r, (n_out,), "dense biases"))
+
+
+# u8 tag -> (layer type, writer of the record after the tag, its reader)
+_RECORDS = {
+    1: (MaskedConv, _conv_record, _read_conv),
+    2: (ReLU, lambda layer: b"", lambda r: ReLU()),
+    3: (AvgPool2, lambda layer: b"", lambda r: AvgPool2()),
+    4: (Flatten, lambda layer: b"", lambda r: Flatten()),
+    5: (Dense, _dense_record, _read_dense),
+}
+_TAGS = {kind: tag for tag, (kind, _, _) in _RECORDS.items()}
+
+
+def save_checkpoint(model: Network, path: str | Path) -> None:
+    parts = [MAGIC, struct.pack("<II", VERSION, len(model.layers))]
+    for layer in model.layers:
+        tag = _TAGS.get(type(layer))
+        if tag is None:
+            raise CheckpointError(f"cannot serialize layer {type(layer).__name__}")
+        parts += [struct.pack("<B", tag), _RECORDS[tag][1](layer)]
+    Path(path).write_bytes(b"".join(parts))
+
+
 def load_checkpoint(path: str | Path) -> Network:
     r = Reader(Path(path).read_bytes(), CheckpointError, f"checkpoint {path}")
     if r.take(4, "magic") != MAGIC:
@@ -149,27 +168,13 @@ def load_checkpoint(path: str | Path) -> Network:
     layers = []
     for _ in range(n_layers):
         (tag,) = r.unpack("<B", "layer tag")
-        if tag == 1:
-            start = r.offset
-            try:
-                layers.append(_read_conv(r))
-            except (ShapeError, MaskError) as exc:
-                raise CheckpointError(f"bad conv record at offset {start}: {exc}") from None
-        elif tag == 2:
-            layers.append(ReLU())
-        elif tag == 3:
-            layers.append(AvgPool2())
-        elif tag == 4:
-            layers.append(Flatten())
-        elif tag == 5:
-            n_in, n_out = r.unpack("<II", "dense shape")
-            if not n_in or not n_out:
-                side = "outputs" if n_in else "inputs"
-                raise CheckpointError(f"dense layer with no {side} at offset {r.offset}")
-            w = _read_f32(r, (n_in, n_out), "dense weights")
-            layers.append(Dense.from_arrays(w, _read_f32(r, (n_out,), "dense biases")))
-        else:
+        if tag not in _RECORDS:
             raise CheckpointError(f"unknown layer tag {tag} at offset {r.offset - 1}")
+        start = r.offset
+        try:
+            layers.append(_RECORDS[tag][2](r))
+        except (ShapeError, MaskError) as exc:  # only a conv record builds a spec or masks
+            raise CheckpointError(f"bad conv record at offset {start}: {exc}") from None
     if r.left:
         raise CheckpointError(f"trailing bytes: parsed {r.offset} of {len(r.data)}")
     return Network(layers)

@@ -86,7 +86,11 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        config = parse_config_text(path.read_text(), source=str(path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        config = parse_config_text(text, source=str(path))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")

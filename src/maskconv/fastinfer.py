@@ -29,7 +29,7 @@ Tallies never read input values, so the exact closed forms of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -62,22 +62,23 @@ class OpCounts:
         return 4 * self.param_values_fp32 + (self.mask_bits + 7) // 8
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.mul_fp32 + other.mul_fp32,
-            self.add_fp32 + other.add_fp32,
-            self.mask_ops + other.mask_ops,
-            self.param_values_fp32 + other.param_values_fp32,
-            self.mask_bits + other.mask_bits,
-        )
+        return OpCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+    def columns(self) -> list[tuple[str, float]]:
+        """``(name, value)`` of every report column, in record and table order."""
+        return [
+            ("params", self.param_equiv32),
+            ("mul_fp32", self.mul_fp32),
+            ("mask_ops", self.mask_ops),
+            ("combined_mul", self.combined_mul),
+            ("add_fp32", self.add_fp32),
+            ("memory_bytes", self.memory_bytes),
+        ]
 
     def record(self, layer: str = "total") -> str:
-        """Machine-readable line: space-separated key=value fields."""
-        return (
-            f"layer={layer} params={self.param_equiv32:.2f}"
-            f" mul_fp32={self.mul_fp32} mask_ops={self.mask_ops}"
-            f" combined_mul={self.combined_mul:.2f} add_fp32={self.add_fp32}"
-            f" memory_bytes={self.memory_bytes}"
-        )
+        """Machine-readable line: space-separated key=value fields, floats at 2 decimals."""
+        fields = (f"{k}={v:.2f}" if isinstance(v, float) else f"{k}={v}" for k, v in self.columns())
+        return " ".join([f"layer={layer}", *fields])
 
 
 def cached_forward(
@@ -142,7 +143,7 @@ def predict_counts(spec: LayerSpec, h_out: int, w_out: int) -> OpCounts:
     else:  # learnable / random bit masks
         counts.mask_ops = v * l * n
         counts.add_fp32 = round(0.5 * v * l * n)
-        counts.mask_bits = v * spec.s if spec.strategy == "shared" else v * n
+        counts.mask_bits = v * spec.s * spec.mask_groups
     return counts
 
 

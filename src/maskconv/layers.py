@@ -49,7 +49,7 @@ import numpy as np
 
 from maskconv import convref
 from maskconv.convref import PatchMatrix, ShapeError, _pad_lone_column, im2col
-from maskconv.masks import SEPARATE_KINDS, STRATEGY_KINDS, MaskSet, channel_windows, spatial_masks
+from maskconv.masks import STRATEGY_KINDS, MaskSet, channel_windows, spatial_masks
 
 VARIANTS = ("standard", "spatial", "channel", "learnable")
 STRATEGIES = ("shared", "separate", "random-fixed")
@@ -128,8 +128,8 @@ class LayerSpec:
 
     @property
     def mask_groups(self) -> int:
-        """Mask groups of ``s``: one per primary for separate-style kinds, else 1."""
-        return self.k if self.mask_kind in SEPARATE_KINDS else 1
+        """Groups of ``s`` masks: one per primary if separate or random-fixed, else 1 shared."""
+        return self.k if self.strategy in ("separate", "random-fixed") else 1
 
     def structural_masks(self) -> MaskSet | None:
         """Hand-crafted masks implied by the variant, if any."""
@@ -193,13 +193,13 @@ def mask_columns(masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
     """Index of the mask column serving each of the ``n`` secondaries.
 
     Secondary ``i*s + j`` (primary ``i``, mask ``j``) reads column
-    ``i*s + j`` of per-primary masks and column ``j`` of shared ones.
-    Raises :class:`ShapeError` when the masks do not fit the spec.
+    ``(i*s + j) % n_masks``: column ``i*s + j`` of a group per primary,
+    column ``j`` of one shared group.  Raises :class:`ShapeError` when the
+    masks are not the spec's ``mask_groups`` groups of ``s``.
     """
     if masks is None:
         raise ShapeError(f"{spec.variant} layer needs masks")
-    expected = spec.s * (spec.k if masks.per_primary else 1)
-    if masks.n_masks != expected or masks.bits_per_mask != spec.d * spec.d * spec.c:
+    if masks.n_masks != spec.s * spec.mask_groups or masks.bits_per_mask != spec.d * spec.d * spec.c:
         raise ShapeError(
             f"mask set ({masks.kind}, {masks.n_masks} masks of {masks.bits_per_mask} bits)"
             f" does not fit spec (k={spec.k}, s={spec.s}, d={spec.d}, c={spec.c})"
@@ -400,7 +400,7 @@ def bank_backward(
         grad_f = np.zeros((v, k), dtype=fmat.dtype)
         for j in range(s):
             grad_f += through_masks[:, :, j]
-        groups = masks.n_masks // s
+        groups = spec.mask_groups
         grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
         for start in range(0, k, groups):
             grad_m += through_filters[:, start : start + groups]

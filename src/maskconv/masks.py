@@ -13,8 +13,9 @@ in bit ``b`` of word ``w``), through :func:`to_words` and
                        (:func:`agent_update`), starting all ones;
 * ``random-fixed``     fair-coin bits, frozen.
 
-Shared-style kinds hold one group of ``s`` masks applied to every primary
-filter; the separate kind holds ``k`` groups of ``s``.
+A set holds ``k`` groups of ``s`` masks, ``k`` fixed by the layer spec's
+``mask_groups``; secondary ``j`` of primary ``i`` reads mask ``(i*s + j) %
+(k*s)``, so a single group is shared by every primary.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import numpy as np
 
 from maskconv.binread import Reader
 
-SHARED_KINDS = ("spatial", "channel-window", "learned-shared")
-SEPARATE_KINDS = ("learned-separate", "random-fixed")
-KINDS = SHARED_KINDS + SEPARATE_KINDS
+KINDS = ("spatial", "channel-window", "learned-shared", "learned-separate", "random-fixed")
 # learnable strategy -> the kind of the bit masks it trains or freezes
 STRATEGY_KINDS = {
     "shared": "learned-shared",
@@ -47,7 +46,8 @@ class MaskSet:
     ``bits`` is the ``(d*d*c, n_masks)`` boolean matrix, one mask per
     column; it is kept column-major, each mask contiguous.  ``s`` is the
     per-primary-filter mask count (scales, windows, or learned masks);
-    ``k`` is the number of per-primary groups (1 for shared-style kinds).
+    ``k`` is the number of groups of ``s``, 1 for a group every primary
+    shares.
     """
 
     kind: str
@@ -61,13 +61,9 @@ class MaskSet:
         if self.kind not in KINDS:
             raise MaskError(f"unknown mask kind {self.kind!r}")
         self.bits = np.asfortranarray(self.bits, dtype=bool)
-        v, n = self.d * self.d * self.c, self.s * (self.k if self.per_primary else 1)
+        v, n = self.d * self.d * self.c, self.s * self.k
         if self.bits.shape != (v, n):
             raise MaskError(f"{self.kind} mask set expects {n} masks of {v} bits, got {self.bits.shape}")
-
-    @property
-    def per_primary(self) -> bool:
-        return self.kind in SEPARATE_KINDS
 
     @property
     def bits_per_mask(self) -> int:
@@ -83,7 +79,7 @@ class MaskSet:
 
     def column_index(self, i: int, j: int) -> int:
         """Mask index serving secondary filter (primary i, mask j)."""
-        return i * self.s + j if self.per_primary else j
+        return (i * self.s + j) % self.n_masks
 
     def ones_counts(self) -> np.ndarray:
         return self.bits.sum(axis=0)

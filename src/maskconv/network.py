@@ -54,7 +54,7 @@ class MaskedConv:
         bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), dtype)
         masks = None
         if spec.strategy == "random-fixed":
-            masks = random_masks(spec.k, spec.s, spec.d, spec.c, seed)
+            masks = random_masks(spec.mask_groups, spec.s, spec.d, spec.c, seed)
         elif spec.variant == "learnable":
             ones = np.ones((spec.d * spec.d * spec.c, spec.mask_groups * spec.s))
             masks = from_dense(ones, spec.mask_kind, spec.d, spec.c, spec.s, spec.mask_groups)

@@ -81,7 +81,7 @@ def task_loss_and_grad(logits, targets, loss: str):
 
 
 def train_step(batch, model: Network, config: TrainConfig):
-    """One optimization step; returns (total loss, metrics dict)."""
+    """One optimization step; returns (total loss, metrics in log order)."""
     xb, yb = batch
     logits = model.forward(xb)
     task, grad_logits = task_loss_and_grad(logits, yb, config.loss)
@@ -92,26 +92,18 @@ def train_step(batch, model: Network, config: TrainConfig):
             f"non-finite loss (task={task}, ortho={ortho}); "
             f"logit range [{logits.min()}, {logits.max()}]"
         )
-    model.backward(grad_logits)
-    flip_rate = model.update_masks(config.lr, config.lam)
-    model.sgd(config.lr)
-    metrics = {
-        "loss": loss,
-        "task_loss": task,
-        "ortho_loss": ortho,
-        "flip_rate": flip_rate,
-    }
+    metrics = {"loss": loss, "task_loss": task, "ortho_loss": ortho}
     if config.loss == "cross-entropy":
         metrics["accuracy"] = float(np.mean(np.argmax(logits, axis=1) == yb))
+    model.backward(grad_logits)
+    metrics["flip_rate"] = model.update_masks(config.lr, config.lam)
+    model.sgd(config.lr)
     return loss, metrics
 
 
 def format_log_record(step: int, metrics: dict) -> str:
-    fields = [f"step={step}"]
-    for key in ("loss", "task_loss", "ortho_loss", "accuracy", "flip_rate"):
-        if key in metrics:
-            fields.append(f"{key}={metrics[key]:.6f}")
-    return " ".join(fields)
+    """``step=`` then every metric, in its order, at 6 decimals."""
+    return " ".join([f"step={step}", *(f"{key}={value:.6f}" for key, value in metrics.items())])
 
 
 @dataclass

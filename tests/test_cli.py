@@ -418,6 +418,38 @@ def test_eval_version_1_checkpoint_exits_1(tmp_path, dataset):
     assert out.text.startswith("error:") and "version 1 unsupported" in out.text
 
 
+@pytest.mark.parametrize("padding", [2**20, 2**31])
+def test_eval_checkpoint_padding_not_below_d_exits_1(tmp_path, dataset, padding):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_small_cnn("standard", conv1_maps=4, conv2_maps=8, hidden=8), path)
+    data = path.read_bytes()
+    at = 13 + 30  # field 9 of the first conv header, after the magic, version, count and tag
+    path.write_bytes(data[:at] + struct.pack("<I", padding) + data[at + 4 :])
+    out = Capture()
+    code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)], out=out)
+    assert code == 1
+    assert out.text == f"error: bad conv record at offset 13: conv: padding {padding} is not below d=5"
+
+
+UNDECODABLE = b"\xff\xfe\x00garbage\x80"
+
+
+def test_count_ops_undecodable_netspec_exits_1(tmp_path):
+    path = tmp_path / "bad.netspec"
+    path.write_bytes(UNDECODABLE)
+    out = Capture()
+    assert main(["count-ops", str(path)], out=out) == 1
+    assert out.text.startswith(f"error: {path}: not UTF-8 text")
+
+
+def test_train_undecodable_config_exits_2(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(UNDECODABLE)
+    out = Capture()
+    assert main(["train", "--config", str(path)], out=out) == 2
+    assert out.text.startswith(f"config error: {path}: not UTF-8 text")
+
+
 def test_usage_error_exit_code():
     assert main([], out=Capture()) == 2
     assert main(["unknown-command"], out=Capture()) == 2

@@ -232,13 +232,14 @@ def test_learnable_output_is_primary_major():
 
 
 def test_learnable_mask_column_count_mismatch():
+    # a separate spec reads its own k groups of s, never one shared group
     spec = learnable_spec(2, 2, 3, 1, strategy="separate")
     bank = random_bank(spec, seed=0)
-    wrong = from_dense(np.ones((9, 2)), "learned-shared", 3, 1, 2)
+    shared = from_dense(np.ones((9, 2)), "learned-shared", 3, 1, 2)
     lone = from_dense(np.ones((9, 3)), "learned-shared", 3, 1, 3)
-    assert bank_forward(np.ones((4, 4, 1)), bank, wrong, spec) is not None
-    with pytest.raises(ShapeError):
-        bank_forward(np.ones((4, 4, 1)), bank, lone, spec)
+    for wrong in (shared, lone):
+        with pytest.raises(ShapeError):
+            bank_forward(np.ones((4, 4, 1)), bank, wrong, spec)
 
 
 def test_masked_filter_consistency_exhaustive():

@@ -169,7 +169,7 @@ def test_agent_update_thresholds_at_zero():
 
 def test_random_masks_shape_and_density():
     ms = random_masks(4, 2, 3, 8, seed=1)
-    assert ms.kind == "random-fixed" and ms.per_primary
+    assert ms.kind == "random-fixed" and ms.k == 4
     assert ms.n_masks == 8
     density = ms.dense().mean()
     assert 0.4 < density < 0.6

@@ -11,6 +11,7 @@ from maskconv.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from maskconv.convref import ShapeError
 from maskconv.layers import LayerSpec
 from maskconv.masks import agent_update, from_dense, ortho_loss
 from maskconv.network import (
@@ -417,9 +418,9 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def conv_checkpoint(variant=0, strategy=0, d=3, c=1, k=1, s=1, body=b"", c_hat=0, g=0, version=VERSION):
+def conv_checkpoint(variant=0, strategy=0, d=3, c=1, k=1, s=1, body=b"", c_hat=0, g=0, padding=0, version=VERSION):
     """A one-layer checkpoint: a conv record header, then ``body``."""
-    header = struct.pack("<BB8If", variant, strategy, d, c, k, s, c_hat, g, 1, 0, 0.0)
+    header = struct.pack("<BB8If", variant, strategy, d, c, k, s, c_hat, g, 1, padding, 0.0)
     return MAGIC + struct.pack("<IIB", version, 1, 1) + header + body
 
 
@@ -497,6 +498,8 @@ def f32_bytes(count):
         (conv_checkpoint(strategy=9, body=f32_bytes(9 + 1)), "conv header at offset 13 does not re-encode"),
         # an unknown variant code
         (conv_checkpoint(variant=7, body=f32_bytes(9 + 1)), "offset 13: unknown variant 7"),
+        # padding d: the outer windows would read padding only
+        (conv_checkpoint(padding=3, body=f32_bytes(9 + 1)), "offset 13: conv: padding 3 is not below d=3"),
     ],
 )
 def test_checkpoint_hostile_records_rejected(tmp_path, data, message):
@@ -504,6 +507,17 @@ def test_checkpoint_hostile_records_rejected(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def test_checkpoint_save_refuses_padding_not_below_d(tmp_path):
+    # d - 1 is the widest padding a record holds, so every saved file loads
+    widest = MaskedConv(LayerSpec("standard", d=3, c=1, k=2, padding=2), seed=0)
+    save_checkpoint(Network([widest]), tmp_path / "widest.ckpt")
+    assert load_checkpoint(tmp_path / "widest.ckpt").layers[0].spec.padding == 2
+    wider = MaskedConv(LayerSpec("standard", d=3, c=1, k=2, padding=3), seed=0)
+    with pytest.raises(ShapeError, match="padding 3 is not below d=3"):
+        save_checkpoint(Network([wider]), tmp_path / "wider.ckpt")
+    assert not (tmp_path / "wider.ckpt").exists()
 
 
 def test_checkpoint_channel_record_loads_without_building_its_windows(tmp_path):

@@ -18,7 +18,7 @@ from maskconv.masks import agent_update, gram_offdiagonal, ortho_grad, ortho_los
 from maskconv.network import MaskedConv
 
 print("=== the straight-through update rule ===")
-conv = MaskedConv(LayerSpec("learnable", d=3, c=1, k=1, s=2, strategy="shared"), seed=0)
+conv = MaskedConv.init(LayerSpec("learnable", d=3, c=1, k=1, s=2, strategy="shared"), seed=0)
 masks = conv.masks
 print(f"a fresh learnable layer: every initial bit is on -> density {masks.dense().mean():.0%}")
 grad = np.zeros((9, 2))

@@ -48,7 +48,6 @@ class NetSpecError(ValueError):
 class NetworkLayer:
     spec: LayerSpec
     hw: int
-    n: int
 
     @property
     def h_out(self) -> int:
@@ -84,7 +83,7 @@ def _layer_from_fields(name: str, fields: dict[str, str], lineno: int) -> Networ
         conv_output_size(hw, d, stride, pad)
     except ShapeError as exc:
         raise NetSpecError(f"line {lineno}: {exc}") from None
-    return NetworkLayer(spec, hw, n)
+    return NetworkLayer(spec, hw)
 
 
 def parse_netspec(text: str, name: str = "network") -> NetworkSpec:

@@ -45,3 +45,8 @@ class Reader:
         """A read-only ``shape`` array viewing the next bytes as ``dtype``."""
         size = math.prod(shape) * np.dtype(dtype).itemsize
         return np.frombuffer(self.take(size, what), dtype=dtype).reshape(shape)
+
+    def end(self) -> None:
+        """Raise unless every byte has been read."""
+        if self.left:
+            raise self.error(f"{self.name}: trailing bytes: parsed {self.offset} of {len(self.data)}")

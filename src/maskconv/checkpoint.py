@@ -32,7 +32,7 @@ import numpy as np
 
 from maskconv.binread import Reader
 from maskconv.convref import ShapeError
-from maskconv.layers import LayerSpec
+from maskconv.layers import FilterBank, LayerSpec
 from maskconv.masks import MaskError, MaskSet, from_words, to_words
 from maskconv.network import AvgPool2, Dense, Flatten, MaskedConv, Network, ReLU
 
@@ -74,9 +74,9 @@ def _header(spec: LayerSpec) -> bytes:
 
 def _conv_record(layer: MaskedConv) -> bytes:
     spec = layer.spec
-    parts = [_header(spec), _f32(layer.filters)]
+    parts = [_header(spec), _f32(layer.bank.filters)]
     if spec.has_biases:
-        parts.append(_f32(layer.biases))
+        parts.append(_f32(layer.bank.biases))
     if spec.variant == "learnable":
         words = to_words(layer.masks.bits)
         parts += [struct.pack("<II", *words.shape), words.tobytes()]
@@ -125,7 +125,7 @@ def _read_conv(r: Reader) -> MaskedConv:
             raise MaskError(f"{spec.mask_kind} mask set expects {s * spec.mask_groups} masks, got {n_masks}")
         bits = from_words(r.array((n_masks, n_words), "<u4", "mask words"), d * d * c)
         masks = MaskSet(spec.mask_kind, bits, d, c, s, spec.mask_groups)
-    return MaskedConv.from_arrays(spec, filters, biases, masks)
+    return MaskedConv(spec, FilterBank(filters, biases), masks)
 
 
 def _read_dense(r: Reader) -> Dense:
@@ -134,7 +134,7 @@ def _read_dense(r: Reader) -> Dense:
         side = "outputs" if n_in else "inputs"
         raise CheckpointError(f"dense layer with no {side} at offset {r.offset}")
     w = _read_f32(r, (n_in, n_out), "dense weights")
-    return Dense.from_arrays(w, _read_f32(r, (n_out,), "dense biases"))
+    return Dense(w, _read_f32(r, (n_out,), "dense biases"))
 
 
 # u8 tag -> (layer type, writer of the record after the tag, its reader)
@@ -175,6 +175,5 @@ def load_checkpoint(path: str | Path) -> Network:
             layers.append(_RECORDS[tag][2](r))
         except (ShapeError, MaskError) as exc:  # only a conv record builds a spec or masks
             raise CheckpointError(f"bad conv record at offset {start}: {exc}") from None
-    if r.left:
-        raise CheckpointError(f"trailing bytes: parsed {r.offset} of {len(r.data)}")
+    r.end()
     return Network(layers)

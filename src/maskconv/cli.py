@@ -31,20 +31,17 @@ RUNTIME_ERROR = 1
 
 
 def _build_model(config: RunConfig, seed: int):
-    variant = config.get("model.variant")
-    kwargs = {}
-    if variant == "channel":
-        kwargs = dict(c_hat=config.get("model.chat"), g=config.get("model.g"))
     return build_small_cnn(
-        variant=variant,
-        strategy=config.get("model.strategy") if variant == "learnable" else None,
+        variant=config.get("model.variant"),
+        strategy=config.get("model.strategy"),
         s=config.get("model.s"),
+        c_hat=config.get("model.chat"),
+        g=config.get("model.g"),
         conv1_maps=config.get("model.conv1_maps"),
         conv2_maps=config.get("model.conv2_maps"),
         hidden=config.get("model.hidden"),
         lam=config.get("train.lambda"),
         seed=seed,
-        **kwargs,
     )
 
 

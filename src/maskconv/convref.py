@@ -123,8 +123,6 @@ class PatchMatrix:
 
 def _check_input(x: np.ndarray, batch_ok: bool = False) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim == 2:
-        x = x[:, :, None]
     if x.ndim != 3 and not (batch_ok and x.ndim == 4):
         allowed = "H x W x c input or B x H x W x c batch" if batch_ok else "H x W x c input"
         raise ShapeError(f"expected {allowed}, got shape {x.shape}")
@@ -210,8 +208,6 @@ def conv_reference(
     """
     x = _check_input(x)
     f = np.asarray(f)
-    if f.ndim == 2:
-        f = f[:, :, None]
     if f.ndim != 3 or f.shape[0] != f.shape[1]:
         raise ShapeError(f"expected square d x d x c filter, got shape {f.shape}")
     if f.shape[2] != x.shape[2]:

@@ -28,11 +28,10 @@ DEFAULT_STAGES = ((0.1, 500), (0.03, 500), (0.01, 500), (0.003, 500))
 
 def _masked_toy_model(seed: int, bit_seed: int) -> Network:
     spec = LayerSpec("learnable", d=3, c=1, k=2, s=2, strategy="separate")
-    model = Network([MaskedConv(spec, seed, np.float64), Flatten()])
-    conv = model.conv_layers()[0]
+    conv = MaskedConv.init(spec, seed, np.float64)
     bits = np.random.default_rng(bit_seed).integers(0, 2, size=(9, 4))
     conv.masks = from_dense(bits, "learned-separate", 3, 1, 2, k=2)
-    return model
+    return Network([conv, Flatten()])
 
 
 def diversity_trial(

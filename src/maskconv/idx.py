@@ -2,7 +2,8 @@
 
 Image files: big-endian magic ``0x00000803``, then N, H, W as big-endian
 32-bit integers, then N*H*W unsigned pixel bytes, row-major.  Label
-files: magic ``0x00000801``, then N, then N label bytes.
+files: magic ``0x00000801``, then N, then N label bytes.  A file holding
+bytes past those its header declares is rejected.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ def read_idx_images(path: str | Path) -> np.ndarray:
     magic, n, h, w = r.unpack(">IIII", "image header")
     if magic != IMAGES_MAGIC:
         raise IdxFormatError(f"{path}: bad image magic 0x{magic:08x} (want 0x{IMAGES_MAGIC:08x})")
-    return r.array((n, h, w), np.uint8, "pixel data")
+    images = r.array((n, h, w), np.uint8, "pixel data")
+    r.end()
+    return images
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
@@ -51,7 +54,9 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     magic, n = r.unpack(">II", "label header")
     if magic != LABELS_MAGIC:
         raise IdxFormatError(f"{path}: bad label magic 0x{magic:08x} (want 0x{LABELS_MAGIC:08x})")
-    return r.array((n,), np.uint8, "label data").copy()
+    labels = r.array((n,), np.uint8, "label data")
+    r.end()
+    return labels.copy()
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarray, np.ndarray]:

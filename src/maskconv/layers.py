@@ -312,7 +312,7 @@ def naive_sum_forward(
     Collapses to a single convolution with the pyramid-weighted filter,
     which is why it is a baseline and not a useful variant.
     """
-    f = np.atleast_3d(np.asarray(f))
+    f = np.asarray(f)
     d, c = f.shape[0], f.shape[2]
     spec = LayerSpec("spatial", d=d, c=c, k=1, stride=stride, padding=padding)
     channels = bank_forward(x, FilterBank(f[None], np.zeros(spec.s, dtype=f.dtype)), None, spec)

@@ -164,14 +164,12 @@ def _gram_blocks(masks: MaskSet | np.ndarray):
     """Yield each per-primary block of the dense masks and its raw Gram ``M^T M``.
 
     A :class:`MaskSet` splits into blocks of ``s`` columns; a plain matrix
-    (or vector) is a single block.
+    is a single block.
     """
     if isinstance(masks, MaskSet):
         m, block = masks.dense(np.float64), masks.s
     else:
         m = np.asarray(masks, dtype=np.float64)
-        if m.ndim == 1:
-            m = m[:, None]
         block = m.shape[1]
     for start in range(0, m.shape[1], block):
         mb = m[:, start : start + block]

@@ -23,7 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from maskconv.convref import ShapeError, conv_output_size, im2col
+from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import (
+    BankGrads,
     FilterBank,
     LayerSpec,
     bank_backward,
@@ -31,64 +33,39 @@ from maskconv.layers import (
     random_bank,
     spec_for_maps,
 )
-from maskconv.masks import (
-    MaskSet,
-    agent_update,
-    from_dense,
-    ortho_grad,
-    ortho_loss,
-    random_masks,
-)
+from maskconv.masks import MaskSet, agent_update, from_dense, ortho_grad, ortho_loss
 
 
 class MaskedConv:
     """Convolution layer deriving its outputs from masked primary filters.
 
-    Only a learnable layer holds masks: learned ones start all ones and
-    :meth:`update_masks` replaces their bits.  The kernels read spatial
+    The layer is its spec, its :class:`FilterBank` and, iff learnable, its
+    masks; :meth:`init` draws fresh ones.  The kernels read spatial
     squares and channel windows from the spec, as index ranges.
+    ``grads`` holds the last backward's :class:`BankGrads`, without the
+    input gradient, which is passed on instead.
     """
 
-    def __init__(self, spec: LayerSpec, seed: int, dtype=np.float32):
-        # He initialization: scale sqrt(2 / fan_in), zero biases
+    def __init__(self, spec: LayerSpec, bank: FilterBank, masks: MaskSet | None = None):
+        self.spec, self.bank, self.masks = spec, bank, masks
+        self._saved = None  # the last forward's patches
+        self.grads: BankGrads | None = None
+
+    @classmethod
+    def init(cls, spec: LayerSpec, seed: int, dtype=np.float32) -> "MaskedConv":
+        """He-initialized filters, zero biases; learned masks all ones, random-fixed drawn from ``seed``."""
         bank = random_bank(spec, seed, np.sqrt(2.0 / (spec.d * spec.d * spec.c)), dtype)
         masks = None
         if spec.strategy == "random-fixed":
-            masks = random_masks(spec.mask_groups, spec.s, spec.d, spec.c, seed)
+            masks = masks_for_spec(spec, seed)
         elif spec.variant == "learnable":
             ones = np.ones((spec.d * spec.d * spec.c, spec.mask_groups * spec.s))
             masks = from_dense(ones, spec.mask_kind, spec.d, spec.c, spec.s, spec.mask_groups)
-        self._hold(spec, bank.filters, bank.biases, masks)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        spec: LayerSpec,
-        filters: np.ndarray,
-        biases: np.ndarray | None,
-        masks: MaskSet | None,
-    ) -> "MaskedConv":
-        """The layer holding these parameters, with no random initialization."""
-        layer = cls.__new__(cls)
-        layer._hold(spec, filters, biases, masks)
-        return layer
-
-    def _hold(self, spec, filters, biases, masks) -> None:
-        self.spec = spec
-        self.dtype = filters.dtype
-        self.filters, self.biases = filters, biases
-        self.masks: MaskSet | None = masks
-        self._saved = None  # the last forward's patches
-        self.grad_filters = None
-        self.grad_biases = None
-        self.grad_masks = None
+        return cls(spec, bank, masks)
 
     @property
     def trainable_masks(self) -> bool:
         return self.spec.strategy in ("shared", "separate")
-
-    def bank(self) -> FilterBank:
-        return FilterBank(self.filters, self.biases)
 
     def forward(self, xb: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -96,22 +73,20 @@ class MaskedConv:
             raise ShapeError(
                 f"layer {spec.name}: expected a B x H x W x {spec.c} batch, got {xb.shape}"
             )
-        xb = xb.astype(self.dtype, copy=False)
+        xb = xb.astype(self.bank.filters.dtype, copy=False)
         # free the previous batch's patches first, so that the new ones can
         # reuse their memory rather than grow the heap by a patch matrix
         self._saved = None
         self._saved = im2col(xb, spec.d, spec.stride, spec.padding)
-        return forward_patches(self._saved, self.bank(), self.masks, spec)
+        return forward_patches(self._saved, self.bank, self.masks, spec)
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         patches, self._saved = self._saved, None
-        grads = bank_backward(
-            grad_out, None, self.bank(), self.masks, self.spec, patches, input_grad
+        self.grads = bank_backward(
+            grad_out, None, self.bank, self.masks, self.spec, patches, input_grad
         )
-        self.grad_filters = grads.filters
-        self.grad_biases = grads.biases
-        self.grad_masks = grads.masks
-        return grads.x
+        grad_x, self.grads.x = self.grads.x, None
+        return grad_x
 
     def ortho_loss(self) -> float:
         return ortho_loss(self.masks) if self.trainable_masks else 0.0
@@ -120,14 +95,15 @@ class MaskedConv:
         """Straight-through step of trainable masks; returns (flipped bits, total bits)."""
         if not self.trainable_masks:
             return 0, 0
-        grad = self.grad_masks + lam * ortho_grad(self.masks)
+        grad = self.grads.masks + lam * ortho_grad(self.masks)
         old, self.masks = self.masks, agent_update(self.masks, grad, lr)
         return self.masks.flip_count(old), old.n_masks * old.bits_per_mask
 
     def sgd(self, lr: float) -> None:
-        self.filters = self.filters - (lr * self.grad_filters).astype(self.dtype)
-        if self.biases is not None:
-            self.biases = self.biases - (lr * self.grad_biases).astype(self.dtype)
+        bank, grads = self.bank, self.grads
+        dtype = bank.filters.dtype
+        biases = None if bank.biases is None else bank.biases - (lr * grads.biases).astype(dtype)
+        self.bank = FilterBank(bank.filters - (lr * grads.filters).astype(dtype), biases)
 
 
 class ReLU:
@@ -187,19 +163,17 @@ class Flatten:
 
 
 class Dense:
-    def __init__(self, n_in: int, n_out: int, seed: int, dtype=np.float32, init_scale: float = 1.0):
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = w, b
+
+    @classmethod
+    def init(cls, n_in: int, n_out: int, seed: int, dtype=np.float32, init_scale: float = 1.0) -> "Dense":
+        """He-initialized weights scaled by ``init_scale``, zero biases."""
         if min(n_in, n_out) < 1:
             raise ShapeError(f"dense layer needs sizes >= 1, got {n_in} x {n_out}")
         rng = np.random.default_rng(seed)
-        self.w = (rng.normal(size=(n_in, n_out)) * np.sqrt(2.0 / n_in) * init_scale).astype(dtype)
-        self.b = np.zeros(n_out, dtype=dtype)
-
-    @classmethod
-    def from_arrays(cls, w: np.ndarray, b: np.ndarray) -> "Dense":
-        """The layer holding these weights, with no random initialization."""
-        layer = cls.__new__(cls)
-        layer.w, layer.b = w, b
-        return layer
+        w = (rng.normal(size=(n_in, n_out)) * np.sqrt(2.0 / n_in) * init_scale).astype(dtype)
+        return cls(w, np.zeros(n_out, dtype=dtype))
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != len(self.w):
@@ -316,16 +290,16 @@ def build_small_cnn(
     hw2 = conv_output_size(hw1, 3) // 2
     return Network(
         [
-            MaskedConv(spec1, seeds[0], dtype),
+            MaskedConv.init(spec1, seeds[0], dtype),
             ReLU(),
             AvgPool2(),
-            MaskedConv(spec2, seeds[1], dtype),
+            MaskedConv.init(spec2, seeds[1], dtype),
             ReLU(),
             AvgPool2(),
             Flatten(),
-            Dense(hw2 * hw2 * conv2_maps, hidden, seeds[2], dtype),
+            Dense.init(hw2 * hw2 * conv2_maps, hidden, seeds[2], dtype),
             ReLU(),
             # near-zero classifier logits at init keep early steps gentle
-            Dense(hidden, n_classes, seeds[3], dtype, init_scale=0.02),
+            Dense.init(hidden, n_classes, seeds[3], dtype, init_scale=0.02),
         ]
     )

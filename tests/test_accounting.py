@@ -110,7 +110,7 @@ def test_network_counts_additive_over_concatenation():
 def test_degenerate_variants_match_standard_mul(line):
     layer = parse_netspec(line).layers[0]
     std = predict_counts(
-        LayerSpec("standard", d=layer.spec.d, c=layer.spec.c, k=layer.n,
+        LayerSpec("standard", d=layer.spec.d, c=layer.spec.c, k=layer.spec.n_secondary,
                   stride=layer.spec.stride, padding=layer.spec.padding),
         layer.h_out, layer.h_out,
     )

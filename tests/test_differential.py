@@ -213,7 +213,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         want = reference_maps(x, fhat, bank.biases, spec)
 
         assert_same_contiguous_bits(bank_forward(x, bank, masks, spec), want)
-        conv = MaskedConv.from_arrays(spec, bank.filters, bank.biases, masks)
+        conv = MaskedConv(spec, bank, masks)
         batch = x if x.ndim == 4 else x[None]
         y = conv.forward(batch)
         assert is_map_major(y)
@@ -297,7 +297,7 @@ def test_non_finite_inputs_forward_equals_reference():
         y = bank_forward(x, bank, masks, spec)
         assert y.flags.c_contiguous
         assert_same_bits_any_nan(y, want)
-        y = MaskedConv.from_arrays(spec, bank.filters, bank.biases, masks).forward(x.reshape(-1, *x.shape[-3:]))
+        y = MaskedConv(spec, bank, masks).forward(x.reshape(-1, *x.shape[-3:]))
         assert_same_bits_any_nan(y, want.reshape(y.shape))
         y, _ = cached_forward(x, bank, masks, spec)
         assert y.flags.c_contiguous
@@ -343,7 +343,7 @@ def test_dense_weight_grad_matches_batch_major_einsum(dtype):
     rng = np.random.default_rng(24)
     # the small CNN's dense layers at its default and its test sizes
     for n_in, n_out in ((400, 64), (64, 10), (200, 16), (16, 10)):
-        dense = Dense(n_in, n_out, seed=0, dtype=dtype)
+        dense = Dense.init(n_in, n_out, seed=0, dtype=dtype)
         for batch in (1, 2, 3, 7, 16, 33, 64, 65, 256):
             x = rng.normal(size=(batch, n_in)).astype(dtype)
             x[rng.random(x.shape) < 0.4] = 0.0  # post-ReLU inputs

@@ -57,7 +57,8 @@ def field_offsets(model):
         offset += 1  # the tag
         if isinstance(layer, MaskedConv):
             found += [(name, offset + at) for name, at in CONV_FIELDS.items()]
-            offset += 38 + 4 * layer.filters.size + (0 if layer.biases is None else 4 * layer.biases.size)
+            bank = layer.bank
+            offset += 38 + 4 * bank.filters.size + (0 if bank.biases is None else 4 * bank.biases.size)
             if layer.masks is not None:
                 offset += 8 + to_words(layer.masks.bits).nbytes
         elif isinstance(layer, Dense):
@@ -90,18 +91,24 @@ def test_idx_header_fields_load_or_fail_cleanly(tmp_path):
     checkpoint = tmp_path / "model.ckpt"
     save_checkpoint(build_small_cnn(conv1_maps=4, conv2_maps=8, hidden=8), checkpoint)
     fields = [("images", "n", 4), ("images", "h", 8), ("images", "w", 12), ("labels", "n", 4)]
-    for kind, name, at in fields:
-        for value in EDGES:
-            root = write_split(tmp_path / f"{kind}-{name}-{value}")
-            path = root / f"test-{kind}.idx"
-            path.write_bytes(edited(path.read_bytes(), at, ">I", value))
-            try:
-                load_dataset_dir(root, "test")
-                allowed = (0, 1)
-            except IdxFormatError:
-                allowed = (1,)
-            code, out = eval_code(checkpoint, root)
-            assert code in allowed, (kind, name, value, out)
+    cases = [(kind, name, at, value) for kind, name, at in fields for value in EDGES]
+    # headers declaring fewer pixels than the 4-image 28x28 file holds
+    trailing = {("images", "n", 2), ("images", "h", 0)}
+    cases.append(("images", "n", 4, 2))
+    for kind, name, at, value in cases:
+        root = write_split(tmp_path / f"{kind}-{name}-{value}")
+        path = root / f"test-{kind}.idx"
+        path.write_bytes(edited(path.read_bytes(), at, ">I", value))
+        try:
+            load_dataset_dir(root, "test")
+            allowed = (0, 1)
+        except IdxFormatError as exc:
+            allowed = (1,)
+            error = str(exc)
+        if (kind, name, value) in trailing:
+            assert allowed == (1,) and "trailing bytes" in error, (kind, name, value)
+        code, out = eval_code(checkpoint, root)
+        assert code in allowed, (kind, name, value, out)
 
 
 def test_mask_record_header_fields_read_or_fail_cleanly():

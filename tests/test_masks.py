@@ -23,6 +23,7 @@ from maskconv.masks import (
     write_mask_records,
 )
 
+from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import LayerSpec
 from maskconv.network import MaskedConv
 
@@ -131,13 +132,15 @@ def test_channel_windows_errors():
 
 
 def learnable_layer(strategy, seed=0, k=4, s=3):
-    return MaskedConv(LayerSpec("learnable", d=3, c=2, k=k, s=s, strategy=strategy), seed)
+    return MaskedConv.init(LayerSpec("learnable", d=3, c=2, k=k, s=s, strategy=strategy), seed)
 
 
 def test_random_fixed_masks_keep_their_draw():
     layer = learnable_layer("random-fixed", seed=99)
     assert not layer.trainable_masks
     assert np.array_equal(layer.masks.bits, random_masks(4, 3, 3, 2, seed=99).bits)
+    drawn = masks_for_spec(layer.spec, 99)
+    assert layer.masks.kind == drawn.kind and np.array_equal(layer.masks.bits, drawn.bits)
     assert not np.array_equal(layer.masks.bits, learnable_layer("random-fixed", seed=100).masks.bits)
 
 

@@ -13,6 +13,7 @@ from maskconv.fastinfer import cached_forward
 from maskconv.layers import (
     STRATEGIES,
     VARIANTS,
+    BankGrads,
     LayerSpec,
     bank_backward,
     bank_forward,
@@ -39,9 +40,9 @@ def random_conv(rng, variant, trial, dtype):
         spec = LayerSpec("learnable", s=int(rng.integers(1, 4)), strategy=strategy, **geometry)
     else:
         spec = LayerSpec(variant, **geometry)
-    conv = MaskedConv(spec, seed=int(rng.integers(2**31)), dtype=dtype)
-    if conv.biases is not None:
-        conv.biases = rng.normal(size=conv.biases.shape).astype(dtype)
+    conv = MaskedConv.init(spec, seed=int(rng.integers(2**31)), dtype=dtype)
+    if conv.bank.biases is not None:
+        conv.bank.biases = rng.normal(size=conv.bank.biases.shape).astype(dtype)
     if conv.trainable_masks:
         groups = 1 if spec.strategy == "shared" else k
         bits = rng.integers(0, 2, size=(d * d * c, groups * spec.s))
@@ -61,7 +62,7 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
     tol = 1e-4 if dtype == np.float32 else 1e-10
     for trial in range(6):
         conv = random_conv(rng, variant, trial, dtype)
-        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        spec, bank, masks = conv.spec, conv.bank, conv.masks
         h, w = rng.integers(spec.d, spec.d + 5, size=2)
         xb = rng.normal(size=(3, h, w, spec.c)).astype(dtype)
         yb = conv.forward(xb)
@@ -71,7 +72,7 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
             assert np.array_equal(yb[i], bank_forward(xb[i], bank, masks, spec))
             for j in range(spec.n_secondary):
                 f = fhat[:, j].reshape(spec.d, spec.d, spec.c)
-                bias = 0.0 if conv.biases is None else conv.biases[j]
+                bias = 0.0 if conv.bank.biases is None else conv.bank.biases[j]
                 ref = conv_reference(xb[i], f, spec.stride, spec.padding, bias)
                 assert np.array_equal(yb[i, :, :, j], ref)
 
@@ -79,7 +80,7 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
         grad_x = conv.backward(grad_y)
         singles = [bank_backward(grad_y[i], xb[i], bank, masks, spec) for i in range(3)]
         assert grad_x.shape == xb.shape
-        layer_grads = [grad_x, conv.grad_filters, conv.grad_biases, conv.grad_masks]
+        layer_grads = [grad_x, conv.grads.filters, conv.grads.biases, conv.grads.masks]
         for g in [*layer_grads, *(a for s in singles for a in astuple(s))]:
             assert g is None or g.dtype == dtype
         for i in range(3):
@@ -87,15 +88,15 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
         # filter, bias and mask grads reduce over B*l at once, so only the
         # summation order differs from adding the per-image grads
         np.testing.assert_allclose(
-            conv.grad_filters, sum(g.filters for g in singles), rtol=tol, atol=tol
+            conv.grads.filters, sum(g.filters for g in singles), rtol=tol, atol=tol
         )
-        if conv.biases is not None:
+        if conv.bank.biases is not None:
             np.testing.assert_allclose(
-                conv.grad_biases, sum(g.biases for g in singles), rtol=tol, atol=tol
+                conv.grads.biases, sum(g.biases for g in singles), rtol=tol, atol=tol
             )
         if spec.variant == "learnable":
             np.testing.assert_allclose(
-                conv.grad_masks, sum(g.masks for g in singles), rtol=tol, atol=tol
+                conv.grads.masks, sum(g.masks for g in singles), rtol=tol, atol=tol
             )
 
 
@@ -108,7 +109,7 @@ def test_batch_of_one_position_images_equals_singles_and_reference(variant, dtyp
     checked = 0
     for trial in range(12):
         conv = random_conv(rng, variant, trial, dtype)
-        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        spec, bank, masks = conv.spec, conv.bank, conv.masks
         h = max(1, spec.d - 2 * spec.padding)
         if conv_output_size(h, spec.d, spec.stride, spec.padding) != 1:
             continue  # padding too wide for any one-position input
@@ -121,7 +122,7 @@ def test_batch_of_one_position_images_equals_singles_and_reference(variant, dtyp
         for i in range(3):
             for j in range(spec.n_secondary):
                 f = fhat[:, j].reshape(spec.d, spec.d, spec.c)
-                bias = 0.0 if conv.biases is None else conv.biases[j]
+                bias = 0.0 if conv.bank.biases is None else conv.bank.biases[j]
                 ref = conv_reference(xb[i], f, spec.stride, spec.padding, bias)
                 assert np.array_equal(yb[i, :, :, j], ref)
         checked += 1
@@ -134,7 +135,7 @@ def test_backward_without_input_grad_keeps_parameter_grads(variant, dtype):
     rng = np.random.default_rng(30 + VARIANTS.index(variant))
     for trial in range(6):
         conv = random_conv(rng, variant, trial, dtype)
-        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        spec, bank, masks = conv.spec, conv.bank, conv.masks
         h, w = rng.integers(spec.d, spec.d + 5, size=2)
         xb = rng.normal(size=(2, h, w, spec.c)).astype(dtype)
         grad_y = rng.normal(size=conv.forward(xb).shape).astype(dtype)
@@ -171,11 +172,11 @@ def test_network_backward_skips_first_conv_input_grad(kwargs, monkeypatch):
     net.forward(xb)  # each backward reads the patches of a forward of its own
     for layer in reversed(net.layers[1:]):
         grad = layer.backward(grad)
-    direct = bank_backward(grad, xb, conv1.bank(), conv1.masks, conv1.spec)
-    assert np.array_equal(conv1.grad_filters, direct.filters)
-    assert np.array_equal(conv1.grad_biases, direct.biases)
+    direct = bank_backward(grad, xb, conv1.bank, conv1.masks, conv1.spec)
+    assert np.array_equal(conv1.grads.filters, direct.filters)
+    assert np.array_equal(conv1.grads.biases, direct.biases)
     if direct.masks is not None:
-        assert np.array_equal(conv1.grad_masks, direct.masks)
+        assert np.array_equal(conv1.grads.masks, direct.masks)
 
 
 # dense filter matrices (standard, learnable), the three squares of a d = 5
@@ -199,11 +200,11 @@ from maskconv.layers import bank_backward
 from maskconv.network import MaskedConv
 for dtype in (np.float32, np.float64):
     for spec in specs[1:]:
-        conv = MaskedConv(spec, seed=5, dtype=dtype)
+        conv = MaskedConv.init(spec, seed=5, dtype=dtype)
         rng = np.random.default_rng(6)
         xb = rng.normal(size=(4, 16, 16, 8)).astype(dtype)
         grad_y = rng.normal(size=conv.forward(xb).shape).astype(dtype)
-        grads = bank_backward(grad_y, xb, conv.bank(), conv.masks, spec)
+        grads = bank_backward(grad_y, xb, conv.bank, conv.masks, spec)
         for a in astuple(grads):
             if a is not None:
                 print(a.dtype, hashlib.sha256(a.tobytes()).hexdigest())
@@ -217,10 +218,10 @@ from maskconv.layers import bank_forward
 from maskconv.network import MaskedConv
 for dtype in (np.float32, np.float64):
     for spec in specs:
-        conv = MaskedConv(spec, seed=5, dtype=dtype)
+        conv = MaskedConv.init(spec, seed=5, dtype=dtype)
         rng = np.random.default_rng(6)
         xb = rng.normal(size=(4, 16, 16, 8)).astype(dtype)
-        for y in (conv.forward(xb), bank_forward(xb[0], conv.bank(), conv.masks, spec)):
+        for y in (conv.forward(xb), bank_forward(xb[0], conv.bank, conv.masks, spec)):
             print(y.dtype, hashlib.sha256(y.tobytes()).hexdigest())
 """
 
@@ -264,7 +265,7 @@ def test_batched_cached_forward_equals_core_and_scales_tallies(variant, dtype):
     rng = np.random.default_rng(10 + VARIANTS.index(variant))
     for trial in range(6):
         conv = random_conv(rng, variant, trial, dtype)
-        spec, bank, masks = conv.spec, conv.bank(), conv.masks
+        spec, bank, masks = conv.spec, conv.bank, conv.masks
         h, w = rng.integers(spec.d, spec.d + 5, size=2)
         xb = rng.normal(size=(3, h, w, spec.c)).astype(dtype)
         y, counts = cached_forward(xb, bank, masks, spec)
@@ -281,31 +282,31 @@ def test_batched_cached_forward_equals_core_and_scales_tallies(variant, dtype):
 
 
 def test_backward_drops_the_patches_and_a_second_backward_raises():
-    conv = MaskedConv(LayerSpec("standard", d=3, c=1, k=2), seed=0)
+    conv = MaskedConv.init(LayerSpec("standard", d=3, c=1, k=2), seed=0)
     grad = np.ones(conv.forward(np.ones((1, 5, 5, 1), dtype=np.float32)).shape, np.float32)
     conv.backward(grad)
-    assert conv._saved is None
+    assert conv._saved is None and conv.grads.x is None  # the input gradient is passed on, not kept
     with pytest.raises(ShapeError, match="bank_backward needs x or the forward's patches"):
         conv.backward(grad)
 
 
 @pytest.mark.parametrize("shape", [(2, 6, 6), (6, 6, 1), (1, 2, 6, 6, 1)])
 def test_masked_conv_rejects_input_that_is_not_a_4d_batch(shape):
-    conv = MaskedConv(LayerSpec("standard", d=3, c=1, k=2), seed=0)
+    conv = MaskedConv.init(LayerSpec("standard", d=3, c=1, k=2), seed=0)
     with pytest.raises(ShapeError):
         conv.forward(np.zeros(shape))
 
 
 def test_update_masks_returns_the_exact_count_of_flipped_bits():
     spec = LayerSpec("learnable", d=3, c=2, k=2, strategy="separate", s=2)
-    conv = MaskedConv(spec, seed=0)
+    conv = MaskedConv.init(spec, seed=0)
     net = Network([conv])
     total = 4 * 18  # k*s masks of d*d*c bits
 
     def step(entries):
-        conv.grad_masks = np.zeros((18, 4))
+        conv.grads = BankGrads(None, None, np.zeros((18, 4)), None)
         for index, value in entries.items():
-            conv.grad_masks[index] = value
+            conv.grads.masks[index] = value
         return conv.update_masks(lr=1.0, lam=0.0)
 
     assert step({}) == (0, total)  # a fresh layer: every bit already on
@@ -314,9 +315,9 @@ def test_update_masks_returns_the_exact_count_of_flipped_bits():
     assert conv.masks.ones_counts().tolist() == [17, 17, 17, 17]
     assert step({(5, 1): -0.5}) == (1, total)  # one bit turns back on
     assert step({(0, 0): 0.0, (7, 2): 0.0}) == (0, total)  # off bits stay off
-    conv.grad_masks[0, 0] = -1.0
+    conv.grads.masks[0, 0] = -1.0
     assert net.update_masks(lr=1.0, lam=0.0) == 1 / total
     # random-fixed masks are frozen: no flips and no bits counted
-    frozen = MaskedConv(LayerSpec("learnable", d=3, c=2, k=2, strategy="random-fixed", s=2), seed=0)
+    frozen = MaskedConv.init(LayerSpec("learnable", d=3, c=2, k=2, strategy="random-fixed", s=2), seed=0)
     before = frozen.masks
     assert frozen.update_masks(lr=1.0, lam=0.0) == (0, 0) and frozen.masks is before

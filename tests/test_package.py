@@ -1,4 +1,4 @@
-"""Every public name in src has a caller outside the tests."""
+"""Every public name and method in src has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -27,18 +27,22 @@ def referenced_names(paths):
     return names
 
 
+def public_defs(path):
+    """``(qualified name, name)`` of each public module-level def or class and
+    each public method of a class."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+
+
 def test_every_public_src_name_has_a_caller_outside_tests():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers = modules + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     used = referenced_names(callers)
-    unused = [
-        f"{path.stem}.{node.name}"
-        for path in modules
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-    ]
+    unused = [qualified for path in modules for qualified, name in public_defs(path) if name not in used]
     assert sorted(unused) == sorted(NO_PYTHON_CALLER)
 
 

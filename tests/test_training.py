@@ -12,7 +12,7 @@ from maskconv.checkpoint import (
     save_checkpoint,
 )
 from maskconv.convref import ShapeError
-from maskconv.layers import LayerSpec
+from maskconv.layers import BankGrads, FilterBank, LayerSpec
 from maskconv.masks import agent_update, from_dense, ortho_loss
 from maskconv.network import (
     Dense,
@@ -51,10 +51,10 @@ def tiny_spatial_net(seed=0, dtype=np.float64):
     spec = LayerSpec("spatial", d=3, c=1, k=2, padding=1, name="conv1")
     return Network(
         [
-            MaskedConv(spec, seed, dtype),
+            MaskedConv.init(spec, seed, dtype),
             ReLU(),
             Flatten(),
-            Dense(8 * 8 * 4, 2, seed + 1, dtype),
+            Dense.init(8 * 8 * 4, 2, seed + 1, dtype),
         ]
     )
 
@@ -137,17 +137,15 @@ def test_train_step_adds_ortho_term_per_layer():
 def sgd_conv(filters, grad_filters):
     """A standard float64 MaskedConv holding the given filters and filter gradient."""
     k, d, _, c = filters.shape
-    conv = MaskedConv(LayerSpec("standard", d=d, c=c, k=k), seed=0, dtype=np.float64)
-    conv.filters = filters
-    conv.grad_filters = grad_filters
-    conv.grad_biases = np.zeros(k)
+    conv = MaskedConv(LayerSpec("standard", d=d, c=c, k=k), FilterBank(filters, np.zeros(k)))
+    conv.grads = BankGrads(grad_filters, np.zeros(k), None, None)
     return conv
 
 
 def test_sgd_arithmetic():
     conv = sgd_conv(np.full((1, 1, 1, 1), 1.0), np.full((1, 1, 1, 1), 0.5))
     conv.sgd(lr=0.1)
-    assert conv.filters[0, 0, 0, 0] == pytest.approx(0.95)
+    assert conv.bank.filters[0, 0, 0, 0] == pytest.approx(0.95)
 
 
 def test_sgd_two_steps_equal_one_double_step():
@@ -157,7 +155,7 @@ def test_sgd_two_steps_equal_one_double_step():
     a.sgd(0.1)
     b = sgd_conv(np.ones((2, 3, 3, 1)), 2 * g)
     b.sgd(0.1)
-    np.testing.assert_allclose(a.filters, b.filters, atol=1e-15)
+    np.testing.assert_allclose(a.bank.filters, b.bank.filters, atol=1e-15)
 
 
 # ------------------------------------------------------------ train_step
@@ -169,12 +167,12 @@ def test_train_step_lr_zero_keeps_model_constant():
     config = TrainConfig(lr=1.0, lam=0.0, batch=32, loss="cross-entropy")
     config.lr = 0.0  # bypass the >0 construction check for the degenerate case
     losses = []
-    w_before = model.layers[0].filters.copy()
+    w_before = model.layers[0].bank.filters.copy()
     for _ in range(3):
         loss, _ = train_step((images, labels), model, config)
         losses.append(loss)
     assert losses[0] == losses[1] == losses[2]
-    assert np.array_equal(model.layers[0].filters, w_before)
+    assert np.array_equal(model.layers[0].bank.filters, w_before)
 
 
 def test_train_step_rejects_bad_config():
@@ -224,7 +222,7 @@ def test_equivalence_frozen_all_ones_masks_match_standard_model():
     for layer in ver.conv_layers():
         assert np.all(layer.masks.dense() == 1)  # a fresh learnable layer: all bits on
     for layer_s, layer_v in zip(std.conv_layers(), ver.conv_layers()):
-        assert np.array_equal(layer_s.filters, layer_v.filters)
+        assert np.array_equal(layer_s.bank.filters, layer_v.bank.filters)
     config = TrainConfig(lr=0.05, lam=0.0, epochs=4, batch=16, seed=0)
     hist_s = fit(std, images32, labels, config)
     hist_v = fit(ver, images32, labels, config)
@@ -232,7 +230,7 @@ def test_equivalence_frozen_all_ones_masks_match_standard_model():
     losses_v = [r["loss"] for r in hist_v.records]
     assert losses_s == losses_v  # bitwise-identical trajectories
     for layer_s, layer_v in zip(std.conv_layers(), ver.conv_layers()):
-        assert np.array_equal(layer_s.filters, layer_v.filters)
+        assert np.array_equal(layer_s.bank.filters, layer_v.bank.filters)
         # trainable, but no set bit clears: that needs lr * grad >= 1
         assert np.all(layer_v.masks.dense() == 1)
 
@@ -264,7 +262,7 @@ def test_fit_is_deterministic_given_seed():
     for _ in range(2):
         model = tiny_spatial_net(seed=4)
         fit(model, images, labels, TrainConfig(lr=0.1, lam=0.0, epochs=2, batch=8, seed=11))
-        runs.append(model.layers[0].filters.copy())
+        runs.append(model.layers[0].bank.filters.copy())
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -511,10 +509,10 @@ def test_checkpoint_hostile_records_rejected(tmp_path, data, message):
 
 def test_checkpoint_save_refuses_padding_not_below_d(tmp_path):
     # d - 1 is the widest padding a record holds, so every saved file loads
-    widest = MaskedConv(LayerSpec("standard", d=3, c=1, k=2, padding=2), seed=0)
+    widest = MaskedConv.init(LayerSpec("standard", d=3, c=1, k=2, padding=2), seed=0)
     save_checkpoint(Network([widest]), tmp_path / "widest.ckpt")
     assert load_checkpoint(tmp_path / "widest.ckpt").layers[0].spec.padding == 2
-    wider = MaskedConv(LayerSpec("standard", d=3, c=1, k=2, padding=3), seed=0)
+    wider = MaskedConv.init(LayerSpec("standard", d=3, c=1, k=2, padding=3), seed=0)
     with pytest.raises(ShapeError, match="padding 3 is not below d=3"):
         save_checkpoint(Network([wider]), tmp_path / "wider.ckpt")
     assert not (tmp_path / "wider.ckpt").exists()

@@ -16,23 +16,23 @@ Canonical vectorization order.
     with filter entries.
 
 Fixed reduction order.
-    Every dot product adds its elementwise products one row after another,
-    starting from ``+0.0``: :func:`column_sums` reduces a products array
-    over axis 0 that way, and :func:`matmul_conv`, the matrix form of
-    standard convolution, is one C ``einsum`` contraction whose inner loop
-    runs along an output row, so each output takes the patch rows in order
-    too; the layers' forward contracts each mask's rows the same way.  A
-    lone column (one output position) is reduced beside a zero column in
-    both, since numpy would otherwise sum it pairwise or in SIMD lanes.  The
-    order is fixed by the number of rows, never by thread count (neither
-    uses BLAS), by the number of columns or by which entries happen to be
-    zero, so a masked filter whose masked entries stay in place as zeros
-    reproduces the reference convolution bit for bit.  Starting from
-    ``+0.0`` means a column of ``-0.0`` products sums to ``+0.0``; any
-    other kernel that must match these bits has to start its sums from
-    zero too.  On numpy's x86-64 baseline build einsum multiplies and adds
-    separately, with no fused multiply-add, so its sums round like the
-    reduction's; a numpy build whose einsum fuses them would break this
+    Every product in :func:`matmul_conv`, the layers and the dense head is
+    one :func:`_contract`, the rule's one owner: a C ``einsum`` without
+    ``optimize``, so single-threaded and never BLAS, that starts each sum
+    from ``+0.0``.  Where the summed axis is not contiguous in both
+    operands, its inner loop runs along the output's last axis, so each
+    output takes its products in index order, as :func:`column_sums` does;
+    where it is, as in a filter gradient, its unrolled loop's order is
+    fixed by that axis's length.  A lone output would be summed pairwise,
+    in 8192-term chunks or in SIMD lanes, so an output whose last axis has
+    length 1 is computed beside a zero slice.  No sum's order depends on
+    how many outputs sit beside it, on thread count or on which entries
+    are zero, so a masked filter whose masked entries stay in place as
+    zeros reproduces the reference convolution bit for bit.  A column of
+    ``-0.0`` products sums to ``+0.0``; any other kernel that must match
+    these bits has to start its sums from zero too.  On numpy's x86-64
+    baseline build einsum multiplies and adds separately, with no fused
+    multiply-add; a build whose einsum fuses them would break this
     contract, and ``tests/test_differential.py`` is what catches that.
 
 Patch extraction is a pure copy.
@@ -71,24 +71,40 @@ def column_sums(products: np.ndarray) -> np.ndarray:
     """Sum a 2-d array over axis 0 in an order fixed by its shape.
 
     ``np.add.reduce`` over the leading axis of a C-contiguous array with
-    two or more columns accumulates row by row, from ``+0.0``.  numpy
-    would sum a lone ``(v, 1)`` column pairwise, as it does a 1-d array,
-    so that column is reduced beside a zero column instead.  Every column
-    is therefore summed row by row, in an order that depends only on
-    ``v``: a batch whose images each have one output position is reduced
-    like the single images, and exact zeros left in place never change
-    the bits.  Because numpy starts the sum from ``+0.0``, a column of
-    ``-0.0`` products sums to ``+0.0``.  :func:`conv_reference` reduces
-    through here; :func:`matmul_conv` accumulates in the same order
-    without forming the products array, and pads a lone column the same
-    way.
+    two or more columns accumulates row by row, from ``+0.0``; a lone
+    ``(v, 1)`` column, which numpy would sum pairwise, is reduced beside a
+    zero column.  So every column is summed in an order that depends only
+    on ``v``.  :func:`conv_reference` reduces through here, and
+    :func:`_contract` accumulates in the same order without forming the
+    products array.
     """
-    return np.add.reduce(_pad_lone_column(products), axis=0)[: products.shape[1]]
+    n_cols = products.shape[1]
+    if n_cols == 1:
+        products = np.hstack([products, np.zeros_like(products)])
+    return np.add.reduce(products, axis=0)[:n_cols]
 
 
-def _pad_lone_column(a: np.ndarray) -> np.ndarray:
-    """A 2-d ``a`` beside a zero column if it has only one, else ``a`` itself."""
-    return np.hstack([a, np.zeros_like(a)]) if a.shape[1] == 1 else a
+def _contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """``np.einsum(subscripts, a, b, out=out)`` in the fixed reduction order.
+
+    An output whose last axis has length 1 is computed beside a zero slice
+    and cropped.  Private, since the bench traces each public function.
+    """
+    inputs, output = subscripts.split("->")
+    a_axes, b_axes = inputs.split(",")
+    last = output[-1]
+    size = a.shape[a_axes.index(last)] if last in a_axes else b.shape[b_axes.index(last)]
+    if size != 1:
+        return np.einsum(subscripts, a, b, out=out)
+    if last in a_axes:
+        a = np.concatenate([a, np.zeros_like(a)], axis=a_axes.index(last))
+    if last in b_axes:
+        b = np.concatenate([b, np.zeros_like(b)], axis=b_axes.index(last))
+    result = np.einsum(subscripts, a, b)[..., :1]
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def vec(block: np.ndarray) -> np.ndarray:
@@ -223,23 +239,15 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     """Convolution in matrix form: ``Y = X^T F``.
 
     ``filters`` is ``(d*d*c, n)``; the returned ``(l, n)`` matrix holds the
-    full feature map of filter ``i`` in column ``i``.  A C ``einsum``
-    contraction, unoptimized as by default and so never BLAS, writes the
-    maps as contiguous rows of an ``(n, l)`` array and the transpose is
-    returned.  Its inner loop runs along each row, so every output starts
-    from ``+0.0`` and takes its products one patch row after another, the
-    order of :func:`column_sums`; a lone column is padded with a zero
-    column as there, since einsum would otherwise sum it in SIMD lanes.
-    The result therefore matches :func:`conv_reference` exactly.
+    full feature map of filter ``i`` in column ``i``.  One
+    :func:`_contract` writes the maps as rows of an ``(n, l)`` array and
+    the transpose is returned, so each output takes its products one patch
+    row after another, the order of :func:`column_sums`, and the result
+    matches :func:`conv_reference` exactly.
     """
     cols = patches.cols
     if filters.shape[0] != cols.shape[0]:
         raise ShapeError(
             f"filter rows {filters.shape[0]} != patch rows {cols.shape[0]}"
         )
-    n_cols = cols.shape[1]
-    cols = _pad_lone_column(cols)
-    f_rows = np.ascontiguousarray(filters.T)
-    maps = np.empty((f_rows.shape[0], cols.shape[1]), dtype=np.result_type(cols, f_rows))
-    np.einsum("vl,nv->nl", cols, f_rows, out=maps)
-    return np.ascontiguousarray(maps[:, :n_cols]).T
+    return _contract("vl,nv->nl", cols, np.ascontiguousarray(filters.T)).T

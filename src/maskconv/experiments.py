@@ -23,7 +23,7 @@ from maskconv.masks import from_dense, gram_offdiagonal
 from maskconv.network import Flatten, MaskedConv, Network
 from maskconv.training import TrainConfig, train_step
 
-DEFAULT_STAGES = ((0.1, 500), (0.03, 500), (0.01, 500), (0.003, 500))
+STAGES = ((0.1, 500), (0.03, 500), (0.01, 500), (0.003, 500))
 
 
 def _masked_toy_model(seed: int, bit_seed: int) -> Network:
@@ -34,9 +34,7 @@ def _masked_toy_model(seed: int, bit_seed: int) -> Network:
     return Network([conv, Flatten()])
 
 
-def diversity_trial(
-    seed: int, lam: float, stages=DEFAULT_STAGES
-) -> dict:
+def diversity_trial(seed: int, lam: float) -> dict:
     """Train the toy at one regularizer weight; returns mask statistics."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 6, 6, 1))
@@ -51,7 +49,7 @@ def diversity_trial(
 
     loss = float("nan")
     flips = 0.0
-    for lr, steps in stages:
+    for lr, steps in STAGES:
         config = TrainConfig(
             lr=lr, lam=lam, epochs=1, batch=x.shape[0], seed=seed,
             loss="mean-squared-error",

@@ -16,22 +16,22 @@ Spatial squares and channel windows are index ranges of the patch rows
 (:func:`mask_ranges`), and the kernels run them as such, with no 0/1
 matrix: the one forward, :func:`forward_patches`, contracts each mask's
 filter slice with the rows it keeps, and the one backward,
-:func:`bank_backward`, runs its two contractions over rectangles of rows
-that one run of masks keeps.  Standard conv is the single full-range
-view, and a learnable layer runs its explicit masked-filter matrix over
-it.  Every sum starts from ``+0.0`` and takes its terms in the order of
-a dense contraction with the masked entries left in place as zeros.  On
-finite patches and filters a skipped row drops only a signed-zero
-addend; where either holds an inf or NaN it would drop a ``0 * inf``
-term, so a spatial or channel forward then runs its masked filters over
-the full view.  Either way each output channel equals
+:func:`bank_backward`, runs its filter gradient the same way and its
+input gradient over rectangles of rows that one run of masks keeps.
+Standard conv is the single full-range view, and a learnable layer runs
+its explicit masked-filter matrix over it.  Every product goes through
+:func:`maskconv.convref._contract`, so every sum follows the fixed
+reduction order of :mod:`maskconv.convref`: the order of a dense
+contraction with the masked entries left in place as zeros.  On finite
+patches and filters a skipped row drops only a signed-zero addend; where
+either holds an inf or NaN it would drop a ``0 * inf`` term, so a
+spatial or channel forward then runs its masked filters over the full
+view.  Either way each output channel equals
 ``conv_reference(x, mask * filter) + bias`` exactly, but for the sign
 and payload of a NaN, which follow operand order.  The backward maps
 the per-secondary filter gradient onto primaries and masks without
 keeping it, and can skip a first layer's input gradient; its gradients
-on non-finite inputs are not pinned to any reference.  All
-contractions are numpy's single-threaded C ``einsum``, never BLAS, so
-their bits do not depend on the thread count.
+on non-finite inputs are not pinned to any reference.
 
 Activations keep the core's map-major memory order: the forward returns
 its ``(..., H', W', n)`` maps as a view of the contraction's ``(n, l)``
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from maskconv import convref
-from maskconv.convref import PatchMatrix, ShapeError, _pad_lone_column, im2col
+from maskconv.convref import PatchMatrix, ShapeError, _contract, im2col
 from maskconv.masks import STRATEGY_KINDS, MaskSet, channel_windows, spatial_masks
 
 VARIANTS = ("standard", "spatial", "channel", "learnable")
@@ -263,10 +263,10 @@ def forward_patches(
     Output ``pm.out_shape + (n,)``, primary-major, in map-major memory
     order: a view of contiguous ``(n, l)`` rows, each plus its bias in
     place, so moving the map axis first gives a C-contiguous array.  Per
-    view of :func:`mask_ranges`, one C ``einsum`` contracts the rows it
-    keeps with the filters' slice; spatial and channel masks come from
-    the spec, not from ``masks``, and run over the full view when the
-    patches or filters are not all finite.
+    view of :func:`mask_ranges`, one :func:`convref._contract` contracts
+    the rows it keeps with the filters' slice; spatial and channel masks
+    come from the spec, not from ``masks``, and run over the full view
+    when the patches or filters are not all finite.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
@@ -280,13 +280,11 @@ def forward_patches(
         grid, views = (1, len(pm.cols)), [(slice(None), slice(None))]
         f_rows = secondary_matrix(bank, spec.structural_masks(), spec).T
     filters = np.ascontiguousarray(f_rows).reshape(len(f_rows), *grid)
-    l = pm.cols.shape[1]
-    cols = _pad_lone_column(pm.cols)
-    rows = cols.reshape(*grid, -1)
-    maps = np.empty((len(filters), len(views), cols.shape[1]), dtype=np.result_type(cols, filters))
+    rows = pm.cols.reshape(*grid, -1)
+    maps = np.empty((len(filters), len(views), rows.shape[-1]), dtype=np.result_type(rows, filters))
     for j, (t, r) in enumerate(views):
-        np.einsum("trl,ktr->kl", rows[t, r], filters[:, t, r], out=maps[:, j])
-    maps = np.ascontiguousarray(maps.reshape(spec.n_secondary, -1)[:, :l])
+        _contract("trl,ktr->kl", rows[t, r], filters[:, t, r], out=maps[:, j])
+    maps = maps.reshape(spec.n_secondary, -1)
     if biases is not None:
         maps += biases[:, None]
     return maps.T.reshape(pm.out_shape + (spec.n_secondary,))
@@ -345,14 +343,14 @@ def bank_backward(
     ``x``'s shape in map-major memory order (see :func:`convref.col2im`),
     or is ``None`` with ``input_grad=False``, which skips its products and
     scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
-    order does not change the bits.  Both contractions run per region of
-    :func:`mask_ranges`, on the rows one run of masks keeps, and each sum
-    takes the terms of a dense contraction over the masked filters, in its
-    order.  They and the bias gradient's sum along each map's row are
-    numpy's C ``einsum`` without ``optimize``: single-threaded, in an
-    order fixed by the shapes, so the bits never depend on a BLAS thread
-    count.  Primary and mask gradients sum their secondaries' terms in
-    index order, each sum from zero.
+    order does not change the bits.  The filter gradient runs per mask
+    view of :func:`mask_ranges`, as the forward does, and the input
+    gradient per region, on the rows one run of masks keeps; each sum
+    takes the terms of a dense contraction over the masked filters, in the
+    reduction order of :mod:`maskconv.convref`.  The bias gradient sums
+    each map's row with a C ``einsum`` without ``optimize``.  Primary and
+    mask gradients sum their secondaries' terms in index order, each sum
+    from zero.
     """
     if patches is None:
         if x is None:
@@ -377,17 +375,8 @@ def bank_backward(
     rows = patches.cols.reshape(*grid, l)
     grad3 = grad_T.reshape(k_rows, len(views), l)
     grad_f = np.zeros((*grid, k_rows), dtype=fmat.dtype)
-    for t, r, j0, j1 in regions:
-        block = rows[t, r]
-        n_kept = block.shape[0] * block.shape[1]
-        kept = np.ascontiguousarray(block).reshape(n_kept, l)
-        if n_kept == k_rows == 1 < len(regions):
-            # numpy would sum this lone dot product in 8192-term chunks, the
-            # dense contraction it is part of in one pass
-            kept = np.concatenate([kept, np.zeros_like(kept)])
-        for j in range(j0, j1):  # each row takes its masks' terms in order j, from zero
-            ghat = np.einsum("vl,kl->vk", kept, grad3[:, j])[:n_kept]
-            grad_f[t, r] += ghat.reshape(grad_f[t, r].shape)
+    for j, (t, r) in enumerate(views):  # each row takes its masks' terms in order j, from zero
+        grad_f[t, r] += _contract("trl,kl->trk", rows[t, r], grad3[:, j])
     grad_f = grad_f.reshape(-1, k_rows)
 
     grad_m = None
@@ -412,20 +401,14 @@ def bank_backward(
 
     grad_x = None
     if input_grad:
-        # a lone column is summed beside a zero one, as in the forward
-        grad_cols = np.empty((*grid, l + (l == 1)), dtype=np.result_type(fmat, grad3))
+        grad_cols = np.empty((*grid, l), dtype=np.result_type(fmat, grad3))
         for t, r, j0, j1 in regions:
-            f_run = f_grid[t, r].reshape(-1, k_rows)
-            run = j1 - j0
+            run, f_run = j1 - j0, f_grid[t, r]
             # np.repeat copies element by element, slower than a plain copy
-            f_run = np.repeat(f_run, run, axis=1) if run != 1 else np.ascontiguousarray(f_run)
-            terms = _pad_lone_column(grad3[:, j0:j1].reshape(k_rows * run, l))
-            into = grad_cols[t, r]
-            if into.flags.c_contiguous:
-                np.einsum("vn,nl->vl", f_run, terms, out=into.reshape(len(f_run), -1))
-            else:  # a contiguous product copied in beats einsum writing strided rows
-                into[...] = np.einsum("vn,nl->vl", f_run, terms).reshape(into.shape)
-        grad_cols = grad_cols.reshape(patches.cols.shape[0], -1)[:, :l]
+            f_run = np.repeat(f_run, run, axis=-1) if run != 1 else np.ascontiguousarray(f_run)
+            terms = grad3[:, j0:j1].reshape(k_rows * run, l)
+            _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
+        grad_cols = grad_cols.reshape(patches.cols.shape)
         grad_x = convref.col2im(grad_cols.astype(patches.cols.dtype, copy=False), patches)
         if spec.variant == "spatial":
             grad_x = grad_x / spec.s

@@ -4,8 +4,8 @@ Layers operate on ``(B, H, W, c)`` arrays.  The convolution layer runs
 the filter-bank core of :mod:`maskconv.layers` on the whole batch, whose
 fixed-order reductions make per-sample outputs equal the single-image
 path bit for bit (see the reduction order in :mod:`maskconv.convref`).
-The dense layers use ``einsum`` with its default sequential contraction
-for the same reason: identical runs must produce identical bytes.
+The dense layers' products go through the same fixed-order contraction,
+so each output sums its terms in index order whatever the layer's width.
 
 Conv activations and their gradients keep the core's map-major memory
 order between layers: the shapes are channel-last, but each map is one
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maskconv.convref import ShapeError, conv_output_size, im2col
+from maskconv.convref import ShapeError, _contract, conv_output_size, im2col
 from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import (
     BankGrads,
@@ -179,15 +179,15 @@ class Dense:
         if x.ndim != 2 or x.shape[1] != len(self.w):
             raise ShapeError(f"dense layer: expected a B x {len(self.w)} batch, got {x.shape}")
         self._saved = x
-        return np.einsum("bi,io->bo", x, self.w) + self.b
+        return _contract("bi,io->bo", x, self.w) + self.b
 
     def backward(self, grad):
         x, self._saved = self._saved, None
         # grad as contiguous (o, b) rows: the same bits as "bi,bo->io" at about half the cost
-        self.grad_w = np.einsum("bi,ob->io", x, np.ascontiguousarray(grad.T))
+        self.grad_w = _contract("bi,ob->io", x, np.ascontiguousarray(grad.T))
         self.grad_b = np.add.reduce(grad, axis=0)
         # w as contiguous (o, i) rows keeps the inner loop on contiguous memory
-        return np.einsum("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
+        return _contract("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
 
     def sgd(self, lr: float) -> None:
         self.w = self.w - (lr * self.grad_w).astype(self.w.dtype)

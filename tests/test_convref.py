@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maskconv
 from maskconv.convref import (
     ShapeError,
     col2im,
@@ -198,3 +202,24 @@ def test_all_values_finite_on_finite_inputs():
     f = rng.normal(size=(5, 5, 3)) * 1e6
     y = conv_reference(x, f, stride=2, padding=2)
     assert np.all(np.isfinite(y))
+
+
+def test_two_operand_einsum_occurs_only_in_contract():
+    # convref._contract owns the reduction order of every product; a
+    # one-operand sum (the bias gradient's) keeps numpy's own order
+    package = Path(maskconv.__file__).parent
+    owners = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "einsum":
+                enclosing = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+                owner = max(enclosing, key=lambda f: f.lineno).name if enclosing else None
+                owners.append((path.name, owner, len(call.args)))
+    assert {(name, owner) for name, owner, n_args in owners if n_args != 2} == {
+        ("convref.py", "_contract")
+    }
+    assert [(name, owner) for name, owner, n_args in owners if n_args == 2] == [
+        ("layers.py", "bank_backward")
+    ]

@@ -18,7 +18,8 @@ oracles' ``sliding_window_view``, channel-last scatter and
 ``mean``/``repeat`` formulations byte for byte, alone and through training
 (pooling in either memory order), and so must the per-filter loop over
 the explicit masked filters through training.  ``Dense``'s weight
-gradient must equal its batch-major ``einsum`` by bytes.
+gradient must equal its batch-major ``einsum`` by bytes, and a lone
+filter or dense unit must give the bytes it gives beside a second one.
 """
 
 import numpy as np
@@ -351,6 +352,43 @@ def test_dense_weight_grad_matches_batch_major_einsum(dtype):
             dense.forward(x)
             dense.backward(grad)
             assert_same_bits(dense.grad_w, np.einsum("bi,bo->io", x, grad))
+
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_filter_bits_do_not_depend_on_sibling_filters(dtype):
+    """A lone filter or unit gives the bytes it gives beside a second one.
+
+    numpy would sum a lone dot product of more than 8192 terms in chunks,
+    and a lone dense output or input gradient in SIMD lanes.
+    """
+    rng = np.random.default_rng(25)
+    pair, lone = (LayerSpec("standard", d=1, c=1, k=k) for k in (2, 1))
+    bank = random_bank(pair, seed=0, dtype=dtype)
+    first = layers.FilterBank(bank.filters[:1], bank.biases[:1])
+    x = rng.normal(size=(1, 96, 96, 1)).astype(dtype)
+    grad_y = rng.normal(size=(1, 96, 96, 2)).astype(dtype)
+    assert_same_bits(bank_forward(x, first, None, lone), bank_forward(x, bank, None, pair)[..., :1])
+    got = bank_backward(grad_y[..., :1], x, first, None, lone).filters
+    assert_same_bits(got, bank_backward(grad_y, x, bank, None, pair).filters[:1])
+
+    for n_in, batch in ((300, 4), (1, 4), (1, 9000)):
+        wide = Dense.init(n_in, 2, seed=0, dtype=dtype)
+        narrow = Dense(wide.w[:, :1], wide.b[:1])
+        x = rng.normal(size=(batch, n_in)).astype(dtype)
+        grad = rng.normal(size=(batch, 2)).astype(dtype)
+        assert_same_bits(narrow.forward(x), wide.forward(x)[:, :1])
+        narrow.backward(grad[:, :1])
+        wide.backward(grad)
+        assert_same_bits(narrow.grad_w, wide.grad_w[:, :1])
+    # one input: the input gradient's lone column
+    wide = Dense.init(2, 300, seed=0, dtype=dtype)
+    narrow = Dense(wide.w[:1], wide.b)
+    x = rng.normal(size=(4, 2)).astype(dtype)
+    grad = rng.normal(size=(4, 300)).astype(dtype)
+    narrow.forward(x[:, :1])
+    wide.forward(x)
+    assert_same_bits(narrow.backward(grad), wide.backward(grad)[:, :1])
 
 
 def trained_checkpoints(tmp_path):

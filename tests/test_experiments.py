@@ -37,8 +37,8 @@ def test_gram_offdiagonal_spatial_pyramid_value():
 
 
 def test_diversity_trial_deterministic():
-    a = diversity_trial(3, 0.1, stages=((0.1, 50), (0.01, 50)))
-    b = diversity_trial(3, 0.1, stages=((0.1, 50), (0.01, 50)))
+    a = diversity_trial(3, 0.1)
+    b = diversity_trial(3, 0.1)
     assert a == b
 
 

@@ -31,9 +31,8 @@ _FONT = {
 IMAGE_SIZE = 28
 
 
-def _glyph(digit: int) -> np.ndarray:
-    rows = _FONT[digit]
-    return np.array([[ch == "#" for ch in row] for row in rows], dtype=np.float64)
+# the ten 0/1 glyphs, built once
+_GLYPHS = {d: np.array([[ch == "#" for ch in row] for row in rows], dtype=np.float64) for d, rows in _FONT.items()}
 
 
 def _blur(img: np.ndarray) -> np.ndarray:
@@ -48,16 +47,14 @@ def _blur(img: np.ndarray) -> np.ndarray:
 
 def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     """One noisy 28x28 rendering of a digit, values in [0, 1]."""
-    glyph = _glyph(digit)
     sy = int(rng.integers(2, 4))
     sx = int(rng.integers(2, 4))
-    img = np.kron(glyph, np.ones((sy, sx)))
+    img = _GLYPHS[digit].repeat(sy, 0).repeat(sx, 1)
     shear = float(rng.uniform(-0.15, 0.15))
-    rows = []
-    mid = img.shape[0] / 2
-    for r in range(img.shape[0]):
-        rows.append(np.roll(img[r], int(round(shear * (r - mid)))))
-    img = np.stack(rows)
+    h, w = img.shape
+    # row r rolled right by its shift, as one gather
+    shift = np.array([round(shear * (r - h / 2)) for r in range(h)])
+    img = img[np.arange(h)[:, None], (np.arange(w) - shift[:, None]) % w]
     img = img * float(rng.uniform(0.85, 1.0))
     if rng.random() < 0.25:
         img = _blur(img)

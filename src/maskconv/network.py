@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maskconv.convref import ShapeError, _contract, conv_output_size, im2col
+from maskconv.convref import ShapeError, _contract, column_sums, conv_output_size, im2col
 from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import (
     BankGrads,
@@ -185,7 +185,7 @@ class Dense:
         x, self._saved = self._saved, None
         # grad as contiguous (o, b) rows: the same bits as "bi,bo->io" at about half the cost
         self.grad_w = _contract("bi,ob->io", x, np.ascontiguousarray(grad.T))
-        self.grad_b = np.add.reduce(grad, axis=0)
+        self.grad_b = column_sums(grad)
         # w as contiguous (o, i) rows keeps the inner loop on contiguous memory
         return _contract("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
 

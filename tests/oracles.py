@@ -5,7 +5,8 @@ the library's im2col/reduction machinery so the two sides of each check
 stay independent.  The rest keeps earlier formulations of library code
 (``sliding_window_view`` patches, ``mean`` pooling, a channel-last
 ``col2im``, per-filter and per-secondary loops, the dense masked-filter
-forward and input gradient, the clipped-latent mask step) that the
+forward and input gradient, the clipped-latent mask step, the per-row
+``np.roll`` digit renderer) that the
 current code must match byte for byte.  ``secondary_grads`` alone calls
 the library: it reads the per-secondary gradient that ``bank_backward``
 keeps to itself through a standard layer of the secondary filters.
@@ -14,6 +15,7 @@ keeps to itself through a standard layer of the secondary filters.
 import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
+from maskconv.datagen import _FONT, IMAGE_SIZE, _blur
 from maskconv.layers import FilterBank, LayerSpec, bank_backward, secondary_matrix
 from maskconv.masks import from_dense
 
@@ -287,3 +289,24 @@ def forward_patches_loop(pm, bank, masks, spec):
     if spec.has_biases:
         maps = maps + bank.biases[:, None]
     return maps.T.reshape(pm.out_shape + (spec.n_secondary,))
+
+
+def render_digit_rolled(digit, rng):
+    """``datagen.render_digit`` with a glyph built per call, ``np.kron``
+    scaling and a per-row ``np.roll`` shear; the same draws in the same order."""
+    glyph = np.array([[ch == "#" for ch in row] for row in _FONT[digit]], dtype=np.float64)
+    sy = int(rng.integers(2, 4))
+    sx = int(rng.integers(2, 4))
+    img = np.kron(glyph, np.ones((sy, sx)))
+    shear = float(rng.uniform(-0.15, 0.15))
+    mid = img.shape[0] / 2
+    img = np.stack([np.roll(row, int(round(shear * (r - mid)))) for r, row in enumerate(img)])
+    img = img * float(rng.uniform(0.85, 1.0))
+    if rng.random() < 0.25:
+        img = _blur(img)
+    canvas = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
+    y0 = int(rng.integers(0, IMAGE_SIZE - img.shape[0] + 1))
+    x0 = int(rng.integers(0, IMAGE_SIZE - img.shape[1] + 1))
+    canvas[y0 : y0 + img.shape[0], x0 : x0 + img.shape[1]] = img
+    canvas += rng.normal(0.0, 0.04, size=canvas.shape)
+    return np.clip(canvas, 0.0, 1.0)

@@ -20,6 +20,8 @@ oracles' ``sliding_window_view``, channel-last scatter and
 the explicit masked filters through training.  ``Dense``'s weight
 gradient must equal its batch-major ``einsum`` by bytes, and a lone
 filter or dense unit must give the bytes it gives beside a second one.
+A spatial backward on an ``inf`` input keeps its stated limit: ``inf``,
+not the dense oracle's NaN, at a tap a mask drops.
 """
 
 import numpy as np
@@ -318,6 +320,25 @@ def test_non_finite_inputs_forward_equals_reference():
     assert required <= covered
 
 
+@np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here
+def test_non_finite_spatial_backward_skips_masked_taps():
+    """A stated limit, pinned: spatial and channel backwards skip the patch
+    rows a mask drops even when the input holds ``inf`` or NaN.  At a tap
+    that one mask drops, the dense masked oracle adds ``0 * inf = NaN``;
+    ``bank_backward`` leaves that term out and gives ``inf``."""
+    spec = LayerSpec("spatial", d=3, c=1, k=1)
+    masks = spec.structural_masks()
+    bank = random_bank(spec, seed=0, dtype=np.float64)
+    x = np.ones((3, 3, 1))
+    x[0, 0, 0] = np.inf  # a corner tap: the inner square drops it
+    grad_y = np.ones((1, 1, spec.n_secondary))
+    got = bank_backward(grad_y, x, bank, None, spec).filters
+    want, _ = grads_from_secondary_loop(secondary_grads(grad_y, x, bank, masks, spec), bank, masks, spec)
+    assert np.isposinf(got[0, 0, 0, 0]) and np.isnan(want[0, 0, 0, 0])
+    got[0, 0, 0, 0] = want[0, 0, 0, 0] = 0.0
+    assert_same_bits(got, want)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_avgpool_matches_mean_and_repeat_oracles(dtype):
     rng = np.random.default_rng(21)
@@ -360,7 +381,9 @@ def test_filter_bits_do_not_depend_on_sibling_filters(dtype):
     """A lone filter or unit gives the bytes it gives beside a second one.
 
     numpy would sum a lone dot product of more than 8192 terms in chunks,
-    and a lone dense output or input gradient in SIMD lanes.
+    a lone dense output or input gradient in SIMD lanes, and a lone dense
+    bias gradient pairwise.  (The conv bias gradient is not covered: a lone
+    map past 8192 positions still sums in einsum's own order.)
     """
     rng = np.random.default_rng(25)
     pair, lone = (LayerSpec("standard", d=1, c=1, k=k) for k in (2, 1))
@@ -381,6 +404,7 @@ def test_filter_bits_do_not_depend_on_sibling_filters(dtype):
         narrow.backward(grad[:, :1])
         wide.backward(grad)
         assert_same_bits(narrow.grad_w, wide.grad_w[:, :1])
+        assert_same_bits(narrow.grad_b, wide.grad_b[:1])
     # one input: the input gradient's lone column
     wide = Dense.init(2, 300, seed=0, dtype=dtype)
     narrow = Dense(wide.w[:1], wide.b)

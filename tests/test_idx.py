@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maskconv.datagen import generate_digits, write_dataset
+from maskconv.datagen import generate_digits, render_digit, write_dataset
 from maskconv.idx import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
@@ -17,6 +18,8 @@ from maskconv.idx import (
     write_idx_images,
     write_idx_labels,
 )
+
+from oracles import render_digit_rolled
 
 
 def test_idx_roundtrip(tmp_path):
@@ -125,6 +128,35 @@ def test_generate_digits_deterministic_and_labeled():
     # different seeds differ
     images_c, _ = generate_digits(32, seed=6)
     assert not np.array_equal(images_a, images_c)
+
+
+# sha256 of the default digit stream, taken from the renderer before it
+# became one gather per image: criterion 6's four files and a short stream
+DIGIT_STREAM_SHA256 = {
+    "train-images.idx": "697c550993993ab21fac940fe9b566da2a89e577cc6ea5a42bd2d5afd83a5b2e",
+    "train-labels.idx": "03635cf51c289783fcf55465332f600ff8db7b484b81b085a42af7b6fad2221c",
+    "test-images.idx": "d8f6127da78f70866f6bd7f33497c0c451380eae22c80878d7915b6ccba266d3",
+    "test-labels.idx": "aefba2b6399a844053a3ceb7d090d27d2572b53b3ee6e6c20a4a2e0bb5a520e1",
+    "images(256, seed=5)": "23988b2e3e6ae432301a5a90e22911b5bff47e90cc9486ae7fd73b99eebdf753",
+    "labels(256, seed=5)": "76c01ee575098ed02873e4900e9012e6ef17ec37855e9c7a593c8bf046657cc8",
+}
+
+
+def test_default_digit_stream_is_pinned(tmp_path):
+    write_dataset(tmp_path, 10_000, 2_000, seed=0)
+    images, labels = generate_digits(256, seed=5)
+    blobs = {name: (tmp_path / name).read_bytes() for name in list(DIGIT_STREAM_SHA256)[:4]}
+    blobs["images(256, seed=5)"] = images.tobytes()
+    blobs["labels(256, seed=5)"] = labels.tobytes()
+    assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == DIGIT_STREAM_SHA256
+
+
+def test_render_digit_matches_rolled_oracle():
+    for seed in (0, 3, 11):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(200):
+            got = render_digit(i % 10, rng)
+            assert got.tobytes() == render_digit_rolled(i % 10, oracle_rng).tobytes()
 
 
 def test_write_dataset_and_load_dir(tmp_path):

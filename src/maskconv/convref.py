@@ -37,7 +37,11 @@ Fixed reduction order.
 
 Patch extraction is a pure copy.
     :func:`im2col` moves values and never computes with them, so a
-    patch column holds the input's exact bits.
+    patch column holds the input's exact bits.  Columns run over output
+    positions with a batch's images innermost, and the layers store a
+    ``(B, H, W, c)`` batch as ``(c, H, W, B)``, so each tap copy and
+    scatter runs along ``w * B`` values; no forward output or input
+    gradient depends on that order, but sums over positions do.
 
 Inputs are ``H x W x c`` arrays (``im2col`` also takes a ``B x H x W x c``
 batch), filters ``d x d x c``, outputs ``H' x W'`` with
@@ -116,11 +120,11 @@ def vec(block: np.ndarray) -> np.ndarray:
 class PatchMatrix:
     """im2col result: one column per output position, canonical vec order.
 
-    ``cols`` has shape ``(d*d*c, B*h_out*w_out)``; columns are image-major,
-    so column ``(b*h_out + p)*w_out + q`` is the vectorized receptive field
-    of output pixel ``(p, q)`` of image ``b``.  A single ``(H, W, c)`` image
-    is a batch of one without the leading axis.  ``in_shape`` is the shape
-    of the (unpadded) input.
+    ``cols`` has shape ``(d*d*c, h_out*w_out*B)``; columns are
+    batch-innermost, so column ``(p*w_out + q)*B + b`` is the vectorized
+    receptive field of output pixel ``(p, q)`` of image ``b``.  A single
+    ``(H, W, c)`` image is a batch of one without the batch axis.
+    ``in_shape`` is the shape of the (unpadded) input.
     """
 
     cols: np.ndarray
@@ -145,6 +149,16 @@ def _check_input(x: np.ndarray, batch_ok: bool = False) -> np.ndarray:
     return x
 
 
+def _channels_first(x: np.ndarray) -> np.ndarray:
+    """View ``(*batch, H, W, c)`` as ``(c, H, W, *batch)``, the core's memory order."""
+    return x.transpose((x.ndim - 1, x.ndim - 3, x.ndim - 2, *range(x.ndim - 3)))
+
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """View ``(c, H, W, *batch)`` as ``(*batch, H, W, c)``; undoes :func:`_channels_first`."""
+    return x.transpose((*range(3, x.ndim), 1, 2, 0))
+
+
 def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMatrix:
     """Extract overlapping patches of ``x`` as columns.
 
@@ -152,11 +166,11 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     cells read as zero.  Raises :class:`ShapeError` when the kernel
     exceeds the padded input.
 
-    A pure copy: the input, channel axis first and zero-padded, is copied
-    once, then ``d*d`` strided slices of it fill a ``(d, d, c, *batch,
-    h_out, w_out)`` buffer whose reshape is ``cols``.  With no padding, an
-    input whose channel-first view is already C-contiguous (one channel, or
-    a map-major batch as the layers pass it on) is sliced directly instead.
+    A pure copy: the input, as ``(c, H, W, *batch)`` and zero-padded, is
+    copied once, then ``d*d`` strided slices of it fill a ``(d, d, c, h_out,
+    w_out, *batch)`` buffer whose reshape is ``cols``.  With no padding, an
+    input already stored that way (a batch as the layers pass it on, or a
+    one-channel image) is sliced directly instead.
     No arithmetic touches the values, so the columns hold the input's exact
     bits.
     """
@@ -166,22 +180,22 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     w_out = conv_output_size(w, d, stride, padding)
     st, p = stride, padding
     # blocks[a, b] holds every window's (a, b) tap: rows in vec order, columns
-    # image-major.  It is allocated before the scratch copy, so that freeing the
-    # scratch leaves no hole below it in the heap; that hole raised peak RSS by
-    # one patch matrix (10 MB for a 32x32x64 d5 float64 image).
-    blocks = np.empty((d, d, c, *batch, h_out, w_out), dtype=x.dtype)
-    channels_first = x.transpose((x.ndim - 1, *range(x.ndim - 1)))
+    # batch-innermost.  It is allocated before the scratch copy, so that freeing
+    # the scratch leaves no hole below it in the heap; that hole raised peak RSS
+    # by one patch matrix (10 MB for a 32x32x64 d5 float64 image).
+    blocks = np.empty((d, d, c, h_out, w_out, *batch), dtype=x.dtype)
+    channels_first = _channels_first(x)
     if p == 0 and channels_first.flags.c_contiguous:
         padded = channels_first
     else:
-        # one channel-first copy of the zero-padded input: (c, *batch, h_p, w_p).
+        # one channel-first copy of the zero-padded input: (c, h_p, w_p, *batch).
         # A channel-last image with c > 1 is copied too: slicing its windows
         # straight from the strided view was slower than this copy.
-        padded = np.zeros((c, *batch, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        padded[..., p : p + h, p : p + w] = channels_first
+        padded = np.zeros((c, h + 2 * p, w + 2 * p, *batch), dtype=x.dtype)
+        padded[:, p : p + h, p : p + w] = channels_first
     for a in range(d):
         for b in range(d):
-            blocks[a, b] = padded[..., a : a + st * h_out : st, b : b + st * w_out : st]
+            blocks[a, b] = padded[:, a : a + st * h_out : st, b : b + st * w_out : st]
     cols = blocks.reshape(d * d * c, -1)
     return PatchMatrix(cols, d, stride, padding, x.shape, h_out, w_out)
 
@@ -191,9 +205,9 @@ def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:
 
     Adjoint of :func:`im2col`: overlapping positions accumulate.  The
     result has the input's shape ``pm.in_shape`` and is a view of a
-    channel-first ``(c, *batch, H, W)`` buffer (padding cropped): each
-    tap's rows of ``grad_cols`` are added into it as one contiguous
-    block, taps in row-major ``(a, b)`` order.
+    ``(c, H, W, *batch)`` buffer (padding cropped): each tap's rows of
+    ``grad_cols`` are added into it as one contiguous block, taps in
+    row-major ``(a, b)`` order.
     """
     if grad_cols.shape != pm.cols.shape:
         raise ShapeError(
@@ -201,12 +215,12 @@ def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:
         )
     *batch, h, w, c = pm.in_shape
     d, st, p = pm.d, pm.stride, pm.padding
-    grad_pad = np.zeros((c, *batch, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
-    blocks = grad_cols.reshape(d, d, c, *batch, pm.h_out, pm.w_out)
+    grad_pad = np.zeros((c, h + 2 * p, w + 2 * p, *batch), dtype=grad_cols.dtype)
+    blocks = grad_cols.reshape(d, d, c, pm.h_out, pm.w_out, *batch)
     for a in range(d):
         for b in range(d):
-            grad_pad[..., a : a + st * pm.h_out : st, b : b + st * pm.w_out : st] += blocks[a, b]
-    return grad_pad[..., p : p + h, p : p + w].transpose((*range(1, len(pm.in_shape)), 0))
+            grad_pad[:, a : a + st * pm.h_out : st, b : b + st * pm.w_out : st] += blocks[a, b]
+    return _channels_last(grad_pad[:, p : p + h, p : p + w])
 
 
 def conv_reference(
@@ -239,7 +253,7 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     """Convolution in matrix form: ``Y = X^T F``.
 
     ``filters`` is ``(d*d*c, n)``; the returned ``(l, n)`` matrix holds the
-    full feature map of filter ``i`` in column ``i``.  One
+    full feature map of filter ``i`` in column ``i``, in column order.  One
     :func:`_contract` writes the maps as rows of an ``(n, l)`` array and
     the transpose is returned, so each output takes its products one patch
     row after another, the order of :func:`column_sums`, and the result

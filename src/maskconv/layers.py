@@ -33,11 +33,11 @@ the per-secondary filter gradient onto primaries and masks without
 keeping it, and can skip a first layer's input gradient; its gradients
 on non-finite inputs are not pinned to any reference.
 
-Activations keep the core's map-major memory order: the forward returns
-its ``(..., H', W', n)`` maps as a view of the contraction's ``(n, l)``
-rows, the backward reads ``dL/dy`` as such rows and returns the input
-gradient as a view of a channel-first buffer.  Shapes stay channel-last;
-only the strides differ.  :func:`bank_forward` returns a C-contiguous
+Activations keep the core's batch-innermost memory order, ``(n, H', W',
+B)``: the forward returns its ``(..., H', W', n)`` maps as a view of the
+contraction's ``(n, l)`` rows, the backward reads ``dL/dy`` as such rows
+and returns the input gradient as a view of a ``(c, H, W, B)`` buffer.
+Shapes stay channel-last.  :func:`bank_forward` returns a C-contiguous
 copy for callers outside a network.
 """
 
@@ -260,9 +260,9 @@ def forward_patches(
 ) -> np.ndarray:
     """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
 
-    Output ``pm.out_shape + (n,)``, primary-major, in map-major memory
-    order: a view of contiguous ``(n, l)`` rows, each plus its bias in
-    place, so moving the map axis first gives a C-contiguous array.  Per
+    Output ``pm.out_shape + (n,)``, primary-major, in batch-innermost
+    memory order: a view of contiguous ``(n, l)`` rows, each plus its bias
+    in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.  Per
     view of :func:`mask_ranges`, one :func:`convref._contract` contracts
     the rows it keeps with the filters' slice; spatial and channel masks
     come from the spec, not from ``masks``, and run over the full view
@@ -287,7 +287,8 @@ def forward_patches(
     maps = maps.reshape(spec.n_secondary, -1)
     if biases is not None:
         maps += biases[:, None]
-    return maps.T.reshape(pm.out_shape + (spec.n_secondary,))
+    maps = maps.reshape(spec.n_secondary, pm.h_out, pm.w_out, *pm.in_shape[:-3])
+    return convref._channels_last(maps)
 
 
 def bank_forward(
@@ -340,7 +341,7 @@ def bank_backward(
 
     ``x`` is an image or a batch, as in :func:`bank_forward`; it is not
     read when the forward's ``patches`` are passed.  The input gradient has
-    ``x``'s shape in map-major memory order (see :func:`convref.col2im`),
+    ``x``'s shape in batch-innermost memory order (see :func:`convref.col2im`),
     or is ``None`` with ``input_grad=False``, which skips its products and
     scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
     order does not change the bits.  The filter gradient runs per mask
@@ -348,9 +349,9 @@ def bank_backward(
     gradient per region, on the rows one run of masks keeps; each sum
     takes the terms of a dense contraction over the masked filters, in the
     reduction order of :mod:`maskconv.convref`.  The bias gradient sums
-    each map's row with a C ``einsum`` without ``optimize``.  Primary and
-    mask gradients sum their secondaries' terms in index order, each sum
-    from zero.
+    each map's row with a C ``einsum`` without ``optimize``, a lone map
+    beside a zero row.  Primary and mask gradients sum their secondaries'
+    terms in index order, each sum from zero.
     """
     if patches is None:
         if x is None:
@@ -361,8 +362,8 @@ def bank_backward(
     if grad_y.shape != out_shape:
         raise ShapeError(f"grad_y shape {grad_y.shape} != output shape {out_shape}")
     # (n, l) rows keep both contractions' inner loops on contiguous memory; a
-    # map-major grad_y, as the layers pass it on, gives them without a copy
-    grad_T = np.ascontiguousarray(np.moveaxis(grad_y, -1, 0)).reshape(n, -1)
+    # batch-innermost grad_y, as the layers pass it on, gives them without a copy
+    grad_T = np.ascontiguousarray(convref._channels_first(grad_y)).reshape(n, -1)
     grid, views, regions = mask_ranges(spec)
     fmat = bank.filter_matrix()
     if spec.variant == "learnable":
@@ -397,7 +398,9 @@ def bank_backward(
 
     grad_b = None
     if spec.has_biases and bank.biases is not None:
-        grad_b = np.einsum("nl->n", grad_T)
+        # a lone map sums beside a zero row, as it would beside a sibling
+        rows = grad_T if n > 1 else np.vstack([grad_T, np.zeros_like(grad_T)])
+        grad_b = np.einsum("nl->n", rows)[:n]
 
     grad_x = None
     if input_grad:

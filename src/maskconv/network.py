@@ -7,9 +7,10 @@ path bit for bit (see the reduction order in :mod:`maskconv.convref`).
 The dense layers' products go through the same fixed-order contraction,
 so each output sums its terms in index order whatever the layer's width.
 
-Conv activations and their gradients keep the core's map-major memory
-order between layers: the shapes are channel-last, but each map is one
-contiguous block.  ``MaskedConv`` passes its output on as the core
+Conv activations and their gradients keep the core's batch-innermost
+memory order between layers: the shapes are channel-last, ``(B, H, W,
+c)``, but the memory is ``(c, H, W, B)``, so pooling runs along stretches
+of ``w * B`` values.  ``MaskedConv`` passes its output on as the core
 returns it, ReLU and ``AvgPool2`` keep their input's order, and
 ``Flatten`` hands its gradient back in its input's order, so no layer
 transposes.  Elementwise results do not depend on the memory order.
@@ -34,6 +35,12 @@ from maskconv.layers import (
     spec_for_maps,
 )
 from maskconv.masks import MaskSet, agent_update, from_dense, ortho_grad, ortho_loss
+
+CONV_BYTES_MAX = 1 << 30
+"""Largest patch matrix or output a :class:`MaskedConv` forward allocates:
+1 GiB, ~70x the shipped models' largest (conv1's patches at ``evaluate``'s
+batch of 256, 14.75 MB).  A checkpoint header cannot size an allocation
+past it: the patch rows grow with ``d``, the maps with ``k``."""
 
 
 class MaskedConv:
@@ -72,6 +79,14 @@ class MaskedConv:
         if xb.ndim != 4 or xb.shape[3] != spec.c:
             raise ShapeError(
                 f"layer {spec.name}: expected a B x H x W x {spec.c} batch, got {xb.shape}"
+            )
+        h_out, w_out, _ = spec.output_shape(xb.shape[1], xb.shape[2])
+        rows = max(spec.d * spec.d * spec.c, spec.n_secondary)  # patch rows or output maps
+        need = rows * len(xb) * h_out * w_out * self.bank.filters.itemsize
+        if need > CONV_BYTES_MAX:
+            raise ShapeError(
+                f"layer {spec.name}: a {xb.shape} batch needs {need} bytes of patches or maps,"
+                f" over the {CONV_BYTES_MAX}-byte limit"
             )
         xb = xb.astype(self.bank.filters.dtype, copy=False)
         # free the previous batch's patches first, so that the new ones can
@@ -148,7 +163,7 @@ class Flatten:
     """``(B, ...)`` to ``(B, features)`` in C order, whatever the input's strides.
 
     The backward returns the gradient in the forward input's memory order,
-    so a map-major conv stack below gets map-major gradients back.
+    so a batch-innermost conv stack below gets its gradients back in that order.
     """
 
     def forward(self, x):

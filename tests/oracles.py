@@ -149,6 +149,14 @@ def secondary_grads(grad_y, x, bank, masks, spec):
     return grads.filters.reshape(n, -1).T
 
 
+def core_order(ndim):
+    """The conv core's memory order, ``(c, H, W, *batch)``, as axes of ``(*batch, H, W, c)``.
+
+    Patch columns and map rows run over output positions, images innermost.
+    """
+    return (ndim - 1, ndim - 3, ndim - 2, *range(ndim - 3))
+
+
 def input_grad(grad_y, x, bank, masks, spec):
     """The input gradient: ``col2im`` of the secondary filters times ``dL/dy``.
 
@@ -158,7 +166,7 @@ def input_grad(grad_y, x, bank, masks, spec):
     """
     fhat = secondary_matrix_loop(bank, masks, spec)
     pm = im2col_windows(x, spec.d, spec.stride, spec.padding)
-    grads = np.moveaxis(grad_y, -1, 0).reshape(spec.n_secondary, -1)
+    grads = grad_y.transpose(core_order(grad_y.ndim)).reshape(spec.n_secondary, -1)
     grad_cols = np.zeros(pm.cols.shape, dtype=np.result_type(fhat, grads))
     for n, grad in enumerate(grads):
         grad_cols += fhat[:, n : n + 1] * grad
@@ -211,7 +219,10 @@ def agent_update_clip(masks, grad_m, lr):
 
 
 def im2col_windows(x, d, stride=1, padding=0):
-    """``convref.im2col`` as ``sliding_window_view`` windows, reordered and transposed."""
+    """``convref.im2col`` as ``sliding_window_view`` windows, reordered and transposed.
+
+    Columns run over output positions, each position's images innermost.
+    """
     x = np.asarray(x)
     if x.ndim == 2:
         x = x[:, :, None]
@@ -224,7 +235,8 @@ def im2col_windows(x, d, stride=1, padding=0):
         x = np.pad(x, batch_pad + ((padding, padding), (padding, padding), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (d, d), axis=(-3, -2))
     windows = windows[..., ::stride, ::stride, :, :, :]
-    patches = np.moveaxis(windows, -3, -1).reshape(-1, d * d * c)
+    patches = np.moveaxis(windows, -3, -1).reshape(*in_shape[:-3], h_out * w_out, d * d * c)
+    patches = np.moveaxis(patches, -2, 0).reshape(-1, d * d * c)
     cols = np.ascontiguousarray(patches.T)
     return PatchMatrix(cols, d, stride, padding, in_shape, h_out, w_out)
 
@@ -233,7 +245,7 @@ def avgpool_mean(x):
     """2x2 stride-2 average pooling of a (B, H, W, c) batch as a ``mean``.
 
     The batch is made C-contiguous first: ``mean`` sums in the order of
-    the array's memory layout, so a map-major batch would round
+    the array's memory layout, so a batch stored batch-innermost would round
     differently in the last bit.
     """
     x = np.ascontiguousarray(x)
@@ -250,13 +262,14 @@ def avgpool_repeat_backward(grad):
 def col2im_channel_last(grad_cols, pm):
     """``convref.col2im`` scattering into a C-contiguous channel-last buffer.
 
-    The transposed columns are gathered tap by tap, in the same ``(a, b)``
-    order, into a zero-padded ``(*batch, H_p, W_p, c)`` array.
+    The transposed columns, batch-innermost, are gathered tap by tap, in the
+    same ``(a, b)`` order, into a zero-padded ``(*batch, H_p, W_p, c)`` array.
     """
     *batch, h, w, c = pm.in_shape
     d, st, p = pm.d, pm.stride, pm.padding
     grad_pad = np.zeros((*batch, h + 2 * p, w + 2 * p, c), dtype=grad_cols.dtype)
-    blocks = grad_cols.T.reshape(*batch, pm.h_out, pm.w_out, d, d, c)
+    blocks = grad_cols.T.reshape(pm.h_out, pm.w_out, *batch, d, d, c)
+    blocks = np.moveaxis(blocks, (0, 1), (len(batch), len(batch) + 1))
     for a in range(d):
         for b in range(d):
             grad_pad[
@@ -288,7 +301,8 @@ def forward_patches_loop(pm, bank, masks, spec):
     maps = matmul_conv_loop(pm, secondary_matrix_loop(bank, masks, spec)).T
     if spec.has_biases:
         maps = maps + bank.biases[:, None]
-    return maps.T.reshape(pm.out_shape + (spec.n_secondary,))
+    maps = maps.reshape(spec.n_secondary, pm.h_out, pm.w_out, *pm.in_shape[:-3])
+    return maps.transpose(np.argsort(core_order(maps.ndim)))
 
 
 def render_digit_rolled(digit, rng):

@@ -4,14 +4,16 @@ import struct
 import numpy as np
 import pytest
 
+from maskconv import network
 from maskconv.accounting import shipped_netspec_path
 from maskconv.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from maskconv.cli import main
 from maskconv.config import ConfigError, RunConfig, load_config, parse_config_text
 from maskconv.datagen import write_dataset
 from maskconv.idx import IMAGES_MAGIC, write_idx_images, write_idx_labels
+from maskconv.layers import FilterBank, LayerSpec
 from maskconv.masks import read_mask_records, write_mask_records
-from maskconv.network import MaskedConv, build_small_cnn
+from maskconv.network import MaskedConv, Network, build_small_cnn
 
 
 class Capture:
@@ -429,6 +431,29 @@ def test_eval_checkpoint_padding_not_below_d_exits_1(tmp_path, dataset, padding)
     code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)], out=out)
     assert code == 1
     assert out.text == f"error: bad conv record at offset 13: conv: padding {padding} is not below d=5"
+
+
+@pytest.mark.parametrize(
+    "d, padding, k, need",
+    [(64, 63, 1, 4096 * 91 * 91 * 40 * 4), (1, 0, 4096, 4096 * 28 * 28 * 40 * 4)],
+    ids=["wide kernel", "many maps"],
+)
+def test_eval_conv_over_the_byte_limit_exits_1(tmp_path, dataset, monkeypatch, d, padding, k, need):
+    # 16 KiB of filters each: d = 64 with padding = 63 asks im2col for 4096 x 91*91
+    # values per 28x28 image, and k = 4096 for 4096 maps; under a 1 MiB limit both are
+    # refused before anything is allocated
+    spec = LayerSpec("standard", d=d, c=1, k=k, padding=padding)
+    bank = FilterBank(np.zeros((k, d, d, 1), np.float32), np.zeros(k, np.float32))
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(Network([MaskedConv(spec, bank)]), path)
+    monkeypatch.setattr(network, "CONV_BYTES_MAX", 1 << 20)
+    out = Capture()
+    code = main(["eval", "--checkpoint", str(path), "--data", str(dataset)], out=out)
+    assert code == 1
+    assert out.text == (
+        f"error: layer conv: a (40, 28, 28, 1) batch needs {need} bytes of patches or maps,"
+        " over the 1048576-byte limit"
+    )
 
 
 UNDECODABLE = b"\xff\xfe\x00garbage\x80"

@@ -4,7 +4,7 @@
 byte for byte over random shapes, widths, dtypes and signed zeros.  Every
 forward path (``bank_forward``, ``MaskedConv.forward``,
 ``cached_forward``) must equal the stacked ``conv_reference`` maps bit for
-bit, ``MaskedConv.forward`` in map-major memory order and the other two
+bit, ``MaskedConv.forward`` batch-innermost in memory and the other two
 C-contiguous, and the vectorized mask layout must reproduce the
 per-secondary loops of ``tests/oracles.py`` bit for bit: the secondary
 filters, the filter and mask gradients (from the secondary-filter
@@ -17,7 +17,9 @@ mask must select exactly its set bits.
 oracles' ``sliding_window_view``, channel-last scatter and
 ``mean``/``repeat`` formulations byte for byte, alone and through training
 (pooling in either memory order), and so must the per-filter loop over
-the explicit masked filters through training.  ``Dense``'s weight
+the explicit masked filters through training.  ``MaskedConv`` must give
+the same bytes for a batch stored channel-last, map-major or
+batch-innermost.  ``Dense``'s weight
 gradient must equal its batch-major ``einsum`` by bytes, and a lone
 filter or dense unit must give the bytes it gives beside a second one.
 A spatial backward on an ``inf`` input keeps its stated limit: ``inf``,
@@ -56,6 +58,7 @@ from oracles import (
     avgpool_repeat_backward,
     cached_adds_loop,
     col2im_channel_last,
+    core_order,
     forward_patches_loop,
     grads_from_secondary_loop,
     im2col_windows,
@@ -78,15 +81,20 @@ def assert_same_contiguous_bits(got, want):
     assert_same_bits(got, want)
 
 
-def map_major(x):
-    """A copy of ``x`` whose last (map) axis is the slowest in memory."""
-    out = np.moveaxis(np.empty((x.shape[-1], *x.shape[:-1]), dtype=x.dtype), 0, -1)
+def stored_as(x, order):
+    """A copy of ``x`` whose memory holds its axes in ``order``, slowest first."""
+    out = np.empty([x.shape[i] for i in order], dtype=x.dtype).transpose(np.argsort(order))
     out[...] = x
     return out
 
 
-def is_map_major(x):
-    return np.moveaxis(x, -1, 0).flags.c_contiguous
+def batch_innermost(x):
+    """A copy of ``x`` stored ``(c, H, W, *batch)``, as a conv layer passes it on."""
+    return stored_as(x, core_order(x.ndim))
+
+
+def is_batch_innermost(x):
+    return x.transpose(core_order(x.ndim)).flags.c_contiguous
 
 
 MATMUL_WIDTHS = (1, 2, 3, 5, 7, 16, 33, 100, 1000, 2048, 2049, 3072, 4097, 9000)
@@ -219,7 +227,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         conv = MaskedConv(spec, bank, masks)
         batch = x if x.ndim == 4 else x[None]
         y = conv.forward(batch)
-        assert is_map_major(y)
+        assert is_batch_innermost(y)
         assert_same_bits(y, want if x.ndim == 4 else want[None])
         y, counts = cached_forward(x, bank, masks, spec)
         assert_same_contiguous_bits(y, want)
@@ -232,7 +240,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         grad_y = rng.normal(size=want.shape).astype(x.dtype)
         grad_y[..., trial % spec.n_secondary] = 0.0  # a dead map: its products are signed zeros
         grads = bank_backward(grad_y, x, bank, masks, spec)
-        same = bank_backward(map_major(grad_y), x, bank, masks, spec)
+        same = bank_backward(batch_innermost(grad_y), x, bank, masks, spec)
         for name in ("filters", "biases", "masks", "x"):
             got, want_grad = getattr(same, name), getattr(grads, name)
             if want_grad is None:
@@ -340,6 +348,35 @@ def test_non_finite_spatial_backward_skips_masked_taps():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_conv_bits_do_not_depend_on_memory_order(dtype):
+    """One batch and its ``dL/dy`` stored channel-last, map-major ``(c, B, H, W)``
+    or batch-innermost ``(c, H, W, B)``: ``MaskedConv`` gives the same bytes
+    for the output, the input gradient and every :class:`BankGrads` field.
+    The conv1-shaped one-channel batch is sliced directly by ``im2col`` when
+    stored batch-innermost and copied otherwise; the padded one is always
+    copied."""
+    rng = np.random.default_rng(27)
+    cases = (
+        (LayerSpec("standard", d=5, c=1, k=8), (16, 28, 28, 1)),
+        (LayerSpec("learnable", strategy="separate", s=2, d=3, c=4, k=3, padding=1), (5, 12, 12, 4)),
+    )
+    for spec, shape in cases:
+        x = rng.normal(size=shape).astype(dtype)
+        grad_y = rng.normal(size=(shape[0], *spec.output_shape(*shape[1:3]))).astype(dtype)
+        runs = []
+        for order in ((0, 1, 2, 3), (3, 0, 1, 2), (3, 1, 2, 0)):
+            conv = MaskedConv(spec, random_bank(spec, seed=1, dtype=dtype), masks_for_spec(spec, 1))
+            y = conv.forward(stored_as(x, order))
+            grad_x = conv.backward(stored_as(grad_y, order))
+            runs.append((y, grad_x, conv.grads.filters, conv.grads.biases, conv.grads.masks))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_avgpool_matches_mean_and_repeat_oracles(dtype):
     rng = np.random.default_rng(21)
     # the small CNN pools conv1's 24x24 maps (8 or 9 of them) and conv2's 10x10
@@ -351,12 +388,12 @@ def test_avgpool_matches_mean_and_repeat_oracles(dtype):
                 assert_same_contiguous_bits(pool.forward(x), avgpool_mean(x))
                 grad = rng.normal(size=(batch, hw // 2, hw // 2, c)).astype(dtype)
                 assert_same_contiguous_bits(pool.backward(grad), avgpool_repeat_backward(grad))
-                # a map-major batch, as a conv layer passes it on: same bytes, same order
-                y = pool.forward(map_major(x))
-                assert is_map_major(y)
+                # a batch-innermost batch, as a conv layer passes it on: same bytes, same order
+                y = pool.forward(batch_innermost(x))
+                assert is_batch_innermost(y)
                 assert_same_bits(y, avgpool_mean(x))
-                up = pool.backward(map_major(grad))
-                assert is_map_major(up)
+                up = pool.backward(batch_innermost(grad))
+                assert is_batch_innermost(up)
                 assert_same_bits(up, avgpool_repeat_backward(grad))
 
 
@@ -381,9 +418,8 @@ def test_filter_bits_do_not_depend_on_sibling_filters(dtype):
     """A lone filter or unit gives the bytes it gives beside a second one.
 
     numpy would sum a lone dot product of more than 8192 terms in chunks,
-    a lone dense output or input gradient in SIMD lanes, and a lone dense
-    bias gradient pairwise.  (The conv bias gradient is not covered: a lone
-    map past 8192 positions still sums in einsum's own order.)
+    a lone dense output or input gradient in SIMD lanes, and a lone conv
+    or dense bias gradient pairwise.
     """
     rng = np.random.default_rng(25)
     pair, lone = (LayerSpec("standard", d=1, c=1, k=k) for k in (2, 1))
@@ -392,8 +428,10 @@ def test_filter_bits_do_not_depend_on_sibling_filters(dtype):
     x = rng.normal(size=(1, 96, 96, 1)).astype(dtype)
     grad_y = rng.normal(size=(1, 96, 96, 2)).astype(dtype)
     assert_same_bits(bank_forward(x, first, None, lone), bank_forward(x, bank, None, pair)[..., :1])
-    got = bank_backward(grad_y[..., :1], x, first, None, lone).filters
-    assert_same_bits(got, bank_backward(grad_y, x, bank, None, pair).filters[:1])
+    got = bank_backward(grad_y[..., :1], x, first, None, lone)
+    want = bank_backward(grad_y, x, bank, None, pair)
+    assert_same_bits(got.filters, want.filters[:1])
+    assert_same_bits(got.biases, want.biases[:1])
 
     for n_in, batch in ((300, 4), (1, 4), (1, 9000)):
         wide = Dense.init(n_in, 2, seed=0, dtype=dtype)

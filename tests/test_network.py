@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maskconv import convref
+from maskconv import convref, network
 from maskconv.convref import ShapeError, conv_output_size, conv_reference
 from maskconv.fastinfer import cached_forward
 from maskconv.layers import (
@@ -321,3 +321,13 @@ def test_update_masks_returns_the_exact_count_of_flipped_bits():
     frozen = MaskedConv.init(LayerSpec("learnable", d=3, c=2, k=2, strategy="random-fixed", s=2), seed=0)
     before = frozen.masks
     assert frozen.update_masks(lr=1.0, lam=0.0) == (0, 0) and frozen.masks is before
+
+
+def test_conv_forward_refuses_patches_or_maps_over_the_byte_limit(monkeypatch):
+    # per image: 3*3*2 patch rows or 20 maps, each at 4*4 positions of 4 bytes
+    for k, rows in ((1, 18), (20, 20)):
+        conv = MaskedConv.init(LayerSpec("standard", d=3, c=2, k=k), seed=0)
+        monkeypatch.setattr(network, "CONV_BYTES_MAX", 2 * rows * 16 * 4)
+        assert conv.forward(np.zeros((2, 6, 6, 2), np.float32)).shape == (2, 4, 4, k)
+        with pytest.raises(ShapeError, match=f"needs {3 * rows * 16 * 4} bytes of patches or maps"):
+            conv.forward(np.zeros((3, 6, 6, 2), np.float32))

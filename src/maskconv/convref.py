@@ -167,12 +167,12 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     exceeds the padded input.
 
     A pure copy: the input, as ``(c, H, W, *batch)`` and zero-padded, is
-    copied once, then ``d*d`` strided slices of it fill a ``(d, d, c, h_out,
-    w_out, *batch)`` buffer whose reshape is ``cols``.  With no padding, an
-    input already stored that way (a batch as the layers pass it on, or a
-    one-channel image) is sliced directly instead.
-    No arithmetic touches the values, so the columns hold the input's exact
-    bits.
+    copied once, then one copy of a read-only strided view of its windows
+    fills a ``(d, d, c, h_out, w_out, *batch)`` buffer whose reshape is
+    ``cols``.  With no padding, an input already stored that way (a batch
+    as the layers pass it on, or a one-channel image) is viewed in place
+    instead.  No arithmetic touches the values, so the columns hold the
+    input's exact bits.
     """
     x = _check_input(x, batch_ok=True)
     *batch, h, w, c = x.shape
@@ -193,9 +193,12 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
         # straight from the strided view was slower than this copy.
         padded = np.zeros((c, h + 2 * p, w + 2 * p, *batch), dtype=x.dtype)
         padded[:, p : p + h, p : p + w] = channels_first
-    for a in range(d):
-        for b in range(d):
-            blocks[a, b] = padded[:, a : a + st * h_out : st, b : b + st * w_out : st]
+    # every window as one read-only strided view of the C-contiguous padded
+    # buffer, built by the ndarray constructor: as_strided costs ~1.5 us more
+    sc, sh, sw, *sb = padded.strides
+    windows = np.ndarray(blocks.shape, x.dtype, padded, 0, (sh, sw, sc, st * sh, st * sw, *sb))
+    windows.flags.writeable = False
+    np.copyto(blocks, windows)
     cols = blocks.reshape(d * d * c, -1)
     return PatchMatrix(cols, d, stride, padding, x.shape, h_out, w_out)
 

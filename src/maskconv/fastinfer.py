@@ -19,12 +19,14 @@ A MASK op is priced at 1/32 of an fp32 MUL in the combined total:
 :func:`cached_forward` tallies these counts for a call; its output
 comes from the package's one forward kernel,
 :func:`maskconv.layers.forward_patches`.  That kernel runs spatial and
-channel masks as index ranges of the patch rows, so for them (and for
-standard layers) the ADD tally is the multiply-adds it ran on finite
-inputs.  Learned and random bits stay a dense masked-filter matrix in
-the kernel, so their ADD and MASK tallies are the scheme's cost model.
-Tallies never read input values, so the exact closed forms of
-:func:`predict_counts` (all but bit-mask ADDs) hold on every input.
+channel masks as index ranges of the patch rows and a shared group of
+bit masks as the rows each keeps, so for them (and for standard layers)
+the ADD tally is the multiply-adds it ran on finite inputs.  Only
+separate and random-fixed bits stay a dense masked-filter matrix in the
+kernel, so only their ADD tally is the scheme's cost model; MASK ops of
+every bit mask are.  Tallies never read input values, so the exact
+closed forms of :func:`predict_counts` (all but bit-mask ADDs) hold on
+every input.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from maskconv.convref import im2col
-from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, mask_ranges
+from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, mask_ranges, view_sizes
 from maskconv.masks import MaskSet, random_masks
 
 
@@ -94,26 +96,26 @@ def cached_forward(
     C-contiguous.  The :class:`OpCounts` are what the scheme executes on
     this call: ``k`` product passes over every patch, one ADD per
     mask-selected entry, and for bit masks one MASK op per entry and mask.
-    The ADDs of index-range masks are counted over their ranges (see
-    :func:`maskconv.layers.mask_ranges`), those of bit masks from their
-    popcounts.  The tally never reads input values: when an ``inf`` or
-    NaN sends the kernel down its full-view fallback, the ADDs are still
-    those of the ranges, the scheme's count, not the fallback's.
+    The ADDs of index ranges and of a shared group of bit masks are
+    counted from the sizes of their views (see
+    :func:`maskconv.layers.mask_ranges`), those of separate and
+    random-fixed bits from their popcounts.  The tally never reads input
+    values: when an ``inf`` or NaN sends the kernel down its full-view
+    fallback, the ADDs are still those of the views, the scheme's count,
+    not the fallback's.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
     y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
     v, l = pm.cols.shape
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
-    if spec.variant != "learnable":
-        # each mask's index range, per primary: the MACs the kernel runs on finite inputs
-        grid, views, _ = mask_ranges(spec)
-        patches = pm.cols.reshape(*grid, l)
-        counts.add_fp32 = sum(patches[view].size for view in views) * spec.k
-        return y, counts
-    # bit masks cost mask ops and storage besides their ADDs
-    counts.add_fp32 = int(masks.ones_counts()[mask_columns(masks, spec)].sum()) * l
-    counts.mask_ops = v * l * spec.n_secondary
-    counts.mask_bits = v * masks.n_masks
+    if spec.mask_groups == 1:
+        # each mask's kept rows, per primary: the MACs the kernel runs on finite inputs
+        counts.add_fp32 = sum(view_sizes(*mask_ranges(spec, masks))) * spec.k * l
+    else:
+        counts.add_fp32 = int(masks.ones_counts()[mask_columns(masks, spec)].sum()) * l
+    if spec.variant == "learnable":  # bit masks cost mask ops and storage besides their ADDs
+        counts.mask_ops = v * l * spec.n_secondary
+        counts.mask_bits = v * masks.n_masks
     return y, counts
 
 

@@ -12,21 +12,26 @@ then filter 2, and so on.  Variants:
 ``channel``    sliding channel windows, no biases;
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
-Spatial squares and channel windows are index ranges of the patch rows
-(:func:`mask_ranges`), and the kernels run them as such, with no 0/1
-matrix: the one forward, :func:`forward_patches`, contracts each mask's
-filter slice with the rows it keeps, and the one backward,
-:func:`bank_backward`, runs its filter gradient the same way and its
-input gradient over rectangles of rows that one run of masks keeps.
-Standard conv is the single full-range view, and a learnable layer runs
-its explicit masked-filter matrix over it.  Every product goes through
+Every mask is a set of patch rows (:func:`mask_ranges`): index ranges
+for spatial squares and channel windows, and for one shared group of
+bit masks the index array of each mask's set bits.  The one forward,
+:func:`forward_patches`, contracts each mask's rows, sliced or gathered,
+with the primaries' matching entries; the one backward,
+:func:`bank_backward`, runs its input gradient over the row groups that
+one set of masks keeps (:func:`row_groups`), and a spatial or channel
+filter gradient per mask as the forward does.  Standard conv is the
+single full view.  Separate and random-fixed bits keep their explicit
+masked-filter matrix over it, since a gather per secondary copies about
+as much as it saves, and every learnable filter gradient runs each
+secondary over all rows, since the straight-through mask gradient takes
+the term of every bit.  Every product goes through
 :func:`maskconv.convref._contract`, so every sum follows the fixed
 reduction order of :mod:`maskconv.convref`: the order of a dense
 contraction with the masked entries left in place as zeros.  On finite
 patches and filters a skipped row drops only a signed-zero addend; where
-either holds an inf or NaN it would drop a ``0 * inf`` term, so a
-spatial or channel forward then runs its masked filters over the full
-view.  Either way each output channel equals
+either holds an inf or NaN it would drop a ``0 * inf`` term, so the
+forward then runs each secondary's filter, zeroed outside its rows, over
+the full view.  Either way each output channel equals
 ``conv_reference(x, mask * filter) + bias`` exactly, but for the sign
 and payload of a NaN, which follow operand order.  The backward maps
 the per-secondary filter gradient onto primaries and masks without
@@ -216,43 +221,96 @@ def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -
     return np.repeat(fmat, spec.s, axis=1) * masks.dense(fmat.dtype)[:, cols]
 
 
-def mask_ranges(spec: LayerSpec):
-    """``(grid, views, regions)``: the patch rows each mask keeps, as index ranges.
+ROW_GROUP_SKIP = 4
+"""A row group of shared bit masks gets an input-gradient contraction of its
+own only when the products it skips, its rows times the masks it drops,
+reach this many per mask it keeps, for each of which it copies the maps of
+``dL/dy``; the other groups run together over all masks."""
+
+
+def mask_ranges(spec: LayerSpec, masks: MaskSet | None = None):
+    """``(grid, views)``: the patch rows each mask keeps.
 
     The ``d*d*c`` patch rows are viewed as a ``grid`` of shape ``(T, R)``:
     ``(d, d*c)`` for spatial squares (a grid row per window row),
     ``(d*d, c)`` for channel windows (a grid row per tap) and
-    ``(1, d*d*c)`` otherwise.  Mask ``j`` keeps the rectangle ``views[j]``;
-    standard and learnable layers have one full view.  ``regions`` split
-    the grid into rectangles ``(t, r, j0, j1)`` kept by exactly the masks
-    ``j0:j1``, by none if ``j0 == j1``.
+    ``(1, d*d*c)`` otherwise.  Mask ``j`` keeps the rows ``views[j]``: a
+    rectangle of slices for a spatial square or channel window (from the
+    spec), and for one shared group of bit masks (``mask_groups == 1``)
+    the index array of its set bits in ``masks``, or a full slice if it
+    keeps every row.  Standard layers, and the dense masked-filter matrix
+    of separate and random-fixed bits, have one full view.
     """
     d, c, s = spec.d, spec.c, spec.s
     if spec.variant == "spatial":
-        views = [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
-        regions = []
+        return (d, d * c), [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
+    if spec.variant == "channel":
+        return (d * d, c), [(slice(None), slice(a, a + spec.c_hat)) for a in range(0, s * spec.g, spec.g)]
+    v = d * d * c
+    if spec.variant == "learnable" and spec.mask_groups == 1:
+        mask_columns(masks, spec)  # raises unless the masks are one group of s
+        kept = (np.flatnonzero(bits) for bits in masks.bits.T)
+        return (1, v), [(slice(None), rows if len(rows) < v else slice(None)) for rows in kept]
+    return (1, v), [(slice(None), slice(None))]
+
+
+def view_sizes(grid: tuple[int, int], views) -> list[int]:
+    """The number of patch rows each view of :func:`mask_ranges` keeps."""
+    cells = np.empty(grid, dtype=bool)  # indexed in place of the rows, so that none is copied
+    return [cells[view].size for view in views]
+
+
+def row_groups(spec: LayerSpec, masks: MaskSet | None = None):
+    """The patch rows split by the set of masks that keeps them.
+
+    Each group ``(t, r, kept)`` indexes the grid of :func:`mask_ranges`
+    at ``(t, r)`` and the masks at ``kept``; together the groups cover
+    every row once.  Spatial rings and channel segments are rectangles
+    kept by a run of masks, ``kept`` a slice.  Rows of shared bit masks
+    are grouped by their bit pattern, ``r`` an ascending index array and
+    ``kept`` the set bits'; ``r`` is a full slice if the group holds every
+    row, ``kept`` the slice ``0:s`` if it holds every mask.  Other layers
+    have one group: all rows and all masks.
+    """
+    d, c, s = spec.d, spec.c, spec.s
+    if spec.variant == "spatial":
+        groups = []
         for q in range(s):  # ring q, kept by squares 0..q: top and bottom rows, then the sides
             lo, hi = q, d - 1 - q
             width = slice(lo * c, (hi + 1) * c)
-            regions += [(slice(a, a + 1), width, 0, q + 1) for a in sorted({lo, hi})]
+            groups += [(slice(a, a + 1), width, slice(0, q + 1)) for a in sorted({lo, hi})]
             if hi - lo > 1:
                 sides = (slice(b * c, (b + 1) * c) for b in (lo, hi))
-                regions += [(slice(lo + 1, hi), side, 0, q + 1) for side in sides]
-        return (d, d * c), views, regions
+                groups += [(slice(lo + 1, hi), side, slice(0, q + 1)) for side in sides]
+        return groups
     if spec.variant == "channel":
-        starts = [j * spec.g for j in range(s)]
-        views = [(slice(None), slice(a, a + spec.c_hat)) for a in starts]
+        starts = range(0, s * spec.g, spec.g)
         edges = sorted({0, c, *starts, *(a + spec.c_hat for a in starts)})
-        regions = []
+        groups = []
         for lo, hi in zip(edges, edges[1:]):
             # channels lo:hi lie in the windows that start at or before lo, less
             # those that end there
-            j0 = sum(a + spec.c_hat <= lo for a in starts)
-            j1 = sum(a <= lo for a in starts)
-            regions.append((slice(None), slice(lo, hi), j0, j1))
-        return (d * d, c), views, regions
-    full = (slice(None), slice(None))
-    return (1, d * d * c), [full], [(*full, 0, 1)]
+            j0 = min(s, max(0, (lo - spec.c_hat) // spec.g + 1))
+            j1 = min(s, lo // spec.g + 1)
+            groups.append((slice(None), slice(lo, hi), slice(j0, j1)))
+        return groups
+    full, every = slice(None), slice(0, s)
+    if spec.variant != "learnable" or spec.mask_groups != 1:
+        return [(full, full, every)]
+    mask_columns(masks, spec)  # raises unless the masks are one group of s
+    bits = masks.bits
+    if (bits == bits[0]).all():  # one pattern, as in all-ones masks: skip the sort
+        order, starts = np.arange(len(bits)), [0]
+    else:
+        order = np.lexsort(bits.T[::-1])  # rows sorted by bit pattern, ascending within one
+        changes = np.any(bits[order[1:]] != bits[order[:-1]], axis=1).nonzero()[0]
+        starts = [0, *(changes + 1).tolist()]
+    groups = []
+    for a, b in zip(starts, [*starts[1:], len(order)]):
+        kept = bits[order[a]].nonzero()[0]
+        rows = order[a:b] if b - a < len(order) else full
+        groups.append((full, rows, kept if len(kept) < s else every))
+    return groups
 
 
 def forward_patches(
@@ -264,22 +322,33 @@ def forward_patches(
     memory order: a view of contiguous ``(n, l)`` rows, each plus its bias
     in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.  Per
     view of :func:`mask_ranges`, one :func:`convref._contract` contracts
-    the rows it keeps with the filters' slice; spatial and channel masks
-    come from the spec, not from ``masks``, and run over the full view
-    when the patches or filters are not all finite.
+    the rows it keeps, sliced or gathered, with the primaries' matching
+    entries; separate and random-fixed bits run their dense masked-filter
+    matrix over the one full view.  When no view drops a row, or when one
+    does and the patches or filters are not all finite, each secondary's
+    filter is zeroed outside its view and all run as one contraction over
+    the full view.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
-    grid, views, _ = mask_ranges(spec)
+    grid, views = mask_ranges(spec, masks)
+    skips_rows = min(view_sizes(grid, views)) < len(pm.cols)
     f_rows = bank.filters  # as (k', T, R) rows: the primaries, or the masked secondaries
-    if spec.variant == "learnable":
+    if spec.mask_groups > 1:
         f_rows = secondary_matrix(bank, masks, spec).T
-    elif spec.variant != "standard" and not (np.isfinite(pm.cols).all() and np.isfinite(f_rows).all()):
-        # a skipped row would drop a 0*inf or 0*nan term: run the masked filters' full view
+    elif (not skips_rows and len(views) > 1) or (
+        skips_rows and not (np.isfinite(pm.cols).all() and np.isfinite(f_rows).all())
+    ):
+        # one contraction of the masked filters over the full view: where no
+        # mask drops a row it saves a call per mask, and where a skipped row
+        # would drop a 0*inf or 0*nan term it keeps that term
+        keep = np.zeros((spec.s, *grid), dtype=f_rows.dtype)
+        for j, view in enumerate(views):
+            keep[j][view] = 1
+        f_rows = f_rows.reshape(spec.k, 1, -1) * keep.reshape(1, spec.s, -1)
         grid, views = (1, len(pm.cols)), [(slice(None), slice(None))]
-        f_rows = secondary_matrix(bank, spec.structural_masks(), spec).T
-    filters = np.ascontiguousarray(f_rows).reshape(len(f_rows), *grid)
+    filters = np.ascontiguousarray(f_rows).reshape(-1, *grid)
     rows = pm.cols.reshape(*grid, -1)
     maps = np.empty((len(filters), len(views), rows.shape[-1]), dtype=np.result_type(rows, filters))
     for j, (t, r) in enumerate(views):
@@ -344,11 +413,16 @@ def bank_backward(
     ``x``'s shape in batch-innermost memory order (see :func:`convref.col2im`),
     or is ``None`` with ``input_grad=False``, which skips its products and
     scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
-    order does not change the bits.  The filter gradient runs per mask
-    view of :func:`mask_ranges`, as the forward does, and the input
-    gradient per region, on the rows one run of masks keeps; each sum
-    takes the terms of a dense contraction over the masked filters, in the
-    reduction order of :mod:`maskconv.convref`.  The bias gradient sums
+    order does not change the bits.  A spatial or channel filter gradient
+    runs per mask view of :func:`mask_ranges`, as the forward does; a
+    learnable one runs every masked secondary over all rows, so that
+    each mask bit, cleared ones too, gets its term.  The input gradient
+    runs per group of :func:`row_groups`, over the rows one set of masks
+    keeps, with only those masks' secondaries; a group of shared bit
+    masks that skips too few products (:data:`ROW_GROUP_SKIP`) joins one
+    contraction of all masks, over the masked secondaries.  Each sum
+    takes the terms of a dense contraction over the masked filters, in
+    the reduction order of :mod:`maskconv.convref`.  The bias gradient sums
     each map's row with a C ``einsum`` without ``optimize``, a lone map
     beside a zero row.  Primary and mask gradients sum their secondaries'
     terms in index order, each sum from zero.
@@ -364,14 +438,17 @@ def bank_backward(
     # (n, l) rows keep both contractions' inner loops on contiguous memory; a
     # batch-innermost grad_y, as the layers pass it on, gives them without a copy
     grad_T = np.ascontiguousarray(convref._channels_first(grad_y)).reshape(n, -1)
-    grid, views, regions = mask_ranges(spec)
     fmat = bank.filter_matrix()
     if spec.variant == "learnable":
         wide = np.repeat(fmat, spec.s, axis=1)
         sel = masks.dense(fmat.dtype)[:, mask_columns(masks, spec)]
-        fmat = wide * sel  # the masked secondaries, contracted over the one full view
+        fmat = wide * sel  # the masked secondaries
+        # the straight-through mask gradient takes every bit's term, cleared ones
+        # too, so the filter gradient runs each secondary over the one full view
+        grid, views = (1, len(fmat)), [(slice(None), slice(None))]
+    else:
+        grid, views = mask_ranges(spec)
     k_rows = fmat.shape[1]
-    f_grid = fmat.reshape(*grid, k_rows)
     l = grad_T.shape[1]
     rows = patches.cols.reshape(*grid, l)
     grad3 = grad_T.reshape(k_rows, len(views), l)
@@ -404,13 +481,33 @@ def bank_backward(
 
     grad_x = None
     if input_grad:
-        grad_cols = np.empty((*grid, l), dtype=np.result_type(fmat, grad3))
-        for t, r, j0, j1 in regions:
-            run, f_run = j1 - j0, f_grid[t, r]
-            # np.repeat copies element by element, slower than a plain copy
-            f_run = np.repeat(f_run, run, axis=-1) if run != 1 else np.ascontiguousarray(f_run)
-            terms = grad3[:, j0:j1].reshape(k_rows * run, l)
-            _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
+        k, s = spec.k, spec.s
+        grad_ks = grad_T.reshape(k, s, l)
+        grad_cols = np.empty((*grid, l), dtype=np.result_type(fmat, grad_T))
+        learnable = spec.variant == "learnable"
+        # the (1, v, k, s) masked secondaries of a learnable layer, else the (T, R, k) primaries
+        f_grid = fmat.reshape(*grid, k, s) if learnable else fmat.reshape(*grid, k)
+        work, rest = [], []  # rest: shared bit groups not worth a contraction of their own
+        for t, r, kept in row_groups(spec, masks):
+            run = kept.stop - kept.start if isinstance(kept, slice) else len(kept)
+            if run == 0:
+                grad_cols[t, r] = 0
+            elif learnable and (len(fmat) if isinstance(r, slice) else len(r)) * (s - run) < ROW_GROUP_SKIP * run:
+                rest.append(r)
+            else:
+                work.append((t, r, kept, run))
+        if rest:  # over all masks, the cleared bits' secondaries zero
+            work.append((slice(None), rest[0] if len(rest) == 1 else np.sort(np.concatenate(rest)), slice(0, s), s))
+        for t, r, kept, run in work:
+            if learnable:
+                f_run = f_grid[t, r][..., kept].reshape(1, -1, k * run)
+            else:  # np.repeat copies element by element, slower than a plain copy
+                f_run = np.repeat(f_grid[t, r], run, axis=-1) if run != 1 else np.ascontiguousarray(f_grid[t, r])
+            terms = grad_ks[:, kept].reshape(k * run, l)
+            if isinstance(r, slice):
+                _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
+            else:  # an index array: scatter
+                grad_cols[t, r] = _contract("trn,nl->trl", f_run, terms)
         grad_cols = grad_cols.reshape(patches.cols.shape)
         grad_x = convref.col2im(grad_cols.astype(patches.cols.dtype, copy=False), patches)
         if spec.variant == "spatial":

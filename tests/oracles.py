@@ -7,9 +7,10 @@ stay independent.  The rest keeps earlier formulations of library code
 ``col2im``, per-filter and per-secondary loops, the dense masked-filter
 forward and input gradient, the clipped-latent mask step, the per-row
 ``np.roll`` digit renderer) that the
-current code must match byte for byte.  ``secondary_grads`` alone calls
-the library: it reads the per-secondary gradient that ``bank_backward``
-keeps to itself through a standard layer of the secondary filters.
+current code must match byte for byte.  ``secondary_grads`` and
+``bias_grads`` alone call the library: they read the per-secondary
+gradients that ``bank_backward`` keeps to itself through a standard layer
+of the secondary filters.
 """
 
 import numpy as np
@@ -147,6 +148,16 @@ def secondary_grads(grad_y, x, bank, masks, spec):
     filters = np.ascontiguousarray(fhat.T).reshape(n, spec.d, spec.d, spec.c)
     grads = bank_backward(grad_y, x, FilterBank(filters), None, plain, input_grad=False)
     return grads.filters.reshape(n, -1).T
+
+
+def bias_grads(grad_y, x, bank, masks, spec):
+    """The bias gradient of a standard layer whose ``n`` filters are the
+    secondaries and whose biases are the layer's: masks do not enter it."""
+    fhat = secondary_matrix(bank, masks, spec)
+    n = spec.n_secondary
+    plain = LayerSpec("standard", d=spec.d, c=spec.c, k=n, stride=spec.stride, padding=spec.padding)
+    filters = np.ascontiguousarray(fhat.T).reshape(n, spec.d, spec.d, spec.c)
+    return bank_backward(grad_y, x, FilterBank(filters, bank.biases), None, plain, input_grad=False).biases
 
 
 def core_order(ndim):

@@ -10,8 +10,11 @@ per-secondary loops of ``tests/oracles.py`` bit for bit: the secondary
 filters, the filter and mask gradients (from the secondary-filter
 gradients of a standard layer, the same contraction), the input gradient
 (an in-order sum over the secondary filters, scattered) and the
-cached-product ADD tally.  The index range of each spatial and channel
-mask must select exactly its set bits.
+cached-product ADD tally.  The view of each spatial, channel and shared
+bit mask must select exactly its set bits, and the row groups must split
+the rows by the set of masks that keeps them.  Bit masks all set, all
+clear, keeping one row and fair-coin must match the same oracles for
+every strategy.
 ``bank_backward`` must give the same bytes whatever the memory order of
 ``dL/dy``.  ``im2col``, ``col2im`` and ``AvgPool2`` must reproduce the
 oracles' ``sliding_window_view``, channel-last scatter and
@@ -23,7 +26,9 @@ batch-innermost.  ``Dense``'s weight
 gradient must equal its batch-major ``einsum`` by bytes, and a lone
 filter or dense unit must give the bytes it gives beside a second one.
 A spatial backward on an ``inf`` input keeps its stated limit: ``inf``,
-not the dense oracle's NaN, at a tap a mask drops.
+not the dense oracle's NaN, at a tap a mask drops; so does a shared
+layer's input gradient on an ``inf`` in ``dL/dy``, at rows a group of
+its own keeps.
 """
 
 import numpy as np
@@ -48,14 +53,17 @@ from maskconv.layers import (
     bank_forward,
     mask_ranges,
     random_bank,
+    row_groups,
     secondary_matrix,
 )
+from maskconv.masks import from_dense
 from maskconv.network import AvgPool2, Dense, MaskedConv, build_small_cnn
 from maskconv.training import TrainConfig, fit
 
 from oracles import (
     avgpool_mean,
     avgpool_repeat_backward,
+    bias_grads,
     cached_adds_loop,
     col2im_channel_last,
     core_order,
@@ -182,20 +190,26 @@ def reference_maps(x, fhat, biases, spec):
 
 
 def assert_ranges_select_mask_bits(spec, masks):
-    """Each mask's index range holds exactly its set bits; each region its masks' run."""
-    grid, views, regions = mask_ranges(spec)
+    """Each mask's view holds exactly its set bits, and the row groups split
+    the rows by the set of masks that keeps them."""
+    grid, views = mask_ranges(spec, masks)
     bits = masks.dense().astype(bool).reshape(*grid, -1)
     for j, view in enumerate(views):
         kept = np.zeros(grid, dtype=bool)
         kept[view] = True
         assert np.array_equal(kept, bits[..., j])
     covered = np.zeros(grid, dtype=int)
-    for t, r, j0, j1 in regions:
+    groups = row_groups(spec, masks)
+    patterns = set()
+    for t, r, kept_masks in groups:
         covered[t, r] += 1
         run = np.zeros(spec.s, dtype=bool)
-        run[j0:j1] = True
+        run[kept_masks] = True
         assert (bits[t, r] == run).all()
+        patterns.add(run.tobytes())
     assert (covered == 1).all()
+    if spec.variant == "learnable":  # bit masks: one group per set of kept masks
+        assert len(patterns) == len(groups)
 
 
 def test_mask_layout_matches_per_secondary_loops_and_reference():
@@ -212,7 +226,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
             ("s = 1", spec.variant, spec.s == 1),
             ("c_hat = c", spec.c_hat == spec.c),
         }
-        if spec.variant in ("spatial", "channel"):
+        if spec.variant in ("spatial", "channel") or spec.strategy == "shared":
             assert_ranges_select_mask_bits(spec, masks)
         pm = im2col(x, spec.d, spec.stride, spec.padding)
         pm_want = im2col_windows(x, spec.d, spec.stride, spec.padding)
@@ -268,6 +282,71 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         for t in ("float32", "float64")
     }
     assert required <= covered
+
+
+def density_masks(spec, density, rng):
+    """The spec's ``mask_groups`` groups of ``s`` bit masks at one density."""
+    v, n_masks = spec.d * spec.d * spec.c, spec.s * spec.mask_groups
+    bits = np.zeros((v, n_masks), dtype=bool)
+    if density == "all ones":
+        bits[:] = True
+    elif density == "one kept row":
+        bits[rng.integers(v, size=n_masks), np.arange(n_masks)] = True
+    elif density == "fair coin":
+        bits = rng.random((v, n_masks)) < 0.5
+    return from_dense(bits, spec.mask_kind, spec.d, spec.c, spec.s, spec.mask_groups)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_bit_mask_densities_match_dense_masked_oracles(strategy):
+    """Bit masks all set, all clear, keeping one row each and fair-coin, at
+    ``s`` = 1 and 9: every forward path, every :class:`BankGrads` field and
+    the ADD tally equal the dense masked-filter oracles by bytes, on a
+    single image, a batch and one output position.  A tenth of the inputs
+    and a fifth of the filter entries are ``-0.0``, so a sum over gathered
+    rows that does not start from ``+0.0`` shows in the bits."""
+    rng = np.random.default_rng(26)
+    shapes = {"one image": (5, 5), "batch": (3, 5, 5), "one output position": (3, 3)}
+    for s in (1, 9):
+        spec = LayerSpec("learnable", strategy=strategy, s=s, d=3, c=2, k=2)
+        for dtype in (np.float32, np.float64):
+            for density in ("all ones", "all clear", "one kept row", "fair coin"):
+                masks = density_masks(spec, density, rng)
+                if strategy == "shared":
+                    assert_ranges_select_mask_bits(spec, masks)
+                    if density == "all ones":  # full slices: no row is copied
+                        assert all(isinstance(r, slice) for _, r in mask_ranges(spec, masks)[1])
+                bank = random_bank(spec, int(rng.integers(2**31)), dtype=dtype)
+                bank.biases = rng.normal(size=spec.n_secondary).astype(dtype)
+                bank.filters.reshape(-1)[::5] = -0.0
+                for shape in shapes.values():
+                    x = rng.normal(size=(*shape, spec.c)).astype(dtype)
+                    x.reshape(-1)[::10] = -0.0
+                    pm = im2col_windows(x, spec.d)
+                    want = forward_patches_loop(pm, bank, masks, spec)
+                    assert_same_contiguous_bits(bank_forward(x, bank, masks, spec), want)
+                    y, counts = cached_forward(x, bank, masks, spec)
+                    assert_same_contiguous_bits(y, want)
+                    assert counts.add_fp32 == cached_adds_loop(masks, spec, pm.cols.shape[1])
+
+                    grad_y = rng.normal(size=want.shape).astype(dtype)
+                    grad_y.reshape(-1)[::10] = -0.0
+                    grads = bank_backward(grad_y, x, bank, masks, spec)
+                    grad_f, grad_m = grads_from_secondary_loop(
+                        secondary_grads(grad_y, x, bank, masks, spec), bank, masks, spec
+                    )
+                    assert_same_bits(grads.filters, grad_f)
+                    assert_same_bits(grads.masks, grad_m)
+                    assert_same_bits(grads.biases, bias_grads(grad_y, x, bank, masks, spec))
+                    assert_same_bits(grads.x, input_grad(grad_y, x, bank, masks, spec))
+
+                    conv = MaskedConv(spec, bank, masks)
+                    batch = x if x.ndim == 4 else x[None]
+                    assert_same_bits(conv.forward(batch), want.reshape(-1, *want.shape[-3:]))
+                    grad_x = conv.backward(grad_y.reshape(-1, *grad_y.shape[-3:]))
+                    assert_same_bits(grad_x, grads.x.reshape(batch.shape))
+                    for name in ("filters", "biases", "masks"):
+                        assert_same_bits(getattr(conv.grads, name), getattr(grads, name))
 
 
 NON_FINITE = (np.inf, -np.inf, np.nan)
@@ -326,6 +405,27 @@ def test_non_finite_inputs_forward_equals_reference():
         required |= {(v, place, "kept") for v in VARIANTS}
         required |= {(v, place, "dropped") for v in VARIANTS if v != "standard"}
     assert required <= covered
+
+
+@np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here
+def test_non_finite_shared_input_grad_skips_cleared_bits():
+    """A stated limit, pinned: a shared layer's input gradient leaves out
+    the masks a row group drops even when ``dL/dy`` holds ``inf``.  Mask 1
+    keeps only channel 0, so channels 1-7 form a group of their own; where
+    the dense masked oracle adds ``0 * inf = NaN`` from map 1,
+    ``bank_backward`` gives a finite value."""
+    spec = LayerSpec("learnable", strategy="shared", s=2, d=1, c=8, k=1)
+    bits = np.ones((8, 2), dtype=bool)
+    bits[1:, 1] = False
+    masks = from_dense(bits, spec.mask_kind, 1, 8, 2)
+    bank = random_bank(spec, seed=0, dtype=np.float64)
+    x = np.ones((1, 1, 8))
+    grad_y = np.array([[[1.0, np.inf]]])
+    got = bank_backward(grad_y, x, bank, masks, spec).x
+    want = input_grad(grad_y, x, bank, masks, spec)
+    assert np.isfinite(got[0, 0, 1:]).all() and np.isnan(want[0, 0, 1:]).all()
+    got[0, 0, 1:] = want[0, 0, 1:] = 0.0
+    assert_same_bits(got, want)
 
 
 @np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here

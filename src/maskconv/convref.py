@@ -170,8 +170,9 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     copied once, then one copy of a read-only strided view of its windows
     fills a ``(d, d, c, h_out, w_out, *batch)`` buffer whose reshape is
     ``cols``.  With no padding, an input already stored that way (a batch
-    as the layers pass it on, or a one-channel image) is viewed in place
-    instead.  No arithmetic touches the values, so the columns hold the
+    as the layers pass it on, or a one-channel image), or any C-contiguous
+    input at ``d = 1``, is viewed in place instead, so the one copy is the
+    windows'.  No arithmetic touches the values, so the columns hold the
     input's exact bits.
     """
     x = _check_input(x, batch_ok=True)
@@ -184,19 +185,21 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     # the scratch leaves no hole below it in the heap; that hole raised peak RSS
     # by one patch matrix (10 MB for a 32x32x64 d5 float64 image).
     blocks = np.empty((d, d, c, h_out, w_out, *batch), dtype=x.dtype)
-    channels_first = _channels_first(x)
-    if p == 0 and channels_first.flags.c_contiguous:
-        padded = channels_first
-    else:
-        # one channel-first copy of the zero-padded input: (c, h_p, w_p, *batch).
-        # A channel-last image with c > 1 is copied too: slicing its windows
-        # straight from the strided view was slower than this copy.
-        padded = np.zeros((c, h + 2 * p, w + 2 * p, *batch), dtype=x.dtype)
-        padded[:, p : p + h, p : p + w] = channels_first
-    # every window as one read-only strided view of the C-contiguous padded
-    # buffer, built by the ndarray constructor: as_strided costs ~1.5 us more
+    # The windows view ``padded``, the input as (c, h_p, w_p, *batch), through
+    # ``owner``, a C-contiguous array starting at the same address.  A
+    # channel-last input is read in place only at d = 1, whose one window reads
+    # each value once: slicing a larger d's windows from it was slower than
+    # copying it channel-first.
+    padded = _channels_first(x)
+    owner = padded if padded.flags.c_contiguous else x
+    if p or not owner.flags.c_contiguous or (owner is x and d > 1):
+        owner = np.zeros((c, h + 2 * p, w + 2 * p, *batch), dtype=x.dtype)
+        owner[:, p : p + h, p : p + w] = padded
+        padded = owner
+    # every window as one read-only strided view, built by the ndarray
+    # constructor (as_strided costs ~1.5 us more)
     sc, sh, sw, *sb = padded.strides
-    windows = np.ndarray(blocks.shape, x.dtype, padded, 0, (sh, sw, sc, st * sh, st * sw, *sb))
+    windows = np.ndarray(blocks.shape, x.dtype, owner, 0, (sh, sw, sc, st * sh, st * sw, *sb))
     windows.flags.writeable = False
     np.copyto(blocks, windows)
     cols = blocks.reshape(d * d * c, -1)
@@ -226,6 +229,11 @@ def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:
     return _channels_last(grad_pad[:, p : p + h, p : p + w])
 
 
+REFERENCE_BLOCK_BYTES = 1 << 18
+"""Bytes of products :func:`conv_reference` forms at a time: the block of
+patch columns it multiplies and sums in one step (at least one column)."""
+
+
 def conv_reference(
     x: np.ndarray,
     f: np.ndarray,
@@ -237,7 +245,11 @@ def conv_reference(
 
     ``y[p, q]`` is the sum over the receptive field of elementwise
     products, plus ``bias``.  Bit-identical to a matmul over im2col
-    columns because both run the same fixed-order reduction.
+    columns because both run the same fixed-order reduction.  Products
+    are formed and summed :data:`REFERENCE_BLOCK_BYTES` of columns at a
+    time, so the call holds the patch matrix and one block of products;
+    each column sums alone in :func:`column_sums`, so the bits are those
+    of one pass.
     """
     x = _check_input(x)
     f = np.asarray(f)
@@ -248,7 +260,10 @@ def conv_reference(
             f"filter has {f.shape[2]} channels but input has {x.shape[2]}"
         )
     pm = im2col(x, f.shape[0], stride, padding)
-    y = column_sums(pm.cols * vec(f)[:, None]) + bias
+    cols, f_col = pm.cols, vec(f)[:, None]
+    step = max(1, REFERENCE_BLOCK_BYTES // (len(cols) * np.result_type(cols, f_col).itemsize))
+    blocks = [column_sums(cols[:, a : a + step] * f_col) for a in range(0, cols.shape[1], step)]
+    y = np.concatenate(blocks) + bias
     return y.reshape(pm.h_out, pm.w_out)
 
 

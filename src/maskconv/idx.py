@@ -62,7 +62,9 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
 def load_idx(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Load an image/label file pair as ((N, H, W, 1) float32 in [0, 1], int64).
 
-    The two files must agree on the example count.
+    The two files must agree on the example count.  The one float32 copy
+    of the pixels is divided by 255 in place, so a load holds the file's
+    bytes and that copy, not a second float array.
     """
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
@@ -71,8 +73,9 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarr
             f"count mismatch: {len(images)} images in {images_path} but "
             f"{len(labels)} labels in {labels_path}"
         )
-    scaled = (images.astype(np.float32) / 255.0)[:, :, :, None]
-    return scaled, labels.astype(np.int64)
+    scaled = images.astype(np.float32)
+    scaled /= 255.0
+    return scaled[:, :, :, None], labels.astype(np.int64)
 
 
 def load_dataset_dir(root: str | Path, split: str = "train"):

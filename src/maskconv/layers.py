@@ -409,7 +409,10 @@ def bank_backward(
     """Analytic gradients for filters, masks, biases, and the input.
 
     ``x`` is an image or a batch, as in :func:`bank_forward`; it is not
-    read when the forward's ``patches`` are passed.  The input gradient has
+    read when the forward's ``patches`` are passed.  Passed ``patches`` are
+    consumed: once the filter gradient has read them, the input-gradient
+    columns reuse their buffer, unless it is read-only, not C-contiguous
+    or of another dtype.  The input gradient has
     ``x``'s shape in batch-innermost memory order (see :func:`convref.col2im`),
     or is ``None`` with ``input_grad=False``, which skips its products and
     scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
@@ -483,7 +486,12 @@ def bank_backward(
     if input_grad:
         k, s = spec.k, spec.s
         grad_ks = grad_T.reshape(k, s, l)
-        grad_cols = np.empty((*grid, l), dtype=np.result_type(fmat, grad_T))
+        # the filter gradient was the patches' last reader, so their buffer takes
+        # the input-gradient columns: every row is written below, by one group
+        cols = patches.cols
+        dtype = np.result_type(fmat, grad_T)
+        reuse = cols.dtype == dtype and cols.flags.c_contiguous and cols.flags.writeable
+        grad_cols = (cols if reuse else np.empty(cols.shape, dtype)).reshape(*grid, l)
         learnable = spec.variant == "learnable"
         # the (1, v, k, s) masked secondaries of a learnable layer, else the (T, R, k) primaries
         f_grid = fmat.reshape(*grid, k, s) if learnable else fmat.reshape(*grid, k)
@@ -508,8 +516,8 @@ def bank_backward(
                 _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
             else:  # an index array: scatter
                 grad_cols[t, r] = _contract("trn,nl->trl", f_run, terms)
-        grad_cols = grad_cols.reshape(patches.cols.shape)
-        grad_x = convref.col2im(grad_cols.astype(patches.cols.dtype, copy=False), patches)
+        grad_cols = grad_cols.reshape(cols.shape)
+        grad_x = convref.col2im(grad_cols.astype(cols.dtype, copy=False), patches)
         if spec.variant == "spatial":
-            grad_x = grad_x / spec.s
+            grad_x /= spec.s
     return BankGrads(grad_f.T.reshape(bank.filters.shape), grad_b, grad_m, grad_x)

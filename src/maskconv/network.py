@@ -40,7 +40,9 @@ CONV_BYTES_MAX = 1 << 30
 """Largest patch matrix or output a :class:`MaskedConv` forward allocates:
 1 GiB, ~70x the shipped models' largest (conv1's patches at ``evaluate``'s
 batch of 256, 14.75 MB).  A checkpoint header cannot size an allocation
-past it: the patch rows grow with ``d``, the maps with ``k``."""
+past it: the patch rows grow with ``d``, the maps with ``k``.  The
+backward adds no second patch-sized buffer: its input-gradient columns
+reuse the patch matrix's."""
 
 
 class MaskedConv:
@@ -50,7 +52,8 @@ class MaskedConv:
     masks; :meth:`init` draws fresh ones.  The kernels read spatial
     squares and channel windows from the spec, as index ranges.
     ``grads`` holds the last backward's :class:`BankGrads`, without the
-    input gradient, which is passed on instead.
+    input gradient, which is passed on instead.  The backward consumes the
+    forward's patch matrix: :func:`bank_backward` reuses its buffer.
     """
 
     def __init__(self, spec: LayerSpec, bank: FilterBank, masks: MaskSet | None = None):

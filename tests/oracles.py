@@ -6,7 +6,7 @@ stay independent.  The rest keeps earlier formulations of library code
 (``sliding_window_view`` patches, ``mean`` pooling, a channel-last
 ``col2im``, per-filter and per-secondary loops, the dense masked-filter
 forward and input gradient, the clipped-latent mask step, the per-row
-``np.roll`` digit renderer) that the
+``np.roll`` digit renderer, the one-pass reference convolution) that the
 current code must match byte for byte.  ``secondary_grads`` and
 ``bias_grads`` alone call the library: they read the per-secondary
 gradients that ``bank_backward`` keeps to itself through a standard layer
@@ -250,6 +250,14 @@ def im2col_windows(x, d, stride=1, padding=0):
     patches = np.moveaxis(patches, -2, 0).reshape(-1, d * d * c)
     cols = np.ascontiguousarray(patches.T)
     return PatchMatrix(cols, d, stride, padding, in_shape, h_out, w_out)
+
+
+def conv_reference_one_pass(x, f, stride=1, padding=0, bias=0.0):
+    """``convref.conv_reference`` as one ``(v, l)`` product of every patch
+    column with the filter, summed by ``column_sums``."""
+    pm = im2col_windows(x, f.shape[0], stride, padding)
+    y = column_sums(pm.cols * f.reshape(-1)[:, None]) + bias
+    return y.reshape(pm.h_out, pm.w_out)
 
 
 def avgpool_mean(x):

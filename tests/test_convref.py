@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import maskconv
+from maskconv import convref
 from maskconv.convref import (
     ShapeError,
     col2im,
@@ -15,7 +16,7 @@ from maskconv.convref import (
     vec,
 )
 
-from oracles import conv_brute, patches_brute
+from oracles import conv_brute, conv_reference_one_pass, patches_brute
 
 
 def test_im2col_single_patch_of_ones():
@@ -109,6 +110,37 @@ def test_conv_matches_brute_oracle():
         got = conv_reference(x, f, stride, padding, bias=0.25)
         want = conv_brute(x, f, stride, padding, bias=0.25)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_reference_blocks_match_one_pass_oracle(dtype):
+    # a 3x3x2 filter over a 3-row strip: one output column per position, so
+    # the column counts fall at, beside and across the block edges
+    d, c = 3, 2
+    step = convref.REFERENCE_BLOCK_BYTES // (d * d * c * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(4)
+    for width in (1, step - 1, step, step + 1, 2 * step, 2 * step + 1):
+        x = rng.normal(size=(d, width + d - 1, c)).astype(dtype)
+        f = rng.normal(size=(d, d, c)).astype(dtype)
+        x[:, : d + 1] = -0.0  # the first two columns' products are all signed zeros
+        x[1, ::3, 0] = -0.0
+        f[0, 0] = -0.0
+        for bias in (0.0, np.float64(-0.75)):
+            got = conv_reference(x, f, bias=bias)
+            want = conv_reference_one_pass(x, f, bias=bias)
+            assert got.dtype == want.dtype and got.shape == want.shape == (1, width)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_reference_holds_one_patch_matrix(dtype, traced_peak):
+    # the patch matrix and one block of products, not a second (v, l) array
+    rng = np.random.default_rng(5)
+    for c in (32, 64):
+        x = rng.normal(size=(32, 32, c)).astype(dtype)
+        f = rng.normal(size=(5, 5, c)).astype(dtype)
+        _, peak = traced_peak(lambda: conv_reference(x, f))
+        assert peak <= 1.25 * im2col(x, 5).cols.nbytes
 
 
 def test_conv_channel_mismatch():

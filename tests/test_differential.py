@@ -16,9 +16,10 @@ the rows by the set of masks that keeps them.  Bit masks all set, all
 clear, keeping one row and fair-coin must match the same oracles for
 every strategy.
 ``bank_backward`` must give the same bytes whatever the memory order of
-``dL/dy``.  ``im2col``, ``col2im`` and ``AvgPool2`` must reproduce the
-oracles' ``sliding_window_view``, channel-last scatter and
-``mean``/``repeat`` formulations byte for byte, alone and through training
+``dL/dy``, ``MaskedConv.backward`` the input gradient ``bank_backward``
+gives, and the sweep's gradients must hash to a pinned digest.
+``im2col``, ``col2im`` and ``AvgPool2`` must reproduce the oracles'
+``sliding_window_view``, channel-last scatter and ``mean``/``repeat`` formulations byte for byte, alone and through training
 (pooling in either memory order), and so must the per-filter loop over
 the explicit masked filters through training.  ``MaskedConv`` must give
 the same bytes for a batch stored channel-last, map-major or
@@ -30,6 +31,8 @@ not the dense oracle's NaN, at a tap a mask drops; so does a shared
 layer's input gradient on an ``inf`` in ``dL/dy``, at rows a group of
 its own keeps.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -212,9 +215,16 @@ def assert_ranges_select_mask_bits(spec, masks):
         assert len(patterns) == len(groups)
 
 
+# sha256 over the sweep's gradients, each BankGrads field and then the
+# MaskedConv input gradient, as dtype, shape and bytes; taken before the
+# backward wrote its input gradient into the patches' buffer
+SWEEP_GRADS_SHA256 = "8ae73cc69d63009deb30a1130ce3768741e1c4716ee18c12aae751d9598b5a58"
+
+
 def test_mask_layout_matches_per_secondary_loops_and_reference():
     rng = np.random.default_rng(20)
     covered = set()
+    digest = hashlib.sha256()
     for trial in range(N_CASES):
         spec, bank, masks, x = random_case(rng, trial)
         covered |= {
@@ -261,6 +271,11 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
                 assert got is None
             else:
                 assert_same_bits(got, want_grad)
+        conv_grad_x = conv.backward(grad_y if x.ndim == 4 else grad_y[None])
+        assert_same_bits(conv_grad_x, grads.x if x.ndim == 4 else grads.x[None])
+        for got in (grads.filters, grads.biases, grads.masks, grads.x, conv_grad_x):
+            if got is not None:
+                digest.update(f"{got.dtype} {got.shape}".encode() + got.tobytes())
         grad_cols = rng.normal(size=pm.cols.shape).astype(x.dtype)
         assert_same_bits(col2im(grad_cols, pm), col2im_channel_last(grad_cols, pm))
         assert_same_bits(grads.x, input_grad(grad_y, x, bank, masks, spec))
@@ -282,6 +297,7 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         for t in ("float32", "float64")
     }
     assert required <= covered
+    assert digest.hexdigest() == SWEEP_GRADS_SHA256
 
 
 def density_masks(spec, density, rng):

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +50,16 @@ def test_load_idx_normalizes_to_unit_interval(tmp_path):
     assert x.max() == 1.0 and x.min() == 0.0
     assert x[0, 1, 0, 0] == pytest.approx(128 / 255)
     assert y[0] == 3
+
+
+def test_load_idx_holds_one_float_copy(tmp_path, traced_peak):
+    # the file's bytes and one float32 copy, scaled in place: 1.25x the
+    # result (a second float32 array for the quotient made it 2.25x)
+    rng = np.random.default_rng(0)
+    write_idx_images(tmp_path / "i.idx", rng.integers(0, 256, size=(2048, 28, 28)))
+    write_idx_labels(tmp_path / "l.idx", rng.integers(0, 10, size=2048))
+    (x, _), peak = traced_peak(lambda: load_idx(tmp_path / "i.idx", tmp_path / "l.idx"))
+    assert peak <= 1.3 * x.nbytes
 
 
 def test_all_zero_image_normalizes_to_zero(tmp_path):
@@ -103,17 +112,16 @@ HUGE = 2**32 - 1
         ((LABELS_MAGIC, HUGE), read_idx_labels),
     ],
 )
-def test_huge_declared_sizes_rejected_without_allocating(tmp_path, fields, read):
+def test_huge_declared_sizes_rejected_without_allocating(tmp_path, fields, read, traced_peak):
     path = tmp_path / "huge.idx"
     path.write_bytes(struct.pack(f">{len(fields)}I", *fields) + bytes(60))
     declared = math.prod(fields[1:])
-    tracemalloc.start()
-    try:
+
+    def rejected():
         with pytest.raises(IdxFormatError, match=f"wanted {declared} bytes, 60 left"):
             read(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(rejected)
     assert peak < 2**20
 
 
@@ -131,7 +139,9 @@ def test_generate_digits_deterministic_and_labeled():
 
 
 # sha256 of the default digit stream, taken from the renderer before it
-# became one gather per image: criterion 6's four files and a short stream
+# became one gather per image: criterion 6's four files and a short stream,
+# then the float32 images load_dataset_dir makes of the two image files,
+# taken before it scaled them in place
 DIGIT_STREAM_SHA256 = {
     "train-images.idx": "697c550993993ab21fac940fe9b566da2a89e577cc6ea5a42bd2d5afd83a5b2e",
     "train-labels.idx": "03635cf51c289783fcf55465332f600ff8db7b484b81b085a42af7b6fad2221c",
@@ -139,6 +149,8 @@ DIGIT_STREAM_SHA256 = {
     "test-labels.idx": "aefba2b6399a844053a3ceb7d090d27d2572b53b3ee6e6c20a4a2e0bb5a520e1",
     "images(256, seed=5)": "23988b2e3e6ae432301a5a90e22911b5bff47e90cc9486ae7fd73b99eebdf753",
     "labels(256, seed=5)": "76c01ee575098ed02873e4900e9012e6ef17ec37855e9c7a593c8bf046657cc8",
+    "train float32": "d8b77b5ade4fe8c95f6e16177d449baa437c9ba4500b92287a6d54ac3f18e622",
+    "test float32": "ee3784be5ba25e4e43b4da23702caf412b9dc3008fc5cd6b74c7d10bc65e9416",
 }
 
 
@@ -148,6 +160,8 @@ def test_default_digit_stream_is_pinned(tmp_path):
     blobs = {name: (tmp_path / name).read_bytes() for name in list(DIGIT_STREAM_SHA256)[:4]}
     blobs["images(256, seed=5)"] = images.tobytes()
     blobs["labels(256, seed=5)"] = labels.tobytes()
+    for split in ("train", "test"):
+        blobs[f"{split} float32"] = load_dataset_dir(tmp_path, split)[0].tobytes()
     assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == DIGIT_STREAM_SHA256
 
 

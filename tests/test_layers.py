@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maskconv.convref import ShapeError, conv_reference
+from maskconv.convref import ShapeError, conv_reference, im2col
+from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import (
     FilterBank,
     LayerSpec,
@@ -414,6 +415,51 @@ def test_backward_shape_mismatch():
     bank = random_bank(spec, seed=0)
     with pytest.raises(ShapeError):
         bank_backward(np.zeros((2, 2, 1)), np.ones((5, 5, 1)), bank, None, spec)
+
+
+PEAK_SPECS = {
+    "separate_d5_c64": LayerSpec("learnable", d=5, c=64, k=2, s=2, strategy="separate"),
+    "spatial_d5_c16": LayerSpec("spatial", d=5, c=16, k=8),
+    "standard_d3_c16": LayerSpec("standard", d=3, c=16, k=32),
+}
+
+
+def backward_case(spec, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    bank = random_bank(spec, seed=seed + 1, dtype=dtype)
+    x = rng.normal(size=(32, 32, spec.c)).astype(dtype)
+    grad_y = rng.normal(size=spec.output_shape(32, 32)).astype(dtype)
+    return bank, masks_for_spec(spec, seed + 2), x, grad_y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", PEAK_SPECS)
+def test_backward_input_grad_reuses_the_patch_buffer(name, dtype, traced_peak):
+    # the patch matrix, then the input-gradient columns in its buffer: no
+    # second patch-sized array (2.1x to 2.55x when the columns had their own)
+    spec = PEAK_SPECS[name]
+    bank, masks, x, grad_y = backward_case(spec, dtype)
+    _, peak = traced_peak(lambda: bank_backward(grad_y, x, bank, masks, spec))
+    assert peak <= 1.6 * im2col(x, spec.d).cols.nbytes
+
+
+@pytest.mark.parametrize("name", PEAK_SPECS)
+def test_backward_keeps_patches_it_cannot_reuse(name):
+    # read-only columns, or columns of another dtype than the input-gradient
+    # columns, are left as they are; the gradients are those from x
+    spec = PEAK_SPECS[name]
+    bank, masks, x, grad_y = backward_case(spec, np.float32)
+    read_only = im2col(x, spec.d)
+    read_only.cols.flags.writeable = False
+    # float64 dL/dy makes float64 input-gradient columns
+    for dy, pm in ((grad_y, read_only), (grad_y.astype(np.float64), im2col(x, spec.d))):
+        before = pm.cols.copy()
+        got = bank_backward(dy, None, bank, masks, spec, pm)
+        want = bank_backward(dy, x, bank, masks, spec)
+        assert np.array_equal(pm.cols, before)
+        for field in ("filters", "biases", "masks", "x"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 def test_secondary_matrix_spatial_structure():

@@ -1,6 +1,5 @@
 import io
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,21 +366,20 @@ def test_mask_records_truncated_at_every_offset():
 
 @pytest.mark.parametrize("size", [65535, 2**32 - 1])
 @pytest.mark.parametrize("through", ["bytesio", "file"])
-def test_mask_record_huge_header_rejected_without_allocating(tmp_path, size, through):
+def test_mask_record_huge_header_rejected_without_allocating(tmp_path, size, through, traced_peak):
     data = struct.pack("<2I", size, size)  # an 8-byte record: header only
     path = tmp_path / "huge.masks"
     path.write_bytes(data)
-    tracemalloc.start()
-    try:
+
+    def rejected():
         with pytest.raises(MaskError, match="truncated mask record payload"):
             if through == "file":
                 with open(path, "rb") as f:
                     read_mask_records(f)
             else:
                 read_mask_records(io.BytesIO(data))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(rejected)
     assert peak < 1_000_000
 
 

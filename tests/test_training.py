@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,19 +517,14 @@ def test_checkpoint_save_refuses_padding_not_below_d(tmp_path):
     assert not (tmp_path / "wider.ckpt").exists()
 
 
-def test_checkpoint_channel_record_loads_without_building_its_windows(tmp_path):
+def test_checkpoint_channel_record_loads_without_building_its_windows(tmp_path, traced_peak):
     # one channel record, d=1 c=4096 c_hat=1 g=1 k=1: 16 KiB of filters behind
     # 4096 windows of 4096 bits, which the kernels read as index ranges
     data = conv_checkpoint(variant=2, d=1, c=4096, s=4096, c_hat=1, g=1, body=f32_bytes(4096))
     assert len(data) == 16435
     path = tmp_path / "bomb.ckpt"
     path.write_bytes(data)
-    tracemalloc.start()
-    try:
-        (conv,) = load_checkpoint(path).layers
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (conv,), peak = traced_peak(lambda: load_checkpoint(path).layers)
     assert peak < 2**20
     assert conv.spec.s == 4096 and conv.masks is None
 

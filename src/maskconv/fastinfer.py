@@ -21,10 +21,12 @@ comes from the package's one forward kernel,
 :func:`maskconv.layers.forward_patches`.  That kernel runs spatial and
 channel masks as index ranges of the patch rows and a shared group of
 bit masks as the rows each keeps, so for them (and for standard layers)
-the ADD tally is the multiply-adds it ran on finite inputs.  Only
-separate and random-fixed bits stay a dense masked-filter matrix in the
-kernel, so only their ADD tally is the scheme's cost model; MASK ops of
-every bit mask are.  Tallies never read input values, so the exact
+the ADD tally is the multiply-adds it ran on finite inputs, unless a
+mask repeats an earlier one of its group: the kernel runs each distinct
+masked secondary once and copies its maps to the repeats.  Separate and
+random-fixed bits stay a dense masked-filter matrix in the kernel, so
+their ADD tally is the scheme's cost model; MASK ops of every bit mask
+are.  Tallies never read input values, so the exact
 closed forms of :func:`predict_counts` (all but bit-mask ADDs) hold on
 every input.
 """
@@ -109,7 +111,8 @@ def cached_forward(
     v, l = pm.cols.shape
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
     if spec.mask_groups == 1:
-        # each mask's kept rows, per primary: the MACs the kernel runs on finite inputs
+        # each mask's kept rows, per primary: the scheme's count, which the kernel
+        # runs on finite inputs less the rows of masks that repeat an earlier one
         counts.add_fp32 = sum(view_sizes(*mask_ranges(spec, masks))) * spec.k * l
     else:
         counts.add_fp32 = int(masks.ones_counts()[mask_columns(masks, spec)].sum()) * l

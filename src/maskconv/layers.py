@@ -15,13 +15,16 @@ then filter 2, and so on.  Variants:
 Every mask is a set of patch rows (:func:`mask_ranges`): index ranges
 for spatial squares and channel windows, and for one shared group of
 bit masks the index array of each mask's set bits.  The one forward,
-:func:`forward_patches`, contracts each mask's rows, sliced or gathered,
-with the primaries' matching entries; the one backward,
-:func:`bank_backward`, runs its input gradient over the row groups that
-one set of masks keeps (:func:`row_groups`), and a spatial or channel
-filter gradient per mask as the forward does.  Standard conv is the
-single full view.  Separate and random-fixed bits keep their explicit
-masked-filter matrix over it, since a gather per secondary copies about
+:func:`forward_patches`, runs each distinct masked secondary once: a
+mask that repeats an earlier one of its group (:func:`mask_sources`),
+as every mask of all-ones bits does, gets copies of that one's maps.  It
+contracts each distinct mask's rows, sliced or gathered, with the
+primaries' matching entries; the one backward, :func:`bank_backward`,
+runs its input gradient over the row groups that one set of masks keeps
+(:func:`row_groups`), and a spatial or channel filter gradient per mask
+as the forward does.  Standard conv is the single full view.  Separate
+and random-fixed bits keep an explicit masked-filter matrix of their
+distinct secondaries over it, since a gather per secondary copies about
 as much as it saves, and every learnable filter gradient runs each
 secondary over all rows, since the straight-through mask gradient takes
 the term of every bit.  Every product goes through
@@ -30,8 +33,8 @@ reduction order of :mod:`maskconv.convref`: the order of a dense
 contraction with the masked entries left in place as zeros.  On finite
 patches and filters a skipped row drops only a signed-zero addend; where
 either holds an inf or NaN it would drop a ``0 * inf`` term, so the
-forward then runs each secondary's filter, zeroed outside its rows, over
-the full view.  Either way each output channel equals
+forward then runs each distinct secondary's filter, zeroed outside its
+rows, over the full view.  Either way each output channel equals
 ``conv_reference(x, mask * filter) + bias`` exactly, but for the sign
 and payload of a NaN, which follow operand order.  The backward maps
 the per-secondary filter gradient onto primaries and masks without
@@ -254,6 +257,27 @@ def mask_ranges(spec: LayerSpec, masks: MaskSet | None = None):
     return (1, v), [(slice(None), slice(None))]
 
 
+def mask_sources(spec: LayerSpec, masks: MaskSet | None = None) -> np.ndarray | None:
+    """``(mask_groups, s)``: for each mask, the first mask of its group with its bits.
+
+    A mask that repeats an earlier one of its group has that one's index,
+    any other its own, so every secondary of a repeated mask equals the
+    earlier mask's secondary of the same primary.  ``None`` when no mask
+    repeats one: spatial squares and channel windows never do.
+    """
+    if spec.variant != "learnable":
+        return None
+    mask_columns(masks, spec)  # raises unless the masks are mask_groups groups of s
+    groups, s = spec.mask_groups, spec.s
+    if masks.bits.all():  # all ones: one first mask per group, without comparing
+        first = np.zeros((groups, s), dtype=np.intp)
+    else:
+        bits = masks.bits.T.reshape(groups, s, -1)  # a C-contiguous row per mask
+        first = (bits[:, :, None] == bits[:, None]).all(axis=-1).argmax(axis=-1)
+    # first[g, j] <= j, so the sum falls short of that of every j iff some mask repeats
+    return first if first.sum() < groups * (s * (s - 1) // 2) else None
+
+
 def view_sizes(grid: tuple[int, int], views) -> list[int]:
     """The number of patch rows each view of :func:`mask_ranges` keeps."""
     cells = np.empty(grid, dtype=bool)  # indexed in place of the rows, so that none is copied
@@ -320,43 +344,64 @@ def forward_patches(
 
     Output ``pm.out_shape + (n,)``, primary-major, in batch-innermost
     memory order: a view of contiguous ``(n, l)`` rows, each plus its bias
-    in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.  Per
-    view of :func:`mask_ranges`, one :func:`convref._contract` contracts
-    the rows it keeps, sliced or gathered, with the primaries' matching
-    entries; separate and random-fixed bits run their dense masked-filter
-    matrix over the one full view.  When no view drops a row, or when one
-    does and the patches or filters are not all finite, each secondary's
-    filter is zeroed outside its view and all run as one contraction over
-    the full view.
+    in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.
+    Each distinct masked secondary runs once (:func:`mask_sources`), and
+    a secondary whose mask repeats an earlier one of its group gets a copy
+    of that one's map.  For one shared group, one :func:`convref._contract`
+    per distinct mask's view of :func:`mask_ranges` contracts the rows it
+    keeps, sliced or gathered, with the primaries' matching entries.
+    Separate and random-fixed bits, and a shared group whose views drop a
+    row when the patches or filters are not all finite, run the distinct
+    secondaries' filters, zeroed outside their masks, as one contraction
+    over the full view.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
+    k, s, n = spec.k, spec.s, spec.n_secondary
     grid, views = mask_ranges(spec, masks)
-    skips_rows = min(view_sizes(grid, views)) < len(pm.cols)
-    f_rows = bank.filters  # as (k', T, R) rows: the primaries, or the masked secondaries
-    if spec.mask_groups > 1:
-        f_rows = secondary_matrix(bank, masks, spec).T
-    elif (not skips_rows and len(views) > 1) or (
-        skips_rows and not (np.isfinite(pm.cols).all() and np.isfinite(f_rows).all())
-    ):
-        # one contraction of the masked filters over the full view: where no
-        # mask drops a row it saves a call per mask, and where a skipped row
-        # would drop a 0*inf or 0*nan term it keeps that term
-        keep = np.zeros((spec.s, *grid), dtype=f_rows.dtype)
-        for j, view in enumerate(views):
-            keep[j][view] = 1
-        f_rows = f_rows.reshape(spec.k, 1, -1) * keep.reshape(1, spec.s, -1)
-        grid, views = (1, len(pm.cols)), [(slice(None), slice(None))]
-    filters = np.ascontiguousarray(f_rows).reshape(-1, *grid)
-    rows = pm.cols.reshape(*grid, -1)
-    maps = np.empty((len(filters), len(views), rows.shape[-1]), dtype=np.result_type(rows, filters))
-    for j, (t, r) in enumerate(views):
-        _contract("trl,ktr->kl", rows[t, r], filters[:, t, r], out=maps[:, j])
-    maps = maps.reshape(spec.n_secondary, -1)
+    first = mask_sources(spec, masks)
+    # each map's source: its primary's map of the first mask with its bits
+    source = None if first is None else (np.arange(0, n, s)[:, None] + first).reshape(-1)
+    cols, filters = pm.cols, np.ascontiguousarray(bank.filters)
+    skips_rows = min(view_sizes(grid, views)) < len(cols)
+    # the full view keeps every term: a skipped row would drop a 0*inf or 0*nan
+    # one, and for separate bits a gather per secondary copies about as much as
+    # it saves.  Decided before maps is allocated, beside which isfinite's
+    # temporary would raise the peak.
+    full_view = spec.mask_groups > 1 or (
+        skips_rows and not (np.isfinite(cols).all() and np.isfinite(filters).all())
+    )
+    maps = np.empty((n, cols.shape[1]), dtype=np.result_type(cols, filters))
+    if full_view:
+        if spec.mask_groups > 1:
+            keep = masks.dense(filters.dtype).T
+        else:
+            keep = np.zeros((s, *grid), dtype=filters.dtype)
+            for j, view in enumerate(views):
+                keep[j][view] = 1
+            keep = keep.reshape(s, -1)
+        distinct = np.arange(n) if source is None else np.flatnonzero(source == np.arange(n))
+        masked = filters.reshape(k, -1)[distinct // s] * keep[distinct % len(keep)]
+        grid = (1, len(cols))
+        jobs = [((slice(None), slice(None)), masked.reshape(-1, *grid), maps[: len(distinct)])]
+        # the distinct maps fill the first rows in order
+        place = None if source is None else np.searchsorted(distinct, source)
+    else:
+        by_mask = maps.reshape(k, s, -1)
+        kept = range(s) if first is None else np.flatnonzero(first[0] == np.arange(s))
+        jobs = [(views[j], filters.reshape(k, *grid), by_mask[:, j]) for j in kept]
+        place = source  # each source map in its own row
+    rows = cols.reshape(*grid, -1)
+    for (t, r), f_rows, out in jobs:
+        _contract("trl,ktr->kl", rows[t, r], f_rows[:, t, r], out=out)
+    if place is not None:
+        # place[m] <= m: in descending order each row is read before it is written
+        for m in np.flatnonzero(place != np.arange(n))[::-1]:
+            maps[m] = maps[place[m]]
     if biases is not None:
         maps += biases[:, None]
-    maps = maps.reshape(spec.n_secondary, pm.h_out, pm.w_out, *pm.in_shape[:-3])
+    maps = maps.reshape(n, pm.h_out, pm.w_out, *pm.in_shape[:-3])
     return convref._channels_last(maps)
 
 

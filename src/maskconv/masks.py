@@ -160,20 +160,22 @@ def random_masks(k: int, s: int, d: int, c: int, seed: int) -> MaskSet:
     return MaskSet("random-fixed", bits.T, d, c, s, k)
 
 
-def _gram_blocks(masks: MaskSet | np.ndarray):
-    """Yield each per-primary block of the dense masks and its raw Gram ``M^T M``.
+def _gram_blocks(masks: MaskSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each per-primary block of the dense masks and its raw Gram ``M^T M``.
 
-    A :class:`MaskSet` splits into blocks of ``s`` columns; a plain matrix
-    is a single block.
+    Returns the blocks as ``(groups, s, d*d*c)`` rows and their Grams as
+    ``(groups, s, s)``.  A :class:`MaskSet` splits into blocks of ``s``
+    columns; a plain matrix is a single block.  One batched product forms
+    every Gram: on 0/1 masks each entry is an exact integer, so the bits
+    are those of a product per block.
     """
     if isinstance(masks, MaskSet):
         m, block = masks.dense(np.float64), masks.s
     else:
         m = np.asarray(masks, dtype=np.float64)
         block = m.shape[1]
-    for start in range(0, m.shape[1], block):
-        mb = m[:, start : start + block]
-        yield mb, mb.T @ mb
+    rows = m.T.reshape(-1, block, m.shape[0])
+    return rows, rows @ rows.transpose(0, 2, 1)
 
 
 def ortho_loss(masks: MaskSet | np.ndarray) -> float:
@@ -182,10 +184,12 @@ def ortho_loss(masks: MaskSet | np.ndarray) -> float:
     Treats mask bits as reals.  Under the separate strategy the penalty is
     evaluated per primary filter's block of ``s`` columns and summed.
     """
+    rows, raw = _gram_blocks(masks)
+    diff = raw / rows.shape[2] - np.eye(rows.shape[1])
     total = 0.0
-    for mb, raw in _gram_blocks(masks):
-        diff = raw / mb.shape[0] - np.eye(mb.shape[1])
-        total += 0.5 * float(np.sum(diff * diff))
+    # a C-contiguous row per block, so that each sums as np.sum sums one block
+    for block_sum in (diff * diff).reshape(len(diff), -1).sum(axis=1).tolist():
+        total += 0.5 * block_sum
     return total
 
 
@@ -194,11 +198,11 @@ def ortho_grad(masks: MaskSet | np.ndarray) -> np.ndarray:
 
     Per block: ``(2 / (d*d*c)^2) * M M^T M - (2 / (d*d*c)) * M``.
     """
-    blocks = []
-    for mb, raw in _gram_blocks(masks):
-        v = mb.shape[0]
-        blocks.append((2.0 / v**2) * (mb @ raw) - (2.0 / v) * mb)
-    return np.hstack(blocks)
+    rows, raw = _gram_blocks(masks)
+    v = rows.shape[2]
+    blocks = rows.transpose(0, 2, 1)  # (groups, v, s)
+    grad = (2.0 / v**2) * (blocks @ raw) - (2.0 / v) * blocks
+    return grad.transpose(1, 0, 2).reshape(v, -1)
 
 
 def gram_offdiagonal(masks: MaskSet | np.ndarray) -> float:
@@ -208,13 +212,14 @@ def gram_offdiagonal(masks: MaskSet | np.ndarray) -> float:
     off-diagonal magnitudes measure how correlated the masks are (0 for
     orthogonal columns, 1 for identical all-ones masks).
     """
+    rows, raw = _gram_blocks(masks)
+    off = ~np.eye(raw.shape[1], dtype=bool)
     total = 0.0
-    count = 0
-    for mb, raw in _gram_blocks(masks):
-        gram = raw / mb.shape[0]
-        off = ~np.eye(gram.shape[0], dtype=bool)
-        total += float(np.sum(np.abs(gram[off])))
-        count += int(off.sum())
+    # a C-contiguous row per block, so that each sums as np.sum sums one block
+    magnitudes = np.ascontiguousarray(np.abs((raw / rows.shape[2])[:, off]))
+    for block_sum in magnitudes.sum(axis=1).tolist():
+        total += block_sum
+    count = len(raw) * int(off.sum())
     return total / count if count else 0.0
 
 

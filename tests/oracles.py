@@ -6,18 +6,20 @@ stay independent.  The rest keeps earlier formulations of library code
 (``sliding_window_view`` patches, ``mean`` pooling, a channel-last
 ``col2im``, per-filter and per-secondary loops, the dense masked-filter
 forward and input gradient, the clipped-latent mask step, the per-row
-``np.roll`` digit renderer, the one-pass reference convolution) that the
-current code must match byte for byte.  ``secondary_grads`` and
-``bias_grads`` alone call the library: they read the per-secondary
-gradients that ``bank_backward`` keeps to itself through a standard layer
-of the secondary filters.
+``np.roll`` digit renderer, the one-pass reference convolution, the
+per-block orthogonality walk) that the current code must match byte for
+byte.  ``secondary_grads`` and
+``bias_grads`` call the library to read the per-secondary gradients that
+``bank_backward`` keeps to itself, through a standard layer of the
+secondary filters; ``forward_each_secondary`` calls it one secondary at
+a time, so that no map is a copy of another.
 """
 
 import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
 from maskconv.datagen import _FONT, IMAGE_SIZE, _blur
-from maskconv.layers import FilterBank, LayerSpec, bank_backward, secondary_matrix
+from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches, secondary_matrix
 from maskconv.masks import from_dense
 
 
@@ -223,6 +225,24 @@ def cached_adds_loop(masks, spec, n_positions):
     return total
 
 
+def ortho_per_block(masks):
+    """``(ortho_loss, ortho_grad, gram_offdiagonal)`` as a walk over each
+    primary's block of ``s`` mask columns, a Gram product per block."""
+    m = masks.dense(np.float64)
+    v, s = m.shape[0], masks.s
+    loss, grads, off_total, off_count = 0.0, [], 0.0, 0
+    for start in range(0, m.shape[1], s):
+        mb = m[:, start : start + s]
+        raw = mb.T @ mb
+        diff = raw / v - np.eye(s)
+        loss += 0.5 * float(np.sum(diff * diff))
+        grads.append((2.0 / v**2) * (mb @ raw) - (2.0 / v) * mb)
+        off = ~np.eye(s, dtype=bool)
+        off_total += float(np.sum(np.abs((raw / v)[off])))
+        off_count += int(off.sum())
+    return loss, np.hstack(grads), off_total / off_count if off_count else 0.0
+
+
 def agent_update_clip(masks, grad_m, lr):
     """The straight-through step as a clipped real latent: ``clip(M - lr*g, 0, 1) > 0``."""
     latent = np.clip(masks.dense(np.float64) - lr * grad_m, 0.0, 1.0)
@@ -322,6 +342,25 @@ def forward_patches_loop(pm, bank, masks, spec):
         maps = maps + bank.biases[:, None]
     maps = maps.reshape(spec.n_secondary, pm.h_out, pm.w_out, *pm.in_shape[:-3])
     return maps.transpose(np.argsort(core_order(maps.ndim)))
+
+
+def forward_each_secondary(pm, bank, masks, spec):
+    """``layers.forward_patches`` of a bit-mask layer one secondary at a time.
+
+    Each map is the forward of a layer of one primary and one shared mask,
+    the secondary's primary, bias and mask bits, so no mask can repeat
+    another and no map is a copy.
+    """
+    one = LayerSpec(
+        "learnable", strategy="shared", s=1, d=spec.d, c=spec.c, k=1, stride=spec.stride, padding=spec.padding
+    )
+    maps = []
+    for i in range(spec.k):
+        for j in range(spec.s):
+            n = i * spec.s + j
+            mask = from_dense(masks.bits[:, [masks.column_index(i, j)]], "learned-shared", spec.d, spec.c, 1)
+            maps.append(forward_patches(pm, FilterBank(bank.filters[i : i + 1], bank.biases[n : n + 1]), mask, one))
+    return np.concatenate(maps, axis=-1)
 
 
 def render_digit_rolled(digit, rng):

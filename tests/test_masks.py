@@ -14,6 +14,7 @@ from maskconv.masks import (
     from_dense,
     ortho_grad,
     from_words,
+    gram_offdiagonal,
     ortho_loss,
     random_masks,
     read_mask_records,
@@ -26,7 +27,7 @@ from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import LayerSpec
 from maskconv.network import MaskedConv
 
-from oracles import agent_update_clip, finite_difference, relative_error
+from oracles import agent_update_clip, finite_difference, ortho_per_block, relative_error
 
 
 # ---------------------------------------------------------------- spatial
@@ -407,3 +408,18 @@ def test_packing_occurs_only_in_masks():
 def test_maskset_wrong_mask_count_rejected():
     with pytest.raises(MaskError):
         MaskSet("learned-separate", np.ones((9, 3)), 3, 1, 2, k=2)
+
+
+def test_batched_gram_gives_the_bits_of_a_product_per_block():
+    """One batched Gram equals a walk over the per-primary blocks by bits:
+    on 0/1 masks every Gram entry is an exact integer, and each block's
+    loss and off-diagonal terms sum in the order ``np.sum`` sums them."""
+    rng = np.random.default_rng(31)
+    for v, groups, s in ((25, 4, 2), (72, 8, 2), (18, 3, 9), (9, 1, 4), (5, 2, 1)):
+        for density in (1.0, 0.5, 0.1):
+            bits = rng.random((v, groups * s)) < density
+            masks = from_dense(bits, "learned-separate" if groups > 1 else "learned-shared", 1, v, s, groups)
+            loss, grad, off = ortho_per_block(masks)
+            assert ortho_loss(masks) == loss
+            assert ortho_grad(masks).tobytes() == grad.tobytes()
+            assert gram_offdiagonal(masks) == off

@@ -51,7 +51,8 @@ square kernels are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +125,8 @@ class PatchMatrix:
     batch-innermost, so column ``(p*w_out + q)*B + b`` is the vectorized
     receptive field of output pixel ``(p, q)`` of image ``b``.  A single
     ``(H, W, c)`` image is a batch of one without the batch axis.
-    ``in_shape`` is the shape of the (unpadded) input.
+    ``in_shape`` is the shape of the (unpadded) input; ``source``, if
+    set, a weak reference to it, which keeps no input alive.
     """
 
     cols: np.ndarray
@@ -134,6 +136,17 @@ class PatchMatrix:
     in_shape: tuple[int, ...]
     h_out: int
     w_out: int
+    source: weakref.ref | None = field(default=None, repr=False, compare=False)
+
+    def finite(self) -> bool:
+        """Whether every patch value is finite, from the input while it lives.
+
+        The columns copy the input plus zeros, so a finite input makes
+        finite ones, at a ``d*d``-th of the reads at stride 1; an inf or
+        NaN that no window reads answers ``False`` too.
+        """
+        x = None if self.source is None else self.source()
+        return bool(np.isfinite(self.cols if x is None else x).all())
 
     @property
     def out_shape(self) -> tuple[int, ...]:
@@ -203,7 +216,7 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     windows.flags.writeable = False
     np.copyto(blocks, windows)
     cols = blocks.reshape(d * d * c, -1)
-    return PatchMatrix(cols, d, stride, padding, x.shape, h_out, w_out)
+    return PatchMatrix(cols, d, stride, padding, x.shape, h_out, w_out, weakref.ref(x))
 
 
 def col2im(grad_cols: np.ndarray, pm: PatchMatrix) -> np.ndarray:

@@ -18,17 +18,13 @@ A MASK op is priced at 1/32 of an fp32 MUL in the combined total:
 
 :func:`cached_forward` tallies these counts for a call; its output
 comes from the package's one forward kernel,
-:func:`maskconv.layers.forward_patches`.  That kernel runs spatial and
-channel masks as index ranges of the patch rows and a shared group of
-bit masks as the rows each keeps, so for them (and for standard layers)
-the ADD tally is the multiply-adds it ran on finite inputs, unless a
-mask repeats an earlier one of its group: the kernel runs each distinct
-masked secondary once and copies its maps to the repeats.  Separate and
-random-fixed bits stay a dense masked-filter matrix in the kernel, so
-their ADD tally is the scheme's cost model; MASK ops of every bit mask
-are.  Tallies never read input values, so the exact
-closed forms of :func:`predict_counts` (all but bit-mask ADDs) hold on
-every input.
+:func:`maskconv.layers.forward_patches`, which runs the rows each mask
+keeps (:class:`maskconv.layers.MaskLayout`).  For all but separate and
+random-fixed bits, which it runs as a dense masked-filter matrix, the
+ADD tally is the multiply-adds it ran on finite inputs, less those of
+masks that repeat an earlier one of their group.  Tallies never read input
+values, so the exact closed forms of :func:`predict_counts` (all but
+bit-mask ADDs) hold on every input.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from maskconv.convref import im2col
-from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_columns, mask_ranges, view_sizes
+from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_layout
 from maskconv.masks import MaskSet, random_masks
 
 
@@ -98,24 +94,17 @@ def cached_forward(
     C-contiguous.  The :class:`OpCounts` are what the scheme executes on
     this call: ``k`` product passes over every patch, one ADD per
     mask-selected entry, and for bit masks one MASK op per entry and mask.
-    The ADDs of index ranges and of a shared group of bit masks are
-    counted from the sizes of their views (see
-    :func:`maskconv.layers.mask_ranges`), those of separate and
-    random-fixed bits from their popcounts.  The tally never reads input
+    The ADDs are each secondary's kept rows, from
+    :func:`maskconv.layers.mask_layout`.  The tally never reads input
     values: when an ``inf`` or NaN sends the kernel down its full-view
-    fallback, the ADDs are still those of the views, the scheme's count,
-    not the fallback's.
+    fallback, the ADDs are still the scheme's count, not the fallback's.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
     y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
     v, l = pm.cols.shape
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
-    if spec.mask_groups == 1:
-        # each mask's kept rows, per primary: the scheme's count, which the kernel
-        # runs on finite inputs less the rows of masks that repeat an earlier one
-        counts.add_fp32 = sum(view_sizes(*mask_ranges(spec, masks))) * spec.k * l
-    else:
-        counts.add_fp32 = int(masks.ones_counts()[mask_columns(masks, spec)].sum()) * l
+    layout = mask_layout(spec, masks)  # each secondary's kept rows, the scheme's ADDs
+    counts.add_fp32 = int(layout.kept[layout.columns].sum()) * l
     if spec.variant == "learnable":  # bit masks cost mask ops and storage besides their ADDs
         counts.mask_ops = v * l * spec.n_secondary
         counts.mask_bits = v * masks.n_masks

@@ -12,34 +12,29 @@ then filter 2, and so on.  Variants:
 ``channel``    sliding channel windows, no biases;
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
-Every mask is a set of patch rows (:func:`mask_ranges`): index ranges
-for spatial squares and channel windows, and for one shared group of
-bit masks the index array of each mask's set bits.  The one forward,
-:func:`forward_patches`, runs each distinct masked secondary once: a
-mask that repeats an earlier one of its group (:func:`mask_sources`),
-as every mask of all-ones bits does, gets copies of that one's maps.  It
-contracts each distinct mask's rows, sliced or gathered, with the
-primaries' matching entries; the one backward, :func:`bank_backward`,
-runs its input gradient over the row groups that one set of masks keeps
-(:func:`row_groups`), and a spatial or channel filter gradient per mask
-as the forward does.  Standard conv is the single full view.  Separate
-and random-fixed bits keep an explicit masked-filter matrix of their
+Every mask is a set of patch rows, and a layer's :class:`MaskLayout`,
+derived once per spec and mask bits (:func:`mask_layout`), states which:
+the rows each mask keeps, the masks that repeat an earlier one of their
+group, and the row groups of the input gradient.  The one forward,
+:func:`forward_patches`, runs each distinct masked secondary once over
+the rows its mask keeps and copies its maps to the repeats; the one
+backward, :func:`bank_backward`, runs a spatial or channel filter
+gradient per mask as the forward does, and its input gradient per row
+group.  Standard conv is the single full view.  Separate and
+random-fixed bits keep an explicit masked-filter matrix of their
 distinct secondaries over it, since a gather per secondary copies about
 as much as it saves, and every learnable filter gradient runs each
 secondary over all rows, since the straight-through mask gradient takes
 the term of every bit.  Every product goes through
 :func:`maskconv.convref._contract`, so every sum follows the fixed
 reduction order of :mod:`maskconv.convref`: the order of a dense
-contraction with the masked entries left in place as zeros.  On finite
-patches and filters a skipped row drops only a signed-zero addend; where
-either holds an inf or NaN it would drop a ``0 * inf`` term, so the
-forward then runs each distinct secondary's filter, zeroed outside its
-rows, over the full view.  Either way each output channel equals
-``conv_reference(x, mask * filter) + bias`` exactly, but for the sign
-and payload of a NaN, which follow operand order.  The backward maps
-the per-secondary filter gradient onto primaries and masks without
-keeping it, and can skip a first layer's input gradient; its gradients
-on non-finite inputs are not pinned to any reference.
+contraction with the masked entries left in place as zeros.  So each
+output channel equals ``conv_reference(x, mask * filter) + bias``
+exactly, but for the sign and payload of a NaN, which follow operand
+order (the layout's docstring says why skipped rows keep that true).
+The backward maps the per-secondary filter gradient onto primaries and
+masks without keeping it, and can skip a first layer's input gradient;
+its gradients on non-finite inputs are not pinned to any reference.
 
 Activations keep the core's batch-innermost memory order, ``(n, H', W',
 B)``: the forward returns its ``(..., H', W', n)`` maps as a view of the
@@ -197,144 +192,160 @@ def random_bank(spec: LayerSpec, seed: int, scale: float = 1.0, dtype=np.float64
     return FilterBank(filters, biases)
 
 
-def mask_columns(masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
-    """Index of the mask column serving each of the ``n`` secondaries.
-
-    Secondary ``i*s + j`` (primary ``i``, mask ``j``) reads column
-    ``(i*s + j) % n_masks``: column ``i*s + j`` of a group per primary,
-    column ``j`` of one shared group.  Raises :class:`ShapeError` when the
-    masks are not the spec's ``mask_groups`` groups of ``s``.
-    """
-    if masks is None:
-        raise ShapeError(f"{spec.variant} layer needs masks")
-    if masks.n_masks != spec.s * spec.mask_groups or masks.bits_per_mask != spec.d * spec.d * spec.c:
-        raise ShapeError(
-            f"mask set ({masks.kind}, {masks.n_masks} masks of {masks.bits_per_mask} bits)"
-            f" does not fit spec (k={spec.k}, s={spec.s}, d={spec.d}, c={spec.c})"
-        )
-    return np.arange(spec.n_secondary) % masks.n_masks
-
-
 def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
     """Explicit (d*d*c, n) matrix of masked secondary filters, primary-major."""
-    fmat = bank.filter_matrix()
-    if spec.variant == "standard":
-        return np.ascontiguousarray(fmat)
-    cols = mask_columns(masks, spec)
-    return np.repeat(fmat, spec.s, axis=1) * masks.dense(fmat.dtype)[:, cols]
+    return np.repeat(bank.filter_matrix(), spec.s, axis=1) * mask_layout(spec, masks).selector.T
 
 
 ROW_GROUP_SKIP = 4
-"""A row group of shared bit masks gets an input-gradient contraction of its
-own only when the products it skips, its rows times the masks it drops,
-reach this many per mask it keeps, for each of which it copies the maps of
-``dL/dy``; the other groups run together over all masks."""
+"""Products a row group of shared bit masks must skip per mask it keeps, for
+each of which it copies the maps of ``dL/dy``, to get an input-gradient
+contraction of its own (see :class:`MaskLayout`)."""
+
+_FULL = slice(None)
 
 
-def mask_ranges(spec: LayerSpec, masks: MaskSet | None = None):
-    """``(grid, views)``: the patch rows each mask keeps.
+class MaskLayout:
+    """What a layer's masks select from its patch rows (see :func:`mask_layout`).
 
-    The ``d*d*c`` patch rows are viewed as a ``grid`` of shape ``(T, R)``:
-    ``(d, d*c)`` for spatial squares (a grid row per window row),
-    ``(d*d, c)`` for channel windows (a grid row per tap) and
-    ``(1, d*d*c)`` otherwise.  Mask ``j`` keeps the rows ``views[j]``: a
-    rectangle of slices for a spatial square or channel window (from the
-    spec), and for one shared group of bit masks (``mask_groups == 1``)
-    the index array of its set bits in ``masks``, or a full slice if it
-    keeps every row.  Standard layers, and the dense masked-filter matrix
-    of separate and random-fixed bits, have one full view.
+    **Kept rows.**  The ``d*d*c`` patch rows form a ``grid`` ``(T, R)``:
+    ``(d, d*c)`` for spatial squares, ``(d*d, c)`` for channel windows,
+    ``(1, d*d*c)`` otherwise.  Mask ``j`` keeps the rows ``views[j]``, a
+    ``(t, r)`` index of it: slices for a spatial square or channel window,
+    and for one shared group of bit masks its set bits' ascending index
+    array, or a full slice if it keeps every row.  Standard layers and
+    separate or random-fixed bits have one full view.  ``kept`` counts each
+    mask's rows, ``columns`` maps secondary ``i*s + j`` to mask ``(i*s + j)
+    % n_masks``, and bit masks that are not the spec's ``mask_groups``
+    groups of ``s`` raise :class:`ShapeError`.  On finite patches and
+    filters a skipped row drops only signed-zero addends, which change no
+    sum from ``+0.0``; with an inf or NaN it would drop a ``0 * inf`` term,
+    so the forward then runs the full view.  ``skips_rows``: a view drops
+    a row.
+
+    **Repeats.**  ``sources[g, j]`` is the first mask of group ``g`` with
+    mask ``j``'s bits, or ``sources`` is ``None`` when no mask repeats one.
+    A repeated mask's secondaries equal the earlier mask's, so a forward
+    runs the ``distinct`` maps and copies the rest by ``(row, source row)``
+    pairs, in descending row order so that each row is read before it is
+    written: ``copies`` with each map in its own row, ``packed_copies``
+    with the distinct maps in the first rows.
+
+    **Row groups.**  The input gradient splits the rows by the set of masks
+    that keeps them: each group ``(t, r, kept)`` indexes the grid and the
+    masks.  Spatial rings and channel segments are rectangles kept by a
+    run of masks; shared bits' rows are grouped by bit pattern, ``r``
+    ascending indices (a full slice for all rows) and ``kept`` the set
+    bits' (``0:s`` for all masks); other layers have one group of every
+    row and mask.  A bit-mask group whose rows times dropped masks fall
+    below :data:`ROW_GROUP_SKIP` times kept masks is ``joined``: those
+    groups' ``joined_rows`` run one contraction over all masks.  The other
+    groups, ``row_groups``, run on their own.
     """
-    d, c, s = spec.d, spec.c, spec.s
-    if spec.variant == "spatial":
-        return (d, d * c), [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
-    if spec.variant == "channel":
-        return (d * d, c), [(slice(None), slice(a, a + spec.c_hat)) for a in range(0, s * spec.g, spec.g)]
-    v = d * d * c
-    if spec.variant == "learnable" and spec.mask_groups == 1:
-        mask_columns(masks, spec)  # raises unless the masks are one group of s
-        kept = (np.flatnonzero(bits) for bits in masks.bits.T)
-        return (1, v), [(slice(None), rows if len(rows) < v else slice(None)) for rows in kept]
-    return (1, v), [(slice(None), slice(None))]
+
+    def __init__(self, spec: LayerSpec, masks: MaskSet | None = None):
+        d, c, s, n, groups = spec.d, spec.c, spec.s, spec.n_secondary, spec.mask_groups
+        v = d * d * c
+        learnable = spec.variant == "learnable"
+        if learnable and (masks is None or (masks.bits_per_mask, masks.n_masks) != (v, s * groups)):
+            got = "none" if masks is None else f"{masks.n_masks} of {masks.bits_per_mask} bits"
+            raise ShapeError(f"spec {spec} needs {s * groups} masks of {v} bits, got {got}")
+        self._bits = bits = masks.bits if learnable else None
+        self.columns = np.arange(n) % (s * groups)
+
+        self.grid, self.views, row_sets = (1, v), [(_FULL, _FULL)], [(_FULL, _FULL, slice(0, s))]
+        if spec.variant == "spatial":
+            self.grid = (d, d * c)
+            self.views = [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
+            row_sets = []
+            for q in range(s):  # ring q, kept by squares 0..q: top and bottom rows, then the sides
+                lo, hi = q, d - 1 - q
+                width = slice(lo * c, (hi + 1) * c)
+                row_sets += [(slice(a, a + 1), width, slice(0, q + 1)) for a in sorted({lo, hi})]
+                if hi - lo > 1:
+                    sides = (slice(b * c, (b + 1) * c) for b in (lo, hi))
+                    row_sets += [(slice(lo + 1, hi), side, slice(0, q + 1)) for side in sides]
+        elif spec.variant == "channel":
+            self.grid = (d * d, c)
+            starts = range(0, s * spec.g, spec.g)
+            self.views = [(_FULL, slice(a, a + spec.c_hat)) for a in starts]
+            edges = sorted({0, c, *starts, *(a + spec.c_hat for a in starts)})
+            row_sets = []
+            for lo, hi in zip(edges, edges[1:]):
+                # channels lo:hi lie in the windows that start at or before lo, less those that end there
+                j0, j1 = max(0, (lo - spec.c_hat) // spec.g + 1), lo // spec.g + 1
+                row_sets.append((_FULL, slice(lo, hi), slice(min(s, j0), min(s, j1))))
+        elif learnable and groups == 1:
+            self.views = [(_FULL, rows if len(rows) < v else _FULL) for rows in map(np.flatnonzero, bits.T)]
+            if (bits == bits[0]).all():  # one pattern, as in all-ones masks: skip the sort
+                order, starts = np.arange(v), [0]
+            else:
+                order = np.lexsort(bits.T[::-1])  # rows sorted by bit pattern, ascending within one
+                changes = np.any(bits[order[1:]] != bits[order[:-1]], axis=1).nonzero()[0]
+                starts = [0, *(changes + 1).tolist()]
+            row_sets = []
+            for a, b in zip(starts, [*starts[1:], v]):
+                on = bits[order[a]].nonzero()[0]
+                row_sets.append((_FULL, order[a:b] if b - a < v else _FULL, on if len(on) < s else slice(0, s)))
+        cells = np.empty(self.grid, dtype=bool)  # indexed in place of the rows, so that none is copied
+        self.kept = bits.sum(axis=0) if learnable else np.array([cells[view].size for view in self.views])
+        self.skips_rows = bool(self.kept.min() < v)
+
+        self.row_groups, self.joined = [], []
+        for t, r, on in row_sets:
+            run = on.stop - on.start if isinstance(on, slice) else len(on)
+            rows = v if isinstance(r, slice) else len(r)
+            joins = learnable and run and rows * (s - run) < ROW_GROUP_SKIP * run
+            (self.joined if joins else self.row_groups).append((t, r, on))
+        rest = [r for _, r, _ in self.joined]
+        self.joined_rows = np.sort(np.concatenate(rest)) if len(rest) > 1 else rest[0] if rest else None
+
+        self.sources = None
+        if learnable and s > 1:
+            if bits.all():  # all ones: one first mask per group, without comparing
+                first = np.zeros((groups, s), dtype=np.intp)
+            else:
+                by_group = bits.T.reshape(groups, s, -1)  # a C-contiguous row per mask
+                first = (by_group[:, :, None] == by_group[:, None]).all(axis=-1).argmax(axis=-1)
+            # first[g, j] <= j, so the sum falls short of that of every j iff some mask repeats
+            self.sources = first if first.sum() < groups * (s * (s - 1) // 2) else None
+        maps = np.arange(n)
+        self.distinct, self.copies, self.packed_copies = maps, [], []
+        if self.sources is not None:
+            # each map's source: its primary's map of the first mask with its bits
+            source = (np.arange(0, n, s)[:, None] + self.sources).reshape(-1)
+            self.distinct = np.flatnonzero(source == maps)
+            self.copies, self.packed_copies = (
+                [(int(m), int(src[m])) for m in np.flatnonzero(src != maps)[::-1]]
+                for src in (source, np.searchsorted(self.distinct, source))
+            )
+
+    @property
+    def selector(self) -> np.ndarray:
+        """``(n, d*d*c)`` C-contiguous bools: the rows each secondary's mask
+        keeps, built on each use, so that no index range is kept dense."""
+        if self._bits is not None:
+            return self._bits.T[self.columns]
+        keep = np.zeros((len(self.views), *self.grid), dtype=bool)
+        for j, view in enumerate(self.views):
+            keep[j][view] = True
+        return keep.reshape(len(self.views), -1)[self.columns]
 
 
-def mask_sources(spec: LayerSpec, masks: MaskSet | None = None) -> np.ndarray | None:
-    """``(mask_groups, s)``: for each mask, the first mask of its group with its bits.
+def mask_layout(spec: LayerSpec, masks: MaskSet | None = None) -> MaskLayout:
+    """The :class:`MaskLayout` of ``spec`` and ``masks``, derived once and kept.
 
-    A mask that repeats an earlier one of its group has that one's index,
-    any other its own, so every secondary of a repeated mask equals the
-    earlier mask's secondary of the same primary.  ``None`` when no mask
-    repeats one: spatial squares and channel windows never do.
+    A learnable layer's layout is kept on its :class:`MaskSet`, whose bits
+    are read-only, any other on the spec, whose fields alone fix it; each
+    keyed by the spec fields the layout reads.  A learnable layer needs
+    masks; other layers ignore them.
     """
-    if spec.variant != "learnable":
-        return None
-    mask_columns(masks, spec)  # raises unless the masks are mask_groups groups of s
-    groups, s = spec.mask_groups, spec.s
-    if masks.bits.all():  # all ones: one first mask per group, without comparing
-        first = np.zeros((groups, s), dtype=np.intp)
-    else:
-        bits = masks.bits.T.reshape(groups, s, -1)  # a C-contiguous row per mask
-        first = (bits[:, :, None] == bits[:, None]).all(axis=-1).argmax(axis=-1)
-    # first[g, j] <= j, so the sum falls short of that of every j iff some mask repeats
-    return first if first.sum() < groups * (s * (s - 1) // 2) else None
-
-
-def view_sizes(grid: tuple[int, int], views) -> list[int]:
-    """The number of patch rows each view of :func:`mask_ranges` keeps."""
-    cells = np.empty(grid, dtype=bool)  # indexed in place of the rows, so that none is copied
-    return [cells[view].size for view in views]
-
-
-def row_groups(spec: LayerSpec, masks: MaskSet | None = None):
-    """The patch rows split by the set of masks that keeps them.
-
-    Each group ``(t, r, kept)`` indexes the grid of :func:`mask_ranges`
-    at ``(t, r)`` and the masks at ``kept``; together the groups cover
-    every row once.  Spatial rings and channel segments are rectangles
-    kept by a run of masks, ``kept`` a slice.  Rows of shared bit masks
-    are grouped by their bit pattern, ``r`` an ascending index array and
-    ``kept`` the set bits'; ``r`` is a full slice if the group holds every
-    row, ``kept`` the slice ``0:s`` if it holds every mask.  Other layers
-    have one group: all rows and all masks.
-    """
-    d, c, s = spec.d, spec.c, spec.s
-    if spec.variant == "spatial":
-        groups = []
-        for q in range(s):  # ring q, kept by squares 0..q: top and bottom rows, then the sides
-            lo, hi = q, d - 1 - q
-            width = slice(lo * c, (hi + 1) * c)
-            groups += [(slice(a, a + 1), width, slice(0, q + 1)) for a in sorted({lo, hi})]
-            if hi - lo > 1:
-                sides = (slice(b * c, (b + 1) * c) for b in (lo, hi))
-                groups += [(slice(lo + 1, hi), side, slice(0, q + 1)) for side in sides]
-        return groups
-    if spec.variant == "channel":
-        starts = range(0, s * spec.g, spec.g)
-        edges = sorted({0, c, *starts, *(a + spec.c_hat for a in starts)})
-        groups = []
-        for lo, hi in zip(edges, edges[1:]):
-            # channels lo:hi lie in the windows that start at or before lo, less
-            # those that end there
-            j0 = min(s, max(0, (lo - spec.c_hat) // spec.g + 1))
-            j1 = min(s, lo // spec.g + 1)
-            groups.append((slice(None), slice(lo, hi), slice(j0, j1)))
-        return groups
-    full, every = slice(None), slice(0, s)
-    if spec.variant != "learnable" or spec.mask_groups != 1:
-        return [(full, full, every)]
-    mask_columns(masks, spec)  # raises unless the masks are one group of s
-    bits = masks.bits
-    if (bits == bits[0]).all():  # one pattern, as in all-ones masks: skip the sort
-        order, starts = np.arange(len(bits)), [0]
-    else:
-        order = np.lexsort(bits.T[::-1])  # rows sorted by bit pattern, ascending within one
-        changes = np.any(bits[order[1:]] != bits[order[:-1]], axis=1).nonzero()[0]
-        starts = [0, *(changes + 1).tolist()]
-    groups = []
-    for a, b in zip(starts, [*starts[1:], len(order)]):
-        kept = bits[order[a]].nonzero()[0]
-        rows = order[a:b] if b - a < len(order) else full
-        groups.append((full, rows, kept if len(kept) < s else every))
-    return groups
+    owner = masks if spec.variant == "learnable" and masks is not None else spec
+    key = (spec.variant, spec.strategy, spec.d, spec.c, spec.k, spec.s, spec.c_hat, spec.g)
+    layouts = owner.__dict__.setdefault("_layouts", {})
+    if key not in layouts:
+        layouts[key] = MaskLayout(spec, masks)
+    return layouts[key]
 
 
 def forward_patches(
@@ -344,61 +355,44 @@ def forward_patches(
 
     Output ``pm.out_shape + (n,)``, primary-major, in batch-innermost
     memory order: a view of contiguous ``(n, l)`` rows, each plus its bias
-    in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.
-    Each distinct masked secondary runs once (:func:`mask_sources`), and
-    a secondary whose mask repeats an earlier one of its group gets a copy
-    of that one's map.  For one shared group, one :func:`convref._contract`
-    per distinct mask's view of :func:`mask_ranges` contracts the rows it
-    keeps, sliced or gathered, with the primaries' matching entries.
-    Separate and random-fixed bits, and a shared group whose views drop a
-    row when the patches or filters are not all finite, run the distinct
-    secondaries' filters, zeroed outside their masks, as one contraction
-    over the full view.
+    in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.  It
+    runs the distinct maps of :func:`mask_layout` and copies them to the
+    repeats.  For one shared group, one :func:`convref._contract` per
+    distinct mask contracts the rows its view keeps, sliced or gathered,
+    with the primaries' matching entries.  Separate and random-fixed bits,
+    and a shared group whose views drop a row when the input or the
+    filters are not all finite, run the distinct secondaries' filters,
+    zeroed outside their masks, as one contraction over the full view.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
         raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
     k, s, n = spec.k, spec.s, spec.n_secondary
-    grid, views = mask_ranges(spec, masks)
-    first = mask_sources(spec, masks)
-    # each map's source: its primary's map of the first mask with its bits
-    source = None if first is None else (np.arange(0, n, s)[:, None] + first).reshape(-1)
+    layout = mask_layout(spec, masks)
     cols, filters = pm.cols, np.ascontiguousarray(bank.filters)
-    skips_rows = min(view_sizes(grid, views)) < len(cols)
-    # the full view keeps every term: a skipped row would drop a 0*inf or 0*nan
-    # one, and for separate bits a gather per secondary copies about as much as
-    # it saves.  Decided before maps is allocated, beside which isfinite's
-    # temporary would raise the peak.
+    # the full view keeps every term (see MaskLayout), and for separate bits a
+    # gather per secondary copies about as much as it saves.  Decided before
+    # maps is allocated, beside which isfinite's temporary would raise the peak.
     full_view = spec.mask_groups > 1 or (
-        skips_rows and not (np.isfinite(cols).all() and np.isfinite(filters).all())
+        layout.skips_rows and not (pm.finite() and np.isfinite(filters).all())
     )
     maps = np.empty((n, cols.shape[1]), dtype=np.result_type(cols, filters))
+    distinct = layout.distinct
     if full_view:
-        if spec.mask_groups > 1:
-            keep = masks.dense(filters.dtype).T
-        else:
-            keep = np.zeros((s, *grid), dtype=filters.dtype)
-            for j, view in enumerate(views):
-                keep[j][view] = 1
-            keep = keep.reshape(s, -1)
-        distinct = np.arange(n) if source is None else np.flatnonzero(source == np.arange(n))
-        masked = filters.reshape(k, -1)[distinct // s] * keep[distinct % len(keep)]
+        masked = filters.reshape(k, -1)[distinct // s] * layout.selector[distinct]
         grid = (1, len(cols))
-        jobs = [((slice(None), slice(None)), masked.reshape(-1, *grid), maps[: len(distinct)])]
-        # the distinct maps fill the first rows in order
-        place = None if source is None else np.searchsorted(distinct, source)
+        jobs = [((_FULL, _FULL), masked.reshape(-1, *grid), maps[: len(distinct)])]
+        copies = layout.packed_copies
     else:
-        by_mask = maps.reshape(k, s, -1)
-        kept = range(s) if first is None else np.flatnonzero(first[0] == np.arange(s))
-        jobs = [(views[j], filters.reshape(k, *grid), by_mask[:, j]) for j in kept]
-        place = source  # each source map in its own row
+        grid, by_mask = layout.grid, maps.reshape(k, s, -1)
+        masks_run = distinct[: len(distinct) // k]  # the first primary's distinct maps
+        jobs = [(layout.views[j], filters.reshape(k, *grid), by_mask[:, j]) for j in masks_run]
+        copies = layout.copies
     rows = cols.reshape(*grid, -1)
     for (t, r), f_rows, out in jobs:
         _contract("trl,ktr->kl", rows[t, r], f_rows[:, t, r], out=out)
-    if place is not None:
-        # place[m] <= m: in descending order each row is read before it is written
-        for m in np.flatnonzero(place != np.arange(n))[::-1]:
-            maps[m] = maps[place[m]]
+    for m, source in copies:
+        maps[m] = maps[source]
     if biases is not None:
         maps += biases[:, None]
     maps = maps.reshape(n, pm.h_out, pm.w_out, *pm.in_shape[:-3])
@@ -462,15 +456,12 @@ def bank_backward(
     or is ``None`` with ``input_grad=False``, which skips its products and
     scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
     order does not change the bits.  A spatial or channel filter gradient
-    runs per mask view of :func:`mask_ranges`, as the forward does; a
+    runs per mask view of :func:`mask_layout`, as the forward does; a
     learnable one runs every masked secondary over all rows, so that
     each mask bit, cleared ones too, gets its term.  The input gradient
-    runs per group of :func:`row_groups`, over the rows one set of masks
-    keeps, with only those masks' secondaries; a group of shared bit
-    masks that skips too few products (:data:`ROW_GROUP_SKIP`) joins one
-    contraction of all masks, over the masked secondaries.  Each sum
-    takes the terms of a dense contraction over the masked filters, in
-    the reduction order of :mod:`maskconv.convref`.  The bias gradient sums
+    runs per row group of the layout with the secondaries of its masks.
+    Each sum takes the terms of a dense contraction over the masked
+    filters, in the order of :mod:`maskconv.convref`.  The bias gradient sums
     each map's row with a C ``einsum`` without ``optimize``, a lone map
     beside a zero row.  Primary and mask gradients sum their secondaries'
     terms in index order, each sum from zero.
@@ -486,16 +477,16 @@ def bank_backward(
     # (n, l) rows keep both contractions' inner loops on contiguous memory; a
     # batch-innermost grad_y, as the layers pass it on, gives them without a copy
     grad_T = np.ascontiguousarray(convref._channels_first(grad_y)).reshape(n, -1)
+    layout = mask_layout(spec, masks)
     fmat = bank.filter_matrix()
+    grid, views = layout.grid, layout.views
     if spec.variant == "learnable":
         wide = np.repeat(fmat, spec.s, axis=1)
-        sel = masks.dense(fmat.dtype)[:, mask_columns(masks, spec)]
+        sel = layout.selector.T
         fmat = wide * sel  # the masked secondaries
         # the straight-through mask gradient takes every bit's term, cleared ones
         # too, so the filter gradient runs each secondary over the one full view
-        grid, views = (1, len(fmat)), [(slice(None), slice(None))]
-    else:
-        grid, views = mask_ranges(spec)
+        views = [(_FULL, _FULL)]
     k_rows = fmat.shape[1]
     l = grad_T.shape[1]
     rows = patches.cols.reshape(*grid, l)
@@ -540,18 +531,14 @@ def bank_backward(
         learnable = spec.variant == "learnable"
         # the (1, v, k, s) masked secondaries of a learnable layer, else the (T, R, k) primaries
         f_grid = fmat.reshape(*grid, k, s) if learnable else fmat.reshape(*grid, k)
-        work, rest = [], []  # rest: shared bit groups not worth a contraction of their own
-        for t, r, kept in row_groups(spec, masks):
+        jobs = list(layout.row_groups)
+        if layout.joined_rows is not None:  # over all masks, the cleared bits' secondaries zero
+            jobs.append((_FULL, layout.joined_rows, slice(0, s)))
+        for t, r, kept in jobs:
             run = kept.stop - kept.start if isinstance(kept, slice) else len(kept)
             if run == 0:
                 grad_cols[t, r] = 0
-            elif learnable and (len(fmat) if isinstance(r, slice) else len(r)) * (s - run) < ROW_GROUP_SKIP * run:
-                rest.append(r)
-            else:
-                work.append((t, r, kept, run))
-        if rest:  # over all masks, the cleared bits' secondaries zero
-            work.append((slice(None), rest[0] if len(rest) == 1 else np.sort(np.concatenate(rest)), slice(0, s), s))
-        for t, r, kept, run in work:
+                continue
             if learnable:
                 f_run = f_grid[t, r][..., kept].reshape(1, -1, k * run)
             else:  # np.repeat copies element by element, slower than a plain copy

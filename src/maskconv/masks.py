@@ -44,10 +44,10 @@ class MaskSet:
     """A collection of masks over a d x d x c filter shape.
 
     ``bits`` is the ``(d*d*c, n_masks)`` boolean matrix, one mask per
-    column; it is kept column-major, each mask contiguous.  ``s`` is the
-    per-primary-filter mask count (scales, windows, or learned masks);
-    ``k`` is the number of groups of ``s``, 1 for a group every primary
-    shares.
+    column; it is a read-only copy, kept column-major, each mask
+    contiguous.  ``s`` is the per-primary-filter mask count (scales,
+    windows, or learned masks); ``k`` is the number of groups of ``s``, 1
+    for a group every primary shares.
     """
 
     kind: str
@@ -60,7 +60,8 @@ class MaskSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MaskError(f"unknown mask kind {self.kind!r}")
-        self.bits = np.asfortranarray(self.bits, dtype=bool)
+        self.bits = np.array(self.bits, dtype=bool, order="F")  # a copy: the caller's stays writeable
+        self.bits.flags.writeable = False  # so that the layouts kept on the set stay true
         v, n = self.d * self.d * self.c, self.s * self.k
         if self.bits.shape != (v, n):
             raise MaskError(f"{self.kind} mask set expects {n} masks of {v} bits, got {self.bits.shape}")

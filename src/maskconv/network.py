@@ -114,8 +114,10 @@ class MaskedConv:
         if not self.trainable_masks:
             return 0, 0
         grad = self.grads.masks + lam * ortho_grad(self.masks)
-        old, self.masks = self.masks, agent_update(self.masks, grad, lr)
-        return self.masks.flip_count(old), old.n_masks * old.bits_per_mask
+        old, new = self.masks, agent_update(self.masks, grad, lr)
+        flipped = new.flip_count(old)
+        self.masks = new if flipped else old  # an unchanged set keeps the layout kept on it
+        return flipped, old.n_masks * old.bits_per_mask
 
     def sgd(self, lr: float) -> None:
         bank, grads = self.bank, self.grads

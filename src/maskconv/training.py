@@ -126,8 +126,10 @@ def fit(
 
     Shuffling comes from the config seed, so two runs with the same seed
     visit identical batches.  ``log`` receives one line-delimited record
-    per step.  ``steps`` caps the total step count.
+    per step.  ``steps`` caps the total step count; it must be >= 1.
     """
+    if steps is not None and steps < 1:
+        raise ValueError(f"step cap must be >= 1, got {steps}")
     if not len(images):
         raise DataError("no images to train on")
     rng = np.random.default_rng(config.seed)

@@ -54,9 +54,8 @@ from maskconv.layers import (
     LayerSpec,
     bank_backward,
     bank_forward,
-    mask_ranges,
+    mask_layout,
     random_bank,
-    row_groups,
     secondary_matrix,
 )
 from maskconv.masks import from_dense
@@ -195,14 +194,15 @@ def reference_maps(x, fhat, biases, spec):
 def assert_ranges_select_mask_bits(spec, masks):
     """Each mask's view holds exactly its set bits, and the row groups split
     the rows by the set of masks that keeps them."""
-    grid, views = mask_ranges(spec, masks)
+    layout = mask_layout(spec, masks)
+    grid, views = layout.grid, layout.views
     bits = masks.dense().astype(bool).reshape(*grid, -1)
     for j, view in enumerate(views):
         kept = np.zeros(grid, dtype=bool)
         kept[view] = True
         assert np.array_equal(kept, bits[..., j])
     covered = np.zeros(grid, dtype=int)
-    groups = row_groups(spec, masks)
+    groups = [*layout.row_groups, *layout.joined]
     patterns = set()
     for t, r, kept_masks in groups:
         covered[t, r] += 1
@@ -331,7 +331,7 @@ def test_bit_mask_densities_match_dense_masked_oracles(strategy):
                 if strategy == "shared":
                     assert_ranges_select_mask_bits(spec, masks)
                     if density == "all ones":  # full slices: no row is copied
-                        assert all(isinstance(r, slice) for _, r in mask_ranges(spec, masks)[1])
+                        assert all(isinstance(r, slice) for _, r in mask_layout(spec, masks).views)
                 bank = random_bank(spec, int(rng.integers(2**31)), dtype=dtype)
                 bank.biases = rng.normal(size=spec.n_secondary).astype(dtype)
                 bank.filters.reshape(-1)[::5] = -0.0

@@ -18,7 +18,7 @@ import pytest
 
 from maskconv.convref import conv_reference, im2col
 from maskconv.fastinfer import cached_forward, masks_for_spec, predict_counts
-from maskconv.layers import STRATEGIES, LayerSpec, bank_forward, mask_ranges, mask_sources, random_bank, view_sizes
+from maskconv.layers import STRATEGIES, LayerSpec, bank_forward, mask_layout, random_bank
 from maskconv.masks import from_dense
 from maskconv.network import MaskedConv
 
@@ -83,9 +83,9 @@ def test_repeated_masks_copy_the_maps_of_their_first(name, dtype, inputs):
     rng = np.random.default_rng([list(CASES).index(name), np.dtype(dtype).itemsize, len(inputs)])
     spec, masks, first = case_masks(name, rng)
     if first is None:
-        assert (spec.s == 1) == (mask_sources(spec, masks) is None)
+        assert (spec.s == 1) == (mask_layout(spec, masks).sources is None)
     else:
-        assert np.array_equal(mask_sources(spec, masks), first)
+        assert np.array_equal(mask_layout(spec, masks).sources, first)
     bank = random_bank(spec, int(rng.integers(2**31)), dtype=dtype)
     bank.biases = rng.permutation(spec.n_secondary).astype(dtype) + 0.5
     bank.filters.reshape(-1)[::4] = -0.0
@@ -127,12 +127,12 @@ def test_all_ones_forward_issues_the_predicted_muls(strategy, s, contract_spy):
 def test_fair_coin_forward_issues_every_secondarys_macs(strategy, contract_spy):
     spec = LayerSpec("learnable", strategy=strategy, s=4, d=D, c=C, k=K)
     masks = masks_for_spec(spec, seed=8)
-    assert mask_sources(spec, masks) is None
+    assert mask_layout(spec, masks).sources is None
     x = np.random.default_rng(8).normal(size=(2, 6, 7, C)).astype(np.float32)
     conv = MaskedConv(spec, random_bank(spec, 8, dtype=np.float32), masks)
     positions = 4 * 5 * len(x)
     if strategy == "shared":  # each mask's kept rows, per primary
-        want = sum(view_sizes(*mask_ranges(spec, masks))) * K * positions
+        want = sum(mask_layout(spec, masks).kept) * K * positions
     else:  # the dense masked filter of every secondary
         want = spec.n_secondary * V * positions
     for forward in (

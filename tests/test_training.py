@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -11,6 +12,8 @@ from maskconv.checkpoint import (
     save_checkpoint,
 )
 from maskconv.convref import ShapeError
+from maskconv.datagen import generate_digits
+from maskconv.idx import load_dataset_dir, write_idx_images, write_idx_labels
 from maskconv.layers import BankGrads, FilterBank, LayerSpec
 from maskconv.masks import agent_update, from_dense, ortho_loss
 from maskconv.network import (
@@ -605,3 +608,51 @@ def test_evaluate_matches_manual_accuracy():
     logits = model.forward(images)
     want = float(np.mean(np.argmax(logits, axis=1) == labels))
     assert acc == pytest.approx(want)
+
+
+def test_fit_rejects_a_step_cap_below_one():
+    images, labels = toy_two_class(8)
+    for steps in (0, -3):
+        model = tiny_spatial_net()
+        before = model.layers[0].bank.filters.copy()
+        with pytest.raises(ValueError, match="step"):
+            fit(model, images, labels, TrainConfig(lr=0.1, lam=0.0, batch=4), steps=steps)
+        assert np.array_equal(model.layers[0].bank.filters, before)  # no step ran
+
+
+# The digit bench's three variants (feature maps conv1/conv2, orthogonality
+# weight) and its training recipe, at seed 0: three fits of four steps on
+# 512 generated digits read back from IDX files, batch 64, lr 0.15, the fits seeded 0, 1 and 2.
+CHECKPOINT_VARIANTS = {
+    "standard": (dict(variant="standard", conv1_maps=8), 0.0),
+    "spatial": (dict(variant="spatial", conv1_maps=9), 0.0),
+    "learn_sep_s2": (dict(variant="learnable", strategy="separate", s=2, conv1_maps=8), 0.1),
+}
+# sha256 over the checkpoint bytes written after each fit
+FIT_CHECKPOINT_SHA256 = {
+    "standard": "612aabd9092cd8720cdfa3335a5145d7d99127a392ce87007bb6602162aee42d",
+    "spatial": "451df5315750947e501f7ebff9b0c9e8a184f449041ac585097f6da986440f1b",
+    "learn_sep_s2": "5f3e51dbe3e89d100000ff3d1304ed94fa0bd8a44bd88de22a5a072a6502cf89",
+}
+
+
+def fit_checkpoint_digests(tmp_path):
+    images, labels = generate_digits(512, 0)
+    write_idx_images(tmp_path / "train-images.idx", images)
+    write_idx_labels(tmp_path / "train-labels.idx", labels)
+    images, labels = load_dataset_dir(tmp_path, "train")
+    digests = {}
+    for name, (kwargs, lam) in CHECKPOINT_VARIANTS.items():
+        model = build_small_cnn(conv2_maps=16, lam=lam, seed=0, **kwargs)
+        digest = hashlib.sha256()
+        for fit_seed in range(3):
+            config = TrainConfig(lr=0.15, lam=lam, epochs=1, batch=64, seed=fit_seed)
+            fit(model, images, labels, config, steps=4)
+            save_checkpoint(model, tmp_path / f"{name}.ckpt")
+            digest.update((tmp_path / f"{name}.ckpt").read_bytes())
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+def test_fit_checkpoints_keep_their_bytes(tmp_path):
+    assert fit_checkpoint_digests(tmp_path) == FIT_CHECKPOINT_SHA256

@@ -19,7 +19,7 @@ import numpy as np
 
 from maskconv.convref import conv_reference
 from maskconv.fastinfer import cached_forward, masks_for_spec, predict_counts
-from maskconv.layers import LayerSpec, random_bank, secondary_matrix
+from maskconv.layers import LayerSpec, random_bank
 
 rng = np.random.default_rng(2)
 
@@ -30,7 +30,8 @@ bank.biases = rng.normal(size=spec.n_secondary)
 masks = masks_for_spec(spec, seed=0)
 x = rng.normal(size=(10, 10, 16))
 y_fast, counts = cached_forward(x, bank, masks, spec)
-fhat = secondary_matrix(bank, masks, spec)
+# separate masks: one mask column per secondary, primary-major
+fhat = np.repeat(bank.filter_matrix(), spec.s, axis=1) * masks.dense()
 y_ref = np.stack(
     [conv_reference(x, fhat[:, j].reshape(3, 3, 16), bias=bank.biases[j])
      for j in range(spec.n_secondary)],

@@ -65,13 +65,12 @@ def _run_one_training(config: RunConfig, out):
     images, labels = load_dataset_dir(data_root, "train")
 
     log_path = config.get("out.log")
-    log_lines: list[str] = []
-    fit(model, images, labels, tc, log=log_lines.append)
     if log_path:
-        Path(log_path).write_text("\n".join(log_lines) + "\n")
+        # line-buffered, so that a run that fails keeps the records of its steps
+        with open(log_path, "w", buffering=1) as log:
+            fit(model, images, labels, tc, log=lambda line: log.write(line + "\n"))
     else:
-        for line in log_lines:
-            out(line)
+        fit(model, images, labels, tc, log=out)
 
     save_checkpoint(model, config.get("out.checkpoint"))
     out(f"checkpoint written to {config.get('out.checkpoint')}")
@@ -126,6 +125,8 @@ def cmd_export_masks(args, out) -> int:
     model = load_checkpoint(args.checkpoint)
     convs = [l for l in model.conv_layers() if l.spec.variant != "standard"]
     if args.layer is not None:
+        if not convs:
+            raise ConfigError(f"--layer {args.layer}: the model has no masked conv layer")
         if not 0 <= args.layer < len(convs):
             raise ConfigError(f"--layer {args.layer} out of range (0..{len(convs) - 1})")
         convs = [convs[args.layer]]
@@ -167,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export-masks", help="dump bit-packed mask records")
     p_export.add_argument("--checkpoint", required=True)
     p_export.add_argument("--out", required=True)
-    p_export.add_argument("--layer", type=int, default=None)
+    p_export.add_argument(
+        "--layer", type=int, default=None, help="index among the masked (non-standard) conv layers"
+    )
     p_export.set_defaults(fn=cmd_export_masks)
     return parser
 

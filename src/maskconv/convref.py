@@ -1,6 +1,6 @@
 """Reference convolution: patch extraction and exact, fixed-order kernels.
 
-Everything else in the package is checked against this module, so the two
+Everything else in the package is checked against this module, so the
 conventions below are load-bearing and must never drift:
 
 Canonical vectorization order.
@@ -25,23 +25,35 @@ Fixed reduction order.
     where it is, as in a filter gradient, its unrolled loop's order is
     fixed by that axis's length.  A lone output would be summed pairwise,
     in 8192-term chunks or in SIMD lanes, so an output whose last axis has
-    length 1 is computed beside a zero slice.  No sum's order depends on
-    how many outputs sit beside it, on thread count or on which entries
-    are zero, so a masked filter whose masked entries stay in place as
-    zeros reproduces the reference convolution bit for bit.  A column of
-    ``-0.0`` products sums to ``+0.0``; any other kernel that must match
-    these bits has to start its sums from zero too.  On numpy's x86-64
-    baseline build einsum multiplies and adds separately, with no fused
-    multiply-add; a build whose einsum fuses them would break this
+    length 1 is computed beside a zero slice; :func:`column_sums` and the
+    layers' bias gradient pad a lone column or map the same way.  No sum's
+    order depends on how many outputs sit beside it, on thread count or on
+    which entries are zero, so a masked filter whose masked entries stay
+    in place as zeros reproduces the reference convolution bit for bit,
+    but for the sign and payload of a NaN, which follow operand order.  A
+    column of ``-0.0`` products sums to ``+0.0``; any other kernel that
+    must match these bits has to start its sums from zero too.  On numpy's
+    x86-64 baseline build einsum multiplies and adds separately, with no
+    fused multiply-add; a build whose einsum fuses them would break this
     contract, and ``tests/test_differential.py`` is what catches that.
 
 Patch extraction is a pure copy.
-    :func:`im2col` moves values and never computes with them, so a
-    patch column holds the input's exact bits.  Columns run over output
-    positions with a batch's images innermost, and the layers store a
-    ``(B, H, W, c)`` batch as ``(c, H, W, B)``, so each tap copy and
-    scatter runs along ``w * B`` values; no forward output or input
-    gradient depends on that order, but sums over positions do.
+    :func:`im2col` moves values and never computes with them, so a patch
+    column holds the input's exact bits: the zero-padded input is copied
+    once, and one copy of a read-only strided view of its windows fills
+    the columns.
+
+Batch-innermost memory order.
+    Patch columns run over output positions with a batch's images
+    innermost: column ``(p*w_out + q)*B + b`` is output pixel ``(p, q)``
+    of image ``b``.  The layers store a ``(B, H, W, c)`` activation, and
+    its gradient, as ``(c, H, W, B)`` under the channel-last shape (one
+    image as ``(c, H, W)``), so each tap copy, scatter and pooling view
+    runs along ``w * B`` values and no layer transposes;
+    :func:`_channels_first` and :func:`_channels_last` are the one pair of
+    views between the two.  No forward output, input gradient or
+    elementwise result depends on that order, but sums over positions,
+    the filter, mask and bias gradients, do.
 
 Inputs are ``H x W x c`` arrays (``im2col`` also takes a ``B x H x W x c``
 batch), filters ``d x d x c``, outputs ``H' x W'`` with
@@ -73,13 +85,10 @@ def conv_output_size(size: int, d: int, stride: int = 1, padding: int = 0) -> in
 
 
 def column_sums(products: np.ndarray) -> np.ndarray:
-    """Sum a 2-d array over axis 0 in an order fixed by its shape.
+    """Sum a 2-d array over axis 0 in the fixed reduction order.
 
-    ``np.add.reduce`` over the leading axis of a C-contiguous array with
-    two or more columns accumulates row by row, from ``+0.0``; a lone
-    ``(v, 1)`` column, which numpy would sum pairwise, is reduced beside a
-    zero column.  So every column is summed in an order that depends only
-    on ``v``.  :func:`conv_reference` reduces through here, and
+    Row by row from ``+0.0``, a lone column beside a zero column (see the
+    module docstring).  :func:`conv_reference` reduces through here, and
     :func:`_contract` accumulates in the same order without forming the
     products array.
     """
@@ -90,11 +99,9 @@ def column_sums(products: np.ndarray) -> np.ndarray:
 
 
 def _contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
-    """``np.einsum(subscripts, a, b, out=out)`` in the fixed reduction order.
-
-    An output whose last axis has length 1 is computed beside a zero slice
-    and cropped.  Private, since the bench traces each public function.
-    """
+    """``np.einsum(subscripts, a, b, out=out)`` in the fixed reduction order
+    of the module docstring.  Private, since the bench traces each public
+    function."""
     inputs, output = subscripts.split("->")
     a_axes, b_axes = inputs.split(",")
     last = output[-1]
@@ -121,12 +128,12 @@ def vec(block: np.ndarray) -> np.ndarray:
 class PatchMatrix:
     """im2col result: one column per output position, canonical vec order.
 
-    ``cols`` has shape ``(d*d*c, h_out*w_out*B)``; columns are
-    batch-innermost, so column ``(p*w_out + q)*B + b`` is the vectorized
-    receptive field of output pixel ``(p, q)`` of image ``b``.  A single
-    ``(H, W, c)`` image is a batch of one without the batch axis.
-    ``in_shape`` is the shape of the (unpadded) input; ``source``, if
-    set, a weak reference to it, which keeps no input alive.
+    ``cols`` has shape ``(d*d*c, h_out*w_out*B)``, each column the
+    vectorized receptive field of one output pixel, in the batch-innermost
+    order of the module docstring; a single ``(H, W, c)`` image is a batch
+    of one without the batch axis.  ``in_shape`` is the shape of the
+    (unpadded) input; ``source``, if set, a weak reference to it, which
+    keeps no input alive.
     """
 
     cols: np.ndarray
@@ -179,14 +186,11 @@ def im2col(x: np.ndarray, d: int, stride: int = 1, padding: int = 0) -> PatchMat
     cells read as zero.  Raises :class:`ShapeError` when the kernel
     exceeds the padded input.
 
-    A pure copy: the input, as ``(c, H, W, *batch)`` and zero-padded, is
-    copied once, then one copy of a read-only strided view of its windows
-    fills a ``(d, d, c, h_out, w_out, *batch)`` buffer whose reshape is
-    ``cols``.  With no padding, an input already stored that way (a batch
-    as the layers pass it on, or a one-channel image), or any C-contiguous
-    input at ``d = 1``, is viewed in place instead, so the one copy is the
-    windows'.  No arithmetic touches the values, so the columns hold the
-    input's exact bits.
+    A pure copy (see the module docstring): the windows fill a ``(d, d,
+    c, h_out, w_out, *batch)`` buffer whose reshape is ``cols``.  With no
+    padding, an input already stored ``(c, H, W, *batch)`` (a batch as the
+    layers pass it on, or a one-channel image), or any C-contiguous input
+    at ``d = 1``, is viewed in place, so the one copy is the windows'.
     """
     x = _check_input(x, batch_ok=True)
     *batch, h, w, c = x.shape
@@ -257,12 +261,10 @@ def conv_reference(
     """Ground-truth single-filter convolution.
 
     ``y[p, q]`` is the sum over the receptive field of elementwise
-    products, plus ``bias``.  Bit-identical to a matmul over im2col
-    columns because both run the same fixed-order reduction.  Products
-    are formed and summed :data:`REFERENCE_BLOCK_BYTES` of columns at a
-    time, so the call holds the patch matrix and one block of products;
-    each column sums alone in :func:`column_sums`, so the bits are those
-    of one pass.
+    products, plus ``bias``, summed by :func:`column_sums`.  Products are
+    formed and summed :data:`REFERENCE_BLOCK_BYTES` of columns at a time,
+    so the call holds the patch matrix and one block of products; each
+    column sums alone, so the bits are those of one pass.
     """
     x = _check_input(x)
     f = np.asarray(f)
@@ -284,11 +286,9 @@ def matmul_conv(patches: PatchMatrix, filters: np.ndarray) -> np.ndarray:
     """Convolution in matrix form: ``Y = X^T F``.
 
     ``filters`` is ``(d*d*c, n)``; the returned ``(l, n)`` matrix holds the
-    full feature map of filter ``i`` in column ``i``, in column order.  One
-    :func:`_contract` writes the maps as rows of an ``(n, l)`` array and
-    the transpose is returned, so each output takes its products one patch
-    row after another, the order of :func:`column_sums`, and the result
-    matches :func:`conv_reference` exactly.
+    full feature map of filter ``i`` in column ``i``, in column order: the
+    transpose of one :func:`_contract` into ``(n, l)`` rows, which matches
+    :func:`conv_reference` exactly.
     """
     cols = patches.cols
     if filters.shape[0] != cols.shape[0]:

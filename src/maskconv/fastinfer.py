@@ -23,8 +23,9 @@ keeps (:class:`maskconv.layers.MaskLayout`).  For all but separate and
 random-fixed bits, which it runs as a dense masked-filter matrix, the
 ADD tally is the multiply-adds it ran on finite inputs, less those of
 masks that repeat an earlier one of their group.  Tallies never read input
-values, so the exact closed forms of :func:`predict_counts` (all but
-bit-mask ADDs) hold on every input.
+values: when an inf or NaN sends the kernel down its full view, the ADDs
+are still the scheme's, so the exact closed forms of
+:func:`predict_counts` (all but bit-mask ADDs) hold on every input.
 """
 
 from __future__ import annotations
@@ -89,15 +90,10 @@ def cached_forward(
 ) -> tuple[np.ndarray, OpCounts]:
     """Forward pass plus the tallies of the cached-product scheme.
 
-    ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.  The
-    output is :func:`maskconv.layers.bank_forward`'s, bit for bit and
-    C-contiguous.  The :class:`OpCounts` are what the scheme executes on
-    this call: ``k`` product passes over every patch, one ADD per
-    mask-selected entry, and for bit masks one MASK op per entry and mask.
-    The ADDs are each secondary's kept rows, from
-    :func:`maskconv.layers.mask_layout`.  The tally never reads input
-    values: when an ``inf`` or NaN sends the kernel down its full-view
-    fallback, the ADDs are still the scheme's count, not the fallback's.
+    ``x`` is one ``(H, W, c)`` image or a ``(B, H, W, c)`` batch.  Returns
+    :func:`maskconv.layers.bank_forward`'s output, bit for bit and
+    C-contiguous, with the :class:`OpCounts` that the module docstring's
+    cost model gives this call.
     """
     pm = im2col(x, spec.d, spec.stride, spec.padding)
     y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))

@@ -12,36 +12,12 @@ then filter 2, and so on.  Variants:
 ``channel``    sliding channel windows, no biases;
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
-Every mask is a set of patch rows, and a layer's :class:`MaskLayout`,
-derived once per spec and mask bits (:func:`mask_layout`), states which:
-the rows each mask keeps, the masks that repeat an earlier one of their
-group, and the row groups of the input gradient.  The one forward,
-:func:`forward_patches`, runs each distinct masked secondary once over
-the rows its mask keeps and copies its maps to the repeats; the one
-backward, :func:`bank_backward`, runs a spatial or channel filter
-gradient per mask as the forward does, and its input gradient per row
-group.  Standard conv is the single full view.  Separate and
-random-fixed bits keep an explicit masked-filter matrix of their
-distinct secondaries over it, since a gather per secondary copies about
-as much as it saves, and every learnable filter gradient runs each
-secondary over all rows, since the straight-through mask gradient takes
-the term of every bit.  Every product goes through
-:func:`maskconv.convref._contract`, so every sum follows the fixed
-reduction order of :mod:`maskconv.convref`: the order of a dense
-contraction with the masked entries left in place as zeros.  So each
+One forward, :func:`forward_patches`, and one backward,
+:func:`bank_backward`, serve every variant on an image or a batch.  Each
 output channel equals ``conv_reference(x, mask * filter) + bias``
-exactly, but for the sign and payload of a NaN, which follow operand
-order (the layout's docstring says why skipped rows keep that true).
-The backward maps the per-secondary filter gradient onto primaries and
-masks without keeping it, and can skip a first layer's input gradient;
-its gradients on non-finite inputs are not pinned to any reference.
-
-Activations keep the core's batch-innermost memory order, ``(n, H', W',
-B)``: the forward returns its ``(..., H', W', n)`` maps as a view of the
-contraction's ``(n, l)`` rows, the backward reads ``dL/dy`` as such rows
-and returns the input gradient as a view of a ``(c, H, W, B)`` buffer.
-Shapes stay channel-last.  :func:`bank_forward` returns a C-contiguous
-copy for callers outside a network.
+exactly, a NaN counting as one NaN.  What each mask keeps, which rows a
+kernel may skip and which maps repeat is :class:`MaskLayout`'s rule; the
+reduction and memory orders are :mod:`maskconv.convref`'s.
 """
 
 from __future__ import annotations
@@ -192,11 +168,6 @@ def random_bank(spec: LayerSpec, seed: int, scale: float = 1.0, dtype=np.float64
     return FilterBank(filters, biases)
 
 
-def secondary_matrix(bank: FilterBank, masks: MaskSet | None, spec: LayerSpec) -> np.ndarray:
-    """Explicit (d*d*c, n) matrix of masked secondary filters, primary-major."""
-    return np.repeat(bank.filter_matrix(), spec.s, axis=1) * mask_layout(spec, masks).selector.T
-
-
 ROW_GROUP_SKIP = 4
 """Products a row group of shared bit masks must skip per mask it keeps, for
 each of which it copies the maps of ``dL/dy``, to get an input-gradient
@@ -208,20 +179,27 @@ _FULL = slice(None)
 class MaskLayout:
     """What a layer's masks select from its patch rows (see :func:`mask_layout`).
 
-    **Kept rows.**  The ``d*d*c`` patch rows form a ``grid`` ``(T, R)``:
-    ``(d, d*c)`` for spatial squares, ``(d*d, c)`` for channel windows,
-    ``(1, d*d*c)`` otherwise.  Mask ``j`` keeps the rows ``views[j]``, a
-    ``(t, r)`` index of it: slices for a spatial square or channel window,
-    and for one shared group of bit masks its set bits' ascending index
-    array, or a full slice if it keeps every row.  Standard layers and
-    separate or random-fixed bits have one full view.  ``kept`` counts each
-    mask's rows, ``columns`` maps secondary ``i*s + j`` to mask ``(i*s + j)
-    % n_masks``, and bit masks that are not the spec's ``mask_groups``
-    groups of ``s`` raise :class:`ShapeError`.  On finite patches and
+    **Bits.**  ``bits`` is the layer's one ``(d*d*c, n_masks)`` bit matrix:
+    a learnable layer's mask bits, a spatial or channel layer's
+    :meth:`LayerSpec.structural_masks`, one all-ones column for a standard
+    layer.  ``kept`` counts each mask's rows and ``skips_rows`` says that
+    one drops a row.  ``columns`` maps secondary ``i*s + j`` to mask
+    ``(i*s + j) % n_masks``, and bit masks that are not the spec's
+    ``mask_groups`` groups of ``s`` raise :class:`ShapeError`.
+
+    **Kept rows.**  The rows form a ``grid`` ``(T, R)``: ``(d, d*c)`` for
+    spatial squares, ``(d*d, c)`` for channel windows, ``(1, d*d*c)``
+    otherwise.  Mask ``j`` keeps the rows ``views[j]``, a ``(t, r)`` index
+    of it: slices for a spatial square or channel window, and for one
+    shared group of bit masks its set bits' ascending index array, or a
+    full slice if it keeps every row.  Standard layers have one full view,
+    and so have separate and random-fixed bits: their forward runs the
+    distinct secondaries' masked filters over it, since a gather per
+    secondary copies about as much as it saves.  On finite patches and
     filters a skipped row drops only signed-zero addends, which change no
     sum from ``+0.0``; with an inf or NaN it would drop a ``0 * inf`` term,
-    so the forward then runs the full view.  ``skips_rows``: a view drops
-    a row.
+    so the forward then runs the full view.  The backward never falls
+    back, which README's "Numerics and determinism" states as a limit.
 
     **Repeats.**  ``sources[g, j]`` is the first mask of group ``g`` with
     mask ``j``'s bits, or ``sources`` is ``None`` when no mask repeats one.
@@ -250,8 +228,11 @@ class MaskLayout:
         if learnable and (masks is None or (masks.bits_per_mask, masks.n_masks) != (v, s * groups)):
             got = "none" if masks is None else f"{masks.n_masks} of {masks.bits_per_mask} bits"
             raise ShapeError(f"spec {spec} needs {s * groups} masks of {v} bits, got {got}")
-        self._bits = bits = masks.bits if learnable else None
+        given = masks if learnable else spec.structural_masks()
+        self.bits = bits = np.ones((v, 1), dtype=bool) if given is None else given.bits
         self.columns = np.arange(n) % (s * groups)
+        self.kept = bits.sum(axis=0)
+        self.skips_rows = bool(self.kept.min() < v)
 
         self.grid, self.views, row_sets = (1, v), [(_FULL, _FULL)], [(_FULL, _FULL, slice(0, s))]
         if spec.variant == "spatial":
@@ -277,19 +258,13 @@ class MaskLayout:
                 row_sets.append((_FULL, slice(lo, hi), slice(min(s, j0), min(s, j1))))
         elif learnable and groups == 1:
             self.views = [(_FULL, rows if len(rows) < v else _FULL) for rows in map(np.flatnonzero, bits.T)]
-            if (bits == bits[0]).all():  # one pattern, as in all-ones masks: skip the sort
-                order, starts = np.arange(v), [0]
-            else:
-                order = np.lexsort(bits.T[::-1])  # rows sorted by bit pattern, ascending within one
-                changes = np.any(bits[order[1:]] != bits[order[:-1]], axis=1).nonzero()[0]
-                starts = [0, *(changes + 1).tolist()]
+            order = np.lexsort(bits.T[::-1])  # rows sorted by bit pattern, ascending within one
+            changes = np.any(bits[order[1:]] != bits[order[:-1]], axis=1).nonzero()[0]
+            starts = [0, *(changes + 1).tolist()]
             row_sets = []
             for a, b in zip(starts, [*starts[1:], v]):
                 on = bits[order[a]].nonzero()[0]
                 row_sets.append((_FULL, order[a:b] if b - a < v else _FULL, on if len(on) < s else slice(0, s)))
-        cells = np.empty(self.grid, dtype=bool)  # indexed in place of the rows, so that none is copied
-        self.kept = bits.sum(axis=0) if learnable else np.array([cells[view].size for view in self.views])
-        self.skips_rows = bool(self.kept.min() < v)
 
         self.row_groups, self.joined = [], []
         for t, r, on in row_sets:
@@ -301,12 +276,13 @@ class MaskLayout:
         self.joined_rows = np.sort(np.concatenate(rest)) if len(rest) > 1 else rest[0] if rest else None
 
         self.sources = None
-        if learnable and s > 1:
-            if bits.all():  # all ones: one first mask per group, without comparing
-                first = np.zeros((groups, s), dtype=np.intp)
-            else:
-                by_group = bits.T.reshape(groups, s, -1)  # a C-contiguous row per mask
-                first = (by_group[:, :, None] == by_group[:, None]).all(axis=-1).argmax(axis=-1)
+        if s > 1:
+            # first[g, j]: the first mask of group g with mask j's bits, each mask's
+            # bits a dict key, so that no pair of masks is compared
+            first = np.empty((groups, s), dtype=np.intp)
+            for g, group in enumerate(bits.T.reshape(groups, s, -1)):
+                seen = {}
+                first[g] = [seen.setdefault(mask.tobytes(), j) for j, mask in enumerate(group)]
             # first[g, j] <= j, so the sum falls short of that of every j iff some mask repeats
             self.sources = first if first.sum() < groups * (s * (s - 1) // 2) else None
         maps = np.arange(n)
@@ -322,14 +298,9 @@ class MaskLayout:
 
     @property
     def selector(self) -> np.ndarray:
-        """``(n, d*d*c)`` C-contiguous bools: the rows each secondary's mask
-        keeps, built on each use, so that no index range is kept dense."""
-        if self._bits is not None:
-            return self._bits.T[self.columns]
-        keep = np.zeros((len(self.views), *self.grid), dtype=bool)
-        for j, view in enumerate(self.views):
-            keep[j][view] = True
-        return keep.reshape(len(self.views), -1)[self.columns]
+        """``(n, d*d*c)`` C-contiguous bools, the rows each secondary's mask
+        keeps: ``bits`` per secondary, built on each use."""
+        return self.bits.T[self.columns]
 
 
 def mask_layout(spec: LayerSpec, masks: MaskSet | None = None) -> MaskLayout:
@@ -353,16 +324,11 @@ def forward_patches(
 ) -> np.ndarray:
     """Forward pass over an :func:`im2col` patch matrix of an image or a batch.
 
-    Output ``pm.out_shape + (n,)``, primary-major, in batch-innermost
-    memory order: a view of contiguous ``(n, l)`` rows, each plus its bias
-    in place, so ``(n, h_out, w_out, *batch)`` axes are C-contiguous.  It
-    runs the distinct maps of :func:`mask_layout` and copies them to the
-    repeats.  For one shared group, one :func:`convref._contract` per
-    distinct mask contracts the rows its view keeps, sliced or gathered,
-    with the primaries' matching entries.  Separate and random-fixed bits,
-    and a shared group whose views drop a row when the input or the
-    filters are not all finite, run the distinct secondaries' filters,
-    zeroed outside their masks, as one contraction over the full view.
+    Returns the ``pm.out_shape + (n,)`` maps, primary-major, plus biases,
+    as a view of contiguous ``(n, l)`` rows in the core's batch-innermost
+    memory order (see :mod:`maskconv.convref`).  Each distinct masked
+    secondary runs once, over the rows its mask keeps or over the full
+    view, and its repeats copy its maps, as :class:`MaskLayout` states.
     """
     biases = bank.biases if spec.has_biases else None
     if biases is not None and len(biases) != spec.n_secondary:
@@ -370,9 +336,8 @@ def forward_patches(
     k, s, n = spec.k, spec.s, spec.n_secondary
     layout = mask_layout(spec, masks)
     cols, filters = pm.cols, np.ascontiguousarray(bank.filters)
-    # the full view keeps every term (see MaskLayout), and for separate bits a
-    # gather per secondary copies about as much as it saves.  Decided before
-    # maps is allocated, beside which isfinite's temporary would raise the peak.
+    # decided before maps is allocated, beside which isfinite's temporary
+    # would raise the peak
     full_view = spec.mask_groups > 1 or (
         layout.skips_rows and not (pm.finite() and np.isfinite(filters).all())
     )
@@ -451,20 +416,13 @@ def bank_backward(
     read when the forward's ``patches`` are passed.  Passed ``patches`` are
     consumed: once the filter gradient has read them, the input-gradient
     columns reuse their buffer, unless it is read-only, not C-contiguous
-    or of another dtype.  The input gradient has
-    ``x``'s shape in batch-innermost memory order (see :func:`convref.col2im`),
-    or is ``None`` with ``input_grad=False``, which skips its products and
-    scatter.  ``grad_y`` is read as ``(n, l)`` map rows, so its memory
-    order does not change the bits.  A spatial or channel filter gradient
-    runs per mask view of :func:`mask_layout`, as the forward does; a
-    learnable one runs every masked secondary over all rows, so that
-    each mask bit, cleared ones too, gets its term.  The input gradient
-    runs per row group of the layout with the secondaries of its masks.
-    Each sum takes the terms of a dense contraction over the masked
-    filters, in the order of :mod:`maskconv.convref`.  The bias gradient sums
-    each map's row with a C ``einsum`` without ``optimize``, a lone map
-    beside a zero row.  Primary and mask gradients sum their secondaries'
-    terms in index order, each sum from zero.
+    or of another dtype.  Returns the :class:`BankGrads` summed over the
+    batch; the input gradient has ``x``'s shape in the core's memory
+    order, or is ``None`` with ``input_grad=False``, which skips its
+    products and scatter.  The filter gradient runs per mask view and the
+    input gradient per row group of :class:`MaskLayout`, each sum in the
+    order of :mod:`maskconv.convref`, so ``grad_y``'s memory order does
+    not change the bits.
     """
     if patches is None:
         if x is None:
@@ -528,9 +486,9 @@ def bank_backward(
         dtype = np.result_type(fmat, grad_T)
         reuse = cols.dtype == dtype and cols.flags.c_contiguous and cols.flags.writeable
         grad_cols = (cols if reuse else np.empty(cols.shape, dtype)).reshape(*grid, l)
-        learnable = spec.variant == "learnable"
-        # the (1, v, k, s) masked secondaries of a learnable layer, else the (T, R, k) primaries
-        f_grid = fmat.reshape(*grid, k, s) if learnable else fmat.reshape(*grid, k)
+        # (T, R, k, s): a learnable layer's masked secondaries, else its primaries
+        # over every mask, since all the masks of a group keep all of its rows
+        f_grid = np.broadcast_to(fmat.reshape(*grid, k, -1), (*grid, k, s))
         jobs = list(layout.row_groups)
         if layout.joined_rows is not None:  # over all masks, the cleared bits' secondaries zero
             jobs.append((_FULL, layout.joined_rows, slice(0, s)))
@@ -539,10 +497,8 @@ def bank_backward(
             if run == 0:
                 grad_cols[t, r] = 0
                 continue
-            if learnable:
-                f_run = f_grid[t, r][..., kept].reshape(1, -1, k * run)
-            else:  # np.repeat copies element by element, slower than a plain copy
-                f_run = np.repeat(f_grid[t, r], run, axis=-1) if run != 1 else np.ascontiguousarray(f_grid[t, r])
+            f_run = np.ascontiguousarray(f_grid[t, r][..., kept])
+            f_run = f_run.reshape(*f_run.shape[:2], k * run)
             terms = grad_ks[:, kept].reshape(k * run, l)
             if isinstance(r, slice):
                 _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])

@@ -1,19 +1,13 @@
 """Small sequential CNN with manual backprop, batched over images.
 
-Layers operate on ``(B, H, W, c)`` arrays.  The convolution layer runs
-the filter-bank core of :mod:`maskconv.layers` on the whole batch, whose
-fixed-order reductions make per-sample outputs equal the single-image
-path bit for bit (see the reduction order in :mod:`maskconv.convref`).
-The dense layers' products go through the same fixed-order contraction,
-so each output sums its terms in index order whatever the layer's width.
-
-Conv activations and their gradients keep the core's batch-innermost
-memory order between layers: the shapes are channel-last, ``(B, H, W,
-c)``, but the memory is ``(c, H, W, B)``, so pooling runs along stretches
-of ``w * B`` values.  ``MaskedConv`` passes its output on as the core
-returns it, ReLU and ``AvgPool2`` keep their input's order, and
-``Flatten`` hands its gradient back in its input's order, so no layer
-transposes.  Elementwise results do not depend on the memory order.
+Layers operate on ``(B, H, W, c)`` arrays.  :class:`MaskedConv` runs the
+filter-bank core of :mod:`maskconv.layers` on the whole batch, and the
+dense layers' products go through the same contraction, so a batch's
+outputs equal its single images' bit for bit.  Conv activations and
+their gradients keep the core's batch-innermost memory order between
+layers (both orders: :mod:`maskconv.convref`): ``MaskedConv`` passes its
+output on as the core returns it, ReLU and ``AvgPool2`` keep their
+input's order, and ``Flatten`` hands its gradient back in its input's.
 
 A layer's forward keeps what its backward reads in ``_saved``, and the
 backward drops it, as :meth:`Network.release` does when none follows.
@@ -37,10 +31,12 @@ from maskconv.layers import (
 from maskconv.masks import MaskSet, agent_update, from_dense, ortho_grad, ortho_loss
 
 CONV_BYTES_MAX = 1 << 30
-"""Largest patch matrix or output a :class:`MaskedConv` forward allocates:
-1 GiB, ~70x the shipped models' largest (conv1's patches at ``evaluate``'s
-batch of 256, 14.75 MB).  A checkpoint header cannot size an allocation
-past it: the patch rows grow with ``d``, the maps with ``k``.  The
+"""Largest patch matrix, output or masked-filter matrix a :class:`MaskedConv`
+forward allocates: 1 GiB, ~70x the shipped models' largest (conv1's
+patches at ``evaluate``'s batch of 256, 14.75 MB).  A checkpoint header
+cannot size an allocation past it: the patch rows grow with ``d``, the
+maps with ``k``, and a channel layer's mask bits and full-view masked
+filters (:class:`maskconv.layers.MaskLayout`) with its ``s`` windows.  The
 backward adds no second patch-sized buffer: its input-gradient columns
 reuse the patch matrix's."""
 
@@ -49,8 +45,8 @@ class MaskedConv:
     """Convolution layer deriving its outputs from masked primary filters.
 
     The layer is its spec, its :class:`FilterBank` and, iff learnable, its
-    masks; :meth:`init` draws fresh ones.  The kernels read spatial
-    squares and channel windows from the spec, as index ranges.
+    masks; :meth:`init` draws fresh ones.  What the masks select is the
+    layer's :func:`maskconv.layers.mask_layout`.
     ``grads`` holds the last backward's :class:`BankGrads`, without the
     input gradient, which is passed on instead.  The backward consumes the
     forward's patch matrix: :func:`bank_backward` reuses its buffer.
@@ -84,11 +80,16 @@ class MaskedConv:
                 f"layer {spec.name}: expected a B x H x W x {spec.c} batch, got {xb.shape}"
             )
         h_out, w_out, _ = spec.output_shape(xb.shape[1], xb.shape[2])
-        rows = max(spec.d * spec.d * spec.c, spec.n_secondary)  # patch rows or output maps
-        need = rows * len(xb) * h_out * w_out * self.bank.filters.itemsize
+        v, n, itemsize = spec.d * spec.d * spec.c, spec.n_secondary, self.bank.filters.itemsize
+        need = max(v, n) * len(xb) * h_out * w_out * itemsize  # patch rows or output maps
         if need > CONV_BYTES_MAX:
             raise ShapeError(
                 f"layer {spec.name}: a {xb.shape} batch needs {need} bytes of patches or maps,"
+                f" over the {CONV_BYTES_MAX}-byte limit"
+            )
+        if v * n * itemsize > CONV_BYTES_MAX:
+            raise ShapeError(
+                f"layer {spec.name}: {n} masked filters of {v} values need {v * n * itemsize} bytes,"
                 f" over the {CONV_BYTES_MAX}-byte limit"
             )
         xb = xb.astype(self.bank.filters.dtype, copy=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
 from maskconv.datagen import _FONT, IMAGE_SIZE, _blur
-from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches, secondary_matrix
+from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches
 from maskconv.masks import from_dense
 
 
@@ -144,7 +144,7 @@ def secondary_grads(grad_y, x, bank, masks, spec):
     secondaries: ``bank_backward`` runs the same contraction on the same
     operands for any variant, then maps it onto primaries and masks.
     """
-    fhat = secondary_matrix(bank, masks, spec)
+    fhat = secondary_matrix_loop(bank, masks, spec)
     n = spec.n_secondary
     plain = LayerSpec("standard", d=spec.d, c=spec.c, k=n, stride=spec.stride, padding=spec.padding)
     filters = np.ascontiguousarray(fhat.T).reshape(n, spec.d, spec.d, spec.c)
@@ -155,7 +155,7 @@ def secondary_grads(grad_y, x, bank, masks, spec):
 def bias_grads(grad_y, x, bank, masks, spec):
     """The bias gradient of a standard layer whose ``n`` filters are the
     secondaries and whose biases are the layer's: masks do not enter it."""
-    fhat = secondary_matrix(bank, masks, spec)
+    fhat = secondary_matrix_loop(bank, masks, spec)
     n = spec.n_secondary
     plain = LayerSpec("standard", d=spec.d, c=spec.c, k=n, stride=spec.stride, padding=spec.padding)
     filters = np.ascontiguousarray(fhat.T).reshape(n, spec.d, spec.d, spec.c)

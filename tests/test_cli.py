@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from maskconv import network
+from maskconv import cli, network
 from maskconv.accounting import shipped_netspec_path
 from maskconv.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from maskconv.cli import main
@@ -137,6 +137,35 @@ def test_train_writes_checkpoint_log_and_config(tmp_path, dataset):
     for record in records:
         fields = dict(part.split("=") for part in record.split())
         assert {"step", "loss", "task_loss", "ortho_loss", "accuracy", "flip_rate"} <= set(fields)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out.log"])
+@np.errstate(all="ignore")  # a 1e30 step overflows: the divergence is the point here
+def test_train_that_fails_keeps_the_records_of_its_steps(tmp_path, dataset, to_file):
+    # at lr 1e30 step 1 logs finite metrics and step 2's loss is not finite
+    log_path = tmp_path / "train.log"
+    extra = {"train.lr": "1e30", "model.variant": "standard"}
+    if to_file:
+        extra["out.log"] = str(log_path)
+    out = Capture()
+    assert main(["train", "--config", str(small_config(tmp_path, dataset, **extra))], out=out) == 1
+    assert out.lines[-1].startswith("error: non-finite loss")
+    logged = [line for line in out.lines if line.startswith("step=")]
+    if to_file:
+        assert logged == []
+        logged = log_path.read_text().splitlines()
+    assert [line.split()[0] for line in logged] == ["step=1"]
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_with_an_unwritable_log_fails_before_training(tmp_path, dataset, monkeypatch):
+    steps = []
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: steps.append(args))
+    cfg = small_config(tmp_path, dataset, **{"out.log": str(tmp_path / "missing" / "train.log")})
+    out = Capture()
+    assert main(["train", "--config", str(cfg)], out=out) == 1
+    assert out.lines[-1].startswith("error: ") and "train.log" in out.lines[-1]
+    assert steps == [] and not (tmp_path / "model.ckpt").exists()
 
 
 def test_train_deterministic_checkpoints(tmp_path, dataset):
@@ -368,6 +397,34 @@ def test_export_masks_writes_the_masks_the_spec_derives(tmp_path, variant, kwarg
     assert (tmp_path / "m.bin").read_bytes() == want.getvalue()
 
 
+def test_export_masks_layer_counts_masked_convs_only(tmp_path):
+    # a channel model's conv1 is standard, so --layer 0 is conv2
+    model = build_small_cnn("channel", conv1_maps=6, conv2_maps=8, hidden=8, c_hat=3, g=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    conv2 = model.conv_layers()[1]
+    want = io.BytesIO()
+    write_mask_records(conv2.spec.structural_masks(), want)
+    args = ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin")]
+    out = Capture()
+    assert main([*args, "--layer", "0"], out=out) == 0
+    assert (tmp_path / "m.bin").read_bytes() == want.getvalue()
+    assert out.text == f"wrote {conv2.spec.s} mask records from 1 layers to {tmp_path / 'm.bin'}"
+    for layer in ("1", "-1"):
+        out = Capture()
+        assert main([*args, "--layer", layer], out=out) == 2
+        assert out.text == f"config error: --layer {layer} out of range (0..0)"
+
+
+def test_export_masks_layer_of_a_model_without_masked_convs_exits_2(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_small_cnn("standard", conv1_maps=2, conv2_maps=2, hidden=4), path)
+    out = Capture()
+    args = ["export-masks", "--checkpoint", str(path), "--out", str(tmp_path / "m.bin"), "--layer", "0"]
+    assert main(args, out=out) == 2
+    assert out.text == "config error: --layer 0: the model has no masked conv layer"
+
+
 def test_export_masks_hostile_checkpoint_exits_1(tmp_path):
     # a 51-byte conv record declaring d = c = k = 60000
     header = struct.pack("<BB8If", 0, 0, 60000, 60000, 60000, 1, 0, 0, 1, 0, 0.0)
@@ -473,6 +530,32 @@ def test_train_undecodable_config_exits_2(tmp_path):
     out = Capture()
     assert main(["train", "--config", str(path)], out=out) == 2
     assert out.text.startswith(f"config error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message",
+    [
+        ({"run.cfg": "train.seed 3\n"}, ["train", "--config", "run.cfg"], 2, "line 1: expected key=value"),
+        ({}, ["train", "--config", "none.cfg"], 2, "config file not found"),
+        ({}, ["train", "--set", "train.seed"], 2, "override must be key=value"),
+        ({}, ["train", "--sweep", "train.lambda"], 2, "--sweep needs key=v1,v2,..."),
+        (
+            {"net.netspec": "layer conv1 d=3 c=1 n=8 variant=standard s=1 chat=0 g=0 stride=1 pad=1 hw28\n"},
+            ["count-ops", "net.netspec"],
+            1,
+            "line 1: malformed field 'hw28'",
+        ),
+    ],
+    ids=["config-line", "config-file", "set", "sweep", "netspec-field"],
+)
+def test_malformed_settings_exit_with_their_code(tmp_path, monkeypatch, files, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = Capture()
+    assert main(argv, out=out) == code
+    assert out.lines[-1].startswith("config error: " if code == 2 else "error: ")
+    assert message in out.lines[-1]
 
 
 def test_usage_error_exit_code():

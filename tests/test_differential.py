@@ -56,7 +56,6 @@ from maskconv.layers import (
     bank_forward,
     mask_layout,
     random_bank,
-    secondary_matrix,
 )
 from maskconv.masks import from_dense
 from maskconv.network import AvgPool2, Dense, MaskedConv, build_small_cnn
@@ -244,7 +243,6 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
         assert (pm.in_shape, pm.out_shape) == (pm_want.in_shape, pm_want.out_shape)
 
         fhat = secondary_matrix_loop(bank, masks, spec)
-        assert_same_bits(secondary_matrix(bank, masks, spec), fhat)
         want = reference_maps(x, fhat, bank.biases, spec)
 
         assert_same_contiguous_bits(bank_forward(x, bank, masks, spec), want)

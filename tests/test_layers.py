@@ -8,9 +8,9 @@ from maskconv.layers import (
     LayerSpec,
     bank_backward,
     bank_forward,
+    mask_layout,
     naive_sum_forward,
     random_bank,
-    secondary_matrix,
 )
 from maskconv.masks import from_dense, random_masks, spatial_masks
 
@@ -463,11 +463,9 @@ def test_backward_keeps_patches_it_cannot_reuse(name):
 
 
 def test_secondary_matrix_spatial_structure():
-    spec = LayerSpec("spatial", d=3, c=1, k=2)
-    bank = random_bank(spec, seed=2)
-    fhat = secondary_matrix(bank, spec.structural_masks(), spec)
-    assert fhat.shape == (9, 4)
-    assert np.array_equal(fhat[:, 0], bank.filters[0].reshape(-1))
-    center_only = np.zeros(9)
-    center_only[4] = bank.filters[0].reshape(-1)[4]
-    assert np.array_equal(fhat[:, 1], center_only)
+    # each secondary's kept rows: the full square, then the center, per primary
+    selector = mask_layout(LayerSpec("spatial", d=3, c=1, k=2)).selector
+    assert selector.shape == (4, 9) and selector.flags.c_contiguous
+    center_only = np.zeros(9, dtype=bool)
+    center_only[4] = True
+    assert np.array_equal(selector, [[True] * 9, center_only] * 2)

@@ -14,13 +14,15 @@ from maskconv.layers import (
     STRATEGIES,
     VARIANTS,
     BankGrads,
+    FilterBank,
     LayerSpec,
     bank_backward,
     bank_forward,
-    secondary_matrix,
 )
 from maskconv.masks import from_dense
 from maskconv.network import MaskedConv, Network, build_small_cnn
+
+from oracles import secondary_matrix_loop
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,7 +69,7 @@ def test_batched_conv_equals_single_image_core_and_reference(variant, dtype):
         xb = rng.normal(size=(3, h, w, spec.c)).astype(dtype)
         yb = conv.forward(xb)
         assert yb.dtype == dtype
-        fhat = secondary_matrix(bank, reference_masks(conv), spec)
+        fhat = secondary_matrix_loop(bank, reference_masks(conv), spec)
         for i in range(3):
             assert np.array_equal(yb[i], bank_forward(xb[i], bank, masks, spec))
             for j in range(spec.n_secondary):
@@ -118,7 +120,7 @@ def test_batch_of_one_position_images_equals_singles_and_reference(variant, dtyp
         assert yb.shape == (3, 1, 1, spec.n_secondary)
         singles = np.stack([bank_forward(x, bank, masks, spec) for x in xb])
         assert np.array_equal(yb, singles)
-        fhat = secondary_matrix(bank, reference_masks(conv), spec)
+        fhat = secondary_matrix_loop(bank, reference_masks(conv), spec)
         for i in range(3):
             for j in range(spec.n_secondary):
                 f = fhat[:, j].reshape(spec.d, spec.d, spec.c)
@@ -321,6 +323,20 @@ def test_update_masks_returns_the_exact_count_of_flipped_bits():
     frozen = MaskedConv.init(LayerSpec("learnable", d=3, c=2, k=2, strategy="random-fixed", s=2), seed=0)
     before = frozen.masks
     assert frozen.update_masks(lr=1.0, lam=0.0) == (0, 0) and frozen.masks is before
+
+
+def test_conv_forward_refuses_masked_filters_over_the_byte_limit(monkeypatch):
+    # a channel layer of 1-channel windows at stride 1 has s = c: its layout's
+    # mask bits and full-view masked filters grow as v * n, past any patch or map
+    spec = LayerSpec("channel", d=1, c=64, k=1, c_hat=1, g=1)
+    conv = MaskedConv(spec, FilterBank(np.ones((1, 1, 1, 64), np.float32)))
+    x = np.ones((1, 1, 1, 64), np.float32)
+    monkeypatch.setattr(network, "CONV_BYTES_MAX", 64 * 64 * 4 - 1)
+    with pytest.raises(ShapeError, match="64 masked filters of 64 values need 16384 bytes"):
+        conv.forward(x)
+    assert "_layouts" not in vars(spec)  # refused before the layout was derived
+    monkeypatch.setattr(network, "CONV_BYTES_MAX", 64 * 64 * 4)
+    assert conv.forward(x).shape == (1, 1, 1, 64)
 
 
 def test_conv_forward_refuses_patches_or_maps_over_the_byte_limit(monkeypatch):

@@ -90,6 +90,8 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from None
         config = parse_config_text(text, source=str(path))
     for item in overrides or []:
         if "=" not in item:

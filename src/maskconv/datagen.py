@@ -30,43 +30,58 @@ _FONT = {
 
 IMAGE_SIZE = 28
 
+# images rendered at once: bounds the float64 working set of generate_digits
+CHUNK = 128
 
-# the ten 0/1 glyphs, built once
-_GLYPHS = {d: np.array([[ch == "#" for ch in row] for row in rows], dtype=np.float64) for d, rows in _FONT.items()}
+# the ten 0/1 glyphs, stacked by digit
+_GLYPHS = np.array([[[ch == "#" for ch in row] for row in _FONT[d]] for d in range(10)], dtype=np.float64)
 
 
 def _blur(img: np.ndarray) -> np.ndarray:
-    # cheap 3x3 box blur via shifted copies
-    padded = np.pad(img, 1)
+    # cheap 3x3 box blur of the last two axes via shifted copies
+    h, w = img.shape[-2:]
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1), (1, 1)])
     out = np.zeros_like(img)
     for dy in (0, 1, 2):
         for dx in (0, 1, 2):
-            out += padded[dy : dy + img.shape[0], dx : dx + img.shape[1]]
+            out += padded[..., dy : dy + h, dx : dx + w]
     return out / 9.0
 
 
-def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
-    """One noisy 28x28 rendering of a digit, values in [0, 1]."""
-    sy = int(rng.integers(2, 4))
-    sx = int(rng.integers(2, 4))
-    img = _GLYPHS[digit].repeat(sy, 0).repeat(sx, 1)
-    shear = float(rng.uniform(-0.15, 0.15))
-    h, w = img.shape
-    # row r rolled right by its shift, as one gather
-    shift = np.array([round(shear * (r - h / 2)) for r in range(h)])
-    img = img[np.arange(h)[:, None], (np.arange(w) - shift[:, None]) % w]
-    img = img * float(rng.uniform(0.85, 1.0))
-    if rng.random() < 0.25:
-        img = _blur(img)
+def _render_chunk(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Noisy 28x28 renderings of ``labels`` scaled to [0, 255], rounded.
 
-    canvas = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
-    max_y = IMAGE_SIZE - img.shape[0]
-    max_x = IMAGE_SIZE - img.shape[1]
-    y0 = int(rng.integers(0, max_y + 1))
-    x0 = int(rng.integers(0, max_x + 1))
-    canvas[y0 : y0 + img.shape[0], x0 : x0 + img.shape[1]] = img
-    canvas += rng.normal(0.0, 0.04, size=canvas.shape)
-    return np.clip(canvas, 0.0, 1.0)
+    Each image draws, in order: its glyph scales ``sy`` and ``sx``, shear,
+    intensity, blur flag, placement ``y0`` and ``x0``, then its pixel
+    noise.  The images are then rendered a glyph size at a time.
+    """
+    integers, uniform = rng.integers, rng.uniform
+    canvas = np.empty((len(labels), IMAGE_SIZE, IMAGE_SIZE))
+    draws = []
+    for noise in canvas:
+        sy, sx = integers(2, 4), integers(2, 4)
+        shear, intensity, blur = uniform(-0.15, 0.15), uniform(0.85, 1.0), rng.random() < 0.25
+        y0, x0 = integers(0, IMAGE_SIZE - 7 * sy + 1), integers(0, IMAGE_SIZE - 5 * sx + 1)
+        noise[:] = rng.normal(0.0, 0.04, size=noise.shape)
+        draws.append((sy, sx, shear, intensity, blur, y0, x0))
+    sy, sx, shear, intensity, blur, y0, x0 = np.array(draws).T  # exact: small ints, bools, float64
+    for a, b in ((2, 2), (2, 3), (3, 2), (3, 3)):  # the glyph scales (sy, sx)
+        (idx,) = np.nonzero((sy == a) & (sx == b))
+        h, w = 7 * a, 5 * b
+        img = _GLYPHS[labels[idx]].repeat(a, 1).repeat(b, 2)
+        # row r rolled right by round(shear * (r - h/2)), as one gather
+        shift = np.round(shear[idx, None] * (np.arange(h) - h / 2)).astype(np.intp)
+        img = np.take_along_axis(img, (np.arange(w) - shift[:, :, None]) % w, axis=2)
+        img *= intensity[idx, None, None]
+        flagged = blur[idx] == 1
+        img[flagged] = _blur(img[flagged])
+        rows = y0[idx, None, None].astype(np.intp) + np.arange(h)[:, None]
+        cols = x0[idx, None, None].astype(np.intp) + np.arange(w)
+        # noise + glyph: the bits of a zero canvas with the glyph placed, then += noise
+        canvas[idx[:, None, None], rows, cols] += img
+    np.clip(canvas, 0.0, 1.0, out=canvas)
+    canvas *= 255
+    return np.round(canvas, out=canvas)
 
 
 def generate_digits(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,8 +89,8 @@ def generate_digits(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n).astype(np.uint8)
     images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.uint8)
-    for i, digit in enumerate(labels):
-        images[i] = np.round(render_digit(int(digit), rng) * 255).astype(np.uint8)
+    for start in range(0, n, CHUNK):
+        images[start : start + CHUNK] = _render_chunk(labels[start : start + CHUNK], rng)
     return images, labels
 
 

@@ -20,7 +20,7 @@ A set holds ``k`` groups of ``s`` masks, ``k`` fixed by the layer spec's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class MaskSet:
     column; it is a read-only copy, kept column-major, each mask
     contiguous.  ``s`` is the per-primary-filter mask count (scales,
     windows, or learned masks); ``k`` is the number of groups of ``s``, 1
-    for a group every primary shares.
+    for a group every primary shares.  The structural builders pass
+    ``_adopt`` to hand over a fresh boolean matrix in that layout, which
+    the set then keeps without a copy.
     """
 
     kind: str
@@ -56,11 +58,13 @@ class MaskSet:
     c: int
     s: int
     k: int = 1
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         if self.kind not in KINDS:
             raise MaskError(f"unknown mask kind {self.kind!r}")
-        self.bits = np.array(self.bits, dtype=bool, order="F")  # a copy: the caller's stays writeable
+        if not _adopt:
+            self.bits = np.array(self.bits, dtype=bool, order="F")  # a copy: the caller's stays writeable
         self.bits.flags.writeable = False  # so that the layouts kept on the set stay true
         v, n = self.d * self.d * self.c, self.s * self.k
         if self.bits.shape != (v, n):
@@ -129,8 +133,8 @@ def spatial_masks(d: int, c: int) -> MaskSet:
     for i in range(1, s + 1):
         grid = np.zeros((d, d), dtype=bool)
         grid[i - 1 : d + 1 - i, i - 1 : d + 1 - i] = True
-        bits[i - 1] = np.repeat(grid.reshape(-1), c)
-    return MaskSet("spatial", bits.T, d, c, s, 1)
+        bits[i - 1].reshape(d * d, c)[:] = grid.reshape(-1, 1)
+    return MaskSet("spatial", bits.T, d, c, s, 1, _adopt=True)
 
 
 def channel_windows(d: int, c: int, c_hat: int, g: int) -> MaskSet:
@@ -150,8 +154,8 @@ def channel_windows(d: int, c: int, c_hat: int, g: int) -> MaskSet:
     for i in range(n):
         chans = np.zeros(c, dtype=bool)
         chans[i * g : i * g + c_hat] = True
-        bits[i] = np.tile(chans, d * d)
-    return MaskSet("channel-window", bits.T, d, c, n, 1)
+        bits[i].reshape(d * d, c)[:] = chans
+    return MaskSet("channel-window", bits.T, d, c, n, 1, _adopt=True)
 
 
 def random_masks(k: int, s: int, d: int, c: int, seed: int) -> MaskSet:

@@ -18,7 +18,7 @@ a time, so that no map is a copy of another.
 import numpy as np
 
 from maskconv.convref import PatchMatrix, column_sums, conv_output_size
-from maskconv.datagen import _FONT, IMAGE_SIZE, _blur
+from maskconv.datagen import _FONT, IMAGE_SIZE
 from maskconv.layers import FilterBank, LayerSpec, bank_backward, forward_patches
 from maskconv.masks import from_dense
 
@@ -363,9 +363,24 @@ def forward_each_secondary(pm, bank, masks, spec):
     return np.concatenate(maps, axis=-1)
 
 
-def render_digit_rolled(digit, rng):
-    """``datagen.render_digit`` with a glyph built per call, ``np.kron``
-    scaling and a per-row ``np.roll`` shear; the same draws in the same order."""
+def blur_2d(img):
+    """3x3 box blur of a 2-D image: nine shifted copies of the zero-padded
+    image summed in ``(dy, dx)`` order, then divided by 9."""
+    h, w = img.shape
+    padded = np.zeros((h + 2, w + 2))
+    padded[1 : h + 1, 1 : w + 1] = img
+    total = np.zeros((h, w))
+    for dy in range(3):
+        for dx in range(3):
+            total = total + padded[dy : dy + h, dx : dx + w]
+    return total / 9.0
+
+
+def render_digit_rolled(digit, rng, drawn=None):
+    """One noisy ``[0, 1]`` rendering of a digit, with a glyph built per
+    call, ``np.kron`` scaling and a per-row ``np.roll`` shear; the draws of
+    ``datagen.generate_digits``, one image at a time.  ``drawn``, if
+    given, gets the image's ``(sy, sx, blurred)``."""
     glyph = np.array([[ch == "#" for ch in row] for row in _FONT[digit]], dtype=np.float64)
     sy = int(rng.integers(2, 4))
     sx = int(rng.integers(2, 4))
@@ -374,8 +389,11 @@ def render_digit_rolled(digit, rng):
     mid = img.shape[0] / 2
     img = np.stack([np.roll(row, int(round(shear * (r - mid)))) for r, row in enumerate(img)])
     img = img * float(rng.uniform(0.85, 1.0))
-    if rng.random() < 0.25:
-        img = _blur(img)
+    blurred = rng.random() < 0.25
+    if blurred:
+        img = blur_2d(img)
+    if drawn is not None:
+        drawn.append((sy, sx, blurred))
     canvas = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
     y0 = int(rng.integers(0, IMAGE_SIZE - img.shape[0] + 1))
     x0 = int(rng.integers(0, IMAGE_SIZE - img.shape[1] + 1))

@@ -537,6 +537,7 @@ def test_train_undecodable_config_exits_2(tmp_path):
     [
         ({"run.cfg": "train.seed 3\n"}, ["train", "--config", "run.cfg"], 2, "line 1: expected key=value"),
         ({}, ["train", "--config", "none.cfg"], 2, "config file not found"),
+        ({"dir.cfg/x": ""}, ["train", "--config", "dir.cfg"], 2, "dir.cfg: cannot read config file"),
         ({}, ["train", "--set", "train.seed"], 2, "override must be key=value"),
         ({}, ["train", "--sweep", "train.lambda"], 2, "--sweep needs key=v1,v2,..."),
         (
@@ -546,11 +547,12 @@ def test_train_undecodable_config_exits_2(tmp_path):
             "line 1: malformed field 'hw28'",
         ),
     ],
-    ids=["config-line", "config-file", "set", "sweep", "netspec-field"],
+    ids=["config-line", "config-file", "config-directory", "set", "sweep", "netspec-field"],
 )
 def test_malformed_settings_exit_with_their_code(tmp_path, monkeypatch, files, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
     out = Capture()
     assert main(argv, out=out) == code

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from maskconv.datagen import generate_digits, render_digit, write_dataset
+from maskconv.datagen import CHUNK, IMAGE_SIZE, generate_digits, write_dataset
 from maskconv.idx import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
@@ -165,12 +165,32 @@ def test_default_digit_stream_is_pinned(tmp_path):
     assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == DIGIT_STREAM_SHA256
 
 
-def test_render_digit_matches_rolled_oracle():
-    for seed in (0, 3, 11):
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for i in range(200):
-            got = render_digit(i % 10, rng)
-            assert got.tobytes() == render_digit_rolled(i % 10, oracle_rng).tobytes()
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_generate_digits_matches_rolled_oracle_loop(seed):
+    drawn = []
+    for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 10, size=n).astype(np.uint8)
+        images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.uint8)
+        for i, digit in enumerate(labels):
+            images[i] = np.round(render_digit_rolled(int(digit), rng, drawn) * 255).astype(np.uint8)
+        got_images, got_labels = generate_digits(n, seed)
+        assert (got_images.shape, got_images.dtype) == (images.shape, images.dtype)
+        assert (got_labels.shape, got_labels.dtype) == (labels.shape, labels.dtype)
+        assert got_images.tobytes() == images.tobytes()
+        assert got_labels.tobytes() == labels.tobytes()
+    # every glyph size and both blur branches were rendered
+    assert {(sy, sx) for sy, sx, _ in drawn} == {(2, 2), (2, 3), (3, 2), (3, 3)}
+    assert {blurred for _, _, blurred in drawn} == {False, True}
+
+
+@pytest.mark.parametrize("n", [2048, 8192])
+def test_generate_digits_working_set_is_bounded_by_the_chunk(n, traced_peak):
+    generate_digits(1, 0)  # imports numpy's lazily loaded modules outside the trace
+    (images, _), peak = traced_peak(lambda: generate_digits(n, seed=1))
+    assert images.nbytes == n * IMAGE_SIZE**2
+    # beyond the output, two chunk-sized float64 canvases, whatever n is
+    assert peak - images.nbytes < 2 * CHUNK * IMAGE_SIZE**2 * 8
 
 
 def test_write_dataset_and_load_dir(tmp_path):

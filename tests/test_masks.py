@@ -405,6 +405,15 @@ def test_packing_occurs_only_in_masks():
     assert not [name for name, text in sources.items() if ".words" in text]
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: channel_windows(1, 4096, 1, 1), lambda: spatial_masks(9, 2048)], ids=["channel", "spatial"]
+)
+def test_structural_builders_hold_one_copy_of_their_bits(build, traced_peak):
+    masks, peak = traced_peak(build)
+    assert not masks.bits.flags.writeable and masks.bits.flags.f_contiguous
+    assert peak <= 1.1 * masks.bits.nbytes
+
+
 def test_maskset_wrong_mask_count_rejected():
     with pytest.raises(MaskError):
         MaskSet("learned-separate", np.ones((9, 3)), 3, 1, 2, k=2)

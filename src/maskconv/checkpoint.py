@@ -124,7 +124,7 @@ def _read_conv(r: Reader) -> MaskedConv:
         if n_masks != s * spec.mask_groups:  # before the words are read
             raise MaskError(f"{spec.mask_kind} mask set expects {s * spec.mask_groups} masks, got {n_masks}")
         bits = from_words(r.array((n_masks, n_words), "<u4", "mask words"), d * d * c)
-        masks = MaskSet(spec.mask_kind, bits, d, c, s, spec.mask_groups)
+        masks = MaskSet(spec.mask_kind, bits, d, c, s, spec.mask_groups, _adopt=True)
     return MaskedConv(spec, FilterBank(filters, biases), masks)
 
 

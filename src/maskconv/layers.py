@@ -168,11 +168,6 @@ def random_bank(spec: LayerSpec, seed: int, scale: float = 1.0, dtype=np.float64
     return FilterBank(filters, biases)
 
 
-ROW_GROUP_SKIP = 4
-"""Products a row group of shared bit masks must skip per mask it keeps, for
-each of which it copies the maps of ``dL/dy``, to get an input-gradient
-contraction of its own (see :class:`MaskLayout`)."""
-
 _FULL = slice(None)
 
 
@@ -198,8 +193,9 @@ class MaskLayout:
     secondary copies about as much as it saves.  On finite patches and
     filters a skipped row drops only signed-zero addends, which change no
     sum from ``+0.0``; with an inf or NaN it would drop a ``0 * inf`` term,
-    so the forward then runs the full view.  The backward never falls
-    back, which README's "Numerics and determinism" states as a limit.
+    so the forward then runs the full view.  A spatial or channel backward
+    never falls back, which README's "Numerics and determinism" states as
+    a limit; a bit-mask backward always runs the full view.
 
     **Repeats.**  ``sources[g, j]`` is the first mask of group ``g`` with
     mask ``j``'s bits, or ``sources`` is ``None`` when no mask repeats one.
@@ -210,15 +206,12 @@ class MaskLayout:
     with the distinct maps in the first rows.
 
     **Row groups.**  The input gradient splits the rows by the set of masks
-    that keeps them: each group ``(t, r, kept)`` indexes the grid and the
-    masks.  Spatial rings and channel segments are rectangles kept by a
-    run of masks; shared bits' rows are grouped by bit pattern, ``r``
-    ascending indices (a full slice for all rows) and ``kept`` the set
-    bits' (``0:s`` for all masks); other layers have one group of every
-    row and mask.  A bit-mask group whose rows times dropped masks fall
-    below :data:`ROW_GROUP_SKIP` times kept masks is ``joined``: those
-    groups' ``joined_rows`` run one contraction over all masks.  The other
-    groups, ``row_groups``, run on their own.
+    that keeps them: each of the ``row_groups`` ``(t, r, kept)`` slices the
+    grid and the masks.  Spatial rings and channel segments are rectangles
+    kept by a run of masks, possibly none.  Every other layer has one group
+    of every row and mask: a bit-mask layer's input gradient runs all its
+    masked secondaries, a cleared bit a zero in them, as its filter
+    gradient does.
     """
 
     def __init__(self, spec: LayerSpec, masks: MaskSet | None = None):
@@ -234,46 +227,30 @@ class MaskLayout:
         self.kept = bits.sum(axis=0)
         self.skips_rows = bool(self.kept.min() < v)
 
-        self.grid, self.views, row_sets = (1, v), [(_FULL, _FULL)], [(_FULL, _FULL, slice(0, s))]
+        self.grid, self.views, self.row_groups = (1, v), [(_FULL, _FULL)], [(_FULL, _FULL, slice(0, s))]
         if spec.variant == "spatial":
             self.grid = (d, d * c)
             self.views = [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
-            row_sets = []
+            self.row_groups = []
             for q in range(s):  # ring q, kept by squares 0..q: top and bottom rows, then the sides
                 lo, hi = q, d - 1 - q
                 width = slice(lo * c, (hi + 1) * c)
-                row_sets += [(slice(a, a + 1), width, slice(0, q + 1)) for a in sorted({lo, hi})]
+                self.row_groups += [(slice(a, a + 1), width, slice(0, q + 1)) for a in sorted({lo, hi})]
                 if hi - lo > 1:
                     sides = (slice(b * c, (b + 1) * c) for b in (lo, hi))
-                    row_sets += [(slice(lo + 1, hi), side, slice(0, q + 1)) for side in sides]
+                    self.row_groups += [(slice(lo + 1, hi), side, slice(0, q + 1)) for side in sides]
         elif spec.variant == "channel":
             self.grid = (d * d, c)
             starts = range(0, s * spec.g, spec.g)
             self.views = [(_FULL, slice(a, a + spec.c_hat)) for a in starts]
             edges = sorted({0, c, *starts, *(a + spec.c_hat for a in starts)})
-            row_sets = []
+            self.row_groups = []
             for lo, hi in zip(edges, edges[1:]):
                 # channels lo:hi lie in the windows that start at or before lo, less those that end there
                 j0, j1 = max(0, (lo - spec.c_hat) // spec.g + 1), lo // spec.g + 1
-                row_sets.append((_FULL, slice(lo, hi), slice(min(s, j0), min(s, j1))))
+                self.row_groups.append((_FULL, slice(lo, hi), slice(min(s, j0), min(s, j1))))
         elif learnable and groups == 1:
             self.views = [(_FULL, rows if len(rows) < v else _FULL) for rows in map(np.flatnonzero, bits.T)]
-            order = np.lexsort(bits.T[::-1])  # rows sorted by bit pattern, ascending within one
-            changes = np.any(bits[order[1:]] != bits[order[:-1]], axis=1).nonzero()[0]
-            starts = [0, *(changes + 1).tolist()]
-            row_sets = []
-            for a, b in zip(starts, [*starts[1:], v]):
-                on = bits[order[a]].nonzero()[0]
-                row_sets.append((_FULL, order[a:b] if b - a < v else _FULL, on if len(on) < s else slice(0, s)))
-
-        self.row_groups, self.joined = [], []
-        for t, r, on in row_sets:
-            run = on.stop - on.start if isinstance(on, slice) else len(on)
-            rows = v if isinstance(r, slice) else len(r)
-            joins = learnable and run and rows * (s - run) < ROW_GROUP_SKIP * run
-            (self.joined if joins else self.row_groups).append((t, r, on))
-        rest = [r for _, r, _ in self.joined]
-        self.joined_rows = np.sort(np.concatenate(rest)) if len(rest) > 1 else rest[0] if rest else None
 
         self.sources = None
         if s > 1:
@@ -420,9 +397,11 @@ def bank_backward(
     batch; the input gradient has ``x``'s shape in the core's memory
     order, or is ``None`` with ``input_grad=False``, which skips its
     products and scatter.  The filter gradient runs per mask view and the
-    input gradient per row group of :class:`MaskLayout`, each sum in the
-    order of :mod:`maskconv.convref`, so ``grad_y``'s memory order does
-    not change the bits.
+    input gradient per row group of :class:`MaskLayout`; a bit-mask layer
+    runs both over every row and masked secondary, a cleared bit a zero
+    term, so both equal the dense masked products even with an inf or NaN.
+    Each sum runs in the order of :mod:`maskconv.convref`, so ``grad_y``'s
+    memory order does not change the bits.
     """
     if patches is None:
         if x is None:
@@ -489,21 +468,11 @@ def bank_backward(
         # (T, R, k, s): a learnable layer's masked secondaries, else its primaries
         # over every mask, since all the masks of a group keep all of its rows
         f_grid = np.broadcast_to(fmat.reshape(*grid, k, -1), (*grid, k, s))
-        jobs = list(layout.row_groups)
-        if layout.joined_rows is not None:  # over all masks, the cleared bits' secondaries zero
-            jobs.append((_FULL, layout.joined_rows, slice(0, s)))
-        for t, r, kept in jobs:
-            run = kept.stop - kept.start if isinstance(kept, slice) else len(kept)
-            if run == 0:
-                grad_cols[t, r] = 0
-                continue
+        for t, r, kept in layout.row_groups:  # rows that no mask keeps sum no term: zeros
             f_run = np.ascontiguousarray(f_grid[t, r][..., kept])
-            f_run = f_run.reshape(*f_run.shape[:2], k * run)
-            terms = grad_ks[:, kept].reshape(k * run, l)
-            if isinstance(r, slice):
-                _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
-            else:  # an index array: scatter
-                grad_cols[t, r] = _contract("trn,nl->trl", f_run, terms)
+            f_run = f_run.reshape(*f_run.shape[:2], -1)
+            terms = grad_ks[:, kept].reshape(f_run.shape[2], l)
+            _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
         grad_cols = grad_cols.reshape(cols.shape)
         grad_x = convref.col2im(grad_cols.astype(cols.dtype, copy=False), patches)
         if spec.variant == "spatial":

@@ -47,9 +47,10 @@ class MaskSet:
     column; it is a read-only copy, kept column-major, each mask
     contiguous.  ``s`` is the per-primary-filter mask count (scales,
     windows, or learned masks); ``k`` is the number of groups of ``s``, 1
-    for a group every primary shares.  The structural builders pass
-    ``_adopt`` to hand over a fresh boolean matrix in that layout, which
-    the set then keeps without a copy.
+    for a group every primary shares.  The builders of fresh bits, the
+    structural and random ones and a checkpoint's reader, pass ``_adopt``
+    to hand over a boolean matrix in that layout, which the set then keeps
+    without a copy.
     """
 
     kind: str
@@ -162,7 +163,7 @@ def random_masks(k: int, s: int, d: int, c: int, seed: int) -> MaskSet:
     """Fair-coin fixed masks, one group of s per primary filter."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(k * s, d * d * c), dtype=np.uint8)
-    return MaskSet("random-fixed", bits.T, d, c, s, k)
+    return MaskSet("random-fixed", bits.view(bool).T, d, c, s, k, _adopt=True)
 
 
 def _gram_blocks(masks: MaskSet | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,14 +238,15 @@ def agent_update(masks: MaskSet, grad_m: np.ndarray, lr: float) -> MaskSet:
         M <- (M - lr * grad_m) > 0
 
     which is the reset-and-clip rule ``clip(M - lr * grad_m, 0, 1) > 0``
-    entry for entry.  Consequences asserted in tests: a set bit flips off
-    only when ``lr * grad >= 1`` in a single step, while a cleared bit
-    flips on for any negative gradient.
+    entry for entry.  On 0/1 bits it is ``lr * grad_m < M``, which
+    compares each step with its bit and forms no real-valued ``M``.
+    Consequences asserted in tests: a set bit flips off only when
+    ``lr * grad >= 1`` in a single step, while a cleared bit flips on for
+    any negative gradient.
     """
-    m = masks.dense(np.float64)
-    if grad_m.shape != m.shape:
-        raise MaskError(f"grad shape {grad_m.shape} != mask shape {m.shape}")
-    return replace(masks, bits=m - lr * grad_m > 0)
+    if grad_m.shape != masks.bits.shape:
+        raise MaskError(f"grad shape {grad_m.shape} != mask shape {masks.bits.shape}")
+    return replace(masks, bits=lr * grad_m < masks.bits)
 
 
 def write_mask_records(masks: MaskSet, fileobj) -> None:

@@ -8,7 +8,8 @@ stay independent.  The rest keeps earlier formulations of library code
 forward and input gradient, the clipped-latent mask step, the per-row
 ``np.roll`` digit renderer, the one-pass reference convolution, the
 per-block orthogonality walk) that the current code must match byte for
-byte.  ``secondary_grads`` and
+byte.  ``secondary_grads_exact`` sums the per-secondary filter gradients
+in index order, exact on small-integer operands.  ``secondary_grads`` and
 ``bias_grads`` call the library to read the per-secondary gradients that
 ``bank_backward`` keeps to itself, through a standard layer of the
 secondary filters; ``forward_each_secondary`` calls it one secondary at
@@ -150,6 +151,26 @@ def secondary_grads(grad_y, x, bank, masks, spec):
     filters = np.ascontiguousarray(fhat.T).reshape(n, spec.d, spec.d, spec.c)
     grads = bank_backward(grad_y, x, FilterBank(filters), None, plain, input_grad=False)
     return grads.filters.reshape(n, -1).T
+
+
+def secondary_grads_exact(grad_y, x, spec):
+    """(d*d*c, n) gradients of the secondary filters as an index-order loop.
+
+    Every entry starts from ``+0.0`` and takes its terms one output
+    position at a time, image by image, over :func:`patches_brute`'s
+    columns.  Meant for small-integer float64 operands: every product and
+    partial sum is then an exact integer, so no summation order can change
+    the bits, and ``bank_backward``'s contraction is checked by a sum that
+    does not share its order.
+    """
+    images = x if x.ndim == 4 else x[None]
+    grads = grad_y.reshape(len(images), -1, spec.n_secondary)
+    ghat = np.zeros((spec.d * spec.d * spec.c, spec.n_secondary))
+    for image, grad in zip(images, grads):
+        cols = patches_brute(image, spec.d, spec.stride, spec.padding)
+        for p in range(cols.shape[1]):
+            ghat += cols[:, p : p + 1] * grad[p]
+    return ghat
 
 
 def bias_grads(grad_y, x, bank, masks, spec):

@@ -11,10 +11,11 @@ filters, the filter and mask gradients (from the secondary-filter
 gradients of a standard layer, the same contraction), the input gradient
 (an in-order sum over the secondary filters, scattered) and the
 cached-product ADD tally.  The view of each spatial, channel and shared
-bit mask must select exactly its set bits, and the row groups must split
-the rows by the set of masks that keeps them.  Bit masks all set, all
-clear, keeping one row and fair-coin must match the same oracles for
-every strategy.
+bit mask must select exactly its set bits, and a spatial or channel
+layer's row groups must split the rows by the set of masks that keeps
+them.  Bit masks all set, all clear, keeping one row and fair-coin must
+match the same oracles for every strategy, and their filter and mask
+gradients an exact-arithmetic index-order loop.
 ``bank_backward`` must give the same bytes whatever the memory order of
 ``dL/dy``, ``MaskedConv.backward`` the input gradient ``bank_backward``
 gives, and the sweep's gradients must hash to a pinned digest.
@@ -27,12 +28,12 @@ batch-innermost.  ``Dense``'s weight
 gradient must equal its batch-major ``einsum`` by bytes, and a lone
 filter or dense unit must give the bytes it gives beside a second one.
 A spatial backward on an ``inf`` input keeps its stated limit: ``inf``,
-not the dense oracle's NaN, at a tap a mask drops; so does a shared
-layer's input gradient on an ``inf`` in ``dL/dy``, at rows a group of
-its own keeps.
+not the dense oracle's NaN, at a tap a mask drops.  A shared layer's
+input gradient on an ``inf`` in ``dL/dy`` equals the dense oracle's.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -74,6 +75,7 @@ from oracles import (
     input_grad,
     matmul_conv_loop,
     secondary_grads,
+    secondary_grads_exact,
     secondary_matrix_loop,
 )
 
@@ -191,8 +193,9 @@ def reference_maps(x, fhat, biases, spec):
 
 
 def assert_ranges_select_mask_bits(spec, masks):
-    """Each mask's view holds exactly its set bits, and the row groups split
-    the rows by the set of masks that keeps them."""
+    """Each mask's view holds exactly its set bits.  A spatial or channel
+    layer's row groups split the rows by the set of masks that keeps them;
+    a bit-mask layer has one group of every row and mask."""
     layout = mask_layout(spec, masks)
     grid, views = layout.grid, layout.views
     bits = masks.dense().astype(bool).reshape(*grid, -1)
@@ -200,18 +203,16 @@ def assert_ranges_select_mask_bits(spec, masks):
         kept = np.zeros(grid, dtype=bool)
         kept[view] = True
         assert np.array_equal(kept, bits[..., j])
+    if spec.variant == "learnable":
+        assert layout.row_groups == [(slice(None), slice(None), slice(0, spec.s))]
+        return
     covered = np.zeros(grid, dtype=int)
-    groups = [*layout.row_groups, *layout.joined]
-    patterns = set()
-    for t, r, kept_masks in groups:
+    for t, r, kept_masks in layout.row_groups:
         covered[t, r] += 1
         run = np.zeros(spec.s, dtype=bool)
         run[kept_masks] = True
         assert (bits[t, r] == run).all()
-        patterns.add(run.tobytes())
     assert (covered == 1).all()
-    if spec.variant == "learnable":  # bit masks: one group per set of kept masks
-        assert len(patterns) == len(groups)
 
 
 # sha256 over the sweep's gradients, each BankGrads field and then the
@@ -298,6 +299,9 @@ def test_mask_layout_matches_per_secondary_loops_and_reference():
     assert digest.hexdigest() == SWEEP_GRADS_SHA256
 
 
+DENSITIES = ("all ones", "all clear", "one kept row", "fair coin")
+
+
 def density_masks(spec, density, rng):
     """The spec's ``mask_groups`` groups of ``s`` bit masks at one density."""
     v, n_masks = spec.d * spec.d * spec.c, spec.s * spec.mask_groups
@@ -324,7 +328,7 @@ def test_bit_mask_densities_match_dense_masked_oracles(strategy):
     for s in (1, 9):
         spec = LayerSpec("learnable", strategy=strategy, s=s, d=3, c=2, k=2)
         for dtype in (np.float32, np.float64):
-            for density in ("all ones", "all clear", "one kept row", "fair coin"):
+            for density in DENSITIES:
                 masks = density_masks(spec, density, rng)
                 if strategy == "shared":
                     assert_ranges_select_mask_bits(spec, masks)
@@ -376,6 +380,40 @@ def assert_same_bits_any_nan(got, want):
     assert_same_bits(one_nan(got), one_nan(want))
 
 
+@pytest.mark.parametrize("variant", [*VARIANTS[:3], *STRATEGIES])
+def test_filter_and_mask_grads_equal_an_exact_index_order_loop(variant):
+    """On small-integer float64 operands in [-3, 3] every partial sum is an
+    exact integer, so ``bank_backward``'s filter and mask gradients equal,
+    by bytes, those of ``secondary_grads_exact``, an index-order loop that
+    shares no code with the conv core.  Bit masks run at every density of
+    ``test_bit_mask_densities_match_dense_masked_oracles``, over stride 1
+    and 2, padding 0 and 1, odd and even ``d``, one image and a batch."""
+    rng = np.random.default_rng(29)
+
+    def small(*shape):
+        return rng.integers(-3, 4, size=shape).astype(np.float64)
+
+    for d, stride, padding, batch in itertools.product((2, 3), (1, 2), (0, 1), ((), (2,))):
+        geometry = dict(d=d, c=3, k=2, stride=stride, padding=padding)
+        if variant in STRATEGIES:
+            spec = LayerSpec("learnable", strategy=variant, s=3, **geometry)
+            cases = [density_masks(spec, density, rng) for density in DENSITIES]
+        else:
+            spec = LayerSpec(variant, **geometry, **(dict(c_hat=1, g=2) if variant == "channel" else {}))
+            cases = [spec.structural_masks()]
+        for masks in cases:
+            bank = layers.FilterBank(small(spec.k, d, d, spec.c), small(spec.n_secondary))
+            x = small(*batch, 5, 6, spec.c)
+            grad_y = small(*batch, *spec.output_shape(5, 6))
+            grads = bank_backward(grad_y, x, bank, masks, spec, input_grad=False)
+            want_f, want_m = grads_from_secondary_loop(secondary_grads_exact(grad_y, x, spec), bank, masks, spec)
+            assert_same_bits(grads.filters, want_f)
+            if want_m is None:
+                assert grads.masks is None
+            else:
+                assert_same_bits(grads.masks, want_m)
+
+
 @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are the point here
 def test_non_finite_inputs_forward_equals_reference():
     """``inf``, ``-inf`` and NaN in the input, or every fifth trial in the
@@ -422,12 +460,11 @@ def test_non_finite_inputs_forward_equals_reference():
 
 
 @np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here
-def test_non_finite_shared_input_grad_skips_cleared_bits():
-    """A stated limit, pinned: a shared layer's input gradient leaves out
-    the masks a row group drops even when ``dL/dy`` holds ``inf``.  Mask 1
-    keeps only channel 0, so channels 1-7 form a group of their own; where
-    the dense masked oracle adds ``0 * inf = NaN`` from map 1,
-    ``bank_backward`` gives a finite value."""
+def test_non_finite_shared_input_grad_equals_dense_masked_oracle():
+    """A shared layer's input gradient runs every masked secondary, a
+    cleared bit a zero in it, even when ``dL/dy`` holds ``inf``.  Mask 1
+    keeps only channel 0, so at channels 1-7 the dense masked oracle adds
+    ``0 * inf = NaN`` from map 1, and so does ``bank_backward``."""
     spec = LayerSpec("learnable", strategy="shared", s=2, d=1, c=8, k=1)
     bits = np.ones((8, 2), dtype=bool)
     bits[1:, 1] = False
@@ -437,9 +474,8 @@ def test_non_finite_shared_input_grad_skips_cleared_bits():
     grad_y = np.array([[[1.0, np.inf]]])
     got = bank_backward(grad_y, x, bank, masks, spec).x
     want = input_grad(grad_y, x, bank, masks, spec)
-    assert np.isfinite(got[0, 0, 1:]).all() and np.isnan(want[0, 0, 1:]).all()
-    got[0, 0, 1:] = want[0, 0, 1:] = 0.0
-    assert_same_bits(got, want)
+    assert np.isnan(want[0, 0, 1:]).all()
+    assert_same_bits_any_nan(got, want)
 
 
 @np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here

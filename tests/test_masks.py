@@ -271,12 +271,12 @@ def test_agent_update_negative_grad_flips_off_bit():
 
 def test_agent_update_clips_to_unit_interval():
     """The bits are those of the latent ``clip(M - lr*g, 0, 1)``, thresholded at 0,
-    at the edges too: exact zeros, subnormals, exactly ``1/lr`` and infinities."""
+    at the edges too: exact zeros, subnormals, exactly ``1/lr``, infinities and NaN."""
     rng = np.random.default_rng(4)
     tiny = np.finfo(np.float64).smallest_subnormal
     for lr in (0.1, 0.5, 2.0, 0.15):
         ms = random_learned("learned-separate", s=3, k=4, d=3, c=2, seed=int(10 * lr))
-        edges = np.array([0.0, -0.0, tiny, -tiny, 1 / lr, -1 / lr, np.inf, -np.inf])
+        edges = np.array([0.0, -0.0, tiny, -tiny, 1 / lr, -1 / lr, np.inf, -np.inf, np.nan])
         grad = np.where(
             rng.random(ms.dense().shape) < 0.5,
             rng.choice(edges, size=ms.dense().shape),
@@ -292,6 +292,17 @@ def test_agent_update_then_binarize_idempotent_without_grad():
     new = agent_update(ms, np.zeros((18, 4)), lr=0.5)
     again = agent_update(new, np.zeros((18, 4)), lr=0.5)
     assert np.array_equal(new.bits, ms.bits) and np.array_equal(again.bits, ms.bits)
+
+
+def test_agent_update_holds_no_real_valued_copy_of_the_bits(traced_peak):
+    """A step compares ``lr * grad`` with the bits themselves: its peak is
+    the step's one float array and a few bytes a bit, not a float64 ``M``
+    and ``M - lr * grad`` beside it."""
+    masks = random_masks(1, 1024, 1, 1024, 0)
+    grad = np.zeros(masks.bits.shape)
+    got, peak = traced_peak(lambda: agent_update(masks, grad, lr=0.1))
+    assert np.array_equal(got.bits, masks.bits)
+    assert peak <= 12.6e6  # half of the 25.2 MB that a float64 M and its difference took
 
 
 def test_agent_update_rejects_a_grad_of_another_shape():
@@ -406,7 +417,9 @@ def test_packing_occurs_only_in_masks():
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: channel_windows(1, 4096, 1, 1), lambda: spatial_masks(9, 2048)], ids=["channel", "spatial"]
+    "build",
+    [lambda: channel_windows(1, 4096, 1, 1), lambda: spatial_masks(9, 2048), lambda: random_masks(1, 1024, 1, 1024, 0)],
+    ids=["channel", "spatial", "random"],
 )
 def test_structural_builders_hold_one_copy_of_their_bits(build, traced_peak):
     masks, peak = traced_peak(build)

@@ -10,7 +10,8 @@ is distinct, so a map copied from the wrong primary or mask, or copied
 after the biases are added, shows.  A ``contract_spy`` pins the
 multiply-adds a forward issues: ``predict_counts``' ``mul_fp32`` for
 all-ones bits, and those of every secondary for fair-coin bits, which
-repeat no mask.
+repeat no mask; and the one input-gradient contraction a backward issues
+over every patch row and masked secondary, whatever the bits.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 from maskconv.convref import conv_reference, im2col
 from maskconv.fastinfer import cached_forward, masks_for_spec, predict_counts
-from maskconv.layers import STRATEGIES, LayerSpec, bank_forward, mask_layout, random_bank
+from maskconv.layers import STRATEGIES, LayerSpec, bank_backward, bank_forward, mask_layout, random_bank
 from maskconv.masks import from_dense
 from maskconv.network import MaskedConv
 
@@ -143,3 +144,19 @@ def test_fair_coin_forward_issues_every_secondarys_macs(strategy, contract_spy):
         contract_spy.calls.clear()
         forward()
         assert contract_spy.macs() == want
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fair_coin_backward_issues_one_input_gradient_contraction(strategy, contract_spy):
+    spec = LayerSpec("learnable", strategy=strategy, s=4, d=D, c=C, k=K)
+    masks = masks_for_spec(spec, seed=8)
+    x = np.random.default_rng(8).normal(size=(2, 6, 7, C)).astype(np.float32)
+    bank = random_bank(spec, 8, dtype=np.float32)
+    grad_y = np.ones((*x.shape[:1], *spec.output_shape(6, 7)), dtype=np.float32)
+    issued = []
+    for input_grad in (False, True):
+        contract_spy.calls.clear()
+        bank_backward(grad_y, x, bank, masks, spec, input_grad=input_grad)
+        issued.append((len(contract_spy.calls), contract_spy.macs()))
+    (calls, macs), (calls_x, macs_x) = issued
+    assert (calls_x - calls, macs_x - macs) == (1, spec.n_secondary * V * 4 * 5 * len(x))

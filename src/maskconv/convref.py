@@ -23,8 +23,10 @@ Fixed reduction order.
     operands, its inner loop runs along the output's last axis, so each
     output takes its products in index order, as :func:`column_sums` does;
     where it is, as in a filter gradient, its unrolled loop's order is
-    fixed by that axis's length.  A lone output would be summed pairwise,
-    in 8192-term chunks or in SIMD lanes, so an output whose last axis has
+    fixed by that axis's length, if both operands are 2-D: einsum's
+    buffered iterator cuts it into 8192-term runs past two outer axes
+    that do not merge.  A lone output would be summed pairwise, in
+    8192-term chunks or in SIMD lanes, so an output whose last axis has
     length 1 is computed beside a zero slice; :func:`column_sums` and the
     layers' bias gradient pad a lone column or map the same way.  No sum's
     order depends on how many outputs sit beside it, on thread count or on

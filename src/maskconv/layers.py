@@ -190,28 +190,29 @@ class MaskLayout:
     full slice if it keeps every row.  Standard layers have one full view,
     and so have separate and random-fixed bits: their forward runs the
     distinct secondaries' masked filters over it, since a gather per
-    secondary copies about as much as it saves.  On finite patches and
-    filters a skipped row drops only signed-zero addends, which change no
-    sum from ``+0.0``; with an inf or NaN it would drop a ``0 * inf`` term,
-    so the forward then runs the full view.  A spatial or channel backward
-    never falls back, which README's "Numerics and determinism" states as
-    a limit; a bit-mask backward always runs the full view.
+    secondary copies about as much as it saves.  The views are the
+    forward's.  On finite patches and filters a skipped row drops only
+    signed-zero addends, which change no sum from ``+0.0``; with an inf or
+    NaN it would drop a ``0 * inf`` term, so the forward then runs the full
+    view.  The backward runs over the row groups below and never falls
+    back, which README's "Numerics and determinism" states as a limit.
 
     **Repeats.**  ``sources[g, j]`` is the first mask of group ``g`` with
     mask ``j``'s bits, or ``sources`` is ``None`` when no mask repeats one.
     A repeated mask's secondaries equal the earlier mask's, so a forward
-    runs the ``distinct`` maps and copies the rest by ``(row, source row)``
-    pairs, in descending row order so that each row is read before it is
-    written: ``copies`` with each map in its own row, ``packed_copies``
-    with the distinct maps in the first rows.
+    runs the ``distinct`` maps into the first rows and moves the rest into
+    place by the ``copies``, ``(row, source row)`` pairs in descending row
+    order so that each row is read before it is written; a distinct map
+    that is not in its own row moves too.
 
-    **Row groups.**  The input gradient splits the rows by the set of masks
-    that keeps them: each of the ``row_groups`` ``(t, r, kept)`` slices the
-    grid and the masks.  Spatial rings and channel segments are rectangles
-    kept by a run of masks, possibly none.  Every other layer has one group
-    of every row and mask: a bit-mask layer's input gradient runs all its
-    masked secondaries, a cleared bit a zero in them, as its filter
-    gradient does.
+    **Row groups.**  The backward splits the rows by the set of masks that
+    keeps them: for each of the ``row_groups`` ``(t, r, kept)``, slices of
+    the grid and the masks, it runs the filter-gradient terms and then the
+    input-gradient columns of the kept masks.  Spatial rings and channel
+    segments are rectangles kept by a run of masks, possibly none.  Every
+    other layer has one group of every row and mask: a bit-mask layer runs
+    all its masked secondaries, a cleared bit a zero in them, and its
+    straight-through mask gradient takes every bit's term.
     """
 
     def __init__(self, spec: LayerSpec, masks: MaskSet | None = None):
@@ -263,15 +264,13 @@ class MaskLayout:
             # first[g, j] <= j, so the sum falls short of that of every j iff some mask repeats
             self.sources = first if first.sum() < groups * (s * (s - 1) // 2) else None
         maps = np.arange(n)
-        self.distinct, self.copies, self.packed_copies = maps, [], []
+        self.distinct, self.copies = maps, []
         if self.sources is not None:
             # each map's source: its primary's map of the first mask with its bits
             source = (np.arange(0, n, s)[:, None] + self.sources).reshape(-1)
             self.distinct = np.flatnonzero(source == maps)
-            self.copies, self.packed_copies = (
-                [(int(m), int(src[m])) for m in np.flatnonzero(src != maps)[::-1]]
-                for src in (source, np.searchsorted(self.distinct, source))
-            )
+            packed = np.searchsorted(self.distinct, source)  # the source's row among the distinct maps
+            self.copies = [(int(m), int(packed[m])) for m in np.flatnonzero(packed != maps)[::-1]]
 
     @property
     def selector(self) -> np.ndarray:
@@ -320,20 +319,19 @@ def forward_patches(
     )
     maps = np.empty((n, cols.shape[1]), dtype=np.result_type(cols, filters))
     distinct = layout.distinct
+    packed = maps[: len(distinct)]
     if full_view:
         masked = filters.reshape(k, -1)[distinct // s] * layout.selector[distinct]
         grid = (1, len(cols))
-        jobs = [((_FULL, _FULL), masked.reshape(-1, *grid), maps[: len(distinct)])]
-        copies = layout.packed_copies
+        jobs = [((_FULL, _FULL), masked.reshape(-1, *grid), packed)]
     else:
-        grid, by_mask = layout.grid, maps.reshape(k, s, -1)
-        masks_run = distinct[: len(distinct) // k]  # the first primary's distinct maps
-        jobs = [(layout.views[j], filters.reshape(k, *grid), by_mask[:, j]) for j in masks_run]
-        copies = layout.copies
+        grid, masks_run = layout.grid, distinct[: len(distinct) // k]  # the first primary's distinct maps
+        by_mask = packed.reshape(k, len(masks_run), -1)
+        jobs = [(layout.views[j], filters.reshape(k, *grid), by_mask[:, i]) for i, j in enumerate(masks_run)]
     rows = cols.reshape(*grid, -1)
     for (t, r), f_rows, out in jobs:
         _contract("trl,ktr->kl", rows[t, r], f_rows[:, t, r], out=out)
-    for m, source in copies:
+    for m, source in layout.copies:
         maps[m] = maps[source]
     if biases is not None:
         maps += biases[:, None]
@@ -396,10 +394,10 @@ def bank_backward(
     or of another dtype.  Returns the :class:`BankGrads` summed over the
     batch; the input gradient has ``x``'s shape in the core's memory
     order, or is ``None`` with ``input_grad=False``, which skips its
-    products and scatter.  The filter gradient runs per mask view and the
-    input gradient per row group of :class:`MaskLayout`; a bit-mask layer
-    runs both over every row and masked secondary, a cleared bit a zero
-    term, so both equal the dense masked products even with an inf or NaN.
+    products and scatter.  Both gradients run in one loop over the row
+    groups of :class:`MaskLayout`; a bit-mask layer's one group holds
+    every row and masked secondary, a cleared bit a zero term, so both
+    equal the dense masked products even with an inf or NaN.
     Each sum runs in the order of :mod:`maskconv.convref`, so ``grad_y``'s
     memory order does not change the bits.
     """
@@ -415,38 +413,47 @@ def bank_backward(
     # batch-innermost grad_y, as the layers pass it on, gives them without a copy
     grad_T = np.ascontiguousarray(convref._channels_first(grad_y)).reshape(n, -1)
     layout = mask_layout(spec, masks)
-    fmat = bank.filter_matrix()
-    grid, views = layout.grid, layout.views
-    if spec.variant == "learnable":
-        wide = np.repeat(fmat, spec.s, axis=1)
-        sel = layout.selector.T
-        fmat = wide * sel  # the masked secondaries
-        # the straight-through mask gradient takes every bit's term, cleared ones
-        # too, so the filter gradient runs each secondary over the one full view
-        views = [(_FULL, _FULL)]
-    k_rows = fmat.shape[1]
-    l = grad_T.shape[1]
-    rows = patches.cols.reshape(*grid, l)
-    grad3 = grad_T.reshape(k_rows, len(views), l)
-    grad_f = np.zeros((*grid, k_rows), dtype=fmat.dtype)
-    for j, (t, r) in enumerate(views):  # each row takes its masks' terms in order j, from zero
-        grad_f[t, r] += _contract("trl,kl->trk", rows[t, r], grad3[:, j])
-    grad_f = grad_f.reshape(-1, k_rows)
+    grid, cols, fmat = layout.grid, patches.cols, bank.filter_matrix()
+    k, s, (v, l) = spec.k, spec.s, cols.shape
+    sel = layout.selector.T.reshape(v, k, s)
+    grad_ks, rows = grad_T.reshape(k, s, l), cols.reshape(*grid, l)
+    # each (row, primary, mask) filter-gradient term, +0.0 where the mask drops the row
+    terms = np.zeros((*grid, k, s), dtype=np.result_type(cols, grad_T))
+    if input_grad:
+        masked = (fmat[:, :, None] * sel).reshape(*grid, k, s)  # the masked secondaries
+        # each group's rows are last read by its filter gradient, so the patches'
+        # buffer takes the input-gradient columns: every row is written, by one group
+        dtype = np.result_type(fmat, grad_T)
+        reuse = cols.dtype == dtype and cols.flags.c_contiguous and cols.flags.writeable
+        grad_cols = (cols if reuse else np.empty(cols.shape, dtype)).reshape(*grid, l)
+    for t, r, kept in layout.row_groups:
+        out = terms[t, r, :, kept]
+        h, w, _, j = out.shape
+        grads = grad_ks[:, kept].reshape(k * j, l)
+        # two-dimensional operands, so that each term sums its l products in one run
+        out[...] = _contract("vl,nl->vn", rows[t, r].reshape(h * w, l), grads).reshape(out.shape)
+        if input_grad:  # rows that no mask keeps sum no term: zeros
+            f_run = masked[t, r][..., kept]
+            _contract("trn,nl->trl", np.ascontiguousarray(f_run).reshape(h, w, k * j), grads, out=grad_cols[t, r])
 
+    grad_x = None
+    if input_grad:
+        grad_x = convref.col2im(grad_cols.reshape(cols.shape).astype(cols.dtype, copy=False), patches)
+        if spec.variant == "spatial":
+            grad_x /= s
+
+    terms = terms.reshape(v, k, s)
+    grad_f = np.zeros((v, k), dtype=fmat.dtype)
+    for j in range(s):  # each primary takes its masks' terms in order j, from zero
+        grad_f += terms[:, :, j] * sel[:, :, j]
     grad_m = None
     if spec.variant == "spatial":
-        grad_f /= spec.s
+        grad_f /= s
     elif spec.variant == "learnable":
-        v, k, s = fmat.shape[0], spec.k, spec.s
-        through_masks = (grad_f * sel).reshape(v, k, s)
-        through_filters = (grad_f * wide).reshape(v, k, s)
-        grad_f = np.zeros((v, k), dtype=fmat.dtype)
-        for j in range(s):
-            grad_f += through_masks[:, :, j]
         groups = spec.mask_groups
         grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
-        for start in range(0, k, groups):
-            grad_m += through_filters[:, start : start + groups]
+        for i in range(0, k, groups):  # every bit's term, cleared ones too: straight through
+            grad_m += terms[:, i : i + groups] * fmat[:, i : i + groups, None]
         grad_m = grad_m.reshape(v, -1)
 
     grad_b = None
@@ -454,27 +461,4 @@ def bank_backward(
         # a lone map sums beside a zero row, as it would beside a sibling
         rows = grad_T if n > 1 else np.vstack([grad_T, np.zeros_like(grad_T)])
         grad_b = np.einsum("nl->n", rows)[:n]
-
-    grad_x = None
-    if input_grad:
-        k, s = spec.k, spec.s
-        grad_ks = grad_T.reshape(k, s, l)
-        # the filter gradient was the patches' last reader, so their buffer takes
-        # the input-gradient columns: every row is written below, by one group
-        cols = patches.cols
-        dtype = np.result_type(fmat, grad_T)
-        reuse = cols.dtype == dtype and cols.flags.c_contiguous and cols.flags.writeable
-        grad_cols = (cols if reuse else np.empty(cols.shape, dtype)).reshape(*grid, l)
-        # (T, R, k, s): a learnable layer's masked secondaries, else its primaries
-        # over every mask, since all the masks of a group keep all of its rows
-        f_grid = np.broadcast_to(fmat.reshape(*grid, k, -1), (*grid, k, s))
-        for t, r, kept in layout.row_groups:  # rows that no mask keeps sum no term: zeros
-            f_run = np.ascontiguousarray(f_grid[t, r][..., kept])
-            f_run = f_run.reshape(*f_run.shape[:2], -1)
-            terms = grad_ks[:, kept].reshape(f_run.shape[2], l)
-            _contract("trn,nl->trl", f_run, terms, out=grad_cols[t, r])
-        grad_cols = grad_cols.reshape(cols.shape)
-        grad_x = convref.col2im(grad_cols.astype(cols.dtype, copy=False), patches)
-        if spec.variant == "spatial":
-            grad_x /= spec.s
     return BankGrads(grad_f.T.reshape(bank.filters.shape), grad_b, grad_m, grad_x)

@@ -132,6 +132,8 @@ def fit(
         raise ValueError(f"step cap must be >= 1, got {steps}")
     if not len(images):
         raise DataError("no images to train on")
+    if len(labels) != len(images):
+        raise DataError(f"{len(labels)} labels for {len(images)} images")
     rng = np.random.default_rng(config.seed)
     history = History()
     step = 0
@@ -154,8 +156,12 @@ def evaluate(model: Network, images: np.ndarray, labels: np.ndarray, batch: int 
 
     The layers keep no activations afterwards, as after :func:`fit`.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     if not len(images):
         raise DataError("no images to evaluate")
+    if len(labels) != len(images):
+        raise DataError(f"{len(labels)} labels for {len(images)} images")
     hits = 0
     for start in range(0, len(images), batch):
         logits = model.forward(images[start : start + batch])

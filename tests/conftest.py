@@ -42,16 +42,20 @@ class ContractSpy:
     def __init__(self):
         self.calls = []
 
-    def macs(self) -> int:
-        """Multiply-adds the recorded calls issued: per call, the product of
-        every subscript's extent, each counted once."""
-        total = 0
+    def macs_each(self) -> list[int]:
+        """Multiply-adds of each recorded call: the product of every
+        subscript's extent, each counted once."""
+        each = []
         for subscripts, *shapes in self.calls:
             extents = {}
             for axes, shape in zip(subscripts.split("->")[0].split(","), shapes):
                 extents.update(zip(axes, shape))
-            total += math.prod(extents.values())
-        return total
+            each.append(math.prod(extents.values()))
+        return each
+
+    def macs(self) -> int:
+        """Multiply-adds the recorded calls issued."""
+        return sum(self.macs_each())
 
 
 @pytest.fixture

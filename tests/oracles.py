@@ -9,7 +9,9 @@ forward and input gradient, the clipped-latent mask step, the per-row
 ``np.roll`` digit renderer, the one-pass reference convolution, the
 per-block orthogonality walk) that the current code must match byte for
 byte.  ``secondary_grads_exact`` sums the per-secondary filter gradients
-in index order, exact on small-integer operands.  ``secondary_grads`` and
+in index order, exact on small-integer operands, and
+``bias_and_input_grads_exact`` the bias gradient and dL/dx, scattered
+back through ``patches_brute``.  ``secondary_grads`` and
 ``bias_grads`` call the library to read the per-secondary gradients that
 ``bank_backward`` keeps to itself, through a standard layer of the
 secondary filters; ``forward_each_secondary`` calls it one secondary at
@@ -171,6 +173,37 @@ def secondary_grads_exact(grad_y, x, spec):
         for p in range(cols.shape[1]):
             ghat += cols[:, p : p + 1] * grad[p]
     return ghat
+
+
+def bias_and_input_grads_exact(grad_y, x, bank, masks, spec):
+    """The bias gradient and dL/dx as index-order loops.
+
+    Each bias starts from ``+0.0`` and takes its map's terms one output
+    position at a time, image by image.  dL/dx scatters back through
+    :func:`patches_brute` of the pixels' own indices: each position's
+    patch entry takes every secondary's term, in index order, into the
+    input pixel that entry reads, and a padding entry reads none.  Exact
+    on small-integer float64 operands, as :func:`secondary_grads_exact`;
+    a spatial layer's dL/dx is then divided by ``s``.
+    """
+    fhat = secondary_matrix_loop(bank, masks, spec)
+    images = x if x.ndim == 4 else x[None]
+    grads = grad_y.reshape(len(images), -1, spec.n_secondary)
+    # 1 + the flat index of the pixel each patch entry reads, 0 for padding
+    pixels = np.arange(1, images[0].size + 1).reshape(images.shape[1:])
+    taps = patches_brute(pixels, spec.d, spec.stride, spec.padding).astype(int)
+    grad_b = np.zeros(spec.n_secondary)
+    grad_x = np.zeros(images.shape)
+    for grad, image_grad in zip(grads, grad_x.reshape(len(images), -1)):
+        for p, g in enumerate(grad):
+            for n in range(spec.n_secondary):
+                grad_b[n] += g[n]
+            for v, tap in enumerate(taps[:, p]):
+                for n in range(spec.n_secondary if tap else 0):
+                    image_grad[tap - 1] += fhat[v, n] * g[n]
+    if spec.variant == "spatial":
+        grad_x /= spec.s
+    return grad_b, grad_x.reshape(x.shape)
 
 
 def bias_grads(grad_y, x, bank, masks, spec):

@@ -65,6 +65,7 @@ from maskconv.training import TrainConfig, fit
 from oracles import (
     avgpool_mean,
     avgpool_repeat_backward,
+    bias_and_input_grads_exact,
     bias_grads,
     cached_adds_loop,
     col2im_channel_last,
@@ -383,9 +384,10 @@ def assert_same_bits_any_nan(got, want):
 @pytest.mark.parametrize("variant", [*VARIANTS[:3], *STRATEGIES])
 def test_filter_and_mask_grads_equal_an_exact_index_order_loop(variant):
     """On small-integer float64 operands in [-3, 3] every partial sum is an
-    exact integer, so ``bank_backward``'s filter and mask gradients equal,
-    by bytes, those of ``secondary_grads_exact``, an index-order loop that
-    shares no code with the conv core.  Bit masks run at every density of
+    exact integer, so ``bank_backward``'s filter, mask and bias gradients
+    and dL/dx equal, by bytes, those of ``secondary_grads_exact`` and
+    ``bias_and_input_grads_exact``, index-order loops that share no code
+    with the conv core.  Bit masks run at every density of
     ``test_bit_mask_densities_match_dense_masked_oracles``, over stride 1
     and 2, padding 0 and 1, odd and even ``d``, one image and a batch."""
     rng = np.random.default_rng(29)
@@ -405,13 +407,41 @@ def test_filter_and_mask_grads_equal_an_exact_index_order_loop(variant):
             bank = layers.FilterBank(small(spec.k, d, d, spec.c), small(spec.n_secondary))
             x = small(*batch, 5, 6, spec.c)
             grad_y = small(*batch, *spec.output_shape(5, 6))
-            grads = bank_backward(grad_y, x, bank, masks, spec, input_grad=False)
+            grads = bank_backward(grad_y, x, bank, masks, spec, input_grad=True)
             want_f, want_m = grads_from_secondary_loop(secondary_grads_exact(grad_y, x, spec), bank, masks, spec)
+            want_b, want_x = bias_and_input_grads_exact(grad_y, x, bank, masks, spec)
             assert_same_bits(grads.filters, want_f)
-            if want_m is None:
-                assert grads.masks is None
-            else:
-                assert_same_bits(grads.masks, want_m)
+            assert_same_bits(grads.x, want_x)
+            for got, want in ((grads.masks, want_m), (grads.biases, want_b if spec.has_biases else None)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LayerSpec("spatial", d=5, c=2, k=2),
+        LayerSpec("spatial", d=4, c=3, k=2),
+        LayerSpec("channel", d=3, c=4, k=2, c_hat=2, g=1),
+    ],
+    ids=lambda spec: f"{spec.variant}_d{spec.d}_c{spec.c}",
+)
+def test_structural_filter_grads_sum_each_term_in_one_run(spec):
+    """Past 8192 output positions einsum's buffered iterator cuts a sum
+    over a 3-D view of the patch rows, a spatial ring's sides or a channel
+    segment, into 8192-term runs.  The filter gradient still equals, by
+    bytes on random float64 operands, the one from a standard layer of the
+    secondaries, which contracts the whole patch matrix in one run."""
+    rng = np.random.default_rng(31)
+    bank = random_bank(spec, 31)
+    x = rng.normal(size=(12, 32, 32, spec.c))
+    grad_y = rng.normal(size=(12, *spec.output_shape(32, 32)))
+    assert grad_y.size // spec.n_secondary > 8192
+    masks = spec.structural_masks()
+    want, _ = grads_from_secondary_loop(secondary_grads(grad_y, x, bank, masks, spec), bank, masks, spec)
+    assert_same_bits(bank_backward(grad_y, x, bank, None, spec, input_grad=False).filters, want)
 
 
 @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are the point here

@@ -4,6 +4,7 @@ import pytest
 from maskconv.convref import ShapeError, conv_reference, im2col
 from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import (
+    STRATEGIES,
     FilterBank,
     LayerSpec,
     bank_backward,
@@ -415,6 +416,41 @@ def test_backward_shape_mismatch():
     bank = random_bank(spec, seed=0)
     with pytest.raises(ShapeError):
         bank_backward(np.zeros((2, 2, 1)), np.ones((5, 5, 1)), bank, None, spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LayerSpec("standard", d=3, c=2, k=3),
+        LayerSpec("spatial", d=3, c=2, k=3),
+        LayerSpec("spatial", d=5, c=2, k=3),
+        LayerSpec("channel", d=2, c=5, k=3, c_hat=2, g=3),  # channel 2 lies in no window
+        *(LayerSpec("learnable", d=3, c=2, k=3, s=3, strategy=strategy) for strategy in STRATEGIES),
+    ],
+    ids=lambda spec: f"{spec.variant}_d{spec.d}_{spec.strategy}",
+)
+def test_backward_issues_one_contraction_pair_per_row_group(spec, contract_spy):
+    # per group, the filter gradient's terms over its rows and kept masks,
+    # then as many MACs of input gradient; in all, each (row, mask) pair once,
+    # so the filter gradient issues the MACs of one run per mask over the
+    # rows it keeps, or over every row for bit masks
+    masks = masks_for_spec(spec, 4)
+    bank = random_bank(spec, 4)
+    x = np.random.default_rng(4).normal(size=(2, 6, 7, spec.c))
+    grad_y = np.ones((2, *spec.output_shape(6, 7)))
+    l = grad_y.size // spec.n_secondary
+    layout = mask_layout(spec, masks)
+    (T, R), s = layout.grid, spec.s
+    per_group = [
+        len(range(T)[t]) * len(range(R)[r]) * len(range(s)[kept]) * spec.k * l for t, r, kept in layout.row_groups
+    ]
+    whole = spec.d * spec.d * spec.c
+    runs = [whole] * s if spec.variant == "learnable" else layout.kept
+    assert sum(per_group) == sum(runs) * spec.k * l
+    for input_grad, want in ((False, per_group), (True, [m for macs in per_group for m in (macs, macs)])):
+        contract_spy.calls.clear()
+        bank_backward(grad_y, x, bank, masks, spec, input_grad=input_grad)
+        assert contract_spy.macs_each() == want
 
 
 PEAK_SPECS = {

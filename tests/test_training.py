@@ -25,6 +25,7 @@ from maskconv.network import (
     build_small_cnn,
 )
 from maskconv.training import (
+    DataError,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -618,6 +619,43 @@ def test_fit_rejects_a_step_cap_below_one():
         with pytest.raises(ValueError, match="step"):
             fit(model, images, labels, TrainConfig(lr=0.1, lam=0.0, batch=4), steps=steps)
         assert np.array_equal(model.layers[0].bank.filters, before)  # no step ran
+
+
+def counted_forwards(model, monkeypatch):
+    """The batch sizes of every ``model.forward`` call from here on."""
+    sizes, forward = [], model.forward
+    monkeypatch.setattr(model, "forward", lambda x: sizes.append(len(x)) or forward(x))
+    return sizes
+
+
+def test_evaluate_rejects_a_bad_batch_or_label_count_before_any_forward(monkeypatch):
+    # batch=-1 read no image and scored 0.0; one label for 16 images was
+    # broadcast, and 20 labels were cut to 16
+    images, labels = toy_two_class(16)
+    model = tiny_spatial_net()
+    forwards = counted_forwards(model, monkeypatch)
+    for batch in (-1, 0):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            evaluate(model, images, labels, batch=batch)
+    for wrong in (labels[:1], np.concatenate([labels, labels[:4]])):
+        with pytest.raises(DataError, match=f"{len(wrong)} labels for 16 images"):
+            evaluate(model, images, wrong)
+    assert forwards == []
+    assert evaluate(model, images, labels, batch=5) == evaluate(model, images, labels)
+    assert forwards == [5, 5, 5, 1, 16]
+
+
+def test_fit_rejects_a_label_count_that_differs_from_the_image_count(monkeypatch):
+    # 8 labels for 16 images raised IndexError partway through an epoch
+    images, labels = toy_two_class(16)
+    model = tiny_spatial_net()
+    forwards = counted_forwards(model, monkeypatch)
+    before = model.layers[0].bank.filters.copy()
+    for wrong in (labels[:8], np.concatenate([labels, labels[:4]])):
+        with pytest.raises(DataError, match=f"{len(wrong)} labels for 16 images"):
+            fit(model, images, wrong, TrainConfig(lr=0.1, lam=0.0, batch=4))
+    assert forwards == []
+    assert np.array_equal(model.layers[0].bank.filters, before)
 
 
 # The digit bench's three variants (feature maps conv1/conv2, orthogonality

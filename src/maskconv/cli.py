@@ -8,6 +8,7 @@ usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
 
@@ -30,38 +31,34 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
-def _build_model(config: RunConfig, seed: int):
-    return build_small_cnn(
-        variant=config.get("model.variant"),
-        strategy=config.get("model.strategy"),
-        s=config.get("model.s"),
-        c_hat=config.get("model.chat"),
-        g=config.get("model.g"),
-        conv1_maps=config.get("model.conv1_maps"),
-        conv2_maps=config.get("model.conv2_maps"),
-        hidden=config.get("model.hidden"),
-        lam=config.get("train.lambda"),
-        seed=seed,
-    )
-
-
-def _train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        lr=config.get("train.lr"),
-        lam=config.get("train.lambda"),
-        epochs=config.get("train.epochs"),
-        batch=config.get("train.batch"),
-        seed=config.get("train.seed"),
-    )
-
-
-def _run_one_training(config: RunConfig, out):
-    data_root = Path(config.require("data.path"))
+def _prepared(config: RunConfig):
+    """The model and the schedule ``config`` builds; ConfigError if it builds none."""
+    get = config.get
+    config.require("data.path")
     try:
-        model = _build_model(config, seed=config.get("train.seed"))
-        tc = _train_config(config)
+        model = build_small_cnn(
+            variant=get("model.variant"),
+            strategy=get("model.strategy"),
+            s=get("model.s"),
+            c_hat=get("model.chat"),
+            g=get("model.g"),
+            conv1_maps=get("model.conv1_maps"),
+            conv2_maps=get("model.conv2_maps"),
+            hidden=get("model.hidden"),
+            lam=get("train.lambda"),
+            seed=get("train.seed"),
+        )
+        tc = TrainConfig(
+            lr=get("train.lr"), lam=get("train.lambda"), epochs=get("train.epochs"),
+            batch=get("train.batch"), seed=get("train.seed"),
+        )
+        return model, tc
     except ValueError as exc:  # ShapeError included: values no model or schedule takes
         raise ConfigError(str(exc)) from None
+
+
+def _run_one_training(config: RunConfig, model, tc: TrainConfig, out):
+    data_root = Path(config.get("data.path"))
     images, labels = load_dataset_dir(data_root, "train")
 
     log_path = config.get("out.log")
@@ -86,18 +83,23 @@ def cmd_train(args, out) -> int:
     config = load_config(args.config, args.set)
     for line in config.resolved_lines():
         out(f"config {line}")
-    if args.sweep:
-        if "=" not in args.sweep:
-            raise ConfigError(f"--sweep needs key=v1,v2,... got {args.sweep!r}")
-        key, values = args.sweep.split("=", 1)
-        base_ckpt = config.get("out.checkpoint")
-        for value in values.split(","):
-            config.set(key.strip(), value.strip())
-            config.set("out.checkpoint", f"{base_ckpt}.{key.strip()}_{value.strip()}")
-            accuracy = _run_one_training(config, out)
-            out(f"sweep {key.strip()}={value.strip()} accuracy={accuracy if accuracy is not None else float('nan'):.4f}")
+    if not args.sweep:
+        _run_one_training(config, *_prepared(config), out)
         return 0
-    _run_one_training(config, out)
+    if "=" not in args.sweep:
+        raise ConfigError(f"--sweep needs key=v1,v2,... got {args.sweep!r}")
+    key, values = (part.strip() for part in args.sweep.split("=", 1))
+    runs = []  # every value builds its model and schedule before the first run reads data
+    for value in (v.strip() for v in values.split(",")):
+        run = copy.deepcopy(config)
+        run.set(key, value)
+        for path_key in ("out.checkpoint", "out.log"):  # each run writes its own files
+            if config.get(path_key):
+                run.set(path_key, f"{config.get(path_key)}.{key}_{value}")
+        runs.append((value, run, *_prepared(run)))
+    for value, run, model, tc in runs:
+        accuracy = _run_one_training(run, model, tc, out)
+        out(f"sweep {key}={value} accuracy={accuracy if accuracy is not None else float('nan'):.4f}")
     return 0
 
 

@@ -7,17 +7,18 @@ then filter 2, and so on.  Variants:
 
 ``standard``   no masks, one output per primary (s = 1);
 ``spatial``    nested centered-square masks, s = ceil(d/2), shared across
-               primaries; filter and input gradients are divided by s
-               because both are reused at every scale;
+               primaries;
 ``channel``    sliding channel windows, no biases;
 ``learnable``  learned or random-fixed bit masks, shared or separate.
 
 One forward, :func:`forward_patches`, and one backward,
-:func:`bank_backward`, serve every variant on an image or a batch.  Each
-output channel equals ``conv_reference(x, mask * filter) + bias``
-exactly, a NaN counting as one NaN.  What each mask keeps, which rows a
-kernel may skip and which maps repeat is :class:`MaskLayout`'s rule; the
-reduction and memory orders are :mod:`maskconv.convref`'s.
+:func:`bank_backward`, serve every variant on an image or a batch; the
+backward returns the loss's gradient, a primary's the sum of its
+secondaries'.  Each output channel equals ``conv_reference(x, mask *
+filter) + bias`` exactly, a NaN counting as one NaN.  What each mask
+keeps, which rows a kernel may skip and which maps repeat is
+:class:`MaskLayout`'s rule; the reduction and memory orders are
+:mod:`maskconv.convref`'s.
 """
 
 from __future__ import annotations
@@ -439,17 +440,13 @@ def bank_backward(
     grad_x = None
     if input_grad:
         grad_x = convref.col2im(grad_cols.reshape(cols.shape).astype(cols.dtype, copy=False), patches)
-        if spec.variant == "spatial":
-            grad_x /= s
 
     terms = terms.reshape(v, k, s)
     grad_f = np.zeros((v, k), dtype=fmat.dtype)
     for j in range(s):  # each primary takes its masks' terms in order j, from zero
         grad_f += terms[:, :, j] * sel[:, :, j]
     grad_m = None
-    if spec.variant == "spatial":
-        grad_f /= s
-    elif spec.variant == "learnable":
+    if spec.variant == "learnable":
         groups = spec.mask_groups
         grad_m = np.zeros((v, groups, s), dtype=fmat.dtype)
         for i in range(0, k, groups):  # every bit's term, cleared ones too: straight through

@@ -183,8 +183,7 @@ def bias_and_input_grads_exact(grad_y, x, bank, masks, spec):
     :func:`patches_brute` of the pixels' own indices: each position's
     patch entry takes every secondary's term, in index order, into the
     input pixel that entry reads, and a padding entry reads none.  Exact
-    on small-integer float64 operands, as :func:`secondary_grads_exact`;
-    a spatial layer's dL/dx is then divided by ``s``.
+    on small-integer float64 operands, as :func:`secondary_grads_exact`.
     """
     fhat = secondary_matrix_loop(bank, masks, spec)
     images = x if x.ndim == 4 else x[None]
@@ -201,8 +200,6 @@ def bias_and_input_grads_exact(grad_y, x, bank, masks, spec):
             for v, tap in enumerate(taps[:, p]):
                 for n in range(spec.n_secondary if tap else 0):
                     image_grad[tap - 1] += fhat[v, n] * g[n]
-    if spec.variant == "spatial":
-        grad_x /= spec.s
     return grad_b, grad_x.reshape(x.shape)
 
 
@@ -228,8 +225,7 @@ def input_grad(grad_y, x, bank, masks, spec):
     """The input gradient: ``col2im`` of the secondary filters times ``dL/dy``.
 
     Every patch row's gradient starts from zero and takes the secondaries'
-    terms in index order, all its columns at once; spatial layers divide
-    the scattered sum by ``s``.
+    terms in index order, all its columns at once.
     """
     fhat = secondary_matrix_loop(bank, masks, spec)
     pm = im2col_windows(x, spec.d, spec.stride, spec.padding)
@@ -237,8 +233,7 @@ def input_grad(grad_y, x, bank, masks, spec):
     grad_cols = np.zeros(pm.cols.shape, dtype=np.result_type(fhat, grads))
     for n, grad in enumerate(grads):
         grad_cols += fhat[:, n : n + 1] * grad
-    grad_x = col2im_channel_last(grad_cols.astype(pm.cols.dtype, copy=False), pm)
-    return grad_x / spec.s if spec.variant == "spatial" else grad_x
+    return col2im_channel_last(grad_cols.astype(pm.cols.dtype, copy=False), pm)
 
 
 def grads_from_secondary_loop(ghat, bank, masks, spec):
@@ -263,8 +258,6 @@ def grads_from_secondary_loop(ghat, bank, masks, spec):
                 grad_f[:, i] += g * dense[:, col]
                 if grad_m is not None:
                     grad_m[:, col] += g * fmat[:, i]
-        if spec.variant == "spatial":
-            grad_f /= spec.s
     return grad_f.T.reshape(bank.filters.shape), grad_m
 
 

@@ -191,6 +191,27 @@ def test_train_lambda_sweep_emits_row_per_value(tmp_path, dataset):
         assert "accuracy=" in row
 
 
+@pytest.mark.parametrize("sweep", ["train.lr=0.1,abc", "train.batch=32,0"])
+def test_train_sweep_rejects_a_bad_later_value_before_the_first_run(tmp_path, dataset, sweep):
+    out = Capture()
+    assert main(["train", "--config", str(small_config(tmp_path, dataset)), "--sweep", sweep], out=out) == 2
+    assert out.lines[-1].startswith("config error:")
+    assert list(tmp_path.glob("model.ckpt*")) == []
+
+
+def test_train_sweep_writes_one_log_per_value(tmp_path, dataset):
+    cfg = small_config(tmp_path, dataset, **{"out.log": str(tmp_path / "train.log")})
+    assert main(["train", "--config", str(cfg), "--sweep", "train.lambda=0.01,0.1"], out=Capture()) == 0
+    assert not (tmp_path / "train.log").exists()
+    for value in ("0.01", "0.1"):
+        single = tmp_path / f"single_{value}.log"
+        argv = ["train", "--config", str(cfg), "--set", f"train.lambda={value}", "--set", f"out.log={single}"]
+        assert main(argv, out=Capture()) == 0
+        swept = (tmp_path / f"train.log.train.lambda_{value}").read_text()
+        assert len(swept.splitlines()) == 4  # 120 images / batch 32, 1 epoch
+        assert swept == single.read_text()
+
+
 # -------------------------------------------------------------------- eval
 
 

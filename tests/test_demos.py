@@ -1,6 +1,7 @@
 """Smoke test: the narrative demos run to completion on the current API.
 
-Demo 06 trains a model for about two minutes and is left out.
+Demo 06 trains two models for about 14 s, which would add about a quarter
+to the suite's time, and is left out.
 """
 
 import os

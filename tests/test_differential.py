@@ -219,7 +219,7 @@ def assert_ranges_select_mask_bits(spec, masks):
 # sha256 over the sweep's gradients, each BankGrads field and then the
 # MaskedConv input gradient, as dtype, shape and bytes; taken before the
 # backward wrote its input gradient into the patches' buffer
-SWEEP_GRADS_SHA256 = "8ae73cc69d63009deb30a1130ce3768741e1c4716ee18c12aae751d9598b5a58"
+SWEEP_GRADS_SHA256 = "b9d7b2755238548229c4ec0282095026966eaabd6999b14f193c9966ec6c519b"
 
 
 def test_mask_layout_matches_per_secondary_loops_and_reference():

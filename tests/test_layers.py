@@ -15,21 +15,7 @@ from maskconv.layers import (
 )
 from maskconv.masks import from_dense, random_masks, spatial_masks
 
-from oracles import conv_brute, finite_difference, relative_error, secondary_grads
-
-
-def relaxed_loss(x, filters, mask_cols, spec, biases, targets):
-    """Quadratic loss of the real-relaxed masked forward, via the brute oracle."""
-    k, d, _, c = filters.shape
-    total = 0.0
-    for i in range(k):
-        for j in range(spec.s):
-            col = j if mask_cols.shape[1] == spec.s else i * spec.s + j
-            fhat = (filters[i].reshape(-1) * mask_cols[:, col]).reshape(d, d, c)
-            b = 0.0 if biases is None else biases[i * spec.s + j]
-            y = conv_brute(x, fhat, spec.stride, spec.padding, b)
-            total += 0.5 * np.sum((y - targets[:, :, i * spec.s + j]) ** 2)
-    return total
+from oracles import finite_difference, quadratic_loss_brute, relative_error, secondary_grads
 
 
 # ----------------------------------------------------------- spatial path
@@ -313,102 +299,56 @@ def test_backward_all_ones_shared_filter_grad_is_plain_sum():
         assert np.array_equal(g.filters[i].reshape(-1), summed)
 
 
-def fd_case(spec, masks, seed):
-    rng = np.random.default_rng(seed)
-    bank = random_bank(spec, seed=seed + 1)
+# every variant and strategy; channel windows that overlap, over one primary
+FD_LAYERS = {
+    "standard": dict(variant="standard", c=1, k=2),
+    "spatial": dict(variant="spatial", c=1, k=2),
+    "channel": dict(variant="channel", c=3, k=1, c_hat=2, g=1),
+    **{strategy: dict(variant="learnable", c=1, k=2, s=2, strategy=strategy) for strategy in STRATEGIES},
+}
+# (d, stride, padding): odd and even d, every padding below d, both strides
+FD_GEOMETRIES = [(d, 1 + padding % 2, padding) for d in (3, 4) for padding in range(d)]
+
+
+@pytest.mark.parametrize("geometry", FD_GEOMETRIES, ids="d{0[0]}-stride{0[1]}-pad{0[2]}".format)
+@pytest.mark.parametrize("layer", FD_LAYERS)
+def test_backward_matches_finite_differences(layer, geometry):
+    """Every gradient ``bank_backward`` returns is the float64 central
+    difference of the acceptance suite's brute quadratic loss: each
+    variant gives the loss's gradient, unscaled."""
+    d, stride, padding = geometry
+    spec = LayerSpec(d=d, stride=stride, padding=padding, **FD_LAYERS[layer])
+    rng = np.random.default_rng(10 * d + padding)
+    bank = random_bank(spec, seed=d + padding)
     if spec.has_biases:
         bank.biases = rng.normal(size=spec.n_secondary)
+    masks = spec.structural_masks()
+    if spec.variant == "learnable":
+        bits = rng.integers(0, 2, size=(d * d * spec.c, spec.s * spec.mask_groups)).astype(float)
+        masks = from_dense(bits, spec.mask_kind, d, spec.c, spec.s, k=spec.mask_groups)
     x = rng.normal(size=(4, 4, spec.c))
-    h_out, w_out, n = spec.output_shape(4, 4)
-    targets = rng.normal(size=(h_out, w_out, n))
-    mask_cols = (
-        masks.dense() if masks is not None else np.ones((spec.d**2 * spec.c, spec.s))
+    targets = rng.normal(size=spec.output_shape(4, 4))
+    grads = bank_backward(bank_forward(x, bank, masks, spec) - targets, x, bank, masks, spec)
+    assert (grads.biases is None) == (not spec.has_biases)
+    assert (grads.masks is None) == (spec.variant != "learnable")
+
+    # each BankGrads field's input; a standard layer's mask is one all-ones column
+    inputs = dict(
+        filters=bank.filters,
+        biases=bank.biases,
+        x=x,
+        masks=np.ones((d * d * spec.c, 1)) if masks is None else masks.dense(),
     )
-    y = bank_forward(x, bank, masks, spec)
-    grads = bank_backward(y - targets, x, bank, masks, spec)
-    return bank, x, targets, mask_cols, grads
+    for field, value in inputs.items():
+        if getattr(grads, field) is None:
+            continue
 
+        def loss(moved):
+            a = {**inputs, field: moved}
+            return quadratic_loss_brute(a["x"], a["filters"], a["masks"], spec.s, targets, stride, padding, a["biases"])
 
-@pytest.mark.parametrize("strategy", ["shared", "separate"])
-def test_backward_matches_finite_differences_learnable(strategy):
-    for seed in range(3):
-        spec = learnable_spec(2, 2, 3, 2, strategy=strategy)
-        k_groups = 1 if strategy == "shared" else spec.k
-        n_cols = spec.s * k_groups
-        kind = "learned-shared" if strategy == "shared" else "learned-separate"
-        rng = np.random.default_rng(100 + seed)
-        masks = from_dense(
-            rng.integers(0, 2, size=(18, n_cols)).astype(float), kind, 3, 2, spec.s, k=k_groups
-        )
-        bank, x, targets, mask_cols, grads = fd_case(spec, masks, seed)
-
-        def loss_wrt_filters(filters):
-            return relaxed_loss(x, filters, mask_cols, spec, bank.biases, targets)
-
-        fd_f = finite_difference(loss_wrt_filters, bank.filters.copy())
-        assert relative_error(grads.filters, fd_f) < 1e-4
-
-        def loss_wrt_masks(cols):
-            return relaxed_loss(x, bank.filters, cols, spec, bank.biases, targets)
-
-        fd_m = finite_difference(loss_wrt_masks, mask_cols.copy())
-        assert relative_error(grads.masks, fd_m) < 1e-4
-
-        def loss_wrt_x(xx):
-            return relaxed_loss(xx, bank.filters, mask_cols, spec, bank.biases, targets)
-
-        fd_x = finite_difference(loss_wrt_x, x.copy())
-        assert relative_error(grads.x, fd_x) < 1e-4
-
-
-def test_backward_spatial_scaling_is_fd_over_s():
-    # the spatial variant deliberately reports grad/s for filters and input
-    spec = LayerSpec("spatial", d=3, c=1, k=1)
-    masks = spec.structural_masks()
-    bank, x, targets, mask_cols, grads = fd_case(spec, masks, seed=9)
-
-    def loss_wrt_filters(filters):
-        return relaxed_loss(x, filters, mask_cols, spec, bank.biases, targets)
-
-    fd_f = finite_difference(loss_wrt_filters, bank.filters.copy())
-    assert relative_error(grads.filters, fd_f / spec.s) < 1e-4
-
-    def loss_wrt_x(xx):
-        return relaxed_loss(xx, bank.filters, mask_cols, spec, bank.biases, targets)
-
-    fd_x = finite_difference(loss_wrt_x, x.copy())
-    assert relative_error(grads.x, fd_x / spec.s) < 1e-4
-
-    # bias gradients are not scaled
-    fd_b = finite_difference(
-        lambda bb: relaxed_loss(x, bank.filters, mask_cols, spec, bb, targets),
-        bank.biases.copy(),
-    )
-    assert relative_error(grads.biases, fd_b) < 1e-4
-
-
-def test_backward_standard_matches_fd():
-    spec = LayerSpec("standard", d=3, c=2, k=2)
-    bank, x, targets, mask_cols, grads = fd_case(spec, None, seed=30)
-
-    def loss_wrt_filters(filters):
-        return relaxed_loss(x, filters, mask_cols, spec, bank.biases, targets)
-
-    fd_f = finite_difference(loss_wrt_filters, bank.filters.copy())
-    assert relative_error(grads.filters, fd_f) < 1e-4
-
-
-def test_backward_channel_matches_fd():
-    spec = channel_spec(4, 2, 2, d=3, k=2)
-    masks = spec.structural_masks()
-    bank, x, targets, mask_cols, grads = fd_case(spec, masks, seed=31)
-    assert grads.biases is None and grads.masks is None
-
-    def loss_wrt_filters(filters):
-        return relaxed_loss(x, filters, mask_cols, spec, None, targets)
-
-    fd_f = finite_difference(loss_wrt_filters, bank.filters.copy())
-    assert relative_error(grads.filters, fd_f) < 1e-4
+        error = relative_error(getattr(grads, field), finite_difference(loss, value.copy()))
+        assert error < 1e-4, (field, error)
 
 
 def test_backward_shape_mismatch():

@@ -14,7 +14,7 @@ from maskconv.checkpoint import (
 from maskconv.convref import ShapeError
 from maskconv.datagen import generate_digits
 from maskconv.idx import load_dataset_dir, write_idx_images, write_idx_labels
-from maskconv.layers import BankGrads, FilterBank, LayerSpec
+from maskconv.layers import BankGrads, FilterBank, LayerSpec, bank_backward
 from maskconv.masks import agent_update, from_dense, ortho_loss
 from maskconv.network import (
     Dense,
@@ -669,7 +669,7 @@ CHECKPOINT_VARIANTS = {
 # sha256 over the checkpoint bytes written after each fit
 FIT_CHECKPOINT_SHA256 = {
     "standard": "612aabd9092cd8720cdfa3335a5145d7d99127a392ce87007bb6602162aee42d",
-    "spatial": "451df5315750947e501f7ebff9b0c9e8a184f449041ac585097f6da986440f1b",
+    "spatial": "54b6029be950e12b337057323abefdef3b21e4094f6a3b8969c4c943d700a281",
     "learn_sep_s2": "5f3e51dbe3e89d100000ff3d1304ed94fa0bd8a44bd88de22a5a072a6502cf89",
 }
 
@@ -694,3 +694,39 @@ def fit_checkpoint_digests(tmp_path):
 
 def test_fit_checkpoints_keep_their_bytes(tmp_path):
     assert fit_checkpoint_digests(tmp_path) == FIT_CHECKPOINT_SHA256
+
+
+# sha256 over conv1's and then conv2's BankGrads fields, each as dtype, shape
+# and bytes, for each of the bench's variants at init: a batch of 64
+# generated digits, conv1's output positions past 8192, and grad_y drawn from
+# seed 0.  The checkpoints above did not move when spatial conv1's
+# filter-gradient bits did.
+TRAINING_SIZE_GRADS_SHA256 = {
+    "standard": "7001bd6a56ad38d7f0389d3374b533349645172fb9484860a69cb9951f67583e",
+    "spatial": "11feb1bd19c2a9ce00276d93164246e823e57bcc0f729724baea5083f540fadf",
+    "learn_sep_s2": "dadc0593463986f763dc53a7b276701905f4e7714adc8f3a1d52c1b809b3d156",
+}
+
+
+def test_conv_grads_at_training_size_keep_their_bytes():
+    images, _ = generate_digits(64, 0)
+    x0 = images[..., None] / np.float32(255)  # as load_idx scales the pixels
+    digests = {}
+    for name, (kwargs, lam) in CHECKPOINT_VARIANTS.items():
+        model = build_small_cnn(conv2_maps=16, lam=lam, seed=0, **kwargs)
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        x, positions = x0, []
+        for layer in model.layers[:4]:  # conv1, ReLU, pool, conv2
+            y = layer.forward(x)
+            if isinstance(layer, MaskedConv):
+                positions.append(y.size // layer.spec.n_secondary)
+                grad_y = rng.normal(size=y.shape).astype(y.dtype)
+                grads = bank_backward(grad_y, x, layer.bank, layer.masks, layer.spec)
+                for got in (grads.filters, grads.biases, grads.masks, grads.x):
+                    if got is not None:
+                        digest.update(f"{got.dtype} {got.shape}".encode() + got.tobytes())
+            x = y
+        assert positions == [64 * 24 * 24, 64 * 10 * 10]
+        digests[name] = digest.hexdigest()
+    assert digests == TRAINING_SIZE_GRADS_SHA256

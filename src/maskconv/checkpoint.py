@@ -11,8 +11,9 @@ primary filters as float32, the biases iff the variant has them, then,
 iff the layer is learnable, its mask bits, the training state: u32
 ``(n_masks, n_words)`` and the words of :func:`maskconv.masks.to_words`.
 Spatial and channel masks follow from the spec and are not stored, so a
-loaded layer holds masks iff it is learnable.  Dense records carry the
-weight matrix and bias vector.
+loaded layer holds masks iff it is learnable.  The writer refuses a
+layer whose bank or masks do not fit its spec, as a forward would.  Dense
+records carry the weight matrix and bias vector.
 
 The loader checks every declared size against the bytes present before
 it allocates.  The mask count must be the spec's before the words are
@@ -32,7 +33,7 @@ import numpy as np
 
 from maskconv.binread import Reader
 from maskconv.convref import ShapeError
-from maskconv.layers import FilterBank, LayerSpec
+from maskconv.layers import FilterBank, LayerSpec, check_bank, mask_layout
 from maskconv.masks import MaskError, MaskSet, from_words, to_words
 from maskconv.network import AvgPool2, Dense, Flatten, MaskedConv, Network, ReLU
 
@@ -74,9 +75,11 @@ def _header(spec: LayerSpec) -> bytes:
 
 def _conv_record(layer: MaskedConv) -> bytes:
     spec = layer.spec
+    biases = check_bank(layer.bank, spec)
+    mask_layout(spec, layer.masks)
     parts = [_header(spec), _f32(layer.bank.filters)]
-    if spec.has_biases:
-        parts.append(_f32(layer.bank.biases))
+    if biases is not None:
+        parts.append(_f32(biases))
     if spec.variant == "learnable":
         words = to_words(layer.masks.bits)
         parts += [struct.pack("<II", *words.shape), words.tobytes()]

@@ -34,8 +34,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from maskconv.convref import im2col
-from maskconv.layers import FilterBank, LayerSpec, forward_patches, mask_layout
+from maskconv.layers import FilterBank, LayerSpec, bank_forward, mask_layout
 from maskconv.masks import MaskSet, random_masks
 
 
@@ -95,9 +94,8 @@ def cached_forward(
     C-contiguous, with the :class:`OpCounts` that the module docstring's
     cost model gives this call.
     """
-    pm = im2col(x, spec.d, spec.stride, spec.padding)
-    y = np.ascontiguousarray(forward_patches(pm, bank, masks, spec))
-    v, l = pm.cols.shape
+    y = bank_forward(x, bank, masks, spec)
+    v, l = spec.d * spec.d * spec.c, y.size // spec.n_secondary
     counts = OpCounts(mul_fp32=v * l * spec.k, param_values_fp32=v * spec.k)
     layout = mask_layout(spec, masks)  # each secondary's kept rows, the scheme's ADDs
     counts.add_fp32 = int(layout.kept[layout.columns].sum()) * l

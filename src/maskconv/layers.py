@@ -141,7 +141,8 @@ def spec_for_maps(variant: str, n: int, **fields) -> LayerSpec:
 
 @dataclass
 class FilterBank:
-    """Primary filters (k, d, d, c) plus one bias per secondary filter."""
+    """Primary filters ``(k, d, d, c)`` plus ``(n,)`` biases iff the spec
+    has them, else ``None``: the spec owns the shape (:func:`check_bank`)."""
 
     filters: np.ndarray
     biases: np.ndarray | None = None
@@ -167,6 +168,19 @@ def random_bank(spec: LayerSpec, seed: int, scale: float = 1.0, dtype=np.float64
     filters = (rng.normal(size=(spec.k, spec.d, spec.d, spec.c)) * scale).astype(dtype)
     biases = np.zeros(spec.n_secondary, dtype=dtype) if spec.has_biases else None
     return FilterBank(filters, biases)
+
+
+def check_bank(bank: FilterBank, spec: LayerSpec) -> np.ndarray | None:
+    """The biases of ``bank``, once its shape is ``spec``'s: ``(k, d, d, c)``
+    filters and ``(n,)`` biases iff ``spec.has_biases``; else :class:`ShapeError`."""
+    want = ((spec.k, spec.d, spec.d, spec.c), (spec.n_secondary,) if spec.has_biases else None)
+    got = (bank.filters.shape, None if bank.biases is None else bank.biases.shape)
+    if got != want:
+        raise ShapeError(
+            f"layer {spec.name}: a {spec.variant} bank needs {want[0]} filters and biases {want[1]},"
+            f" got {got[0]} and {got[1]}"
+        )
+    return bank.biases
 
 
 _FULL = slice(None)
@@ -220,9 +234,9 @@ class MaskLayout:
         d, c, s, n, groups = spec.d, spec.c, spec.s, spec.n_secondary, spec.mask_groups
         v = d * d * c
         learnable = spec.variant == "learnable"
-        if learnable and (masks is None or (masks.bits_per_mask, masks.n_masks) != (v, s * groups)):
-            got = "none" if masks is None else f"{masks.n_masks} of {masks.bits_per_mask} bits"
-            raise ShapeError(f"spec {spec} needs {s * groups} masks of {v} bits, got {got}")
+        got = None if masks is None else (masks.d, masks.c, masks.s, masks.k)
+        if learnable and got != (d, c, s, groups):
+            raise ShapeError(f"spec {spec} needs masks of (d, c, s, groups) {(d, c, s, groups)}, got {got}")
         given = masks if learnable else spec.structural_masks()
         self.bits = bits = np.ones((v, 1), dtype=bool) if given is None else given.bits
         self.columns = np.arange(n) % (s * groups)
@@ -307,9 +321,7 @@ def forward_patches(
     secondary runs once, over the rows its mask keeps or over the full
     view, and its repeats copy its maps, as :class:`MaskLayout` states.
     """
-    biases = bank.biases if spec.has_biases else None
-    if biases is not None and len(biases) != spec.n_secondary:
-        raise ShapeError(f"expected {spec.n_secondary} biases, got {len(biases)}")
+    biases = check_bank(bank, spec)
     k, s, n = spec.k, spec.s, spec.n_secondary
     layout = mask_layout(spec, masks)
     cols, filters = pm.cols, np.ascontiguousarray(bank.filters)
@@ -454,7 +466,7 @@ def bank_backward(
         grad_m = grad_m.reshape(v, -1)
 
     grad_b = None
-    if spec.has_biases and bank.biases is not None:
+    if spec.has_biases:
         # a lone map sums beside a zero row, as it would beside a sibling
         rows = grad_T if n > 1 else np.vstack([grad_T, np.zeros_like(grad_T)])
         grad_b = np.einsum("nl->n", rows)[:n]

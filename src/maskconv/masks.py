@@ -72,10 +72,6 @@ class MaskSet:
             raise MaskError(f"{self.kind} mask set expects {n} masks of {v} bits, got {self.bits.shape}")
 
     @property
-    def bits_per_mask(self) -> int:
-        return self.bits.shape[0]
-
-    @property
     def n_masks(self) -> int:
         return self.bits.shape[1]
 

@@ -118,7 +118,7 @@ class MaskedConv:
         old, new = self.masks, agent_update(self.masks, grad, lr)
         flipped = new.flip_count(old)
         self.masks = new if flipped else old  # an unchanged set keeps the layout kept on it
-        return flipped, old.n_masks * old.bits_per_mask
+        return flipped, old.bits.size
 
     def sgd(self, lr: float) -> None:
         bank, grads = self.bank, self.grads

@@ -110,9 +110,6 @@ def format_log_record(step: int, metrics: dict) -> str:
 class History:
     records: list[dict] = field(default_factory=list)
 
-    def append(self, metrics: dict):
-        self.records.append(metrics)
-
 
 def fit(
     model: Network,
@@ -143,7 +140,7 @@ def fit(
             idx = order[start : start + config.batch]
             loss, metrics = train_step((images[idx], labels[idx]), model, config)
             step += 1
-            history.append({"step": step, **metrics})
+            history.records.append({"step": step, **metrics})
             if log is not None:
                 log(format_log_record(step, metrics))
             if steps is not None and step >= steps:

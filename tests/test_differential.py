@@ -38,7 +38,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maskconv import convref, fastinfer, layers, network
+from maskconv import convref, layers, network
 from maskconv.checkpoint import save_checkpoint
 from maskconv.convref import (
     PatchMatrix,
@@ -654,7 +654,7 @@ def trained_checkpoints(tmp_path):
 
 def test_training_checkpoints_match_oracle_patches_and_pooling(tmp_path, monkeypatch):
     live = trained_checkpoints(tmp_path)
-    for module in (convref, layers, network, fastinfer):
+    for module in (convref, layers, network):  # every module that binds im2col
         monkeypatch.setattr(module, "im2col", im2col_windows)
 
     def pool_forward(self, x):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,32 @@ def test_learnable_mask_column_count_mismatch():
     for wrong in (shared, lone):
         with pytest.raises(ShapeError):
             bank_forward(np.ones((4, 4, 1)), bank, wrong, spec)
+
+
+def test_masks_grouped_other_than_the_spec_are_refused():
+    # one group of 4 masks holds the bits of 2 groups of 2, but ortho_loss
+    # would group it by 4 and a reload by 2, so a resumed run would diverge
+    spec = LayerSpec("learnable", strategy="separate", s=2, d=3, c=1, k=2)
+    regrouped = from_dense(np.ones((9, 4)), "learned-separate", 3, 1, 4)
+    with pytest.raises(ShapeError, match=r"\(d, c, s, groups\) \(3, 1, 2, 2\), got \(3, 1, 4, 1\)"):
+        bank_forward(np.ones((4, 4, 1)), random_bank(spec, seed=0), regrouped, spec)
+
+
+@pytest.mark.parametrize(
+    "spec, filters, biases",
+    [
+        (LayerSpec("standard", d=3, c=1, k=1), (1, 3, 3, 1), None),
+        (LayerSpec("standard", d=3, c=1, k=2), (2, 3, 3, 1), None),
+        (LayerSpec("channel", d=3, c=4, k=1, c_hat=2, g=2), (1, 3, 3, 4), (2,)),
+        (LayerSpec("spatial", d=3, c=1, k=2), (1, 3, 3, 1), (4,)),
+    ],
+    ids=["standard-k1-no-biases", "standard-k2-no-biases", "channel-with-biases", "spatial-one-filter-short"],
+)
+def test_a_bank_that_does_not_fit_its_spec_is_refused(spec, filters, biases):
+    # biases iff the spec has them, (n,) of them, and (k, d, d, c) filters
+    bank = FilterBank(np.ones(filters), None if biases is None else np.zeros(biases))
+    with pytest.raises(ShapeError, match=re.escape(f"got {filters} and {biases}")):
+        bank_forward(np.ones((4, 4, spec.c)), bank, spec.structural_masks(), spec)
 
 
 def test_masked_filter_consistency_exhaustive():

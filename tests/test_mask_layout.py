@@ -114,7 +114,7 @@ def test_a_step_that_flips_bits_leaves_no_stale_layout(strategy):
     labels = rng.integers(0, 10, 8)
     # a cleared bit flips on for any negative gradient: clear about half
     masks = conv.masks
-    bits = rng.random((masks.bits_per_mask, masks.n_masks)) < 0.5
+    bits = rng.random((masks.bits.shape[0], masks.n_masks)) < 0.5
     conv.masks = from_dense(bits, masks.kind, masks.d, masks.c, masks.s, masks.k)
     stale = mask_layout(conv.spec, conv.masks)
     before = conv.masks

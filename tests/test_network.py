@@ -20,7 +20,8 @@ from maskconv.layers import (
     bank_forward,
 )
 from maskconv.masks import from_dense
-from maskconv.network import MaskedConv, Network, build_small_cnn
+from maskconv.network import Dense, Flatten, MaskedConv, Network, ReLU, build_small_cnn
+from maskconv.training import TrainConfig, train_step
 
 from oracles import secondary_matrix_loop
 
@@ -179,6 +180,21 @@ def test_network_backward_skips_first_conv_input_grad(kwargs, monkeypatch):
     assert np.array_equal(conv1.grads.biases, direct.biases)
     if direct.masks is not None:
         assert np.array_equal(conv1.grads.masks, direct.masks)
+
+
+@pytest.mark.parametrize("flatten", [True, False], ids=["flatten-first", "dense-first"])
+def test_a_network_without_a_first_conv_steps_its_dense_weights(flatten):
+    # the first layer's backward is its own, with the input gradient it returns
+    rng = np.random.default_rng(9)
+    head = [Dense.init(12, 6, seed=1), ReLU(), Dense.init(6, 3, seed=2)]
+    net = Network([Flatten()] * flatten + head)
+    xb = rng.normal(size=(5, 2, 2, 3) if flatten else (5, 12)).astype(np.float32)
+    dense = head[::2]
+    before = [(layer.w, layer.b) for layer in dense]
+    loss, _ = train_step((xb, rng.integers(0, 3, 5)), net, TrainConfig(lr=0.5, lam=0.0))
+    assert np.isfinite(loss)
+    for (w, b), layer in zip(before, dense):
+        assert not np.array_equal(layer.w, w) and not np.array_equal(layer.b, b)
 
 
 # dense filter matrices (standard, learnable), the three squares of a d = 5

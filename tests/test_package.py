@@ -1,5 +1,6 @@
-"""Every public name and method in src has a caller outside the tests, and
-every pointer to a name in the docs resolves to a live object."""
+"""Every public name and method in src has a caller outside the tests,
+every pointer to a name in the docs resolves to a live object, and each
+module's guards raise the module's own error."""
 
 import ast
 import importlib
@@ -7,7 +8,10 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from maskconv import checkpoint, convref, layers, masks, network
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "maskconv"
@@ -110,3 +114,23 @@ def test_every_name_readme_points_to_resolves():
     assert len(tests) >= 3 and len(names) >= 10  # the patterns still find the pointers
     assert sorted(span for span in tests if not resolves_test(span)) == []
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda path: convref.conv_output_size(5, 0), convref.ShapeError),
+        (lambda path: convref.im2col(np.zeros((4, 4)), 3), convref.ShapeError),
+        (lambda path: convref.col2im(np.zeros((9, 5)), convref.im2col(np.zeros((4, 4, 1)), 3)), convref.ShapeError),
+        (lambda path: convref.conv_reference(np.zeros((4, 4, 1)), np.zeros((3, 2, 1))), convref.ShapeError),
+        (lambda path: layers.FilterBank(np.zeros((3, 3, 1))), convref.ShapeError),
+        (lambda path: masks.MaskSet("learned", np.ones((9, 1)), 3, 1, 1), masks.MaskError),
+        (lambda path: checkpoint.save_checkpoint(network.Network([object()]), path), checkpoint.CheckpointError),
+    ],
+    ids=["conv_output_size", "im2col", "col2im", "conv_reference", "FilterBank", "MaskSet", "save_checkpoint"],
+)
+def test_each_guard_raises_its_modules_own_error(call, error, tmp_path):
+    with pytest.raises(error) as caught:
+        call(tmp_path / "model.ckpt")
+    assert caught.type is error
+    assert not (tmp_path / "model.ckpt").exists()

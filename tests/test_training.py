@@ -521,6 +521,35 @@ def test_checkpoint_save_refuses_padding_not_below_d(tmp_path):
     assert not (tmp_path / "wider.ckpt").exists()
 
 
+def bias_less(k):
+    return MaskedConv(LayerSpec("standard", d=3, c=1, k=k), FilterBank(np.ones((k, 3, 3, 1), np.float32)))
+
+
+def separate_with(masks):
+    spec = LayerSpec("learnable", strategy="separate", s=2, d=3, c=1, k=2)
+    return MaskedConv(spec, MaskedConv.init(spec, seed=0).bank, masks)
+
+
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        # unrefused, k = 1 wrote a NaN bias and k = 2 a file that did not load
+        (lambda: bias_less(1), r"biases \(1,\), got .* and None"),
+        (lambda: bias_less(2), r"biases \(2,\), got .* and None"),
+        (lambda: separate_with(None), r"\(3, 1, 2, 2\), got None"),
+        (
+            lambda: separate_with(from_dense(np.ones((9, 4)), "learned-separate", 3, 1, 4)),
+            r"\(3, 1, 2, 2\), got \(3, 1, 4, 1\)",
+        ),
+    ],
+    ids=["no-biases-k1", "no-biases-k2", "no-masks", "one-group-of-4-masks"],
+)
+def test_checkpoint_save_refuses_a_layer_that_does_not_fit_its_spec(tmp_path, layer, message):
+    with pytest.raises(ShapeError, match=message):
+        save_checkpoint(Network([layer()]), tmp_path / "misfit.ckpt")
+    assert not (tmp_path / "misfit.ckpt").exists()
+
+
 def test_checkpoint_channel_record_loads_without_building_its_windows(tmp_path, traced_peak):
     # one channel record, d=1 c=4096 c_hat=1 g=1 k=1: 16 KiB of filters behind
     # 4096 windows of 4096 bits, which the kernels read as index ranges
@@ -557,7 +586,7 @@ def random_bit_model(strategy, seed=0):
     rng = np.random.default_rng(seed + 1)
     for conv in model.conv_layers():
         ms = conv.masks
-        bits = rng.integers(0, 2, size=(ms.bits_per_mask, ms.n_masks))
+        bits = rng.integers(0, 2, size=(ms.bits.shape[0], ms.n_masks))
         conv.masks = from_dense(bits, ms.kind, ms.d, ms.c, ms.s, ms.k)
     return model
 
@@ -591,7 +620,7 @@ def test_flip_rate_is_the_fraction_of_bits_the_step_changed():
     images = np.pad(images, ((0, 0), (2, 2), (2, 2), (0, 0))).astype(np.float32)
     model = random_bit_model("separate", seed=2)
     config = TrainConfig(lr=2.0, lam=0.1, batch=16)
-    total = sum(conv.masks.n_masks * conv.masks.bits_per_mask for conv in model.conv_layers())
+    total = sum(conv.masks.n_masks * conv.masks.bits.shape[0] for conv in model.conv_layers())
     rates = []
     for _ in range(4):
         before = [conv.masks for conv in model.conv_layers()]

@@ -16,13 +16,13 @@ Canonical vectorization order.
     with filter entries.
 
 Fixed reduction order.
-    Every product in :func:`matmul_conv`, the layers and the dense head is
-    one :func:`_contract`, the rule's one owner: a C ``einsum`` without
-    ``optimize``, so single-threaded and never BLAS, that starts each sum
-    from ``+0.0``.  Where the summed axis is not contiguous in both
-    operands, its inner loop runs along the output's last axis, so each
-    output takes its products in index order, as :func:`column_sums` does;
-    where it is, as in a filter gradient, its unrolled loop's order is
+    Every forward product, in :func:`matmul_conv`, the layers' forward and
+    the dense head's forward, is one :func:`_contract`, that rule's one
+    owner: a C ``einsum`` without ``optimize``, so single-threaded and
+    never BLAS, that starts each sum from ``+0.0``.  Where the summed axis
+    is not contiguous in both operands, its inner loop runs along the
+    output's last axis, so each output takes its products in index order,
+    as :func:`column_sums` does; where it is, its unrolled loop's order is
     fixed by that axis's length, if both operands are 2-D: einsum's
     buffered iterator cuts it into 8192-term runs past two outer axes
     that do not merge.  A lone output would be summed pairwise, in
@@ -38,6 +38,17 @@ Fixed reduction order.
     x86-64 baseline build einsum multiplies and adds separately, with no
     fused multiply-add; a build whose einsum fuses them would break this
     contract, and ``tests/test_differential.py`` is what catches that.
+
+    The backward's products, the filter and input gradients and the dense
+    head's two gradients, are one :func:`_blas_contract`: an ``np.matmul``
+    on numpy's bundled OpenBLAS, pinned to one thread for the call.  Their
+    order is OpenBLAS's at one thread, fixed for one build, one CPU (the
+    kernel OpenBLAS picks for it at run time) and one matrix shape, but not
+    the index order, and its kernels may fuse multiply and add.  A lone
+    output axis sits beside a zero slice here too, so a lone filter or
+    unit takes the bits it takes beside a sibling.  Where numpy bundles no
+    such OpenBLAS, :func:`_blas_contract` runs :func:`_contract`, whose
+    gradient bits differ from the BLAS path's.
 
 Patch extraction is a pure copy.
     :func:`im2col` moves values and never computes with them, so a patch
@@ -65,8 +76,10 @@ square kernels are supported.
 
 from __future__ import annotations
 
+import ctypes
 import weakref
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -100,25 +113,77 @@ def column_sums(products: np.ndarray) -> np.ndarray:
     return np.add.reduce(products, axis=0)[:n_cols]
 
 
+def _beside_zeros(subscripts: str, a: np.ndarray, b: np.ndarray):
+    """``(a, b, lone)``: if the output's last axis has length 1 (``lone``),
+    each operand holding it padded to 2 by a zero slice, in the operand's
+    own memory order."""
+    inputs, output = subscripts.split("->")
+    last, padded, lone = output[-1], [], False
+    for axes, operand in zip(inputs.split(","), (a, b)):
+        if last in axes and operand.shape[axes.index(last)] == 1:
+            operand, lone = np.concatenate([operand, np.zeros_like(operand)], axis=axes.index(last)), True
+        padded.append(operand)
+    return (*padded, lone)
+
+
+def _cropped(result: np.ndarray, lone: bool, out: np.ndarray | None):
+    """``result`` without a lone axis's zero slice, written into ``out`` if given."""
+    if not lone:
+        return result
+    if out is None:
+        return result[..., :1]
+    out[...] = result[..., :1]
+    return out
+
+
 def _contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     """``np.einsum(subscripts, a, b, out=out)`` in the fixed reduction order
     of the module docstring.  Private, since the bench traces each public
     function."""
-    inputs, output = subscripts.split("->")
-    a_axes, b_axes = inputs.split(",")
-    last = output[-1]
-    size = a.shape[a_axes.index(last)] if last in a_axes else b.shape[b_axes.index(last)]
-    if size != 1:
-        return np.einsum(subscripts, a, b, out=out)
-    if last in a_axes:
-        a = np.concatenate([a, np.zeros_like(a)], axis=a_axes.index(last))
-    if last in b_axes:
-        b = np.concatenate([b, np.zeros_like(b)], axis=b_axes.index(last))
-    result = np.einsum(subscripts, a, b)[..., :1]
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    a, b, lone = _beside_zeros(subscripts, a, b)
+    return _cropped(np.einsum(subscripts, a, b, out=None if lone else out), lone, out)
+
+
+def _load_openblas():
+    """numpy's bundled scipy-openblas as a ``ctypes`` library, or ``None``
+    where numpy ships none that can set its thread count."""
+    root = Path(np.__file__).parent  # numpy.libs beside it in Linux and Windows wheels, .dylibs in macOS ones
+    found = [*root.parent.glob("numpy.libs/*scipy_openblas64_*"), *root.glob(".dylibs/*scipy_openblas64_*")]
+    for path in sorted(found):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+_OPENBLAS = _load_openblas()
+
+
+def _blas_contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """:func:`_contract` as one ``np.matmul`` on numpy's bundled OpenBLAS,
+    pinned to one thread for the call, its order fixed for one build, CPU
+    and shape (see the module docstring); :func:`_contract` itself where
+    numpy ships no such library.  ``b`` is a matrix that shares one axis
+    with ``a``, the summed one; the output is ``a``'s other axes, then
+    ``b``'s other axis."""
+    if _OPENBLAS is None:
+        return _contract(subscripts, a, b, out=out)
+    a_axes, b_axes = subscripts.split("->")[0].split(",")
+    summed = b_axes[0] if b_axes[0] in a_axes else b_axes[1]
+    a, b, lone = _beside_zeros(subscripts, a, b)
+    a = a.transpose([a_axes.index(axis) for axis in a_axes.replace(summed, "") + summed])
+    b = b if b_axes[0] == summed else b.T
+    threads = _OPENBLAS.scipy_openblas_get_num_threads64_()
+    _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+    try:
+        return _cropped(np.matmul(a, b, out=None if lone else out), lone, out)
+    finally:
+        _OPENBLAS.scipy_openblas_set_num_threads64_(threads)
 
 
 def vec(block: np.ndarray) -> np.ndarray:

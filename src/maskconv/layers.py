@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from maskconv import convref
-from maskconv.convref import PatchMatrix, ShapeError, _contract, im2col
+from maskconv.convref import PatchMatrix, ShapeError, _blas_contract, _contract, im2col
 from maskconv.masks import STRATEGY_KINDS, MaskSet, channel_windows, spatial_masks
 
 VARIANTS = ("standard", "spatial", "channel", "learnable")
@@ -443,11 +443,11 @@ def bank_backward(
         out = terms[t, r, :, kept]
         h, w, _, j = out.shape
         grads = grad_ks[:, kept].reshape(k * j, l)
-        # two-dimensional operands, so that each term sums its l products in one run
-        out[...] = _contract("vl,nl->vn", rows[t, r].reshape(h * w, l), grads).reshape(out.shape)
+        # two-dimensional operands, so that on the einsum path each term sums its l products in one run
+        out[...] = _blas_contract("vl,nl->vn", rows[t, r].reshape(h * w, l), grads).reshape(out.shape)
         if input_grad:  # rows that no mask keeps sum no term: zeros
             f_run = masked[t, r][..., kept]
-            _contract("trn,nl->trl", np.ascontiguousarray(f_run).reshape(h, w, k * j), grads, out=grad_cols[t, r])
+            _blas_contract("trn,nl->trl", np.ascontiguousarray(f_run).reshape(h, w, k * j), grads, out=grad_cols[t, r])
 
     grad_x = None
     if input_grad:

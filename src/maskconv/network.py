@@ -1,9 +1,11 @@
 """Small sequential CNN with manual backprop, batched over images.
 
 Layers operate on ``(B, H, W, c)`` arrays.  :class:`MaskedConv` runs the
-filter-bank core of :mod:`maskconv.layers` on the whole batch, and the
-dense layers' products go through the same contraction, so a batch's
-outputs equal its single images' bit for bit.  Conv activations and
+filter-bank core of :mod:`maskconv.layers` on the whole batch, and only
+the dense layers' forward products go through the conv forward's
+contraction, so a batch's outputs equal its single images' bit for bit;
+their gradients, like the conv backward's, run on one-thread OpenBLAS
+(both rules: :mod:`maskconv.convref`).  Conv activations and
 their gradients keep the core's batch-innermost memory order between
 layers (both orders: :mod:`maskconv.convref`): ``MaskedConv`` passes its
 output on as the core returns it, ReLU and ``AvgPool2`` keep their
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maskconv.convref import ShapeError, _contract, column_sums, conv_output_size, im2col
+from maskconv.convref import ShapeError, _blas_contract, _contract, column_sums, conv_output_size, im2col
 from maskconv.fastinfer import masks_for_spec
 from maskconv.layers import (
     BankGrads,
@@ -204,11 +206,11 @@ class Dense:
 
     def backward(self, grad):
         x, self._saved = self._saved, None
-        # grad as contiguous (o, b) rows: the same bits as "bi,bo->io" at about half the cost
-        self.grad_w = _contract("bi,ob->io", x, np.ascontiguousarray(grad.T))
+        # on the einsum path, grad as contiguous (o, b) rows gives the bits of "bi,bo->io" at about half the cost
+        self.grad_w = _blas_contract("bi,ob->io", x, np.ascontiguousarray(grad.T))
         self.grad_b = column_sums(grad)
-        # w as contiguous (o, i) rows keeps the inner loop on contiguous memory
-        return _contract("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
+        # w as contiguous (o, i) rows keeps the einsum path's inner loop on contiguous memory
+        return _blas_contract("bo,oi->bi", grad, np.ascontiguousarray(self.w.T))
 
     def sgd(self, lr: float) -> None:
         self.w = self.w - (lr * self.grad_w).astype(self.w.dtype)

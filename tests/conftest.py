@@ -37,10 +37,14 @@ def traced_peak():
 
 
 class ContractSpy:
-    """The ``(subscripts, a.shape, b.shape)`` of every ``convref._contract`` call."""
+    """The ``(subscripts, a.shape, b.shape)`` of every product the conv core
+    and the dense head issue: each ``convref._contract`` call and each
+    ``convref._blas_contract`` call, which counts once even where it runs
+    ``_contract`` itself."""
 
     def __init__(self):
         self.calls = []
+        self.depth = 0
 
     def macs_each(self) -> list[int]:
         """Multiply-adds of each recorded call: the product of every
@@ -57,20 +61,43 @@ class ContractSpy:
         """Multiply-adds the recorded calls issued."""
         return sum(self.macs_each())
 
+    def recording(self, product):
+        def recorded(subscripts, a, b, out=None):
+            if not self.depth:
+                self.calls.append((subscripts, np.shape(a), np.shape(b)))
+            self.depth += 1
+            try:
+                return product(subscripts, a, b, out=out)
+            finally:
+                self.depth -= 1
+
+        return recorded
+
 
 @pytest.fixture
 def contract_spy(monkeypatch):
-    """A :class:`ContractSpy` recording every ``convref._contract`` call
-    while the test runs, through each module that imported the function."""
+    """A :class:`ContractSpy` recording every ``convref._contract`` and
+    ``convref._blas_contract`` call while the test runs, through each
+    module that imported the functions."""
     from maskconv import convref
 
-    spy, contract = ContractSpy(), convref._contract
-
-    def recorded(subscripts, a, b, out=None):
-        spy.calls.append((subscripts, np.shape(a), np.shape(b)))
-        return contract(subscripts, a, b, out=out)
-
+    spy = ContractSpy()
+    products = {id(f): spy.recording(f) for f in (convref._contract, convref._blas_contract)}
     for name, module in list(sys.modules.items()):
-        if name.startswith("maskconv") and getattr(module, "_contract", None) is contract:
-            monkeypatch.setattr(module, "_contract", recorded)
+        if not name.startswith("maskconv"):
+            continue
+        for attr in ("_contract", "_blas_contract"):
+            recorded = products.get(id(getattr(module, attr, None)))
+            if recorded is not None:
+                monkeypatch.setattr(module, attr, recorded)
     return spy
+
+
+@pytest.fixture
+def einsum_backward(monkeypatch):
+    """Run the backward's products on ``convref._contract``, the einsum path
+    of a numpy that bundles no OpenBLAS, for tests that pin its bits:
+    OpenBLAS's own bits change with the matrix shape and its runtime kernel."""
+    from maskconv import convref
+
+    monkeypatch.setattr(convref, "_OPENBLAS", None)

@@ -11,7 +11,8 @@ per-block orthogonality walk) that the current code must match byte for
 byte.  ``secondary_grads_exact`` sums the per-secondary filter gradients
 in index order, exact on small-integer operands, and
 ``bias_and_input_grads_exact`` the bias gradient and dL/dx, scattered
-back through ``patches_brute``.  ``secondary_grads`` and
+back through ``patches_brute``; ``dense_grads_exact`` does the same
+for the dense head's two gradients.  ``secondary_grads`` and
 ``bias_grads`` call the library to read the per-secondary gradients that
 ``bank_backward`` keeps to itself, through a standard layer of the
 secondary filters; ``forward_each_secondary`` calls it one secondary at
@@ -166,7 +167,7 @@ def secondary_grads_exact(grad_y, x, spec):
     does not share its order.
     """
     images = x if x.ndim == 4 else x[None]
-    grads = grad_y.reshape(len(images), -1, spec.n_secondary)
+    grads = grad_y.reshape(len(images), grad_y.shape[-3] * grad_y.shape[-2], spec.n_secondary)
     ghat = np.zeros((spec.d * spec.d * spec.c, spec.n_secondary))
     for image, grad in zip(images, grads):
         cols = patches_brute(image, spec.d, spec.stride, spec.padding)
@@ -187,13 +188,13 @@ def bias_and_input_grads_exact(grad_y, x, bank, masks, spec):
     """
     fhat = secondary_matrix_loop(bank, masks, spec)
     images = x if x.ndim == 4 else x[None]
-    grads = grad_y.reshape(len(images), -1, spec.n_secondary)
+    grads = grad_y.reshape(len(images), grad_y.shape[-3] * grad_y.shape[-2], spec.n_secondary)
     # 1 + the flat index of the pixel each patch entry reads, 0 for padding
-    pixels = np.arange(1, images[0].size + 1).reshape(images.shape[1:])
+    pixels = np.arange(1, np.prod(images.shape[1:]) + 1).reshape(images.shape[1:])
     taps = patches_brute(pixels, spec.d, spec.stride, spec.padding).astype(int)
     grad_b = np.zeros(spec.n_secondary)
     grad_x = np.zeros(images.shape)
-    for grad, image_grad in zip(grads, grad_x.reshape(len(images), -1)):
+    for grad, image_grad in zip(grads, grad_x.reshape(len(images), pixels.size)):
         for p, g in enumerate(grad):
             for n in range(spec.n_secondary):
                 grad_b[n] += g[n]
@@ -201,6 +202,22 @@ def bias_and_input_grads_exact(grad_y, x, bank, masks, spec):
                 for n in range(spec.n_secondary if tap else 0):
                     image_grad[tap - 1] += fhat[v, n] * g[n]
     return grad_b, grad_x.reshape(x.shape)
+
+
+def dense_grads_exact(x, grad, w):
+    """``Dense.backward``'s weight and input gradients as index-order loops.
+
+    ``grad_w`` takes one image's outer product at a time and ``dL/dx`` one
+    output unit's term at a time, each from ``+0.0``.  Exact on
+    small-integer operands, as :func:`secondary_grads_exact`.
+    """
+    grad_w = np.zeros((x.shape[1], grad.shape[1]), dtype=np.result_type(x, grad))
+    for b in range(len(x)):
+        grad_w += x[b][:, None] * grad[b]
+    grad_x = np.zeros(x.shape, dtype=np.result_type(grad, w))
+    for o in range(grad.shape[1]):
+        grad_x += grad[:, o : o + 1] * w[:, o]
+    return grad_w, grad_x
 
 
 def bias_grads(grad_y, x, bank, masks, spec):

@@ -70,6 +70,7 @@ from oracles import (
     cached_adds_loop,
     col2im_channel_last,
     core_order,
+    dense_grads_exact,
     forward_patches_loop,
     grads_from_secondary_loop,
     im2col_windows,
@@ -222,6 +223,7 @@ def assert_ranges_select_mask_bits(spec, masks):
 SWEEP_GRADS_SHA256 = "b9d7b2755238548229c4ec0282095026966eaabd6999b14f193c9966ec6c519b"
 
 
+@pytest.mark.usefixtures("einsum_backward")
 def test_mask_layout_matches_per_secondary_loops_and_reference():
     rng = np.random.default_rng(20)
     covered = set()
@@ -317,6 +319,7 @@ def density_masks(spec, density, rng):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.usefixtures("einsum_backward")
 def test_bit_mask_densities_match_dense_masked_oracles(strategy):
     """Bit masks all set, all clear, keeping one row each and fair-coin, at
     ``s`` = 1 and 9: every forward path, every :class:`BankGrads` field and
@@ -419,6 +422,90 @@ def test_filter_and_mask_grads_equal_an_exact_index_order_loop(variant):
                     assert_same_bits(got, want)
 
 
+def small_integer_case(rng, trial):
+    """Spec, masks, bank, input and ``dL/dy`` for one trial of the exact sweep.
+
+    Operands are float64 integers in [-3, 3], so every partial sum of the
+    backward is an exact integer.  Trials cycle through the variants and
+    the learnable strategies; geometry reaches padding ``d - 1`` and even
+    ``d``, and the batch cycles through one image and 0 to 3 images.
+    """
+    variant = VARIANTS[trial % len(VARIANTS)]
+    d, stride, c, k = (int(v) for v in rng.integers((1, 1, 1, 1), (6, 3, 5, 4)))
+    padding = int(rng.integers(0, d))
+    geometry = dict(d=d, c=c, k=k, stride=stride, padding=padding)
+    if variant == "channel":
+        c_hat = int(rng.integers(1, c + 1))
+        g = int(rng.choice([g for g in range(1, c + 1) if (c - c_hat) % g == 0]))
+        spec = LayerSpec("channel", c_hat=c_hat, g=g, **geometry)
+    elif variant == "learnable":
+        strategy = STRATEGIES[trial // len(VARIANTS) % len(STRATEGIES)]
+        spec = LayerSpec("learnable", strategy=strategy, s=int(rng.integers(1, 5)), **geometry)
+    else:
+        spec = LayerSpec(variant, **geometry)
+
+    def small(*shape):
+        return rng.integers(-3, 4, size=shape).astype(np.float64)
+
+    biases = small(spec.n_secondary) if spec.has_biases else None
+    bank = layers.FilterBank(small(k, d, d, c), biases)
+    low = max(1, d - 2 * padding)
+    h, w = (int(v) for v in rng.integers(low, low + 4, size=2))
+    batch = ((), (0,), (1,), (2,), (3,))[trial // 2 % 5]
+    x = small(*batch, h, w, c)
+    grad_y = small(*batch, *spec.output_shape(h, w))
+    return spec, masks_for_spec(spec, int(rng.integers(2**31))), bank, x, grad_y
+
+
+def test_backward_equals_exact_index_order_loops_across_the_sweep():
+    """Every :class:`BankGrads` field equals, by bytes, the exact index-order
+    loops of ``tests/oracles.py`` over the differential sweep's spec space,
+    whatever order the backward's products sum in.  ``bank_backward`` gives
+    the same bytes for a batch-innermost ``dL/dy``, and ``MaskedConv`` the
+    same gradients as ``bank_backward``."""
+    rng = np.random.default_rng(33)
+    covered = set()
+    for trial in range(N_CASES):
+        spec, masks, bank, x, grad_y = small_integer_case(rng, trial)
+        covered |= {
+            (spec.variant, spec.strategy),
+            ("d even", spec.d % 2 == 0),
+            ("stride", spec.stride),
+            ("padding d - 1", spec.d > 1 and spec.padding == spec.d - 1),
+            ("batch", len(x) if x.ndim == 4 else "one image"),
+            ("s = 1", spec.variant, spec.s == 1),
+            ("c_hat = c", spec.c_hat == spec.c),
+        }
+        grads = bank_backward(grad_y, x, bank, masks, spec)
+        want_f, want_m = grads_from_secondary_loop(secondary_grads_exact(grad_y, x, spec), bank, masks, spec)
+        want_b, want_x = bias_and_input_grads_exact(grad_y, x, bank, masks, spec)
+        assert_same_bits(grads.filters, want_f)
+        assert_same_bits(grads.x, want_x)
+        for got, want in ((grads.masks, want_m), (grads.biases, want_b if spec.has_biases else None)):
+            if want is None:
+                assert got is None
+            else:
+                assert_same_bits(got, want)
+
+        same = bank_backward(batch_innermost(grad_y), x, bank, masks, spec)
+        conv = MaskedConv(spec, bank, masks)
+        conv.forward(x if x.ndim == 4 else x[None])
+        conv_grad_x = conv.backward(grad_y if x.ndim == 4 else grad_y[None])
+        assert_same_bits(conv_grad_x, grads.x if x.ndim == 4 else grads.x[None])
+        for name in ("filters", "biases", "masks"):
+            for got in (getattr(same, name), getattr(conv.grads, name)):
+                want = getattr(grads, name)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_same_bits(got, want)
+        assert_same_bits(same.x, grads.x)
+    required = {(v, None) for v in VARIANTS[:3]} | {("learnable", strategy) for strategy in STRATEGIES}
+    required |= {("s = 1", v, True) for v in VARIANTS} | {("c_hat = c", True)}
+    required |= {("d even", True), ("d even", False), ("stride", 2), ("padding d - 1", True)}
+    required |= {("batch", b) for b in ("one image", 0, 1, 2, 3)}
+    assert required <= covered
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -428,6 +515,7 @@ def test_filter_and_mask_grads_equal_an_exact_index_order_loop(variant):
     ],
     ids=lambda spec: f"{spec.variant}_d{spec.d}_c{spec.c}",
 )
+@pytest.mark.usefixtures("einsum_backward")
 def test_structural_filter_grads_sum_each_term_in_one_run(spec):
     """Past 8192 output positions einsum's buffered iterator cuts a sum
     over a 3-D view of the patch rows, a spatial ring's sides or a channel
@@ -578,6 +666,7 @@ def test_avgpool_matches_mean_and_repeat_oracles(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.usefixtures("einsum_backward")
 def test_dense_weight_grad_matches_batch_major_einsum(dtype):
     rng = np.random.default_rng(24)
     # the small CNN's dense layers at its default and its test sizes
@@ -591,6 +680,29 @@ def test_dense_weight_grad_matches_batch_major_einsum(dtype):
             dense.backward(grad)
             assert_same_bits(dense.grad_w, np.einsum("bi,bo->io", x, grad))
 
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_grads_equal_an_exact_index_order_loop(dtype):
+    """At the sizes above, on small-integer operands (every partial sum an
+    exact integer), ``Dense``'s weight and input gradients equal
+    ``dense_grads_exact`` by bytes, whatever order their products sum in;
+    post-ReLU zeros make some weight-gradient rows sums of signed zeros."""
+    rng = np.random.default_rng(34)
+
+    def small(*shape):
+        return rng.integers(-3, 4, size=shape).astype(dtype)
+
+    for n_in, n_out in ((400, 64), (64, 10), (200, 16), (16, 10)):
+        dense = Dense(small(n_in, n_out), small(n_out))
+        for batch in (1, 2, 3, 7, 16, 33, 64, 65, 256):
+            x = np.maximum(small(batch, n_in), 0)
+            grad = small(batch, n_out)
+            dense.forward(x)
+            grad_x = dense.backward(grad)
+            want_w, want_x = dense_grads_exact(x, grad, dense.w)
+            assert_same_bits(dense.grad_w, want_w)
+            assert_same_bits(grad_x, want_x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

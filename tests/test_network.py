@@ -277,6 +277,74 @@ def test_forward_bits_do_not_depend_on_thread_count():
     assert outputs[0] == outputs[1]
 
 
+_THREADED_FIT = """
+import hashlib
+import tempfile
+from pathlib import Path
+import numpy as np
+from maskconv.checkpoint import save_checkpoint
+from maskconv.datagen import generate_digits
+from maskconv.network import build_small_cnn
+from maskconv.training import TrainConfig, fit
+images, labels = generate_digits(128, 0)
+images = images[..., None] / np.float32(255)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "run.ckpt"
+    for kwargs in (dict(variant="standard"), dict(variant="spatial", conv1_maps=9),
+                   dict(variant="learnable", strategy="separate", s=2)):
+        model = build_small_cnn(conv2_maps=16, seed=0, **kwargs)
+        fit(model, images, labels, TrainConfig(lr=0.15, lam=0.1, epochs=1, batch=64, seed=0), steps=2)
+        save_checkpoint(model, path)
+        print(hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_fit_checkpoint_bytes_do_not_depend_on_thread_count():
+    """The backward's OpenBLAS products run on one thread whatever the pool's
+    size, so a ``fit`` writes the same checkpoint bytes at 1 and 2 threads."""
+    outputs = run_under_thread_counts(_THREADED_FIT)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
+
+
+def _backward_calls(rng):
+    """A conv layer's and a dense layer's backward on fresh forwards."""
+    spec = LayerSpec("learnable", d=3, c=2, k=2, s=2, strategy="shared")
+    conv, dense = MaskedConv.init(spec, seed=1), Dense.init(5, 3, seed=1)
+    xb = rng.normal(size=(2, 6, 6, 2)).astype(np.float32)
+    grad_y = rng.normal(size=conv.forward(xb).shape).astype(np.float32)
+    grad = rng.normal(size=dense.forward(rng.normal(size=(4, 5)).astype(np.float32)).shape).astype(np.float32)
+    return lambda: conv.backward(grad_y), lambda: dense.backward(grad)
+
+
+@pytest.mark.skipif(convref._OPENBLAS is None, reason="numpy bundles no OpenBLAS")
+def test_backward_leaves_the_blas_thread_count_as_it_found_it(monkeypatch):
+    """Each backward product runs at one OpenBLAS thread and restores the
+    count it found, also when the product raises."""
+    lib, rng = convref._OPENBLAS, np.random.default_rng(33)
+    found = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        for backward in _backward_calls(rng):
+            backward()
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        during = []
+
+        def failing(*args, **kwargs):
+            during.append(lib.scipy_openblas_get_num_threads64_())
+            raise MemoryError("product failed")
+
+        for backward in _backward_calls(rng):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", failing)
+                with pytest.raises(MemoryError):
+                    backward()
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        assert during == [1, 1]
+    finally:
+        lib.scipy_openblas_set_num_threads64_(found)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_cached_forward_equals_core_and_scales_tallies(variant, dtype):

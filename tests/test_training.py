@@ -721,6 +721,7 @@ def fit_checkpoint_digests(tmp_path):
     return digests
 
 
+@pytest.mark.usefixtures("einsum_backward")
 def test_fit_checkpoints_keep_their_bytes(tmp_path):
     assert fit_checkpoint_digests(tmp_path) == FIT_CHECKPOINT_SHA256
 
@@ -737,6 +738,7 @@ TRAINING_SIZE_GRADS_SHA256 = {
 }
 
 
+@pytest.mark.usefixtures("einsum_backward")
 def test_conv_grads_at_training_size_keep_their_bytes():
     images, _ = generate_digits(64, 0)
     x0 = images[..., None] / np.float32(255)  # as load_idx scales the pixels

@@ -41,14 +41,15 @@ Fixed reduction order.
 
     The backward's products, the filter and input gradients and the dense
     head's two gradients, are one :func:`_blas_contract`: an ``np.matmul``
-    on numpy's bundled OpenBLAS, pinned to one thread for the call.  Their
-    order is OpenBLAS's at one thread, fixed for one build, one CPU (the
-    kernel OpenBLAS picks for it at run time) and one matrix shape, but not
-    the index order, and its kernels may fuse multiply and add.  A lone
-    output axis sits beside a zero slice here too, so a lone filter or
-    unit takes the bits it takes beside a sibling.  Where numpy bundles no
-    such OpenBLAS, :func:`_blas_contract` runs :func:`_contract`, whose
-    gradient bits differ from the BLAS path's.
+    on numpy's bundled OpenBLAS, pinned to one thread for the call under
+    one lock.  Their order is OpenBLAS's at one thread, fixed for one
+    build, one CPU (the kernel OpenBLAS picks for it at run time) and one
+    matrix shape, but not the index order, and its kernels may fuse
+    multiply and add.  A lone output axis sits beside a zero slice here
+    too, so a lone filter or unit takes the bits it takes beside a
+    sibling.  Where numpy bundles no such OpenBLAS, :func:`_blas_contract`
+    runs :func:`_contract`, whose gradient bits differ from the BLAS
+    path's.
 
 Patch extraction is a pure copy.
     :func:`im2col` moves values and never computes with them, so a patch
@@ -77,6 +78,7 @@ square kernels are supported.
 from __future__ import annotations
 
 import ctypes
+import threading
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,6 +164,7 @@ def _load_openblas():
 
 
 _OPENBLAS = _load_openblas()
+_OPENBLAS_PIN = threading.Lock()
 
 
 def _blas_contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
@@ -170,7 +173,9 @@ def _blas_contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarra
     and shape (see the module docstring); :func:`_contract` itself where
     numpy ships no such library.  ``b`` is a matrix that shares one axis
     with ``a``, the summed one; the output is ``a``'s other axes, then
-    ``b``'s other axis."""
+    ``b``'s other axis.  OpenBLAS's thread count is process-wide, so one
+    lock holds it from the read through the restore: concurrent calls run
+    one at a time, and each restores the count it found."""
     if _OPENBLAS is None:
         return _contract(subscripts, a, b, out=out)
     a_axes, b_axes = subscripts.split("->")[0].split(",")
@@ -178,12 +183,13 @@ def _blas_contract(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarra
     a, b, lone = _beside_zeros(subscripts, a, b)
     a = a.transpose([a_axes.index(axis) for axis in a_axes.replace(summed, "") + summed])
     b = b if b_axes[0] == summed else b.T
-    threads = _OPENBLAS.scipy_openblas_get_num_threads64_()
-    _OPENBLAS.scipy_openblas_set_num_threads64_(1)
-    try:
-        return _cropped(np.matmul(a, b, out=None if lone else out), lone, out)
-    finally:
-        _OPENBLAS.scipy_openblas_set_num_threads64_(threads)
+    with _OPENBLAS_PIN:
+        threads = _OPENBLAS.scipy_openblas_get_num_threads64_()
+        _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+        try:
+            return _cropped(np.matmul(a, b, out=None if lone else out), lone, out)
+        finally:
+            _OPENBLAS.scipy_openblas_set_num_threads64_(threads)
 
 
 def vec(block: np.ndarray) -> np.ndarray:

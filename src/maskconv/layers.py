@@ -209,8 +209,8 @@ class MaskLayout:
     forward's.  On finite patches and filters a skipped row drops only
     signed-zero addends, which change no sum from ``+0.0``; with an inf or
     NaN it would drop a ``0 * inf`` term, so the forward then runs the full
-    view.  The backward runs over the row groups below and never falls
-    back, which README's "Numerics and determinism" states as a limit.
+    view.  The backward skips no row: it runs every row and masked
+    secondary, a dropped row a zero in it.
 
     **Repeats.**  ``sources[g, j]`` is the first mask of group ``g`` with
     mask ``j``'s bits, or ``sources`` is ``None`` when no mask repeats one.
@@ -219,15 +219,6 @@ class MaskLayout:
     place by the ``copies``, ``(row, source row)`` pairs in descending row
     order so that each row is read before it is written; a distinct map
     that is not in its own row moves too.
-
-    **Row groups.**  The backward splits the rows by the set of masks that
-    keeps them: for each of the ``row_groups`` ``(t, r, kept)``, slices of
-    the grid and the masks, it runs the filter-gradient terms and then the
-    input-gradient columns of the kept masks.  Spatial rings and channel
-    segments are rectangles kept by a run of masks, possibly none.  Every
-    other layer has one group of every row and mask: a bit-mask layer runs
-    all its masked secondaries, a cleared bit a zero in them, and its
-    straight-through mask gradient takes every bit's term.
     """
 
     def __init__(self, spec: LayerSpec, masks: MaskSet | None = None):
@@ -243,28 +234,13 @@ class MaskLayout:
         self.kept = bits.sum(axis=0)
         self.skips_rows = bool(self.kept.min() < v)
 
-        self.grid, self.views, self.row_groups = (1, v), [(_FULL, _FULL)], [(_FULL, _FULL, slice(0, s))]
+        self.grid, self.views = (1, v), [(_FULL, _FULL)]
         if spec.variant == "spatial":
             self.grid = (d, d * c)
             self.views = [(slice(j, d - j), slice(j * c, (d - j) * c)) for j in range(s)]
-            self.row_groups = []
-            for q in range(s):  # ring q, kept by squares 0..q: top and bottom rows, then the sides
-                lo, hi = q, d - 1 - q
-                width = slice(lo * c, (hi + 1) * c)
-                self.row_groups += [(slice(a, a + 1), width, slice(0, q + 1)) for a in sorted({lo, hi})]
-                if hi - lo > 1:
-                    sides = (slice(b * c, (b + 1) * c) for b in (lo, hi))
-                    self.row_groups += [(slice(lo + 1, hi), side, slice(0, q + 1)) for side in sides]
         elif spec.variant == "channel":
             self.grid = (d * d, c)
-            starts = range(0, s * spec.g, spec.g)
-            self.views = [(_FULL, slice(a, a + spec.c_hat)) for a in starts]
-            edges = sorted({0, c, *starts, *(a + spec.c_hat for a in starts)})
-            self.row_groups = []
-            for lo, hi in zip(edges, edges[1:]):
-                # channels lo:hi lie in the windows that start at or before lo, less those that end there
-                j0, j1 = max(0, (lo - spec.c_hat) // spec.g + 1), lo // spec.g + 1
-                self.row_groups.append((_FULL, slice(lo, hi), slice(min(s, j0), min(s, j1))))
+            self.views = [(_FULL, slice(a, a + spec.c_hat)) for a in range(0, s * spec.g, spec.g)]
         elif learnable and groups == 1:
             self.views = [(_FULL, rows if len(rows) < v else _FULL) for rows in map(np.flatnonzero, bits.T)]
 
@@ -407,10 +383,11 @@ def bank_backward(
     or of another dtype.  Returns the :class:`BankGrads` summed over the
     batch; the input gradient has ``x``'s shape in the core's memory
     order, or is ``None`` with ``input_grad=False``, which skips its
-    products and scatter.  Both gradients run in one loop over the row
-    groups of :class:`MaskLayout`; a bit-mask layer's one group holds
-    every row and masked secondary, a cleared bit a zero term, so both
-    equal the dense masked products even with an inf or NaN.
+    product and scatter.  Every variant runs the dense masked products:
+    one over every patch row and map for the filter and mask gradients,
+    and one over every masked secondary, a dropped row a zero in it, for
+    the input gradient; so both equal those products even with an inf or
+    NaN.
     Each sum runs in the order of :mod:`maskconv.convref`, so ``grad_y``'s
     memory order does not change the bits.
     """
@@ -425,35 +402,21 @@ def bank_backward(
     # (n, l) rows keep both contractions' inner loops on contiguous memory; a
     # batch-innermost grad_y, as the layers pass it on, gives them without a copy
     grad_T = np.ascontiguousarray(convref._channels_first(grad_y)).reshape(n, -1)
-    layout = mask_layout(spec, masks)
-    grid, cols, fmat = layout.grid, patches.cols, bank.filter_matrix()
-    k, s, (v, l) = spec.k, spec.s, cols.shape
-    sel = layout.selector.T.reshape(v, k, s)
-    grad_ks, rows = grad_T.reshape(k, s, l), cols.reshape(*grid, l)
-    # each (row, primary, mask) filter-gradient term, +0.0 where the mask drops the row
-    terms = np.zeros((*grid, k, s), dtype=np.result_type(cols, grad_T))
-    if input_grad:
-        masked = (fmat[:, :, None] * sel).reshape(*grid, k, s)  # the masked secondaries
-        # each group's rows are last read by its filter gradient, so the patches'
-        # buffer takes the input-gradient columns: every row is written, by one group
-        dtype = np.result_type(fmat, grad_T)
-        reuse = cols.dtype == dtype and cols.flags.c_contiguous and cols.flags.writeable
-        grad_cols = (cols if reuse else np.empty(cols.shape, dtype)).reshape(*grid, l)
-    for t, r, kept in layout.row_groups:
-        out = terms[t, r, :, kept]
-        h, w, _, j = out.shape
-        grads = grad_ks[:, kept].reshape(k * j, l)
-        # two-dimensional operands, so that on the einsum path each term sums its l products in one run
-        out[...] = _blas_contract("vl,nl->vn", rows[t, r].reshape(h * w, l), grads).reshape(out.shape)
-        if input_grad:  # rows that no mask keeps sum no term: zeros
-            f_run = masked[t, r][..., kept]
-            _blas_contract("trn,nl->trl", np.ascontiguousarray(f_run).reshape(h, w, k * j), grads, out=grad_cols[t, r])
-
+    cols, fmat = patches.cols, bank.filter_matrix()
+    k, s, v = spec.k, spec.s, cols.shape[0]
+    sel = mask_layout(spec, masks).selector.T.reshape(v, k, s)
+    # each (row, primary, mask) filter-gradient term; two-dimensional operands,
+    # so that on the einsum path each term sums its l products in one run
+    terms = _blas_contract("vl,nl->vn", cols, grad_T).reshape(v, k, s)
     grad_x = None
     if input_grad:
-        grad_x = convref.col2im(grad_cols.reshape(cols.shape).astype(cols.dtype, copy=False), patches)
+        # the filter gradient has read the patches, so their buffer takes the input-gradient columns
+        masked = (fmat[:, :, None] * sel).reshape(v, n)  # the masked secondaries
+        dtype = np.result_type(fmat, grad_T)
+        reuse = cols.dtype == dtype and cols.flags.c_contiguous and cols.flags.writeable
+        grad_cols = _blas_contract("vn,nl->vl", masked, grad_T, out=cols if reuse else None)
+        grad_x = convref.col2im(grad_cols.astype(cols.dtype, copy=False), patches)
 
-    terms = terms.reshape(v, k, s)
     grad_f = np.zeros((v, k), dtype=fmat.dtype)
     for j in range(s):  # each primary takes its masks' terms in order j, from zero
         grad_f += terms[:, :, j] * sel[:, :, j]

@@ -11,11 +11,10 @@ filters, the filter and mask gradients (from the secondary-filter
 gradients of a standard layer, the same contraction), the input gradient
 (an in-order sum over the secondary filters, scattered) and the
 cached-product ADD tally.  The view of each spatial, channel and shared
-bit mask must select exactly its set bits, and a spatial or channel
-layer's row groups must split the rows by the set of masks that keeps
-them.  Bit masks all set, all clear, keeping one row and fair-coin must
-match the same oracles for every strategy, and their filter and mask
-gradients an exact-arithmetic index-order loop.
+bit mask must select exactly its set bits.  Bit masks all set, all
+clear, keeping one row and fair-coin must match the same oracles for
+every strategy, and their filter and mask gradients an exact-arithmetic
+index-order loop.
 ``bank_backward`` must give the same bytes whatever the memory order of
 ``dL/dy``, ``MaskedConv.backward`` the input gradient ``bank_backward``
 gives, and the sweep's gradients must hash to a pinned digest.
@@ -27,9 +26,8 @@ the same bytes for a batch stored channel-last, map-major or
 batch-innermost.  ``Dense``'s weight
 gradient must equal its batch-major ``einsum`` by bytes, and a lone
 filter or dense unit must give the bytes it gives beside a second one.
-A spatial backward on an ``inf`` input keeps its stated limit: ``inf``,
-not the dense oracle's NaN, at a tap a mask drops.  A shared layer's
-input gradient on an ``inf`` in ``dL/dy`` equals the dense oracle's.
+A shared, spatial or channel backward on an ``inf`` in the input and in
+``dL/dy`` equals the dense masked oracles, a NaN counting as one NaN.
 """
 
 import hashlib
@@ -195,9 +193,7 @@ def reference_maps(x, fhat, biases, spec):
 
 
 def assert_ranges_select_mask_bits(spec, masks):
-    """Each mask's view holds exactly its set bits.  A spatial or channel
-    layer's row groups split the rows by the set of masks that keeps them;
-    a bit-mask layer has one group of every row and mask."""
+    """Each mask's view holds exactly its set bits."""
     layout = mask_layout(spec, masks)
     grid, views = layout.grid, layout.views
     bits = masks.dense().astype(bool).reshape(*grid, -1)
@@ -205,16 +201,6 @@ def assert_ranges_select_mask_bits(spec, masks):
         kept = np.zeros(grid, dtype=bool)
         kept[view] = True
         assert np.array_equal(kept, bits[..., j])
-    if spec.variant == "learnable":
-        assert layout.row_groups == [(slice(None), slice(None), slice(0, spec.s))]
-        return
-    covered = np.zeros(grid, dtype=int)
-    for t, r, kept_masks in layout.row_groups:
-        covered[t, r] += 1
-        run = np.zeros(spec.s, dtype=bool)
-        run[kept_masks] = True
-        assert (bits[t, r] == run).all()
-    assert (covered == 1).all()
 
 
 # sha256 over the sweep's gradients, each BankGrads field and then the
@@ -577,42 +563,47 @@ def test_non_finite_inputs_forward_equals_reference():
     assert required <= covered
 
 
-@np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here
-def test_non_finite_shared_input_grad_equals_dense_masked_oracle():
-    """A shared layer's input gradient runs every masked secondary, a
-    cleared bit a zero in it, even when ``dL/dy`` holds ``inf``.  Mask 1
-    keeps only channel 0, so at channels 1-7 the dense masked oracle adds
-    ``0 * inf = NaN`` from map 1, and so does ``bank_backward``."""
-    spec = LayerSpec("learnable", strategy="shared", s=2, d=1, c=8, k=1)
-    bits = np.ones((8, 2), dtype=bool)
-    bits[1:, 1] = False
-    masks = from_dense(bits, spec.mask_kind, 1, 8, 2)
-    bank = random_bank(spec, seed=0, dtype=np.float64)
-    x = np.ones((1, 1, 8))
-    grad_y = np.array([[[1.0, np.inf]]])
-    got = bank_backward(grad_y, x, bank, masks, spec).x
-    want = input_grad(grad_y, x, bank, masks, spec)
-    assert np.isnan(want[0, 0, 1:]).all()
-    assert_same_bits_any_nan(got, want)
+def _non_finite_case(name):
+    """``(spec, masks, x, grad_y)``: ones, with an ``inf`` in ``x`` at a patch
+    row that mask 1 drops and an ``inf`` in mask 1's map of ``dL/dy``."""
+    if name == "shared":  # mask 1 keeps only channel 0
+        spec = LayerSpec("learnable", strategy="shared", s=2, d=1, c=8, k=1)
+        bits = np.ones((8, 2), dtype=bool)
+        bits[1:, 1] = False
+        masks, x = from_dense(bits, spec.mask_kind, 1, 8, 2), np.ones((1, 1, 8))
+        x[0, 0, 3] = np.inf
+    elif name == "spatial":  # a corner tap: the inner square drops it
+        spec = LayerSpec("spatial", d=3, c=1, k=1)
+        masks, x = spec.structural_masks(), np.ones((3, 3, 1))
+        x[0, 0, 0] = np.inf
+    else:  # windows 0:2 and 3:5, channel 2 in none
+        spec = LayerSpec("channel", d=1, c=5, k=1, c_hat=2, g=3)
+        masks, x = spec.structural_masks(), np.ones((1, 1, 5))
+        x[0, 0, 2] = np.inf
+    grad_y = np.ones(spec.output_shape(*x.shape[:2]))
+    grad_y[..., 1] = np.inf
+    return spec, masks, x, grad_y
 
 
-@np.errstate(invalid="ignore")  # the oracle's 0 * inf is the point here
-def test_non_finite_spatial_backward_skips_masked_taps():
-    """A stated limit, pinned: spatial and channel backwards skip the patch
-    rows a mask drops even when the input holds ``inf`` or NaN.  At a tap
-    that one mask drops, the dense masked oracle adds ``0 * inf = NaN``;
-    ``bank_backward`` leaves that term out and gives ``inf``."""
-    spec = LayerSpec("spatial", d=3, c=1, k=1)
-    masks = spec.structural_masks()
-    bank = random_bank(spec, seed=0, dtype=np.float64)
-    x = np.ones((3, 3, 1))
-    x[0, 0, 0] = np.inf  # a corner tap: the inner square drops it
-    grad_y = np.ones((1, 1, spec.n_secondary))
-    got = bank_backward(grad_y, x, bank, None, spec).filters
-    want, _ = grads_from_secondary_loop(secondary_grads(grad_y, x, bank, masks, spec), bank, masks, spec)
-    assert np.isposinf(got[0, 0, 0, 0]) and np.isnan(want[0, 0, 0, 0])
-    got[0, 0, 0, 0] = want[0, 0, 0, 0] = 0.0
-    assert_same_bits(got, want)
+@pytest.mark.parametrize("name", ["shared", "spatial", "channel"])
+@np.errstate(invalid="ignore")  # the oracles' 0 * inf is the point here
+def test_non_finite_backward_equals_dense_masked_oracle(name):
+    """Every variant's backward runs every patch row and masked secondary,
+    a dropped row a zero in it, even on ``inf``: at a row that mask 1 drops,
+    the dense masked oracles add ``0 * inf = NaN`` to the filter gradient
+    from ``x`` and to the input gradient from ``dL/dy``, and so does
+    ``bank_backward``.  Operands are ones and ``inf``, so every sum is
+    exact in any order."""
+    spec, masks, x, grad_y = _non_finite_case(name)
+    bank = random_bank(spec, seed=0)
+    got = bank_backward(grad_y, x, bank, masks, spec)
+    want_f, want_m = grads_from_secondary_loop(secondary_grads(grad_y, x, bank, masks, spec), bank, masks, spec)
+    want_x = input_grad(grad_y, x, bank, masks, spec)
+    assert np.isnan(want_f).any() and np.isnan(want_x).any()
+    assert_same_bits_any_nan(got.filters, want_f)
+    assert_same_bits_any_nan(got.x, want_x)
+    if want_m is not None:
+        assert_same_bits_any_nan(got.masks, want_m)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -397,25 +397,16 @@ def test_backward_shape_mismatch():
     ],
     ids=lambda spec: f"{spec.variant}_d{spec.d}_{spec.strategy}",
 )
-def test_backward_issues_one_contraction_pair_per_row_group(spec, contract_spy):
-    # per group, the filter gradient's terms over its rows and kept masks,
-    # then as many MACs of input gradient; in all, each (row, mask) pair once,
-    # so the filter gradient issues the MACs of one run per mask over the
-    # rows it keeps, or over every row for bit masks
+def test_backward_issues_one_contraction_pair_per_backward(spec, contract_spy):
+    # the filter gradient's terms over every row and map, then as many MACs
+    # of input gradient over every masked secondary, for every variant
     masks = masks_for_spec(spec, 4)
     bank = random_bank(spec, 4)
     x = np.random.default_rng(4).normal(size=(2, 6, 7, spec.c))
     grad_y = np.ones((2, *spec.output_shape(6, 7)))
-    l = grad_y.size // spec.n_secondary
-    layout = mask_layout(spec, masks)
-    (T, R), s = layout.grid, spec.s
-    per_group = [
-        len(range(T)[t]) * len(range(R)[r]) * len(range(s)[kept]) * spec.k * l for t, r, kept in layout.row_groups
-    ]
-    whole = spec.d * spec.d * spec.c
-    runs = [whole] * s if spec.variant == "learnable" else layout.kept
-    assert sum(per_group) == sum(runs) * spec.k * l
-    for input_grad, want in ((False, per_group), (True, [m for macs in per_group for m in (macs, macs)])):
+    n = spec.n_secondary
+    macs = spec.d * spec.d * spec.c * n * (grad_y.size // n)
+    for input_grad, want in ((False, [macs]), (True, [macs, macs])):
         contract_spy.calls.clear()
         bank_backward(grad_y, x, bank, masks, spec, input_grad=input_grad)
         assert contract_spy.macs_each() == want

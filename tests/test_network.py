@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import astuple
 from pathlib import Path
 
@@ -343,6 +344,36 @@ def test_backward_leaves_the_blas_thread_count_as_it_found_it(monkeypatch):
         assert during == [1, 1]
     finally:
         lib.scipy_openblas_set_num_threads64_(found)
+
+
+@pytest.mark.skipif(convref._OPENBLAS is None, reason="numpy bundles no OpenBLAS")
+def test_concurrent_backward_products_restore_the_blas_thread_count():
+    """Two Python threads, never more, issue backward products at once from
+    an OpenBLAS count of 2: the count is 2 once they join, and every
+    product's bytes equal those of the same product run alone."""
+    lib, rng = convref._OPENBLAS, np.random.default_rng(36)
+    operands = [(rng.normal(size=(v, l)), rng.normal(size=(n, l))) for v, n, l in ((9, 4, 49), (200, 16, 784))]
+    alone = [convref._blas_contract("vl,nl->vn", a, b).tobytes() for a, b in operands]
+    same = [[], []]
+
+    def run(record):
+        for _ in range(1500):
+            for (a, b), want in zip(operands, alone):
+                record.append(convref._blas_contract("vl,nl->vn", a, b).tobytes() == want)
+
+    found = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        threads = [threading.Thread(target=run, args=(record,), daemon=True) for record in same]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(found)
+    assert same == [[True] * 1500 * len(operands)] * 2
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

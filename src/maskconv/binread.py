@@ -1,10 +1,10 @@
 """Bounded reading of the package's binary formats.
 
-Checkpoints, IDX files and mask records all declare sizes in their own
-headers.  :class:`Reader` hands out a declared size only after checking
-that the bytes are there, so a short file that declares gigabytes fails
-with its format's own error and nothing is allocated beyond the bytes
-the file holds.
+The two formats the package reads, checkpoints and IDX files, declare
+sizes in their own headers.  :class:`Reader` hands out a declared size
+only after checking that the bytes are there, so a short file that
+declares gigabytes fails with its format's own error and nothing is
+allocated beyond the bytes the file holds.
 """
 
 from __future__ import annotations

@@ -39,24 +39,23 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
         f.write(labels.tobytes())
 
 
-def read_idx_images(path: str | Path) -> np.ndarray:
+def _read_idx(path: str | Path, magic: int, what: str, payload: str) -> np.ndarray:
+    """An IDX file's read-only uint8 array; its magic must be ``magic``, whose low byte counts the dims."""
     r = Reader(Path(path).read_bytes(), IdxFormatError, str(path))
-    magic, n, h, w = r.unpack(">IIII", "image header")
-    if magic != IMAGES_MAGIC:
-        raise IdxFormatError(f"{path}: bad image magic 0x{magic:08x} (want 0x{IMAGES_MAGIC:08x})")
-    images = r.array((n, h, w), np.uint8, "pixel data")
+    got, *dims = r.unpack(f">{1 + (magic & 0xFF)}I", f"{what} header")
+    if got != magic:
+        raise IdxFormatError(f"{path}: bad {what} magic 0x{got:08x} (want 0x{magic:08x})")
+    array = r.array(tuple(dims), np.uint8, payload)
     r.end()
-    return images
+    return array
+
+
+def read_idx_images(path: str | Path) -> np.ndarray:
+    return _read_idx(path, IMAGES_MAGIC, "image", "pixel data")
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
-    r = Reader(Path(path).read_bytes(), IdxFormatError, str(path))
-    magic, n = r.unpack(">II", "label header")
-    if magic != LABELS_MAGIC:
-        raise IdxFormatError(f"{path}: bad label magic 0x{magic:08x} (want 0x{LABELS_MAGIC:08x})")
-    labels = r.array((n,), np.uint8, "label data")
-    r.end()
-    return labels.copy()
+    return _read_idx(path, LABELS_MAGIC, "label", "label data").copy()
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> tuple[np.ndarray, np.ndarray]:

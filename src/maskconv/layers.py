@@ -183,6 +183,13 @@ def check_bank(bank: FilterBank, spec: LayerSpec) -> np.ndarray | None:
     return bank.biases
 
 
+def check_patches(pm: PatchMatrix, spec: LayerSpec) -> None:
+    """Raise :class:`ShapeError` unless ``pm`` is the :func:`im2col` of a ``spec`` layer's input."""
+    want, got = (spec.d, spec.stride, spec.padding, spec.c), (pm.d, pm.stride, pm.padding, pm.in_shape[-1])
+    if got != want:
+        raise ShapeError(f"layer {spec.name}: needs patches of (d, stride, padding, c) {want}, got {got}")
+
+
 _FULL = slice(None)
 
 
@@ -297,6 +304,7 @@ def forward_patches(
     secondary runs once, over the rows its mask keeps or over the full
     view, and its repeats copy its maps, as :class:`MaskLayout` states.
     """
+    check_patches(pm, spec)
     biases = check_bank(bank, spec)
     k, s, n = spec.k, spec.s, spec.n_secondary
     layout = mask_layout(spec, masks)
@@ -395,6 +403,7 @@ def bank_backward(
         if x is None:
             raise ShapeError("bank_backward needs x or the forward's patches")
         patches = im2col(x, spec.d, spec.stride, spec.padding)
+    check_patches(patches, spec)
     n = spec.n_secondary
     out_shape = patches.out_shape + (n,)
     if grad_y.shape != out_shape:

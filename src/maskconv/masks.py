@@ -2,10 +2,10 @@
 
 A mask is a bit vector of length ``d*d*c`` in the canonical vec order of
 :mod:`maskconv.convref`.  In memory a :class:`MaskSet` holds its masks as
-a 0/1 matrix; only the two file formats that store bits, checkpoints and
-mask records, pack them 32 to a little-endian word (vec index ``32*w + b``
-in bit ``b`` of word ``w``), through :func:`to_words` and
-:func:`from_words`.  Four families:
+a 0/1 matrix; only checkpoints and the export of :func:`write_mask_records`
+store bits, packed 32 to a little-endian word (vec index ``32*w + b`` in
+bit ``b`` of word ``w``) by :func:`to_words`, and only a checkpoint reads
+them back, through :func:`from_words`.  Four families:
 
 * ``spatial``          nested centered squares, ``s = ceil(d/2)`` scales;
 * ``channel-window``   a ``c_hat``-channel window slid with stride ``g``;
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
-
-from maskconv.binread import Reader
 
 KINDS = ("spatial", "channel-window", "learned-shared", "learned-separate", "random-fixed")
 # learnable strategy -> the kind of the bit masks it trains or freezes
@@ -256,22 +254,3 @@ def write_mask_records(masks: MaskSet, fileobj) -> None:
     for row in to_words(masks.bits):
         fileobj.write(header)
         fileobj.write(row.tobytes())
-
-
-def read_mask_records(fileobj) -> list[tuple[int, int, np.ndarray]]:
-    """Read records written by :func:`write_mask_records` until EOF.
-
-    Returns (d, c, bits) tuples with bits unpacked to boolean vectors.
-    Raises :class:`MaskError` for a truncated record, a zero ``d`` or
-    ``c`` or a set padding bit.  Each record's words are unpacked only
-    once they are read, so the bits take at most 8x the file's bytes.
-    """
-    r = Reader(fileobj.read(), MaskError, "mask records")
-    records = []
-    while r.left:
-        d, c = r.unpack("<2I", "mask record header")
-        if d == 0 or c == 0:
-            raise MaskError(f"mask record declares d={d} c={c}; both must be positive")
-        words = r.array((1, (d * d * c + 31) // 32), "<u4", "mask record payload")
-        records.append((d, c, from_words(words, d * d * c)[:, 0]))
-    return records

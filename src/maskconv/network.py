@@ -34,8 +34,8 @@ from maskconv.masks import MaskSet, agent_update, from_dense, ortho_grad, ortho_
 
 CONV_BYTES_MAX = 1 << 30
 """Largest patch matrix, output or masked-filter matrix a :class:`MaskedConv`
-forward allocates: 1 GiB, ~70x the shipped models' largest (conv1's
-patches at ``evaluate``'s batch of 256, 14.75 MB).  A checkpoint header
+forward allocates: 1 GiB, ~290x the shipped models' largest (conv1's
+patches at ``evaluate``'s batch of 64, 3.69 MB).  A checkpoint header
 cannot size an allocation past it: the patch rows grow with ``d``, the
 maps with ``k``, and a channel layer's mask bits and full-view masked
 filters (:class:`maskconv.layers.MaskLayout`) with its ``s`` windows.  The

@@ -148,7 +148,7 @@ def fit(
     return history
 
 
-def evaluate(model: Network, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
+def evaluate(model: Network, images: np.ndarray, labels: np.ndarray, batch: int = 64) -> float:
     """Classification accuracy over a dataset.
 
     The layers keep no activations afterwards, as after :func:`fit`.

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from maskconv.convref import ShapeError, conv_reference, im2col
-from maskconv.fastinfer import masks_for_spec
+from maskconv.fastinfer import cached_forward, masks_for_spec
 from maskconv.layers import (
     STRATEGIES,
     FilterBank,
     LayerSpec,
     bank_backward,
     bank_forward,
+    forward_patches,
     mask_layout,
     naive_sum_forward,
     random_bank,
@@ -256,6 +257,46 @@ def test_a_bank_that_does_not_fit_its_spec_is_refused(spec, filters, biases):
     bank = FilterBank(np.ones(filters), None if biases is None else np.zeros(biases))
     with pytest.raises(ShapeError, match=re.escape(f"got {filters} and {biases}")):
         bank_forward(np.ones((4, 4, spec.c)), bank, spec.structural_masks(), spec)
+
+
+GEOMETRY_SPECS = {
+    "standard": LayerSpec("standard", d=3, c=16, k=4),
+    "spatial": LayerSpec("spatial", d=3, c=16, k=2),
+    "channel": LayerSpec("channel", d=3, c=16, k=2, c_hat=8, g=4),
+    "separate": LayerSpec("learnable", d=3, c=16, k=2, s=2, strategy="separate"),
+}
+ENTRY_POINTS = ("bank_forward", "cached_forward", "forward_patches", "bank_backward", "bank_backward_patches")
+GEOMETRY_CASES = [
+    *(
+        pytest.param(entry, spec, c, 1, 0, id=f"{entry}-{name}-c{c}")
+        for entry in ENTRY_POINTS
+        for name, spec in GEOMETRY_SPECS.items()
+        for c in (15, 17)
+    ),
+    # a stride-2, padding-1 patch matrix of a 9x9x2 input against a stride-1, padding-0 spec
+    *(
+        pytest.param(entry, LayerSpec("standard", d=3, c=2, k=4), 2, 2, 1, id=f"{entry}-stride2-pad1")
+        for entry in ("forward_patches", "bank_backward_patches")
+    ),
+]
+
+
+@pytest.mark.parametrize("entry, spec, c, stride, padding", GEOMETRY_CASES)
+def test_patches_of_another_geometry_are_refused(entry, spec, c, stride, padding):
+    x = np.ones((9, 9, c))
+    pm = im2col(x, spec.d, stride, padding)
+    grad_y = np.ones(pm.out_shape + (spec.n_secondary,))
+    args = (random_bank(spec, seed=0), masks_for_spec(spec, seed=0), spec)
+    calls = {
+        "bank_forward": lambda: bank_forward(x, *args),
+        "cached_forward": lambda: cached_forward(x, *args),
+        "forward_patches": lambda: forward_patches(pm, *args),
+        "bank_backward": lambda: bank_backward(grad_y, x, *args),
+        "bank_backward_patches": lambda: bank_backward(grad_y, None, *args, patches=pm),
+    }
+    want = (spec.d, spec.stride, spec.padding, spec.c)
+    with pytest.raises(ShapeError, match=re.escape(f"layer conv: needs patches of (d, stride, padding, c) {want}")):
+        calls[entry]()
 
 
 def test_masked_filter_consistency_exhaustive():

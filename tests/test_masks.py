@@ -17,7 +17,6 @@ from maskconv.masks import (
     gram_offdiagonal,
     ortho_loss,
     random_masks,
-    read_mask_records,
     spatial_masks,
     to_words,
     write_mask_records,
@@ -338,74 +337,12 @@ def test_maskset_roundtrip_through_dense():
     assert np.array_equal(rebuilt.bits, ms.bits)
 
 
-def test_mask_export_roundtrip():
-    ms = random_masks(2, 3, 3, 2, seed=5)
+def test_mask_export_layout_is_pinned():
+    # per mask: (d, c) as little-endian u32, then its words; 0x1FF and 0x10 are
+    # the 3x3 square and the center bit
     buf = io.BytesIO()
-    write_mask_records(ms, buf)
-    buf.seek(0)
-    records = read_mask_records(buf)
-    assert len(records) == ms.n_masks
-    dense = ms.dense()
-    for idx, (d, c, bits) in enumerate(records):
-        assert (d, c) == (3, 2)
-        assert np.array_equal(bits, dense[:, idx])
-
-
-def test_mask_export_truncation_detected():
-    ms = spatial_masks(3, 1)
-    buf = io.BytesIO()
-    write_mask_records(ms, buf)
-    data = buf.getvalue()[:-2]
-    with pytest.raises(MaskError):
-        read_mask_records(io.BytesIO(data))
-
-
-def test_mask_records_truncated_at_every_offset():
-    buf = io.BytesIO()
-    write_mask_records(random_masks(1, 3, 3, 8, seed=2), buf)
-    data = buf.getvalue()
-    whole = read_mask_records(io.BytesIO(data))
-    size = len(data) // len(whole)  # 8 header bytes and three words
-    for cut in range(len(data)):
-        if cut % size:
-            with pytest.raises(MaskError, match=r"truncated mask record .* at offset"):
-                read_mask_records(io.BytesIO(data[:cut]))
-        else:  # the records carry no count: a cut between them reads those before it
-            records = read_mask_records(io.BytesIO(data[:cut]))
-            assert len(records) == cut // size
-            assert all(np.array_equal(a[2], b[2]) for a, b in zip(records, whole))
-
-
-@pytest.mark.parametrize("size", [65535, 2**32 - 1])
-@pytest.mark.parametrize("through", ["bytesio", "file"])
-def test_mask_record_huge_header_rejected_without_allocating(tmp_path, size, through, traced_peak):
-    data = struct.pack("<2I", size, size)  # an 8-byte record: header only
-    path = tmp_path / "huge.masks"
-    path.write_bytes(data)
-
-    def rejected():
-        with pytest.raises(MaskError, match="truncated mask record payload"):
-            if through == "file":
-                with open(path, "rb") as f:
-                    read_mask_records(f)
-            else:
-                read_mask_records(io.BytesIO(data))
-
-    _, peak = traced_peak(rejected)
-    assert peak < 1_000_000
-
-
-@pytest.mark.parametrize("d, c", [(0, 3), (3, 0)])
-def test_mask_record_zero_size_rejected(d, c):
-    with pytest.raises(MaskError, match="both must be positive"):
-        read_mask_records(io.BytesIO(struct.pack("<2I", d, c) + bytes(4)))
-
-
-@pytest.mark.parametrize("bit", [9, 31])
-def test_mask_record_padding_bit_rejected(bit):
-    # d=3 c=1: nine bits in one word; a set bit past them could not be written back
-    with pytest.raises(MaskError, match="padding bits past bit 9"):
-        read_mask_records(io.BytesIO(struct.pack("<3I", 3, 1, 1 << bit)))
+    write_mask_records(spatial_masks(3, 1), buf)
+    assert buf.getvalue() == struct.pack("<3I", 3, 1, 0x1FF) + struct.pack("<3I", 3, 1, 0x10)
 
 
 def test_packing_occurs_only_in_masks():

@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "maskconv"
 # public names whose caller is not Python code in src, bench or demos
 NO_PYTHON_CALLER = {
     "cli.entry": "the console script in pyproject.toml",
-    "masks.read_mask_records": "the reader of the export-masks format, for the hostile-file sweep",
 }
 
 
